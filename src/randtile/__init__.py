@@ -6,6 +6,8 @@ deviations of ergodic integrals, Denjoy-Koksma checks on solenoids, and
 pattern-equivariant operators on puncture sets.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (ConfigError, ConvergenceError, DegenerateObservableError,
                      IncompletePatternError, InsufficientDataError,
                      MinimalityError, PartialCoverError, RandtileError,

@@ -9,12 +9,8 @@ and lexicographic anchors well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from . import geometry
-from .errors import MinimalityError, StructuralError, UnsupportedOperationError
+from .errors import MinimalityError, StructuralError
 from .substitution import RuleFamily, substitution_matrix
 from .symbolic import SymbolSequence
 from .tiling import DEFAULT_TILE_BUDGET, Patch, SupertileSystem
@@ -90,8 +86,7 @@ def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
     """h^n = A_n ... A_1 · 𝟙, exact big integers."""
     m = family.n_prototiles
     h = [1] * m
-    for k in range(1, n + 1):
-        a = substitution_matrix(family.rule(x[k]), m)
+    for a in connectivity_matrices(family, x, n):
         h = [sum(int(a[i, j]) * h[j] for j in range(m)) for i in range(m)]
     return h
 
@@ -99,37 +94,17 @@ def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
 def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,
                 budget: int = DEFAULT_TILE_BUDGET,
                 system: SupertileSystem = None) -> Patch:
-    """The level-k approximant patch along `path`, tiles at unit scale."""
+    """The level-k approximant patch along `path`, tiles at unit scale.
+
+    More than `budget` tiles raises PartialCoverError; `path_counts` gives
+    the counts without placing tiles.
+    """
     path.validate(family, x)
-    k = len(path)
     if system is None:
         system = SupertileSystem(family, x)
-    # anchored offset: o_k = o_{k-1} - θ_(level)^{-1}·τ_edge
-    offset = (Fraction(0),) * family.dim
-    for (level, parent, child, branch) in path.edges:
-        rule = family.rule(x[level])
-        if not rule.is_geometric:
-            raise UnsupportedOperationError(
-                f"rule {rule.id} is matrix-only; approximant needs geometry")
-        branches = [b for b in rule.children_of(parent) if b.child == child]
-        tau = branches[branch].tau
-        offset = geometry.vsub(offset,
-                               geometry.vscale(system.theta_inv(level), tau))
     tiles = []
-    counter = [budget]
-
-    def emit(lvl, v, off):
-        if lvl == 0:
-            if counter[0] <= 0:
-                raise UnsupportedOperationError(
-                    "tile budget exceeded; use path_counts for counts")
-            counter[0] -= 1
-            tiles.append((v, off))
-            return
-        for child, delta in system.children(lvl, v):
-            emit(lvl - 1, child, geometry.vadd(off, delta))
-
-    emit(k, path.range if k else path.source, offset)
+    system.expand(len(path), path.range, system.path_offset(path.edges),
+                  tiles, budget)
     return Patch(tiles, family=family)
 
 

@@ -19,21 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry
+from . import __version__, geometry
 from .errors import (ConfigError, ConvergenceError, DegenerateObservableError,
                      IncompletePatternError, InsufficientDataError,
-                     MinimalityError, PartialCoverError, RandtileError,
-                     StructuralError, UnsupportedOperationError)
+                     MinimalityError, PartialCoverError, StructuralError,
+                     UnsupportedOperationError)
 from .cocycle import lyapunov_spectrum
 from .ergodic import (TLCObservable, deviation_along_sequence,
                       deviation_over_regions, make_zero_trace_observable,
                       special_averaging_sequence)
 from .schrodinger import (KernelSpec, PunctureSet, build_operator,
                           ids_estimate, windowed_trace)
-from .solenoid import SolenoidSpec, dk_check, random_observable, variation
-from .substitution import builtin_families, builtin_family, load_family
+from .solenoid import SolenoidSpec, dk_check, random_observable
+from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from .tiling import Region, SupertileSystem, decompose_region, generate_patch
+from .tiling import Region, decompose_region, generate_patch
 
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
             "#937860", "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd")
@@ -51,11 +51,16 @@ def _sha256(path: Path) -> str:
 
 
 def _code_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("artifact")
-    except Exception:
-        return "unknown"
+    return __version__
+
+
+def _write_manifest(out: Path, written, **fields) -> dict:
+    """Write manifest.json: code version, `fields`, and a sha256 per output."""
+    manifest = {"code_version": _code_version(), **fields,
+                "outputs": {p.name: _sha256(p) for p in sorted(set(written))}}
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True))
+    return manifest
 
 
 @dataclass
@@ -65,7 +70,6 @@ class ExperimentConfig:
     family: str = "half-hex-pair"
     seed: int = 0
     out_dir: str = "."
-    threads: int = 1
     blocks: dict = field(default_factory=dict)   # subcommand -> params dict
 
     @staticmethod
@@ -76,7 +80,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"family", "seed", "out_dir", "threads", "blocks"}
+        known = {"family", "seed", "out_dir", "blocks"}
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
@@ -85,7 +89,7 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(
             {"family": self.family, "seed": self.seed, "out_dir": self.out_dir,
-             "threads": self.threads, "blocks": self.blocks},
+             "blocks": self.blocks},
             indent=2, sort_keys=True)
 
 
@@ -113,10 +117,12 @@ def parse_region(text: str) -> Region:
     raise ConfigError(f"bad region spec {text!r}")
 
 
-def _sequence_for(family, measure, length: int, seed: int) -> SymbolSequence:
-    if measure is None:
-        return SymbolSequence.constant(1, length)
-    return sample_sequence(measure, length, seed)
+def _sequence(args) -> SymbolSequence:
+    """Bernoulli(--p) sample of --length symbols, or all 1s without --p."""
+    if args.p is None:
+        return SymbolSequence.constant(1, args.length)
+    return sample_sequence(MeasureSpec.bernoulli_p(args.p), args.length,
+                           args.seed)
 
 
 def _write_csv(path: Path, header, rows):
@@ -126,9 +132,8 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def render_svg(patch, style: str = "type") -> str:
-    """Deterministic SVG: one polygon per tile, colored by prototile type
-    (style="type") or by supertile level when lineage is present."""
+def render_svg(patch) -> str:
+    """Deterministic SVG: one polygon per tile, colored by prototile type."""
     fam = patch.family
     if len(patch) == 0:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1">'
@@ -138,7 +143,7 @@ def render_svg(patch, style: str = "type") -> str:
     polys = []
     lo = [math.inf, math.inf]
     hi = [-math.inf, -math.inf]
-    for idx, (t, off) in enumerate(patch.tiles):
+    for t, off in patch.tiles:
         shape = fam.prototiles[t].shape
         if shape.dim == 2:
             verts = shape.vertices_list()
@@ -156,11 +161,7 @@ def render_svg(patch, style: str = "type") -> str:
             pts.append((round(e[0], 6), round(e[1], 6)))
             lo[0], lo[1] = min(lo[0], pts[-1][0]), min(lo[1], pts[-1][1])
             hi[0], hi[1] = max(hi[0], pts[-1][0]), max(hi[1], pts[-1][1])
-        if style == "level" and patch.lineage is not None:
-            color = _PALETTE[patch.lineage[idx][0] % len(_PALETTE)]
-        else:
-            color = _PALETTE[t % len(_PALETTE)]
-        polys.append((pts, color))
+        polys.append((pts, _PALETTE[t % len(_PALETTE)]))
     pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
     view = (lo[0] - pad, lo[1] - pad,
             (hi[0] - lo[0]) + 2 * pad, (hi[1] - lo[1]) + 2 * pad)
@@ -202,17 +203,13 @@ def cmd_spectrum(args, out: Path):
 
 
 def _deterministic_patch(args, family):
-    measure = (MeasureSpec.bernoulli_p(args.p)
-               if args.p is not None else None)
-    x = _sequence_for(family, measure, args.length, args.seed)
     window = parse_region(args.window).dilated(Fraction(args.dilation))
-    patch = generate_patch(family, x, window)
-    return patch, x, window
+    return generate_patch(family, _sequence(args), window)
 
 
 def cmd_patch(args, out: Path):
     family = _resolve_family(args.family)
-    patch, _, _ = _deterministic_patch(args, family)
+    patch = _deterministic_patch(args, family)
     rows = [(t,) + tuple(fmt(c) for c in geometry.embed_point(
         off, family.embedding)) for t, off in patch.tiles]
     path = out / "patch.csv"
@@ -222,23 +219,22 @@ def cmd_patch(args, out: Path):
     written = [path]
     if args.svg:
         svg_path = out / "patch.svg"
-        svg_path.write_text(render_svg(patch, style=args.style))
+        svg_path.write_text(render_svg(patch))
         written.append(svg_path)
     return written
 
 
 def cmd_render(args, out: Path):
     family = _resolve_family(args.family)
-    patch, _, _ = _deterministic_patch(args, family)
+    patch = _deterministic_patch(args, family)
     path = out / "render.svg"
-    path.write_text(render_svg(patch, style=args.style))
+    path.write_text(render_svg(patch))
     return [path]
 
 
 def cmd_decompose(args, out: Path):
     family = _resolve_family(args.family)
-    measure = MeasureSpec.bernoulli_p(args.p) if args.p is not None else None
-    x = _sequence_for(family, measure, args.length, args.seed)
+    x = _sequence(args)
     region = parse_region(args.window)
     rep = decompose_region(family, x, region, Fraction(args.dilation))
     vols = family.volumes()
@@ -257,8 +253,7 @@ def cmd_decompose(args, out: Path):
 
 def cmd_deviate(args, out: Path):
     family = _resolve_family(args.family)
-    measure = MeasureSpec.bernoulli_p(args.p) if args.p is not None else None
-    x = _sequence_for(family, measure, args.length, args.seed)
+    x = _sequence(args)
     if args.observable == "volume":
         f = TLCObservable.constant(1, family.n_prototiles)
     elif args.observable == "zero-trace":
@@ -341,10 +336,8 @@ def cmd_schrod(args, out: Path):
     base = parse_region(args.window)
     margin = Fraction(2) * Fraction(max(1.0, 2 * rng)).limit_denominator(16)
     src = base.dilated(max(dilations) + margin)
-    system = SupertileSystem(family, x)
-    anchor = system.anchor(src)
-    patch = generate_patch(family, x, src, system=system, anchor=anchor)
-    punctures = PunctureSet.from_patch(patch, window=src)
+    punctures = PunctureSet.from_patch(generate_patch(family, x, src),
+                                       window=src)
     energies = np.linspace(args.e_min, args.e_max, args.e_count)
     trace_rows = []
     windows = [base.dilated(t) for t in dilations]
@@ -376,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON experiment config")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=".")
-    ap.add_argument("--threads", type=int, default=1)
     sub = ap.add_subparsers(dest="command")
 
     def add(name, helptext):
@@ -385,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         # duplicated global flags: SUPPRESS keeps the pre-command value
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS)
-        p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
         return p
 
     p = add("spectrum", "Lyapunov spectrum sweep over Bernoulli p")
@@ -399,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dilation", default="4")
         p.add_argument("--length", type=int, default=64)
         p.add_argument("--p", type=float, default=None)
-        p.add_argument("--style", choices=("type", "level"), default="type")
         if name == "patch":
             p.add_argument("--svg", action="store_true")
 
@@ -472,19 +462,9 @@ def run(config: ExperimentConfig):
                     argv.append(flag)
             else:
                 argv += [flag, str(value)]
-        args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = config.seed
-        written += _COMMANDS[name](args, out)
-    manifest = {
-        "code_version": _code_version(),
-        "seed": config.seed,
-        "family": config.family,
-        "outputs": {p.name: _sha256(p) for p in sorted(set(written))},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest
+        written += _COMMANDS[name](parser.parse_args(argv), out)
+    return _write_manifest(out, written, seed=config.seed,
+                           family=config.family)
 
 
 def main(argv=None) -> int:
@@ -500,18 +480,10 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        if args.seed is None:
-            args.seed = 0
-        out = Path(args.out if args.out is not None else ".")
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        written = _COMMANDS[args.command](args, out)
-        manifest = {
-            "code_version": _code_version(),
-            "seed": args.seed,
-            "outputs": {p.name: _sha256(p) for p in sorted(set(written))},
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
+        _write_manifest(out, _COMMANDS[args.command](args, out),
+                        seed=args.seed)
         return 0
     except (ConfigError, StructuralError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

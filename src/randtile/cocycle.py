@@ -21,6 +21,8 @@ from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 NEG_INF = float("-inf")
 _ORTHO_TOL = 1e-10
 _UNDERFLOW_LOG = -600.0  # running column norm below e^-600 => kernel direction
+_MERGE_FACTOR = 5.0      # exponents closer than this many stderrs are merged
+_GAP_TOL = 1e-9          # relative top singular gap below this => no direction
 
 
 def _family_matrices(family: RuleFamily):
@@ -43,16 +45,14 @@ class CocycleProduct:
         self.reorth_every = reorth_every
         self.frame = np.eye(dim)
         self.lognorms = np.zeros(dim)
-        self.indices = []
         self.dead = np.zeros(dim, dtype=bool)   # kernel directions (V^inf)
         self._pending = 0
 
-    def push(self, a: np.ndarray, index: Optional[int] = None):
+    def push(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise StructuralError("factor dimension mismatch")
         self.frame = a @ self.frame
-        self.indices.append(index)
         self._pending += 1
         if self._pending >= self.reorth_every:
             self.reorthonormalize()
@@ -102,15 +102,15 @@ class LyapunovReport:
         return [e / self.top for e in self.raw_exponents]
 
 
-def _group_exponents(exponents, stderrs, merge_factor: float = 5.0):
-    """Merge exponents whose gap is within merge_factor * combined stderr."""
+def _group_exponents(exponents, stderrs):
+    """Merge exponents whose gap is within _MERGE_FACTOR * combined stderr."""
     groups = []
     for lam, se in zip(exponents, stderrs):
         if groups:
             lam0, ses = groups[-1]
             combined = math.hypot(se, ses[-1])
             if lam == lam0[-1] or (math.isfinite(lam) and math.isfinite(lam0[-1])
-                                   and lam0[-1] - lam <= merge_factor * combined):
+                                   and lam0[-1] - lam <= _MERGE_FACTOR * combined):
                 lam0.append(lam)
                 ses.append(se)
                 continue
@@ -149,7 +149,7 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
     prev = prod.lognorms.copy()
     b = 0
     for k in range(1, steps + 1):
-        prod.push(mats[x[k] - 1], index=x[k])
+        prod.push(mats[x[k] - 1])
         if k == edges[b + 1]:
             prod.reorthonormalize()
             cur = prod.lognorms
@@ -191,13 +191,13 @@ def apply_cocycle(matrices, v):
     return out
 
 
-def top_left_direction(family: RuleFamily, x: SymbolSequence, depth: int,
-                       gap_tol: float = 1e-9) -> np.ndarray:
+def top_left_direction(family: RuleFamily, x: SymbolSequence,
+                       depth: int) -> np.ndarray:
     """Unit vector u aligned with the image of generic vectors under
     A_{x_depth}···A_{x_1}: the top left singular direction of the product.
 
     The product is rescaled every step to avoid overflow; a convergence error
-    is raised when the top singular gap is below gap_tol (no dominant
+    is raised when the top singular gap is below _GAP_TOL (no dominant
     direction, e.g. identity factors).
     """
     if depth < 1:
@@ -212,7 +212,7 @@ def top_left_direction(family: RuleFamily, x: SymbolSequence, depth: int,
             raise ConvergenceError("product vanished; no dominant direction")
         prod /= scale
     u, s, _ = np.linalg.svd(prod)
-    if dim > 1 and (s[0] - s[1]) <= gap_tol * s[0]:
+    if dim > 1 and (s[0] - s[1]) <= _GAP_TOL * s[0]:
         raise ConvergenceError(
             f"no singular gap after {depth} factors "
             f"(sigma1={s[0]:.3e}, sigma2={s[1]:.3e})")

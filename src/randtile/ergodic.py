@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
+from .bratteli import connectivity_matrices
 from .errors import (DegenerateObservableError, InsufficientDataError,
                      StructuralError, UnsupportedOperationError)
 from .cocycle import top_left_direction
@@ -92,15 +93,6 @@ class SpecialAveragingSequence:
     dim: int
 
 
-def _exact_dtype(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _matrices_along(family, x, depth):
-    m = family.n_prototiles
-    return [substitution_matrix(family.rule(x[k]), m) for k in range(1, depth + 1)]
-
-
 def _upward_continuation(family, x, k, vertex, m):
     """Lexicographically least edge continuation from level k to level m."""
     edges = []
@@ -166,28 +158,19 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                 "(pattern classes are positions of tiles)")
         wmap = f.weight_map()
         out = []
-        for k in range(0, min(m, depth + 1)):
+        # at level k <= m a pattern class is a level-k path continued to level m
+        for k in range(0, min(m, depth) + 1):
+            paths = _paths_to(family, x, k)
             vals = []
             for j in range(n):
                 cont = _upward_continuation(family, x, k, j, m)
                 total = 0
-                for p in _paths_to(family, x, k)[j]:
+                for p in paths[j]:
                     src = p[0][2] if p else j
                     w = wmap.get(p + cont, 0)
                     total += w * (vols[src] if exact else float(vols[src]))
                 vals.append(total)
             out.append(ErgodicVector(k, vec(vals)))
-        if depth >= m:
-            vals = []
-            paths = _paths_to(family, x, m)
-            for u in range(n):
-                total = 0
-                for p in paths[u]:
-                    src = p[0][2]
-                    w = wmap.get(p, 0)
-                    total += w * (vols[src] if exact else float(vols[src]))
-                vals.append(total)
-            out.append(ErgodicVector(m, vec(vals)))
 
     while len(out) <= depth:
         k = len(out)
@@ -204,7 +187,7 @@ def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
         raise StructuralError("depth must be >= 2")
     vecs = ergodic_vectors(f, family, x, depth)
     n = family.n_prototiles
-    mats = _matrices_along(family, x, depth)
+    mats = connectivity_matrices(family, x, depth)
     residuals = []
     for k in range(depth):
         pred = mats[k].astype(object if f.is_exact() else float) @ vecs[k].values
@@ -343,13 +326,9 @@ def _running_max_slope(points) -> float:
 def _patch_point_distance(points, patch, embedding):
     """Distance of each embedded point to the patch (0 when covered)."""
     shapes = list(patch.shapes())
-    boxes = []
-    for s in shapes:
-        lo, hi = s.bbox()
-        boxes.append((geometry.embed_point(lo, embedding),
-                      geometry.embed_point(hi, embedding)))
-    lo_arr = np.array([b[0] for b in boxes])
-    hi_arr = np.array([b[1] for b in boxes])
+    bboxes = [s.bbox() for s in shapes]
+    lo_arr = np.array([geometry.embed_point(lo, embedding) for lo, _ in bboxes])
+    hi_arr = np.array([geometry.embed_point(hi, embedding) for _, hi in bboxes])
     out = []
     for p in points:
         pa = np.asarray(p)
@@ -376,21 +355,13 @@ def _patch_point_distance(points, patch, embedding):
 def _point_in_embedded(p, vs) -> bool:
     if len(vs) == 2 and len(p) == 1:
         return vs[0][0] <= p[0] <= vs[1][0]
-    n = len(vs)
-    for i in range(n):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % n]
-        if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
-            return False
-    return True
+    return geometry.edge_margin(p, geometry.inward_edges(vs)) >= 0
 
 
 def _boundary_samples(window: Region, embedding, count: int = 96):
     """Embedded sample points on the boundary of the dilated window."""
     if window.kind == "disk":
-        c = geometry.embed_point(
-            geometry.vscale(window.dilation, window.center), embedding)
-        r = float(window.dilation) * window.radius
+        c, r = window.embedded_disk(embedding)
         return [(c[0] + r * math.cos(2 * math.pi * i / count),
                  c[1] + r * math.sin(2 * math.pi * i / count))
                 for i in range(count)]
@@ -474,8 +445,8 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
         base_anchor = None
     else:
         mult = patch.multiset()
-        level, vtx, offset, edges = system.anchor(b_region.dilated(t_star))
-        base_anchor = (level, edges)
+        level, _, offset, edges = system.anchor(b_region.dilated(t_star))
+        base_anchor = (level, offset, edges)
 
     window = max(k_star, base_anchor[0] if base_anchor else 0)
     recs = recurrence_times(x, window) if window <= len(x) else []
@@ -485,18 +456,16 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
             f"need {count}")
     entries = []
     dim = family.dim
-    zero = (Fraction(0),) * dim
     for k_i in recs[:count]:
         t_i = system.theta_inv(k_i) * t_star if _levels_geometric(
             family, x, k_i) else _theta_inv_product(family, x, k_i) * t_star
-        tau = zero
+        tau = (Fraction(0),) * dim
         if base_anchor is not None and _levels_geometric(
                 family, x, k_i + base_anchor[0]):
-            o_base = _anchor_offset(family, x, system, base_anchor[1], 0)
-            o_i = _anchor_offset(family, x, system, base_anchor[1], k_i)
+            o_i = system.path_offset(base_anchor[2], shift=k_i)
             tau = geometry.vsub(
                 geometry.vscale(1 / t_i, o_i),
-                geometry.vscale(1 / t_star, o_base))
+                geometry.vscale(1 / t_star, base_anchor[1]))
         entries.append((k_i, t_i, tau))
     return SpecialAveragingSequence(base_multiset=mult, t_star=t_star,
                                     entries=entries, hausdorff=hausdorff,
@@ -514,17 +483,6 @@ def _theta_inv_product(family, x, k) -> Fraction:
     for level in range(1, k + 1):
         out /= family.rule(x[level]).theta
     return out
-
-
-def _anchor_offset(family, x, system, edges, shift):
-    """Anchored offset of the edge path raised by `shift` levels."""
-    offset = (Fraction(0),) * family.dim
-    for (level, parent, child, branch) in edges:
-        rule = family.rule(x[level + shift])
-        branches = [b for b in rule.children_of(parent) if b.child == child]
-        offset = geometry.vsub(offset, geometry.vscale(
-            system.theta_inv(level + shift), branches[branch].tau))
-    return offset
 
 
 def _inradius(region: Region, embedding) -> float:

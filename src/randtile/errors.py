@@ -26,7 +26,7 @@ class DegenerateObservableError(RandtileError):
 
 
 class PartialCoverError(RandtileError):
-    """Tile budget exhausted before the window was covered.
+    """Tile budget exhausted before the patch or approximant was complete.
 
     Carries the partial patch in ``partial``.
     """

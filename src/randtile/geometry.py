@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import StructuralError
 
@@ -110,8 +110,11 @@ class Box:
         return self.to_polygon().intersection_volume(other)
 
     def contains_shape(self, other) -> bool:
-        # Boxes are convex: vertex containment decides.
-        return all(self.contains_point(v) for v in _shape_vertices(other))
+        # Boxes are convex: vertex (or corner) containment decides.
+        if isinstance(other, Box):
+            return all(l <= ol and oh <= h for l, h, ol, oh
+                       in zip(self.lo, self.hi, other.lo, other.hi))
+        return all(self.contains_point(v) for v in other.vertices_list())
 
     def to_polygon(self) -> "Polygon":
         if self.dim != 2:
@@ -228,16 +231,11 @@ class Polygon:
 
     def contains_shape(self, other) -> bool:
         if self._convex:
-            return all(self.contains_point(v) for v in _shape_vertices(other))
-        vol = other.volume() if not isinstance(other, Box) else other.volume()
-        return self.intersection_volume(other) == vol
+            return all(self.contains_point(v) for v in other.vertices_list())
+        return self.intersection_volume(other) == other.volume()
 
     def __repr__(self):
         return f"Polygon({list(self.vertices)!r})"
-
-
-def _shape_vertices(shape):
-    return shape.vertices_list()
 
 
 def _signed_area2(vs) -> Fraction:
@@ -378,81 +376,6 @@ def _line_intersect(a, b, p, q) -> Point:
     return vadd(p, vscale(t, vsub(q, p)))
 
 
-def pair_intersection_volume(a, b) -> Fraction:
-    """Intersection volume of two shapes, unwrapping internal unions."""
-    if isinstance(a, _TriUnion):
-        return a.intersection_volume(b)
-    if isinstance(b, _TriUnion):
-        return b.intersection_volume(a)
-    return a.intersection_volume(b)
-
-
-def union_volume(shapes) -> Fraction:
-    """Exact volume of a union of shapes via inclusion-exclusion recursion."""
-    shapes = [s for s in shapes if s.volume() > 0]
-    total = Fraction(0)
-    placed = []
-    for s in shapes:
-        total += s.volume() - _cap_volume(s, placed)
-        placed.append(s)
-    return total
-
-
-def _cap_volume(s, others) -> Fraction:
-    """Volume of s ∩ (union of others)."""
-    caps = []
-    for o in others:
-        v = pair_intersection_volume(s, o)
-        if v > 0:
-            caps.append(_intersect_shape(s, o))
-    if not caps:
-        return Fraction(0)
-    return union_volume(caps)
-
-
-def _intersect_shape(a, b):
-    """Intersection of two shapes as a shape (convex pieces only)."""
-    if isinstance(a, _TriUnion) or isinstance(b, _TriUnion):
-        pas = a.pieces if isinstance(a, _TriUnion) else [a]
-        pbs = b.pieces if isinstance(b, _TriUnion) else [b]
-        pieces = []
-        for pa in pas:
-            for pb in pbs:
-                if pair_intersection_volume(pa, pb) > 0:
-                    pieces.append(_intersect_shape(pa, pb))
-        return _TriUnion(pieces)
-    if isinstance(a, Box) and isinstance(b, Box):
-        lo = tuple(max(l0, l1) for l0, l1 in zip(a.lo, b.lo))
-        hi = tuple(min(h0, h1) for h0, h1 in zip(a.hi, b.hi))
-        return Box(lo, hi)
-    pa = a.to_polygon() if isinstance(a, Box) else a
-    pb = b.to_polygon() if isinstance(b, Box) else b
-    if pa.convex and pb.convex:
-        return Polygon(clip_convex(pa.vertices, pb.vertices))
-    # non-convex: return a _TriUnion wrapper of pairwise triangle clips
-    pieces = []
-    for t1 in pa.triangulate():
-        for t2 in pb.triangulate():
-            if t1.intersection_volume(t2) > 0:
-                pieces.append(Polygon(clip_convex(t1.vertices, t2.vertices)))
-    return _TriUnion(pieces)
-
-
-class _TriUnion:
-    """Internal: disjoint union of convex pieces, enough for volume recursion."""
-
-    def __init__(self, pieces):
-        self.pieces = pieces
-
-    def volume(self):
-        return sum((p.volume() for p in self.pieces), Fraction(0))
-
-    def intersection_volume(self, other):
-        others = other.pieces if isinstance(other, _TriUnion) else [other]
-        return sum((p.intersection_volume(o) for p in self.pieces for o in others),
-                   Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Float helpers (metric work through an embedding)
 # ---------------------------------------------------------------------------
@@ -462,6 +385,28 @@ def embed_point(p, embedding=None):
     if embedding is None:
         return tuple(float(c) for c in p)
     return tuple(float(c) * float(e) for c, e in zip(p, embedding))
+
+
+def inward_edges(vs):
+    """(ax, ay, nx, ny, |n|) per edge of the embedded CCW polygon `vs`, with
+    n the inward normal; zero-length edges are skipped."""
+    edges = []
+    for i in range(len(vs)):
+        ax, ay = vs[i]
+        bx, by = vs[(i + 1) % len(vs)]
+        nx, ny = ay - by, bx - ax
+        norm = math.hypot(nx, ny)
+        if norm:
+            edges.append((ax, ay, nx, ny, norm))
+    return edges
+
+
+def edge_margin(p, edges) -> float:
+    """Signed distance of float point p inside the convex polygon whose
+    `inward_edges` are given: positive inside, negative outside."""
+    px, py = p
+    return min((((px - ax) * nx + (py - ay) * ny) / norm
+                for ax, ay, nx, ny, norm in edges), default=math.inf)
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -481,12 +426,9 @@ def point_segment_distance(p, a, b) -> float:
 def boundary_distance(shape, p, embedding=None) -> float:
     """Float distance from point p (rational coords) to the shape boundary."""
     pe = embed_point(p, embedding)
-    if shape.dim == 1:
-        lo, hi = float(shape.lo[0]), float(shape.hi[0])
-        return min(abs(pe[0] - lo), abs(pe[0] - hi))
-    if isinstance(shape, Box) and shape.dim > 2:
-        return min(min(abs(float(c) - float(l)), abs(float(c) - float(h)))
-                   for c, l, h in zip(p, shape.lo, shape.hi))
+    if isinstance(shape, Box) and shape.dim != 2:
+        lo, hi = embed_point(shape.lo, embedding), embed_point(shape.hi, embedding)
+        return min(min(abs(c - l), abs(c - h)) for c, l, h in zip(pe, lo, hi))
     vs = [embed_point(v, embedding) for v in shape.vertices_list()]
     n = len(vs)
     return min(point_segment_distance(pe, vs[i], vs[(i + 1) % n]) for i in range(n))

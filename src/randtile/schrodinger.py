@@ -10,7 +10,7 @@ ergodic module's supertile integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,9 +23,8 @@ from . import geometry
 from .errors import (IncompletePatternError, StructuralError,
                      UnsupportedOperationError)
 from .ergodic import TLCObservable, deviation_along_sequence
-from .geometry import frac
 from .substitution import RuleFamily
-from .tiling import Patch, Region
+from .tiling import Patch, Region, _shape_corners, _window_extremes
 
 _DENSE_LIMIT = 4000
 
@@ -79,8 +78,7 @@ class PunctureSet:
         """Index pairs (i, j), i < j, within embedded distance radius."""
         if self._tree is None:
             return np.zeros((0, 2), dtype=int)
-        pairs = self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
-        return pairs
+        return self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
 
     def pattern_labels(self, radius: float):
         """Hashable local-pattern key per point: the exact constellation of
@@ -104,31 +102,24 @@ def _embedded_norm(v, embedding) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Finite-range kernel: diagonal per local pattern (or per tile type, or
-    the neighbor degree), off-diagonal per displacement within the range."""
+    """Finite-range hermitian kernel: diagonal per tile type or the neighbor
+    degree (identity when neither), off-diagonal per displacement within the
+    range; the entry at -disp is the conjugate of the one at disp."""
 
     range: float
     diagonal_by_type: Optional[tuple] = None     # value per prototile id
-    diagonal_by_pattern: Optional[tuple] = None  # ((pattern key, value), ...)
     diagonal_degree: bool = False                # diag = #neighbors in range
     offdiagonal: object = 0                      # scalar, or ((disp, v), ...)
-    hermitian: bool = True
-    lipschitz: float = 0.0
 
     def __post_init__(self):
-        modes = sum(x is not None for x in
-                    (self.diagonal_by_type, self.diagonal_by_pattern))
-        modes += self.diagonal_degree
-        if modes > 1:
+        if self.diagonal_by_type is not None and self.diagonal_degree:
             raise StructuralError("choose one diagonal rule")
         if self.range < 0:
             raise StructuralError("kernel range must be >= 0")
 
     @staticmethod
     def identity() -> "KernelSpec":
-        return KernelSpec(range=0.0, offdiagonal=0, diagonal_degree=False,
-                          diagonal_by_type=None, diagonal_by_pattern=None,
-                          hermitian=True)
+        return KernelSpec(range=0.0)
 
     @staticmethod
     def typewise(values, range=0.0) -> "KernelSpec":
@@ -145,10 +136,6 @@ class KernelSpec:
         if self.diagonal_by_type is not None:
             return [self.diagonal_by_type[punctures.types[i]]
                     for i in indices]
-        if self.diagonal_by_pattern is not None:
-            labels = punctures.pattern_labels(self.range)
-            table = dict(self.diagonal_by_pattern)
-            return [table.get(labels[i], 0) for i in indices]
         return [1] * len(indices)   # identity kernel
 
     def offdiagonal_value(self, disp):
@@ -171,9 +158,6 @@ class WindowedOperator:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
 
 def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                    window: Region) -> WindowedOperator:
@@ -182,7 +166,6 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
     fam = punctures.family
     emb = fam.embedding
     if punctures.source_window is not None and kernel.range > 0:
-        from .tiling import _window_extremes
         pts = _window_extremes(window, emb)
         padded = [(p, pad + kernel.range) for p, pad in pts]
         src = punctures.source_window
@@ -191,9 +174,7 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
             ok = all(_signed_margin(shape, p, emb) >= pad - 1e-9
                      for p, pad in padded)
         else:
-            c = geometry.embed_point(
-                geometry.vscale(src.dilation, src.center), emb)
-            r = float(src.dilation) * src.radius
+            c, r = src.embedded_disk(emb)
             ok = all(math.dist(p, c) + pad <= r + 1e-9 for p, pad in padded)
         if not ok:
             raise IncompletePatternError(
@@ -214,17 +195,11 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                 degrees[i] += 1
                 degrees[j] += 1
                 v = kernel.offdiagonal_value(disp)
-                w = (np.conj(v) if kernel.hermitian
-                     else kernel.offdiagonal_value(geometry.vscale(-1, disp)))
                 if v:
-                    rows.append(pos[i])
-                    cols.append(pos[j])
-                    vals.append(complex(v).real if not isinstance(
-                        v, complex) else v)
-                    rows.append(pos[j])
-                    cols.append(pos[i])
-                    vals.append(complex(w).real if not isinstance(
-                        w, complex) else w)
+                    rows += [pos[i], pos[j]]
+                    cols += [pos[j], pos[i]]
+                    vals += ([v, np.conj(v)] if isinstance(v, complex)
+                             else [float(v)] * 2)
     diag = kernel.diagonal_values(punctures, sel, degrees)
     for k, v in enumerate(diag):
         if v:
@@ -240,16 +215,7 @@ def _signed_margin(shape, p, embedding) -> float:
     vs = [geometry.embed_point(v, embedding) for v in shape.vertices_list()]
     if shape.dim == 1:
         return min(p[0] - vs[0][0], vs[1][0] - p[0])
-    best = math.inf
-    nvs = len(vs)
-    for i in range(nvs):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % nvs]
-        nx, ny = ay - by, bx - ax
-        norm = math.hypot(nx, ny)
-        if norm:
-            best = min(best, ((p[0] - ax) * nx + (p[1] - ay) * ny) / norm)
-    return best
+    return geometry.edge_margin(p, geometry.inward_edges(vs))
 
 
 def windowed_trace(op: WindowedOperator, subregion: Region,
@@ -263,8 +229,6 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
     fam = op.punctures.family
     emb = fam.embedding
     pts = op.punctures.points
-    types = op.punctures.types
-    degrees = None
     diag = op.matrix.diagonal()
     total = 0
     exact_diag = _exact_diagonal(op)
@@ -277,18 +241,13 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
                     "interior-supertile mode needs the source patch")
             t, off = op.punctures.patch.tiles[i]
             shape = fam.prototiles[t].shape
-            verts = [geometry.vadd(v, off) for v in _corners(shape)]
+            verts = [geometry.vadd(v, off) for v in _shape_corners(shape)]
             inside = subregion.contains_points(verts, emb)
         else:
             raise StructuralError(f"unknown trace mode {mode!r}")
         if inside:
             total += exact_diag[k] if exact_diag is not None else diag[k]
     return total
-
-
-def _corners(shape):
-    from .tiling import _shape_corners
-    return _shape_corners(shape)
 
 
 def _exact_diagonal(op: WindowedOperator):
@@ -376,8 +335,6 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
 def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,
                  energies) -> IDSReport:
     """IDS_T(E) = #(eigenvalues <= E) / #points over a sweep of windows."""
-    if not kernel.hermitian:
-        raise UnsupportedOperationError("IDS needs a hermitian kernel")
     energies = np.asarray(energies, dtype=float)
     curves = []
     labels = []

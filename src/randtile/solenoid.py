@@ -9,7 +9,6 @@ rationals, so the Denjoy-Koksma inequality can be checked with no tolerance.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -29,21 +29,12 @@ HALF = Fraction(1, 2)
 ROT60 = ((HALF, Fraction(-3, 2)), (HALF, HALF))
 
 
-def _rot_apply(mat, p):
-    return (mat[0][0] * p[0] + mat[0][1] * p[1],
-            mat[1][0] * p[0] + mat[1][1] * p[1])
-
-
-def _rot_power(k):
-    mat = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+def _rotate(p, k):
+    """p rotated by k·60 degrees, exactly."""
     for _ in range(k % 6):
-        mat = (
-            (ROT60[0][0] * mat[0][0] + ROT60[0][1] * mat[1][0],
-             ROT60[0][0] * mat[0][1] + ROT60[0][1] * mat[1][1]),
-            (ROT60[1][0] * mat[0][0] + ROT60[1][1] * mat[1][0],
-             ROT60[1][0] * mat[0][1] + ROT60[1][1] * mat[1][1]),
-        )
-    return mat
+        p = (ROT60[0][0] * p[0] + ROT60[0][1] * p[1],
+             ROT60[1][0] * p[0] + ROT60[1][1] * p[1])
+    return p
 
 
 @dataclass(frozen=True)
@@ -164,16 +155,19 @@ class RuleFamily:
 @dataclass
 class ValidationReport:
     rule_id: int
-    residuals: dict          # parent id -> residual volume (Fraction)
+    residuals: dict          # parent id -> parent volume - Σ image volumes
     max_overlap: Fraction
-    tol: Fraction
     passed: bool
     notes: list = field(default_factory=list)
 
 
-def validate_rule(rule: SubstitutionRule, prototiles: Sequence[Prototile],
-                  tol=None) -> ValidationReport:
-    """Check that each parent is tiled exactly by its branch images."""
+def validate_rule(rule: SubstitutionRule,
+                  prototiles: Sequence[Prototile]) -> ValidationReport:
+    """Check that each parent is tiled exactly by its branch images.
+
+    Exact: the images tile the parent iff every image lies inside it, no two
+    images overlap, and their volumes add up to the parent volume.
+    """
     if not rule.is_geometric:
         raise StructuralError("validate_rule requires a geometric rule")
     by_id = {p.id: p for p in prototiles}
@@ -187,31 +181,19 @@ def validate_rule(rule: SubstitutionRule, prototiles: Sequence[Prototile],
         branches = rule.children_of(parent_id)
         images = [by_id[b.child].shape.transform(rule.theta, b.tau)
                   for b in branches]
-        inside = [geometry.pair_intersection_volume(img, parent.shape)
-                  for img in images]
-        for b, img, vin in zip(branches, images, inside):
-            if vin < img.volume():
-                notes.append(
-                    f"parent {parent_id}: image of child {b.child} leaks "
-                    f"volume {img.volume() - vin} outside the parent")
+        for b, img in zip(branches, images):
+            if not parent.shape.contains_shape(img):
+                notes.append(f"parent {parent_id}: image of child {b.child} "
+                             f"leaks outside the parent")
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
-                ov = geometry.pair_intersection_volume(images[i], images[j])
-                if ov > max_overlap:
-                    max_overlap = ov
-        covered = geometry.union_volume(
-            [geometry._intersect_shape(img, parent.shape)
-             for img, vin in zip(images, inside) if vin > 0])
-        residuals[parent_id] = parent.shape.volume() - covered
-    if tol is None:
-        tol = Fraction(0)
-    else:
-        tol = frac(tol)
-    vols = [p.volume for p in by_id.values()]
-    vol_ref = min(vols)
-    passed = all(r <= tol * vol_ref for r in residuals.values()) \
-        and max_overlap <= tol * vol_ref
-    return ValidationReport(rule.id, residuals, max_overlap, tol, passed, notes)
+                max_overlap = max(max_overlap,
+                                  images[i].intersection_volume(images[j]))
+        residuals[parent_id] = parent.shape.volume() - sum(
+            (img.volume() for img in images), Fraction(0))
+    passed = (not notes and max_overlap == 0
+              and all(r == 0 for r in residuals.values()))
+    return ValidationReport(rule.id, residuals, max_overlap, passed, notes)
 
 
 def substitution_matrix(rule: SubstitutionRule, n_prototiles: int = None) -> np.ndarray:
@@ -251,8 +233,7 @@ def _half_hex_prototiles():
     base = [geometry.vadd(v, _HH_SHIFT) for v in _HH_BASE]
     tiles = []
     for k in range(6):
-        rot = _rot_power(k)
-        tiles.append(Prototile(k, Polygon([_rot_apply(rot, v) for v in base]),
+        tiles.append(Prototile(k, Polygon([_rotate(v, k) for v in base]),
                                name=f"half-hex-{k * 60}"))
     return tiles
 
@@ -260,14 +241,12 @@ def _half_hex_prototiles():
 def _half_hex_rule1(rule_id=1) -> SubstitutionRule:
     branches = []
     for parent in range(6):
-        rot = _rot_power(parent)
         for child, a in _HH_PIECES:
             # piece offsets for the shifted prototiles
-            a_shifted = geometry.vadd(
-                geometry.vsub(geometry.vadd(a, geometry.vscale(2, _HH_SHIFT)),
-                              _rot_apply(_rot_power(child), _HH_SHIFT)),
-                (Fraction(0), Fraction(0)))
-            tau = geometry.vscale(HALF, _rot_apply(rot, a_shifted))
+            a_shifted = geometry.vsub(
+                geometry.vadd(a, geometry.vscale(2, _HH_SHIFT)),
+                _rotate(_HH_SHIFT, child))
+            tau = geometry.vscale(HALF, _rotate(a_shifted, parent))
             branches.append(Branch((parent), (parent + child) % 6, tau))
     return SubstitutionRule(rule_id, HALF, tuple(branches))
 

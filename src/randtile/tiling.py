@@ -9,9 +9,10 @@ through the family embedding.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,6 +25,8 @@ from .geometry import frac, fpoint
 from .substitution import RuleFamily, substitution_matrix
 
 DEFAULT_TILE_BUDGET = 10_000_000
+ANCHOR_MAX_LEVEL = 64            # anchor search: highest supertile level
+ANCHOR_MAX_EXPANSIONS = 200_000  # anchor search: placements expanded
 
 
 @dataclass
@@ -32,7 +35,6 @@ class Patch:
 
     tiles: list                      # list of (type, offset tuple of Fraction)
     family: Optional[RuleFamily] = None
-    lineage: Optional[list] = None   # optional per-tile (level, type, parent idx)
 
     def __len__(self):
         return len(self.tiles)
@@ -117,12 +119,19 @@ class Region:
 
     def shape(self):
         """Exact shape for box/polygon regions (dilation applied, cached)."""
-        cached = getattr(self, "_shape_cache", None)
-        if cached is not None:
-            return cached
-        shape = self._build_shape()
-        object.__setattr__(self, "_shape_cache", shape)
-        return shape
+        if "_shape" not in self.__dict__:
+            self.__dict__["_shape"] = self._build_shape()
+        return self.__dict__["_shape"]
+
+    def embedded_disk(self, embedding=None):
+        """Embedded centre and Euclidean radius of the dilated disk (cached)."""
+        cache = self.__dict__.setdefault("_disk_cache", {})
+        if embedding not in cache:
+            cache[embedding] = (
+                geometry.embed_point(
+                    geometry.vscale(self.dilation, self.center), embedding),
+                float(self.dilation) * self.radius)
+        return cache[embedding]
 
     def _build_shape(self):
         t = self.dilation
@@ -163,9 +172,7 @@ class Region:
         `pts`, hence of any tile with those vertices.
         """
         if self.kind == "disk":
-            c = geometry.embed_point(
-                geometry.vscale(self.dilation, self.center), embedding)
-            r = float(self.dilation) * self.radius
+            c, r = self.embedded_disk(embedding)
             return all(math.dist(geometry.embed_point(p, embedding), c) <= r
                        for p in pts)
         shape = self.shape()
@@ -179,23 +186,10 @@ class Region:
         poly = geometry.Polygon(pts)
         return shape.contains_shape(poly)
 
-    def contains_shape(self, shape, embedding=None) -> bool:
-        """Does the dilated region contain the (convex) shape entirely?"""
-        if self.kind == "disk":
-            c = geometry.embed_point(
-                geometry.vscale(self.dilation, self.center), embedding)
-            r = float(self.dilation) * self.radius
-            return all(
-                math.dist(geometry.embed_point(v, embedding), c) <= r
-                for v in shape.vertices_list())
-        return self.shape().contains_shape(shape)
-
     def intersects_bbox(self, lo, hi, embedding=None) -> bool:
         """Cheap reject: does the dilated region possibly meet bbox [lo,hi]?"""
         if self.kind == "disk":
-            c = geometry.embed_point(
-                geometry.vscale(self.dilation, self.center), embedding)
-            r = float(self.dilation) * self.radius
+            c, r = self.embedded_disk(embedding)
             d2 = 0.0
             loe = geometry.embed_point(lo, embedding)
             hie = geometry.embed_point(hi, embedding)
@@ -212,23 +206,13 @@ class Region:
     def contains_window(self, footprint, embedding=None) -> bool:
         """Is the dilated region contained in the convex footprint shape?"""
         if self.kind == "disk":
-            c = geometry.embed_point(
-                geometry.vscale(self.dilation, self.center), embedding)
-            r = float(self.dilation) * self.radius
+            c, r = self.embedded_disk(embedding)
             vs = [geometry.embed_point(v, embedding)
                   for v in footprint.vertices_list()]
             if footprint.dim == 1:
                 return vs[0][0] + r <= c[0] <= vs[1][0] - r
-            n = len(vs)
-            for i in range(n):
-                ax, ay = vs[i]
-                bx, by = vs[(i + 1) % n]
-                # signed distance of center to edge (CCW: inside is positive)
-                nx, ny = ay - by, bx - ax  # inward normal
-                norm = math.hypot(nx, ny)
-                if ((c[0] - ax) * nx + (c[1] - ay) * ny) / norm < r - 1e-12:
-                    return False
-            return True
+            return geometry.edge_margin(
+                c, geometry.inward_edges(vs)) >= r - 1e-12
         return footprint.contains_shape(self.shape())
 
 
@@ -253,22 +237,15 @@ def decomposition_tile_multiset(report: DecompositionReport,
     """Level-0 tile-type multiset of all supertiles in the report."""
     m = family.n_prototiles
     out = Counter()
-    prod = np.eye(m, dtype=object)
-    top = max(report.counts) if report.counts else -1
-    for level in range(0, top + 1):
+    prod = np.eye(m, dtype=object)   # A_level ··· A_1: tiles per supertile
+    for level in range(max(report.counts, default=-1) + 1):
         if level > 0:
             a = substitution_matrix(family.rule(x[level]), m).astype(object)
             prod = a @ prod
-        cnts = report.counts.get(level)
-        if not cnts:
-            continue
-        for j, kappa in enumerate(cnts):
-            if kappa == 0:
-                continue
-            row = prod[j]
+        for j, kappa in enumerate(report.counts.get(level, ())):
             for t in range(m):
-                if row[t]:
-                    out[t] += kappa * int(row[t])
+                if kappa and prod[j, t]:
+                    out[t] += kappa * int(prod[j, t])
     return out
 
 
@@ -278,12 +255,8 @@ class SupertileSystem:
     def __init__(self, family: RuleFamily, x):
         self.family = family
         self.x = x
-        self._theta_inv = [Fraction(1)]        # θ_(k)^{-1}
-        self._footprints = [
-            {v: p.shape for v, p in enumerate(family.prototiles)}]
-        self._bboxes = [{v: p.shape.bbox() for v, p in enumerate(family.prototiles)}]
-        self._verts = [{v: _shape_corners(p.shape)
-                        for v, p in enumerate(family.prototiles)}]
+        self._theta_inv = []           # θ_(k)^{-1}
+        self._footprints = []          # level -> [(shape, bbox, corners)] per type
         self._children = {}            # level -> {v: [(child, delta)]}
         self._edge_data = {}           # (k, v) -> embedded edge data for margins
         self._volumes = family.volumes()
@@ -294,17 +267,18 @@ class SupertileSystem:
     def _ensure(self, k: int):
         while len(self._theta_inv) <= k:
             lvl = len(self._theta_inv)
-            rule = self.rule_at(lvl)
-            if not rule.is_geometric:
-                raise UnsupportedOperationError(
-                    f"rule {rule.id} at level {lvl} is matrix-only")
-            ti = self._theta_inv[-1] / rule.theta
+            ti = Fraction(1)
+            if lvl:
+                rule = self.rule_at(lvl)
+                if not rule.is_geometric:
+                    raise UnsupportedOperationError(
+                        f"rule {rule.id} at level {lvl} is matrix-only")
+                ti = self._theta_inv[-1] / rule.theta
             self._theta_inv.append(ti)
-            foot = {v: p.shape.transform(ti, (0,) * self.family.dim)
-                    for v, p in enumerate(self.family.prototiles)}
-            self._footprints.append(foot)
-            self._bboxes.append({v: s.bbox() for v, s in foot.items()})
-            self._verts.append({v: _shape_corners(s) for v, s in foot.items()})
+            foot = [p.shape.transform(ti, (0,) * self.family.dim)
+                    for p in self.family.prototiles]
+            self._footprints.append(
+                [(s, s.bbox(), _shape_corners(s)) for s in foot])
 
     def theta_inv(self, k: int) -> Fraction:
         self._ensure(k)
@@ -312,22 +286,19 @@ class SupertileSystem:
 
     def footprint(self, k: int, v: int):
         self._ensure(k)
-        return self._footprints[k][v]
+        return self._footprints[k][v][0]
 
-    def verts(self, k: int, v: int, offset=None):
-        """Corner points of the footprint, optionally translated."""
+    def verts(self, k: int, v: int, offset):
+        """Corner points of the footprint translated by offset."""
         self._ensure(k)
-        vs = self._verts[k][v]
-        if offset is None:
-            return vs
-        return [geometry.vadd(p, offset) for p in vs]
+        return [geometry.vadd(p, offset) for p in self._footprints[k][v][2]]
 
     def volume(self, k: int, v: int) -> Fraction:
         return self._volumes[v] * self.theta_inv(k) ** self.family.dim
 
     def bbox(self, k: int, v: int, offset):
         self._ensure(k)
-        lo, hi = self._bboxes[k][v]
+        lo, hi = self._footprints[k][v][1]
         return geometry.vadd(lo, offset), geometry.vadd(hi, offset)
 
     def children(self, k: int, v: int):
@@ -346,39 +317,39 @@ class SupertileSystem:
     def margin(self, k: int, v: int, offset, pts) -> float:
         """Min signed distance of window extreme points inside the translated
         footprint of (k, v); negative means some point sticks out."""
+        emb = self.family.embedding
         data = self._edge_data.get((k, v))
         if data is None:
-            data = _build_edge_data(self.footprint(k, v), self.family.embedding)
+            # boxes: embedded (lo, hi); polygons: inward CCW edge normals
+            foot = self.footprint(k, v)
+            if isinstance(foot, geometry.Box):
+                data = True, (geometry.embed_point(foot.lo, emb),
+                              geometry.embed_point(foot.hi, emb))
+            else:
+                data = False, geometry.inward_edges(
+                    [geometry.embed_point(p, emb) for p in foot.vertices])
             self._edge_data[(k, v)] = data
-        off = geometry.embed_point(offset, self.family.embedding)
+        off = geometry.embed_point(offset, emb)
         is_box, payload = data
         best = math.inf
-        if is_box:
-            lo, hi = payload
-            for p, pad in pts:
+        for p, pad in pts:
+            if is_box:
+                lo, hi = payload
                 m = min(min(p[i] - off[i] - lo[i], hi[i] + off[i] - p[i])
                         for i in range(len(lo)))
-                best = min(best, m - pad)
-            return best
-        for p, pad in pts:
-            px, py = p[0] - off[0], p[1] - off[1]
-            m = math.inf
-            for ax, ay, nx, ny, norm in payload:
-                m = min(m, ((px - ax) * nx + (py - ay) * ny) / norm)
+            else:
+                m = geometry.edge_margin((p[0] - off[0], p[1] - off[1]),
+                                         payload)
             best = min(best, m - pad)
         return best
 
-    def _up_candidates(self, lvl: int, v: int, offset, beam: int = 4):
+    def _up_candidates(self, lvl: int, v: int, offset):
         """Branches placing the current type-v supertile inside a level-lvl one."""
-        rule = self.rule_at(lvl)
-        if not rule.is_geometric:
-            raise UnsupportedOperationError(
-                f"rule {rule.id} at level {lvl} is matrix-only")
         ti = self.theta_inv(lvl)
         out = []
         for parent in range(self.family.n_prototiles):
             seen = 0
-            for b in rule.children_of(parent):
+            for b in self.rule_at(lvl).children_of(parent):
                 if b.child != v:
                     continue
                 o = geometry.vsub(offset, geometry.vscale(ti, b.tau))
@@ -386,8 +357,7 @@ class SupertileSystem:
                 seen += 1
         return out
 
-    def anchor(self, window: Region, start_vertex: int = 0,
-               max_level: int = 64, max_expansions: int = 200_000):
+    def anchor(self, window: Region):
         """Grow an anchored supertile until its footprint contains the window.
 
         Returns (level, vertex, offset, path_edges); path_edges are the chosen
@@ -396,24 +366,22 @@ class SupertileSystem:
         non-decreasing up any path; best-first search on the margin therefore
         finds a covering placement whenever one exists.
         """
-        import heapq
-
         emb = self.family.embedding
         pts = _window_extremes(window, emb)
         offset0 = (Fraction(0),) * self.family.dim
-        m0 = self.margin(0, start_vertex, offset0, pts)
-        heap = [(-m0, 0, 0, start_vertex, offset0, ())]
-        seen = {(0, start_vertex, offset0)}
+        m0 = self.margin(0, 0, offset0, pts)
+        heap = [(-m0, 0, 0, 0, offset0, ())]
+        seen = {(0, 0, offset0)}
         tick = 1
         deepest = 0
-        while heap and tick <= max_expansions:
+        while heap and tick <= ANCHOR_MAX_EXPANSIONS:
             neg_m, _, k, v, offset, edges = heapq.heappop(heap)
             if -neg_m >= 0 and window.contains_window(
                     self.footprint(k, v).translate(offset), emb):
                 return k, v, offset, list(edges)
             lvl = k + 1
             deepest = max(deepest, k)
-            if lvl > min(len(self.x), max_level):
+            if lvl > min(len(self.x), ANCHOR_MAX_LEVEL):
                 continue
             for parent, o, edge in self._up_candidates(lvl, v, offset):
                 key = (lvl, parent, o)
@@ -431,21 +399,57 @@ class SupertileSystem:
         raise InsufficientDataError(
             "window not covered within the expansion budget")
 
+    def path_offset(self, edges, shift: int = 0):
+        """Offset of a path's level-0 tile inside the supertile the path
+        reaches: o = -Σ θ_(level)^{-1}·τ_edge, every level raised by `shift`."""
+        offset = (Fraction(0),) * self.family.dim
+        for level, parent, child, branch in edges:
+            ti = self.theta_inv(level + shift)
+            taus = [b.tau for b in self.rule_at(level + shift).children_of(parent)
+                    if b.child == child]
+            offset = geometry.vsub(offset, geometry.vscale(ti, taus[branch]))
+        return offset
 
-def _window_center(window: Region, embedding):
-    if window.kind == "disk":
-        return geometry.embed_point(
-            geometry.vscale(window.dilation, window.center), embedding)
-    return geometry.embed_point(window.shape().centroid(), embedding)
+    def cover(self, window: Region, k: int, v: int, offset):
+        """Depth-first walk of the level-k type-v supertile at `offset`.
+
+        Yields (level, type, offset, inside): the maximal supertiles inside
+        the window (inside=True) and the level-0 tiles cut by its boundary
+        (inside=False).  Supertiles missing the window are pruned.
+        """
+        emb = self.family.embedding
+        stack = [(k, v, offset)]
+        while stack:
+            k, v, off = stack.pop()
+            lo, hi = self.bbox(k, v, off)
+            if not window.intersects_bbox(lo, hi, emb):
+                continue
+            inside = window.contains_points(self.verts(k, v, off), emb)
+            if inside or k == 0:
+                yield k, v, off, inside
+            else:
+                stack.extend((k - 1, child, geometry.vadd(off, delta))
+                             for child, delta in reversed(self.children(k, v)))
+
+    def expand(self, k: int, v: int, offset, tiles: list, budget: int):
+        """Append the level-0 tiles of the level-k type-v supertile at
+        `offset` to `tiles`, depth first.  Raises PartialCoverError, carrying
+        the tiles placed so far, when `tiles` would exceed `budget`."""
+        if k == 0:
+            if len(tiles) >= budget:
+                raise PartialCoverError("tile budget exhausted",
+                                        partial=Patch(tiles, family=self.family))
+            tiles.append((v, offset))
+            return
+        for child, delta in self.children(k, v):
+            self.expand(k - 1, child, geometry.vadd(offset, delta), tiles,
+                        budget)
 
 
 def _window_extremes(window: Region, embedding):
     """Embedded extreme points (and radius padding) describing the window."""
     if window.kind == "disk":
-        c = geometry.embed_point(
-            geometry.vscale(window.dilation, window.center), embedding)
-        r = float(window.dilation) * window.radius
-        return [(c, r)]
+        return [window.embedded_disk(embedding)]
     return [(geometry.embed_point(v, embedding), 0.0)
             for v in window.shape().vertices_list()]
 
@@ -460,27 +464,13 @@ def _shape_corners(shape):
     return corners
 
 
-def _build_edge_data(shape, embedding):
-    """Precompute float margin data for a footprint at the origin.
-
-    Boxes: (True, (lo, hi)) in embedded coordinates.
-    Polygons: (False, [(ax, ay, nx, ny, |n|)]) with inward CCW normals.
-    """
-    if isinstance(shape, geometry.Box):
-        lo = geometry.embed_point(shape.lo, embedding)
-        hi = geometry.embed_point(shape.hi, embedding)
-        return True, (lo, hi)
-    vs = [geometry.embed_point(v, embedding) for v in shape.vertices]
-    edges = []
-    n = len(vs)
-    for i in range(n):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % n]
-        nx, ny = ay - by, bx - ax  # inward normal for CCW boundary
-        norm = math.hypot(nx, ny)
-        if norm > 0:
-            edges.append((ax, ay, nx, ny, norm))
-    return False, edges
+def _anchored(family: RuleFamily, x, window: Region, system, anchor):
+    """The supertile system and the (level, vertex, offset) covering window."""
+    if system is None:
+        system = SupertileSystem(family, x)
+    if anchor is None:
+        anchor = system.anchor(window)
+    return system, tuple(anchor[:3])
 
 
 def generate_patch(family: RuleFamily, x, window: Region,
@@ -491,38 +481,11 @@ def generate_patch(family: RuleFamily, x, window: Region,
     `anchor` fixes the covering supertile as (level, vertex, offset), so
     several windows can be cut from one coherent hierarchy.
     """
-    if system is None:
-        system = SupertileSystem(family, x)
-    emb = family.embedding
-    if anchor is None:
-        level, vertex, offset, _ = system.anchor(window)
-    else:
-        level, vertex, offset = anchor[:3]
+    system, top = _anchored(family, x, window, system, anchor)
     tiles = []
-    budget_left = [budget]
-    vadd = geometry.vadd
-
-    def take(v, off):
-        if budget_left[0] <= 0:
-            raise PartialCoverError(
-                "tile budget exhausted", partial=Patch(tiles, family=family))
-        budget_left[0] -= 1
-        tiles.append((v, off))
-
-    def emit(k, v, off, inside):
-        if not inside:
-            lo, hi = system.bbox(k, v, off)
-            if not window.intersects_bbox(lo, hi, emb):
-                return
-            inside = window.contains_points(system.verts(k, v, off), emb)
-        if k == 0:
-            if inside:
-                take(v, off)
-            return
-        for child, delta in system.children(k, v):
-            emit(k - 1, child, vadd(off, delta), inside)
-
-    emit(level, vertex, offset, False)
+    for k, v, off, inside in system.cover(window, *top):
+        if inside:
+            system.expand(k, v, off, tiles, budget)
     return Patch(tiles, family=family)
 
 
@@ -539,39 +502,22 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     if t_dilation <= 0:
         raise StructuralError("dilation must be positive")
     window = b_region.dilated(t_dilation)
-    if system is None:
-        system = SupertileSystem(family, x)
-    emb = family.embedding
-    if anchor is None:
-        level, vertex, offset, _ = system.anchor(window)
-    else:
-        level, vertex, offset = anchor[:3]
+    system, (level, vertex, offset) = _anchored(family, x, window, system,
+                                                anchor)
     counts = {}
-    boundary = [0]
-    covered = [Fraction(0)]
-    vols = family.volumes()
-
-    def walk(k, v, off):
-        lo, hi = system.bbox(k, v, off)
-        if not window.intersects_bbox(lo, hi, emb):
-            return
-        if window.contains_points(system.verts(k, v, off), emb):
+    boundary = 0
+    covered = Fraction(0)
+    for k, v, off, inside in system.cover(window, level, vertex, offset):
+        if inside:
             counts.setdefault(k, [0] * family.n_prototiles)[v] += 1
-            covered[0] += system.volume(k, v)
-            return
-        if k == 0:
-            boundary[0] += 1
-            return
-        for child, delta in system.children(k, v):
-            walk(k - 1, child, geometry.vadd(off, delta))
-
-    walk(level, vertex, offset)
-    top = max((i for i, c in counts.items() if any(c)), default=-1)
-    counts = {i: c for i, c in counts.items() if any(c)}
+            covered += system.volume(k, v)
+        else:
+            boundary += 1
+    top = max(counts, default=-1)
     # fitted K2 for the boundary-count bound: Σ_j κ^(i)_j ≤ K2·|∂(T·B)|·θ_(i)^{d-1}
     k2 = None
     if counts:
-        perim = window.boundary_measure(emb)
+        perim = window.boundary_measure(family.embedding)
         d = family.dim
         vals = []
         for i, c in counts.items():
@@ -581,7 +527,7 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
             vals.append(sum(c) / (perim * float(theta_i) ** (d - 1)))
         k2 = max(vals) if vals else 0.0
     return DecompositionReport(
-        n=top, counts=counts, boundary_skipped=boundary[0],
-        volume_covered=covered[0],
+        n=top, counts=counts, boundary_skipped=boundary,
+        volume_covered=covered,
         theta_products=[1 / system.theta_inv(i) for i in range(level + 1)],
         fitted_K2=k2, anchor_level=level)

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from randtile.bratteli import approximant, spanning_system
-from randtile.cli import (ExperimentConfig, fmt, main, parse_region,
-                          render_svg)
+from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
+                          fmt, main, parse_region, render_svg)
 from randtile.errors import ConfigError
 from randtile.symbolic import SymbolSequence
 from randtile.tiling import Patch
@@ -165,6 +167,28 @@ def test_config_run_reproducible(tmp_path):
     assert m1["outputs"] == m2["outputs"]
     assert m1["code_version"] == "0.1.0"
     assert set(m1["outputs"]) == {"decompose.csv", "dk.csv"}
+
+
+def test_config_rejects_threads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 4, "blocks": {"dk": {}}}))
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_documented_commands_parse(doc):
+    """Every `randtile ...` line of the command block parses, and names a
+    family that resolves."""
+    text = (Path(__file__).resolve().parents[1] / doc).read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line.split("#", 1)[0] for line in block.split("```", 1)[0]
+             .splitlines() if line.startswith("randtile ")]
+    assert len(lines) == 8
+    for line in lines:
+        args = _build_parser().parse_args(shlex.split(line)[1:])
+        if args.command is not None:
+            assert _resolve_family(args.family).name == args.family
 
 
 def test_config_requires_blocks(tmp_path):

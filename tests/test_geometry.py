@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from randtile import geometry
 from randtile.errors import StructuralError
-from randtile.geometry import (Box, Polygon, boundary_distance, frac,
-                               pair_intersection_volume, union_volume)
+from randtile.geometry import Box, Polygon, boundary_distance, frac
 
 H = Fraction(1, 2)
 
@@ -83,8 +82,10 @@ def test_polygon_intersection_volume_triangles():
 def test_union_volume():
     a = Box((0, 0), (1, 1))
     b = Box((H, 0), (Fraction(3, 2), 1))
-    assert union_volume([a, b]) == Fraction(3, 2)
-    assert pair_intersection_volume(a, b) == H
+    overlap = a.intersection_volume(b)
+    assert overlap == H
+    assert a.volume() + b.volume() - overlap == Fraction(3, 2)
+    assert a.to_polygon().intersection_volume(b) == overlap
 
 
 def test_transform_negative_theta():
@@ -101,6 +102,22 @@ def test_boundary_distance():
     assert boundary_distance(b, (1, 1), embedding=(1.0, 3.0)) == pytest.approx(1.0)
     assert boundary_distance(b, (1, Fraction(1, 4)),
                              embedding=(1.0, 3.0)) == pytest.approx(0.75)
+
+
+def test_boundary_distance_embeds_boxes_of_any_dimension():
+    cube = Box((-1, -1, -1), (1, 1, 1))
+    # the stretched z-axis moves its walls from 1/2 to 2 away from the point
+    assert boundary_distance(cube, (0, 0, H),
+                             embedding=(1.0, 1.0, 4.0)) == pytest.approx(1.0)
+    assert boundary_distance(cube, (0, 0, H)) == pytest.approx(0.5)
+    seg = Box((-1,), (1,))
+    assert boundary_distance(seg, (H,), embedding=(3.0,)) == pytest.approx(1.5)
+
+
+def test_box_contains_box_any_dimension():
+    cube = Box((0, 0, 0), (2, 2, 2))
+    assert cube.contains_shape(Box((0, 0, 0), (1, 1, 2)))
+    assert not cube.contains_shape(Box((1, 1, 1), (3, 2, 2)))
 
 
 boxes = st.tuples(st.integers(-5, 5), st.integers(-5, 5),

@@ -145,12 +145,6 @@ def test_ids_identity_step(lattice):
     assert rep.sup_differences == [0.0]
 
 
-def test_ids_requires_hermitian(lattice):
-    kernel = KernelSpec(range=0.0, hermitian=False)
-    with pytest.raises(UnsupportedOperationError):
-        ids_estimate(kernel, [lattice], [_inner_window(2)], [0.0])
-
-
 def test_kernel_spec_validation():
     with pytest.raises(StructuralError):
         KernelSpec(range=1.0, diagonal_by_type=(1,), diagonal_degree=True)

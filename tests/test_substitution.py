@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from randtile.errors import StructuralError
-from randtile.substitution import (builtin_families, builtin_family,
+from randtile.substitution import (Branch, SubstitutionRule,
+                                   builtin_families, builtin_family,
                                    family_from_json, family_to_json,
-                                   load_family, save_family,
+                                   load_family, one_d_pair, save_family,
                                    solenoid_family, substitution_matrix,
                                    validate_rule)
 
@@ -47,7 +48,8 @@ def test_geometric_flags(hh, hhp, odp, sol1, sol2):
 
 
 @pytest.mark.parametrize("fam_name", ["half-hex-classical", "solenoid-2-1d",
-                                      "solenoid-2x3-2d", "one-d-pair"])
+                                      "solenoid-2x3-2d", "solenoid-2-3d",
+                                      "one-d-pair"])
 def test_validate_rule_exact(fam_name):
     fam = builtin_family(fam_name)
     for rule in fam.rules:
@@ -55,6 +57,41 @@ def test_validate_rule_exact(fam_name):
         assert rep.passed
         assert rep.max_overlap == 0
         assert all(r == 0 for r in rep.residuals.values())
+
+
+def _broken_one_d_rule(taus):
+    """Rule 1 of one-d-pair with parent 0's branch to child 1 placed at each
+    translation in `taus` instead of at 1/3."""
+    rule = one_d_pair().rules[0]
+    branches = [b for b in rule.branches
+                if not (b.parent == 0 and b.child == 1)]
+    branches += [Branch(0, 1, (t,)) for t in taus]
+    return SubstitutionRule(rule.id, rule.theta, tuple(branches))
+
+
+def test_validate_rule_rejects_overlapping_branch(odp):
+    # [0, 1/3] overlaps the middle image [-1/6, 1/6] and leaves a gap
+    rep = validate_rule(_broken_one_d_rule((Fraction(1, 6),)),
+                        odp.prototiles)
+    assert not rep.passed
+    assert rep.max_overlap == Fraction(1, 6)
+    assert rep.residuals[0] == 0 and not rep.notes
+
+
+def test_validate_rule_rejects_missing_branch(odp):
+    rep = validate_rule(_broken_one_d_rule(()), odp.prototiles)
+    assert not rep.passed
+    assert rep.residuals == {0: Fraction(1, 3), 1: 0}
+    assert rep.max_overlap == 0 and not rep.notes
+
+
+def test_validate_rule_rejects_leaking_branch(odp):
+    # [1/2, 5/6] lies outside the parent [-1/2, 1/2]; volumes still add up
+    rep = validate_rule(_broken_one_d_rule((Fraction(2, 3),)),
+                        odp.prototiles)
+    assert not rep.passed
+    assert rep.residuals[0] == 0 and rep.max_overlap == 0
+    assert len(rep.notes) == 1 and "leaks" in rep.notes[0]
 
 
 def test_validate_rule_rejects_matrix_only(hhp):

@@ -64,6 +64,15 @@ def test_anchor_deterministic(hh):
     assert len(edges) == level
 
 
+def test_path_offset_matches_anchor(hh, sol2):
+    for fam, x in ((hh, SymbolSequence.constant(1, 40)),
+                   (sol2, SymbolSequence((1, 2) * 20))):
+        system = SupertileSystem(fam, x)
+        level, _, offset, edges = system.anchor(Region.unit_square(12))
+        assert level > 0
+        assert system.path_offset(edges) == offset
+
+
 def test_anchor_insufficient_sequence(hh):
     x = SymbolSequence.constant(1, 2)
     system = SupertileSystem(hh, x)
