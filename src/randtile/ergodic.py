@@ -339,11 +339,16 @@ def _patch_point_distance(points, patch, embedding):
             if lower[idx] >= best:
                 break
             s = shapes[idx]
-            vs = [geometry.embed_point(v, embedding)
-                  for v in s.vertices_list()]
-            if _point_in_embedded(pa, vs):
+            if isinstance(s, geometry.Box):
+                # a box is its own bbox, so the gap is its exact distance;
+                # every later bbox gap is at least as large
+                best = float(lower[idx])
+                break
+            faces = geometry.faces(s, embedding)
+            if geometry.margin(pa, faces) >= 0:
                 best = 0.0
                 break
+            vs = [a for a, _, _ in faces]
             n = len(vs)
             for i in range(n):
                 best = min(best, geometry.point_segment_distance(
@@ -352,14 +357,11 @@ def _patch_point_distance(points, patch, embedding):
     return out
 
 
-def _point_in_embedded(p, vs) -> bool:
-    if len(vs) == 2 and len(p) == 1:
-        return vs[0][0] <= p[0] <= vs[1][0]
-    return geometry.edge_margin(p, geometry.inward_edges(vs)) >= 0
-
-
 def _boundary_samples(window: Region, embedding, count: int = 96):
     """Embedded sample points on the boundary of the dilated window."""
+    if window.dim > 2:
+        raise UnsupportedOperationError(
+            f"boundary sampling covers d <= 2 windows, not d = {window.dim}")
     if window.kind == "disk":
         c, r = window.embedded_disk(embedding)
         return [(c[0] + r * math.cos(2 * math.pi * i / count),
@@ -489,16 +491,8 @@ def _inradius(region: Region, embedding) -> float:
     if region.kind == "disk":
         return region.radius
     shape = region.shape()
-    vs = [geometry.embed_point(v, embedding) for v in shape.vertices_list()]
-    if shape.dim == 1:
-        return (vs[1][0] - vs[0][0]) / 2
-    c = geometry.embed_point(shape.centroid(), embedding)
-    best = math.inf
-    n = len(vs)
-    for i in range(n):
-        best = min(best, geometry.point_segment_distance(
-            tuple(c), vs[i], vs[(i + 1) % n]))
-    return best
+    return geometry.margin(geometry.embed_point(shape.centroid(), embedding),
+                           geometry.faces(shape, embedding))
 
 
 def _shape_diameter(shape, embedding) -> float:
@@ -521,11 +515,17 @@ def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
     if vectors is None:
         vectors = ergodic_vectors(f, family, x, kmax)
     entries = []
-    for k_i, t_i, _ in seq.entries:
+    for i, (k_i, t_i, _) in enumerate(seq.entries):
+        try:
+            t_float = float(t_i)
+        except OverflowError:
+            raise InsufficientDataError(
+                f"entry {i} (k_i = {k_i}): T_i exceeds the float range; "
+                f"use fewer averaging-sequence entries") from None
         total = 0
         for t, mlt in seq.base_multiset.items():
             total += mlt * vectors[k_i].values[t]
-        entries.append((float(t_i), _log_abs(total)))
+        entries.append((t_float, _log_abs(total)))
     usable = [(math.log(t), li) for t, li in entries if li is not None]
     if not usable:
         raise DegenerateObservableError("all sequence integrals are zero")

@@ -2,8 +2,10 @@
 
 All coordinates are `fractions.Fraction`; every predicate used for rule
 validation and region decomposition is decided exactly.  Float arithmetic only
-enters through an optional linear embedding (used for metric quantities such
-as distances to disks and SVG output).
+enters through an optional diagonal embedding, and every float metric question
+about a convex shape goes through one pair of functions: `faces` lists the
+inward faces of an embedded box (any d) or convex polygon, and `margin` gives
+the signed distance of a point inside them.
 """
 
 from __future__ import annotations
@@ -85,12 +87,11 @@ class Box:
         return tuple((l + h) / 2 for l, h in zip(self.lo, self.hi))
 
     def vertices_list(self):
-        if self.dim == 1:
-            return [self.lo, self.hi]
-        if self.dim == 2:
-            (x0, y0), (x1, y1) = self.lo, self.hi
-            return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        raise StructuralError("vertex list only for d <= 2 boxes")
+        """All 2^d corners in Gray-code order: consecutive corners differ in
+        one coordinate, so for d = 2 they run counterclockwise."""
+        return [tuple(h if ((i ^ (i >> 1)) >> j) & 1 else l
+                      for j, (l, h) in enumerate(zip(self.lo, self.hi)))
+                for i in range(2 ** self.dim)]
 
     def contains_point(self, p, strict=False) -> bool:
         p = fpoint(p)
@@ -387,26 +388,32 @@ def embed_point(p, embedding=None):
     return tuple(float(c) * float(e) for c, e in zip(p, embedding))
 
 
-def inward_edges(vs):
-    """(ax, ay, nx, ny, |n|) per edge of the embedded CCW polygon `vs`, with
-    n the inward normal; zero-length edges are skipped."""
-    edges = []
-    for i in range(len(vs)):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % len(vs)]
-        nx, ny = ay - by, bx - ax
-        norm = math.hypot(nx, ny)
+def faces(shape, embedding):
+    """Inward faces (a, n, |n|) of the embedded convex shape: a point a on
+    the face and the inward normal n.  A d-dimensional box has 2d faces with
+    unit axis normals; a polygon has one face per CCW edge ab, with n the
+    edge turned left, (ay - by, bx - ax), and zero-length edges skipped."""
+    if isinstance(shape, Box):
+        lo, hi = embed_point(shape.lo, embedding), embed_point(shape.hi, embedding)
+        out = []
+        for i in range(shape.dim):
+            axis = tuple(float(j == i) for j in range(shape.dim))
+            out += [(lo, axis, 1.0), (hi, tuple(-c for c in axis), 1.0)]
+        return out
+    vs = [embed_point(v, embedding) for v in shape.vertices]
+    out = []
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        norm = math.hypot(ay - by, bx - ax)
         if norm:
-            edges.append((ax, ay, nx, ny, norm))
-    return edges
+            out.append(((ax, ay), (ay - by, bx - ax), norm))
+    return out
 
 
-def edge_margin(p, edges) -> float:
-    """Signed distance of float point p inside the convex polygon whose
-    `inward_edges` are given: positive inside, negative outside."""
-    px, py = p
-    return min((((px - ax) * nx + (py - ay) * ny) / norm
-                for ax, ay, nx, ny, norm in edges), default=math.inf)
+def margin(p, faces) -> float:
+    """Signed distance min ((p - a)·n)/|n| of float point p inside the convex
+    shape with these `faces`: positive inside, negative outside."""
+    return min((sum((c - ac) * nc for c, ac, nc in zip(p, a, n)) / norm
+                for a, n, norm in faces), default=math.inf)
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -424,11 +431,11 @@ def point_segment_distance(p, a, b) -> float:
 
 
 def boundary_distance(shape, p, embedding=None) -> float:
-    """Float distance from point p (rational coords) to the shape boundary."""
+    """Float distance from a point p (rational coords) inside the shape to
+    its boundary."""
     pe = embed_point(p, embedding)
-    if isinstance(shape, Box) and shape.dim != 2:
-        lo, hi = embed_point(shape.lo, embedding), embed_point(shape.hi, embedding)
-        return min(min(abs(c - l), abs(c - h)) for c, l, h in zip(pe, lo, hi))
+    if isinstance(shape, Box):
+        return margin(pe, faces(shape, embedding))
     vs = [embed_point(v, embedding) for v in shape.vertices_list()]
     n = len(vs)
     return min(point_segment_distance(pe, vs[i], vs[(i + 1) % n]) for i in range(n))

@@ -24,7 +24,7 @@ from .errors import (IncompletePatternError, StructuralError,
                      UnsupportedOperationError)
 from .ergodic import TLCObservable, deviation_along_sequence
 from .substitution import RuleFamily
-from .tiling import Patch, Region, _shape_corners, _window_extremes
+from .tiling import Patch, Region, _window_extremes
 
 _DENSE_LIMIT = 4000
 
@@ -170,8 +170,8 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
         padded = [(p, pad + kernel.range) for p, pad in pts]
         src = punctures.source_window
         if src.kind != "disk":
-            shape = src.shape()
-            ok = all(_signed_margin(shape, p, emb) >= pad - 1e-9
+            faces = geometry.faces(src.shape(), emb)
+            ok = all(geometry.margin(p, faces) >= pad - 1e-9
                      for p, pad in padded)
         else:
             c, r = src.embedded_disk(emb)
@@ -211,13 +211,6 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                             kernel=kernel, window=window)
 
 
-def _signed_margin(shape, p, embedding) -> float:
-    vs = [geometry.embed_point(v, embedding) for v in shape.vertices_list()]
-    if shape.dim == 1:
-        return min(p[0] - vs[0][0], vs[1][0] - p[0])
-    return geometry.edge_margin(p, geometry.inward_edges(vs))
-
-
 def windowed_trace(op: WindowedOperator, subregion: Region,
                    mode: str = "raw"):
     """Sum of diagonal entries over the subregion.
@@ -241,7 +234,7 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
                     "interior-supertile mode needs the source patch")
             t, off = op.punctures.patch.tiles[i]
             shape = fam.prototiles[t].shape
-            verts = [geometry.vadd(v, off) for v in _shape_corners(shape)]
+            verts = [geometry.vadd(v, off) for v in shape.vertices_list()]
             inside = subregion.contains_points(verts, emb)
         else:
             raise StructuralError(f"unknown trace mode {mode!r}")

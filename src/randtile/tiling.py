@@ -117,6 +117,10 @@ class Region:
                       vertices=self.vertices,
                       dilation=self.dilation * frac(extra))
 
+    @property
+    def dim(self) -> int:
+        return len(self.center) if self.kind == "disk" else self.shape().dim
+
     def shape(self):
         """Exact shape for box/polygon regions (dilation applied, cached)."""
         if "_shape" not in self.__dict__:
@@ -154,14 +158,17 @@ class Region:
         return vol
 
     def boundary_measure(self, embedding=None) -> float:
-        """Euclidean perimeter (d=2) / endpoint count (d=1) of the dilation."""
+        """Euclidean boundary measure of the dilation: the facet measures of
+        a box summed (the endpoint count 2 when d = 1), or a polygon's
+        perimeter, the sum of its face normal lengths."""
         if self.kind == "disk":
             return 2 * math.pi * float(self.dilation) * self.radius
         shape = self.shape()
-        if shape.dim == 1:
-            return 2.0
-        vs = [geometry.embed_point(v, embedding) for v in shape.vertices_list()]
-        return sum(math.dist(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        if isinstance(shape, geometry.Box):
+            lo, hi = (geometry.embed_point(c, embedding) for c in shape.bbox())
+            w = [h - l for l, h in zip(lo, hi)]
+            return sum(2.0 * math.prod(w[:i] + w[i + 1:]) for i in range(len(w)))
+        return sum(norm for _, _, norm in geometry.faces(shape, embedding))
 
     # -- containment of tiles -------------------------------------------
 
@@ -207,12 +214,8 @@ class Region:
         """Is the dilated region contained in the convex footprint shape?"""
         if self.kind == "disk":
             c, r = self.embedded_disk(embedding)
-            vs = [geometry.embed_point(v, embedding)
-                  for v in footprint.vertices_list()]
-            if footprint.dim == 1:
-                return vs[0][0] + r <= c[0] <= vs[1][0] - r
-            return geometry.edge_margin(
-                c, geometry.inward_edges(vs)) >= r - 1e-12
+            return geometry.margin(
+                c, geometry.faces(footprint, embedding)) >= r - 1e-12
         return footprint.contains_shape(self.shape())
 
 
@@ -258,7 +261,7 @@ class SupertileSystem:
         self._theta_inv = []           # θ_(k)^{-1}
         self._footprints = []          # level -> [(shape, bbox, corners)] per type
         self._children = {}            # level -> {v: [(child, delta)]}
-        self._edge_data = {}           # (k, v) -> embedded edge data for margins
+        self._faces = {}               # (k, v) -> embedded footprint faces
         self._volumes = family.volumes()
 
     def rule_at(self, level: int):
@@ -278,7 +281,7 @@ class SupertileSystem:
             foot = [p.shape.transform(ti, (0,) * self.family.dim)
                     for p in self.family.prototiles]
             self._footprints.append(
-                [(s, s.bbox(), _shape_corners(s)) for s in foot])
+                [(s, s.bbox(), s.vertices_list()) for s in foot])
 
     def theta_inv(self, k: int) -> Fraction:
         self._ensure(k)
@@ -318,30 +321,13 @@ class SupertileSystem:
         """Min signed distance of window extreme points inside the translated
         footprint of (k, v); negative means some point sticks out."""
         emb = self.family.embedding
-        data = self._edge_data.get((k, v))
-        if data is None:
-            # boxes: embedded (lo, hi); polygons: inward CCW edge normals
-            foot = self.footprint(k, v)
-            if isinstance(foot, geometry.Box):
-                data = True, (geometry.embed_point(foot.lo, emb),
-                              geometry.embed_point(foot.hi, emb))
-            else:
-                data = False, geometry.inward_edges(
-                    [geometry.embed_point(p, emb) for p in foot.vertices])
-            self._edge_data[(k, v)] = data
+        faces = self._faces.get((k, v))
+        if faces is None:
+            faces = self._faces[(k, v)] = geometry.faces(
+                self.footprint(k, v), emb)
         off = geometry.embed_point(offset, emb)
-        is_box, payload = data
-        best = math.inf
-        for p, pad in pts:
-            if is_box:
-                lo, hi = payload
-                m = min(min(p[i] - off[i] - lo[i], hi[i] + off[i] - p[i])
-                        for i in range(len(lo)))
-            else:
-                m = geometry.edge_margin((p[0] - off[0], p[1] - off[1]),
-                                         payload)
-            best = min(best, m - pad)
-        return best
+        return min(geometry.margin(tuple(c - o for c, o in zip(p, off)), faces)
+                   - pad for p, pad in pts)
 
     def _up_candidates(self, lvl: int, v: int, offset):
         """Branches placing the current type-v supertile inside a level-lvl one."""
@@ -454,18 +440,11 @@ def _window_extremes(window: Region, embedding):
             for v in window.shape().vertices_list()]
 
 
-def _shape_corners(shape):
-    """All corner points of a Box or Polygon as exact coordinate tuples."""
-    if isinstance(shape, geometry.Polygon):
-        return list(shape.vertices)
-    corners = [()]
-    for l, h in zip(shape.lo, shape.hi):
-        corners = [c + (e,) for c in corners for e in ((l, h) if l != h else (l,))]
-    return corners
-
-
 def _anchored(family: RuleFamily, x, window: Region, system, anchor):
     """The supertile system and the (level, vertex, offset) covering window."""
+    if window.dim != family.dim:
+        raise StructuralError(
+            f"{window.dim}-D window for the {family.dim}-D family {family.name}")
     if system is None:
         system = SupertileSystem(family, x)
     if anchor is None:

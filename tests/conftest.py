@@ -27,3 +27,8 @@ def sol1():
 @pytest.fixture(scope="session")
 def sol2():
     return solenoid_family([2, 3], 2)
+
+
+@pytest.fixture(scope="session")
+def sol3():
+    return solenoid_family([2], 3)

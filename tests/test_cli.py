@@ -128,6 +128,13 @@ def test_deviate_insufficient_is_numeric_error(tmp_path, capsys):
     assert rc == 3
 
 
+def test_deviate_one_d_command(tmp_path):
+    rc = main(["deviate", "--family", "one-d-pair", "--p", "0.5",
+               "--window", "box:0,1", "--entries", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(_read_csv(tmp_path / "deviate.csv")) == 1 + 5
+
+
 def test_matrix_only_geometry_is_unsupported(tmp_path, capsys):
     # p=0 drives the matrix-only rule, which has no geometry to render
     rc = main(["patch", "--family", "half-hex-pair", "--p", "0",

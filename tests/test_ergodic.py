@@ -15,7 +15,7 @@ from randtile.ergodic import (TLCObservable, cotrace_shadow,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
                               special_averaging_sequence)
-from randtile.substitution import substitution_matrix
+from randtile.substitution import matrix_only_family, substitution_matrix
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import Region, SupertileSystem
 
@@ -166,6 +166,23 @@ def test_special_averaging_sequence_matrix_only(hhp):
     assert again.base_multiset == seq.base_multiset
 
 
+def test_special_averaging_sequence_one_d(odp):
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 64, 0)
+    seq = special_averaging_sequence(odp, x, Region.box((0,), (1,)), 0.05, 5)
+    assert seq.t_star == 16
+    assert seq.hausdorff is not None and seq.hausdorff <= 0.05
+    f = make_zero_trace_observable(odp, x, 40)
+    assert math.isfinite(deviation_along_sequence(f, seq, odp, x).slope)
+
+
+def test_special_averaging_rejects_three_dimensional_windows(sol3):
+    # boundary samples cover windows of dimension <= 2 only
+    x = SymbolSequence.constant(1, 40)
+    with pytest.raises(UnsupportedOperationError):
+        special_averaging_sequence(sol3, x, Region.box((0, 0, 0), (1, 1, 1)),
+                                   eps=0.05, count=5)
+
+
 def test_special_averaging_insufficient(hh):
     x = SymbolSequence.constant(1, 6)
     with pytest.raises(InsufficientDataError):
@@ -198,3 +215,16 @@ def test_deviation_along_sequence_needs_entries(hh):
     seq.entries = seq.entries[:3]
     with pytest.raises(InsufficientDataError):
         deviation_along_sequence(TLCObservable.constant(1, 6), seq, hh, x)
+
+
+def test_deviation_along_sequence_float_overflow(hhp):
+    """T_i = 4^k_i along the θ = 1/4 rule passes 2^1024 at k_i = 512."""
+    mats = [substitution_matrix(r, hhp.n_prototiles) for r in hhp.rules]
+    matrix_family = matrix_only_family(
+        "half-hex-pair-matrices", mats, thetas=[r.theta for r in hhp.rules])
+    x = SymbolSequence.constant(2, 700)
+    seq = special_averaging_sequence(matrix_family, x, Region.unit_square(),
+                                     eps=0.05, count=600)
+    f = TLCObservable(0, (1, -1, 0, 0, 0, 0))
+    with pytest.raises(InsufficientDataError, match=r"entry 511 \(k_i = 512\)"):
+        deviation_along_sequence(f, seq, hhp, x)

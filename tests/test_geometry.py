@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randtile import geometry
 from randtile.errors import StructuralError
-from randtile.geometry import Box, Polygon, boundary_distance, frac
+from randtile.geometry import (Box, Polygon, boundary_distance, embed_point,
+                               faces, frac, margin)
+from randtile.substitution import HALF_HEX_EMBEDDING, half_hex_classical
 
 H = Fraction(1, 2)
 
@@ -26,6 +28,11 @@ def test_box_basics():
     assert b.contains_point((H, H)) and not b.contains_point((H, H), strict=True)
     with pytest.raises(StructuralError):
         Box((0, 0), (0, 1))
+    assert Box((0, 0), (1, 1)).vertices_list() == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    corners = Box((0, 0, 0), (1, 2, 3)).vertices_list()
+    assert len(set(corners)) == 8
+    assert all(sum(a != b for a, b in zip(corners[i], corners[i - 1])) == 1
+               for i in range(8))
 
 
 def test_box_intersection_volume():
@@ -134,3 +141,43 @@ def test_box_intersection_properties(p, q):
     assert 0 <= v <= min(a.volume(), b.volume())
     # agree with the polygon clipping path
     assert v == a.to_polygon().intersection_volume(b.to_polygon())
+
+
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+widths = st.fractions(min_value=Fraction(1, 12), max_value=4,
+                      max_denominator=12)
+
+
+@st.composite
+def embedded_boxes(draw):
+    d = draw(st.integers(1, 3))
+    lo = draw(st.lists(coords, min_size=d, max_size=d))
+    ws = draw(st.lists(widths, min_size=d, max_size=d))
+    emb = tuple(draw(st.sampled_from((0.5, 1.0, 3.0 ** 0.5)))
+                for _ in range(d))
+    return Box(lo, [l + w for l, w in zip(lo, ws)]), emb
+
+
+half_hex_tiles = st.sampled_from(
+    [(p.shape, HALF_HEX_EMBEDDING) for p in half_hex_classical().prototiles])
+
+
+@given(st.one_of(embedded_boxes(), half_hex_tiles), st.data())
+@settings(max_examples=150, deadline=None)
+def test_margin_sign_matches_exact_containment(shaped, data):
+    shape, emb = shaped
+    p = tuple(data.draw(st.lists(coords, min_size=shape.dim,
+                                 max_size=shape.dim)))
+    inside = shape.contains_point(p)
+    assume(inside == shape.contains_point(p, strict=True))  # off the boundary
+    assert (margin(embed_point(p, emb), faces(shape, emb)) > 0) == inside
+
+
+@given(embedded_boxes(), st.lists(st.floats(-10, 10), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_margin_on_box_faces_is_axis_gap(boxed, xs):
+    box, emb = boxed
+    lo, hi = embed_point(box.lo, emb), embed_point(box.hi, emb)
+    p = tuple(xs[:box.dim])
+    assert margin(p, faces(box, emb)) == min(
+        min(c - l, h - c) for c, l, h in zip(p, lo, hi))

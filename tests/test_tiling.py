@@ -37,6 +37,8 @@ def test_generate_patch_one_d(odp):
     assert len(patch.placed_set()) == len(patch)
     for shape in patch.shapes():
         assert window.contains_points(shape.vertices_list())
+    with pytest.raises(StructuralError):
+        generate_patch(odp, x, Region.unit_square(4))   # 2-D window
 
 
 def test_generate_patch_half_hex(hh):
@@ -99,29 +101,56 @@ def test_budget_exhaustion(hh):
     assert len(err.value.partial) == 10
 
 
-def test_decompose_multiset_matches_generate(hh):
-    x = SymbolSequence.constant(1, 40)
-    system = SupertileSystem(hh, x)
-    for t in (8, 16):
-        window = Region.unit_square(dilation=t)
-        anchor = system.anchor(window)
-        patch = generate_patch(hh, x, window, system=system, anchor=anchor)
-        rep = decompose_region(hh, x, Region.unit_square(), t,
-                               system=system, anchor=anchor)
-        assert decomposition_tile_multiset(rep, hh, x) == patch.multiset()
-        assert rep.volume_covered == patch.total_volume()
+def _decompose_cases(hh, sol3):
+    """(family, sequence, base window) for a 2-D and a 3-D box window."""
+    return ((hh, SymbolSequence.constant(1, 40), Region.unit_square()),
+            (sol3, SymbolSequence.constant(1, 40),
+             Region.box((0, 0, 0), (1, 1, 1))))
 
 
-def test_decompose_volume_accounting(hh):
-    x = SymbolSequence.constant(1, 40)
-    rep = decompose_region(hh, x, Region.unit_square(), 16)
-    win_vol = Region.unit_square(dilation=16).shape().volume()
-    assert rep.volume_covered <= win_vol
-    # skipped boundary tiles account for the remaining volume
-    assert rep.volume_covered + rep.boundary_skipped * Fraction(3, 4) >= win_vol
-    assert rep.n >= 1
-    assert rep.fitted_K2 is not None and rep.fitted_K2 >= 0
-    assert rep.total_count(rep.n) >= 1
+def test_decompose_multiset_matches_generate(hh, sol3):
+    for fam, x, base in _decompose_cases(hh, sol3):
+        system = SupertileSystem(fam, x)
+        for t in (8, 16):
+            window = base.dilated(t)
+            anchor = system.anchor(window)
+            patch = generate_patch(fam, x, window, system=system,
+                                   anchor=anchor)
+            rep = decompose_region(fam, x, base, t, system=system,
+                                   anchor=anchor)
+            assert decomposition_tile_multiset(rep, fam, x) == patch.multiset()
+            assert rep.volume_covered == patch.total_volume()
+
+
+def test_decompose_volume_accounting(hh, sol3):
+    for fam, x, base in _decompose_cases(hh, sol3):
+        rep = decompose_region(fam, x, base, 16)
+        win_vol = base.dilated(16).shape().volume()
+        assert rep.volume_covered <= win_vol
+        # skipped boundary tiles (all prototiles have one volume) account
+        # for the remaining volume
+        tile_vol = fam.prototiles[0].volume
+        assert rep.volume_covered + rep.boundary_skipped * tile_vol >= win_vol
+        assert rep.n >= 1
+        assert rep.fitted_K2 is not None and rep.fitted_K2 >= 0
+        assert rep.total_count(rep.n) >= 1
+
+
+def test_nonconvex_window_on_box_tiles(sol2):
+    """An L-shaped window keeps exactly the tiles of the anchor supertile
+    that exact polygon containment keeps."""
+    x = SymbolSequence((1, 2) * 20)
+    window = Region.polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)],
+                            dilation=2)
+    system = SupertileSystem(sol2, x)
+    level, vertex, offset, _ = system.anchor(window)
+    tiles = []
+    system.expand(level, vertex, offset, tiles, budget=10 ** 6)
+    shape = window.shape()
+    want = [(t, off) for t, off in tiles if shape.contains_shape(
+        sol2.prototiles[t].shape.translate(off))]
+    patch = generate_patch(sol2, x, window, system=system)
+    assert want and sorted(patch.tiles) == sorted(want)
 
 
 def test_decompose_monotone_in_dilation(hh):
