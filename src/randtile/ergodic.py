@@ -364,6 +364,8 @@ def _boundary_samples(window: Region, embedding, count: int = 96):
             f"boundary sampling covers d <= 2 windows, not d = {window.dim}")
     if window.kind == "disk":
         c, r = window.embedded_disk(embedding)
+        if window.dim == 1:
+            return [(c[0] - r,), (c[0] + r,)]
         return [(c[0] + r * math.cos(2 * math.pi * i / count),
                  c[1] + r * math.sin(2 * math.pi * i / count))
                 for i in range(count)]

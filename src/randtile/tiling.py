@@ -2,9 +2,20 @@
 
 Level-k supertiles are handled as pure translates: the supertile of type v at
 level k has footprint θ_(k)^{-1}·t_v (a scaled prototile), and its children
-are level-(k-1) supertiles translated by θ_(k)^{-1}·τ_branch.  All tests used
-for decomposition are exact for box/polygon regions; disks use float distances
-through the family embedding.
+are level-(k-1) supertiles translated by θ_(k)^{-1}·τ_branch.  Every θ is 1/q
+(a rule with another θ is rejected: θ^{-d} is the Perron eigenvalue of an
+integer matrix), so each θ_(k)^{-1} is an integer, and every footprint corner
+and child offset lies on the lattice (1/S)·ℤ^d, S the lcm of the denominators
+of the prototile corners and translations.
+
+Patches, decompositions and approximants come from one descent on that
+lattice: level by level over numpy frontiers of integer offsets (int64, or
+Python ints when a coordinate bound does not fit), dropping supertiles that
+miss the window, keeping those inside it and cutting the rest into their
+children.  Box and convex polygon windows are decided exactly on the
+integers; disks (float distances through the family embedding) and
+non-convex polygons (exact Fraction geometry) use the Region predicates on
+the frontier only.  Tile offsets leave the module as tuples of Fraction.
 """
 
 from __future__ import annotations
@@ -27,6 +38,9 @@ from .substitution import RuleFamily, substitution_matrix
 DEFAULT_TILE_BUDGET = 10_000_000
 ANCHOR_MAX_LEVEL = 64            # anchor search: highest supertile level
 ANCHOR_MAX_EXPANSIONS = 200_000  # anchor search: placements expanded
+# Tile counts per supertile are capped here: a capped count is still a lower
+# bound for the budget cut, and a frontier's int64 running sum cannot wrap.
+_LEAF_CAP = 2 ** 31
 
 
 @dataclass
@@ -52,7 +66,8 @@ class Patch:
         if self.family is None:
             raise UnsupportedOperationError("patch has no family attached")
         vols = [p.volume for p in self.family.prototiles]
-        return sum((vols[t] for t, _ in self.tiles), Fraction(0))
+        return sum((c * vols[t] for t, c in self.multiset().items()),
+                   Fraction(0))
 
     def placed_set(self):
         return {(t, off) for t, off in self.tiles}
@@ -252,17 +267,49 @@ def decomposition_tile_multiset(report: DecompositionReport,
     return out
 
 
+@dataclass
+class _Level:
+    """Integer tables of one level on the lattice (1/scale)·ℤ^d.
+
+    Coordinates are exact Python ints in object arrays: per type the
+    footprint bbox `lo`/`hi` and `corners` (padded by repeating the last
+    corner); the children of every parent type flattened in branch order,
+    `start`/`count` locating each parent's run; `leaves` the number of
+    level-0 tiles per type, at most _LEAF_CAP.  `reach` bounds |coordinate|
+    of a footprint and `step` of a child delta.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    corners: np.ndarray
+    child_type: np.ndarray
+    child_delta: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    leaves: np.ndarray
+    reach: int
+    step: int
+
+
 class SupertileSystem:
-    """Cached supertile data for (family, x): θ products and footprints."""
+    """Cached supertile data for (family, x): θ products, footprints and the
+    integer tables of the descent."""
 
     def __init__(self, family: RuleFamily, x):
         self.family = family
         self.x = x
         self._theta_inv = []           # θ_(k)^{-1}
         self._footprints = []          # level -> [(shape, bbox, corners)] per type
-        self._children = {}            # level -> {v: [(child, delta)]}
+        self._levels = []              # level -> _Level
         self._faces = {}               # (k, v) -> embedded footprint faces
         self._volumes = family.volumes()
+        # every footprint corner and child delta lies on (1/scale)·ℤ^d,
+        # because each θ_(k)^{-1} is an integer
+        self.scale = math.lcm(*(
+            c.denominator for p in family.prototiles
+            for corner in p.shape.vertices_list() for c in corner), *(
+            c.denominator for r in family.rules if r.is_geometric
+            for b in r.branches for c in b.tau))
 
     def rule_at(self, level: int):
         return self.family.rule(self.x[level])
@@ -276,6 +323,10 @@ class SupertileSystem:
                 if not rule.is_geometric:
                     raise UnsupportedOperationError(
                         f"rule {rule.id} at level {lvl} is matrix-only")
+                if rule.theta.numerator != 1:
+                    raise UnsupportedOperationError(
+                        f"rule {rule.id} at level {lvl}: θ = {rule.theta} is "
+                        f"not 1/q, so its supertiles leave the integer lattice")
                 ti = self._theta_inv[-1] / rule.theta
             self._theta_inv.append(ti)
             foot = [p.shape.transform(ti, (0,) * self.family.dim)
@@ -304,18 +355,43 @@ class SupertileSystem:
         lo, hi = self._footprints[k][v][1]
         return geometry.vadd(lo, offset), geometry.vadd(hi, offset)
 
-    def children(self, k: int, v: int):
-        """Child slots of a level-k type-v supertile: (type, offset delta)."""
-        level = self._children.get(k)
-        if level is None:
-            rule = self.rule_at(k)
-            ti = self.theta_inv(k)
-            level = {}
-            for w in range(self.family.n_prototiles):
-                level[w] = [(b.child, geometry.vscale(ti, b.tau))
-                            for b in rule.children_of(w)]
-            self._children[k] = level
-        return level[v]
+    def _level(self, k: int) -> _Level:
+        """The integer tables of level k (cached)."""
+        def lattice(points):
+            return [[int(c * self.scale) for c in p] for p in points]
+
+        while len(self._levels) <= k:
+            lvl = len(self._levels)
+            self._ensure(lvl)
+            foot = self._footprints[lvl]
+            n_corners = max(len(f[2]) for f in foot)
+            corners = [lattice(f[2] + f[2][-1:] * (n_corners - len(f[2])))
+                       for f in foot]
+            lo, hi = lattice(f[1][0] for f in foot), lattice(f[1][1] for f in foot)
+            ti = self._theta_inv[lvl]
+            if lvl == 0:
+                kids = [[] for _ in foot]
+                leaves = [1] * len(foot)
+            else:
+                rule = self.rule_at(lvl)
+                kids = [rule.children_of(w) for w in range(len(foot))]
+                below = self._levels[-1].leaves
+                leaves = [min(sum(below[b.child] for b in bs), _LEAF_CAP)
+                          for bs in kids]
+            branches = [b for bs in kids for b in bs]
+            delta = lattice(geometry.vscale(ti, b.tau) for b in branches)
+            count = np.array([len(bs) for bs in kids], dtype=np.int64)
+            self._levels.append(_Level(
+                lo=np.array(lo, dtype=object), hi=np.array(hi, dtype=object),
+                corners=np.array(corners, dtype=object),
+                child_type=np.array([b.child for b in branches], dtype=np.int64),
+                child_delta=np.array(delta, dtype=object).reshape(
+                    len(branches), self.family.dim),
+                start=np.cumsum(count) - count, count=count,
+                leaves=np.array(leaves, dtype=np.int64),
+                reach=max(abs(c) for p in lo + hi for c in p),
+                step=max((abs(c) for p in delta for c in p), default=0)))
+        return self._levels[k]
 
     def margin(self, k: int, v: int, offset, pts) -> float:
         """Min signed distance of window extreme points inside the translated
@@ -397,39 +473,146 @@ class SupertileSystem:
         return offset
 
     def cover(self, window: Region, k: int, v: int, offset):
-        """Depth-first walk of the level-k type-v supertile at `offset`.
+        """Maximal supertiles inside the window, below the level-k type-v
+        supertile at `offset`: (counts, boundary), where counts maps a level
+        to the number of inside supertiles per type (levels in depth-first
+        order of their first supertile) and boundary counts the level-0
+        tiles cut by the window boundary."""
+        found, boundary, _ = self._descend(window, k, v, offset)
+        n = self.family.n_prototiles
+        return ({level: np.bincount(types, minlength=n).tolist()
+                 for level, types, _ in found}, boundary)
 
-        Yields (level, type, offset, inside): the maximal supertiles inside
-        the window (inside=True) and the level-0 tiles cut by its boundary
-        (inside=False).  Supertiles missing the window are pruned.
+    def expand(self, k: int, v: int, offset, tiles: list, budget: int,
+               window: Region = None):
+        """Append to `tiles`, depth first, the level-0 tiles of the level-k
+        type-v supertile at `offset` (those inside `window`, if given).
+        Raises PartialCoverError, carrying the first `budget` tiles, when
+        `tiles` would exceed `budget`."""
+        room = max(budget - len(tiles), 0)
+        found, _, scale = self._descend(window, k, v, offset, room)
+        for _, types, offs in found:
+            tiles.extend(zip(types[:room + 1].tolist(),
+                             _fractions(offs[:room + 1], scale)))
+        if len(tiles) > budget:
+            del tiles[budget:]
+            raise PartialCoverError("tile budget exhausted",
+                                    partial=Patch(tiles, family=self.family))
+
+    def _descend(self, window, k: int, v: int, offset, budget=None):
+        """The one supertile descent: level by level from the level-k type-v
+        supertile at `offset` down to level 0.
+
+        A frontier holds node types and integer offsets on (1/scale)·ℤ^d in
+        depth-first (lexicographic path) order, which the stable expansion
+        into children keeps.  Nodes missing the window are dropped and nodes
+        inside it are marked (window None contains everything).  Without a
+        budget the descent stops at inside supertiles; with one it expands
+        them to level 0, cutting each frontier after the first prefix whose
+        known tiles exceed the budget.  Offsets use int64 when every
+        coordinate and cross product fits, Python ints otherwise.
+
+        Returns (found, boundary, scale): found lists (level, types, offsets)
+        of the inside nodes where the descent stopped, levels in depth-first
+        order of their first node; boundary counts the level-0 nodes the
+        window boundary cuts.
         """
-        emb = self.family.embedding
-        stack = [(k, v, offset)]
-        while stack:
-            k, v, off = stack.pop()
-            lo, hi = self.bbox(k, v, off)
-            if not window.intersects_bbox(lo, hi, emb):
-                continue
-            inside = window.contains_points(self.verts(k, v, off), emb)
-            if inside or k == 0:
-                yield k, v, off, inside
-            else:
-                stack.extend((k - 1, child, geometry.vadd(off, delta))
-                             for child, delta in reversed(self.children(k, v)))
+        shape = None if window is None or window.kind == "disk" else window.shape()
+        corners = shape.vertices_list() if shape is not None else []
+        scale = math.lcm(self.scale, *(c.denominator
+                                       for p in [offset, *corners] for c in p))
+        mult = scale // self.scale
+        levels = [self._level(j) for j in range(k + 1)]
+        origin = [int(c * scale) for c in offset]
+        win = [[int(c * scale) for c in p] for p in corners]
+        bound = max(max(map(abs, origin)) + mult * (
+            sum(lv.step for lv in levels) + max(lv.reach for lv in levels)),
+            max((abs(c) for p in win for c in p), default=0))
+        # |cross product| <= 8·bound^2 must fit in an int64
+        dtype = np.int64 if bound < 2 ** 30 else object
+        win = np.array(win, dtype=object).astype(dtype)
+        types = np.array([v], dtype=np.int64)
+        offs = np.array([origin], dtype=object).astype(dtype)
+        inside = np.array([window is None])
+        rank = np.zeros(1, dtype=np.int64)  # levels found before each node
+        found = []
+        for level in range(k, -1, -1):
+            if level < k:
+                up = levels[level + 1]
+                count = up.count[types]
+                parent = np.repeat(np.arange(len(types)), count)
+                pos = np.arange(len(parent)) + np.repeat(
+                    up.start[types] - (np.cumsum(count) - count), count)
+                types = up.child_type[pos]
+                offs = offs[parent] + (up.child_delta * mult).astype(dtype)[pos]
+                inside, rank = inside[parent], rank[parent]
+            todo = np.flatnonzero(~inside)
+            if len(todo):
+                meets, inside[todo] = self._test(
+                    window, level, types[todo], offs[todo], scale, mult, win)
+                keep = np.ones(len(types), dtype=bool)
+                keep[todo] = meets
+                types, offs, inside, rank = (a[keep] for a in
+                                             (types, offs, inside, rank))
+            if (budget is None or level == 0) and inside.any():
+                first = int(np.argmax(inside))
+                found.insert(int(rank[first]),
+                             (level, types[inside], offs[inside]))
+                rank[first + 1:] += 1
+                types, offs, inside, rank = (a[~inside] for a in
+                                             (types, offs, inside, rank))
+            elif budget is not None:
+                known = np.where(inside, levels[level].leaves[types], 0)
+                over = np.cumsum(known) > budget
+                if over.any():
+                    cut = int(np.argmax(over)) + 1
+                    types, offs, inside, rank = (a[:cut] for a in
+                                                 (types, offs, inside, rank))
+        return found, len(types), scale
 
-    def expand(self, k: int, v: int, offset, tiles: list, budget: int):
-        """Append the level-0 tiles of the level-k type-v supertile at
-        `offset` to `tiles`, depth first.  Raises PartialCoverError, carrying
-        the tiles placed so far, when `tiles` would exceed `budget`."""
-        if k == 0:
-            if len(tiles) >= budget:
-                raise PartialCoverError("tile budget exhausted",
-                                        partial=Patch(tiles, family=self.family))
-            tiles.append((v, offset))
-            return
-        for child, delta in self.children(k, v):
-            self.expand(k - 1, child, geometry.vadd(offset, delta), tiles,
-                        budget)
+    def _test(self, window, level, types, offs, scale, mult, win):
+        """(meets, inside) of the given level nodes.  Box and convex polygon
+        windows are decided on the integers (bbox overlap; bbox or corners
+        inside, by cross products); disks and non-convex polygons go through
+        the Region predicates on exact Fraction offsets."""
+        lv = self._level(level)
+        if window.kind != "disk":
+            lo = offs + (lv.lo * mult).astype(offs.dtype)[types]
+            hi = offs + (lv.hi * mult).astype(offs.dtype)[types]
+            wlo, whi = win.min(axis=0), win.max(axis=0)
+            meets = (lo <= whi).all(axis=1) & (hi >= wlo).all(axis=1)
+            if window.kind == "box":
+                return meets, (lo >= wlo).all(axis=1) & (hi <= whi).all(axis=1)
+            if window.shape().convex:
+                pts = offs[:, None, :] + (lv.corners * mult).astype(offs.dtype)[types]
+                px, py = pts[..., 0], pts[..., 1]
+                inside = meets.copy()
+                for (ax, ay), (bx, by) in zip(win, np.roll(win, -1, axis=0)):
+                    inside &= ((bx - ax) * (py - ay)
+                               - (by - ay) * (px - ax) >= 0).all(axis=1)
+                return meets, inside
+        emb = self.family.embedding
+        nodes = [(t, tuple(Fraction(c, scale) for c in o))
+                 for t, o in zip(types.tolist(), offs.tolist())]
+        if window.kind == "disk":
+            meets = np.array([window.intersects_bbox(*self.bbox(level, t, o), emb)
+                              for t, o in nodes], dtype=bool)
+        inside = np.array([bool(m) and window.contains_points(
+            self.verts(level, t, o), emb) for (t, o), m in zip(nodes, meets)],
+            dtype=bool)
+        return meets, inside
+
+
+def _fractions(offs, scale):
+    """Fraction offset tuples of integer offsets on (1/scale)·ℤ^d, one
+    Fraction made per distinct coordinate value."""
+    cols = []
+    for col in offs.T:
+        values, index = np.unique(col, return_inverse=True)
+        table = np.array([Fraction(c, scale) for c in values.tolist()],
+                         dtype=object)
+        cols.append(table[index].tolist())
+    return list(zip(*cols))
 
 
 def _window_extremes(window: Region, embedding):
@@ -462,9 +645,7 @@ def generate_patch(family: RuleFamily, x, window: Region,
     """
     system, top = _anchored(family, x, window, system, anchor)
     tiles = []
-    for k, v, off, inside in system.cover(window, *top):
-        if inside:
-            system.expand(k, v, off, tiles, budget)
+    system.expand(*top, tiles, budget, window)
     return Patch(tiles, family=family)
 
 
@@ -483,15 +664,9 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     window = b_region.dilated(t_dilation)
     system, (level, vertex, offset) = _anchored(family, x, window, system,
                                                 anchor)
-    counts = {}
-    boundary = 0
-    covered = Fraction(0)
-    for k, v, off, inside in system.cover(window, level, vertex, offset):
-        if inside:
-            counts.setdefault(k, [0] * family.n_prototiles)[v] += 1
-            covered += system.volume(k, v)
-        else:
-            boundary += 1
+    counts, boundary = system.cover(window, level, vertex, offset)
+    covered = sum((c * system.volume(k, v) for k, row in counts.items()
+                   for v, c in enumerate(row) if c), Fraction(0))
     top = max(counts, default=-1)
     # fitted K2 for the boundary-count bound: Σ_j κ^(i)_j ≤ K2·|∂(T·B)|·θ_(i)^{d-1}
     k2 = None

@@ -89,6 +89,19 @@ def test_decompose_command(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_default_outputs_match_golden_digests(tmp_path):
+    """`decompose` and `patch --svg` at their defaults write the bytes whose
+    SHA-256 digests bench/expected.json records."""
+    golden = json.loads((Path(__file__).parents[1] / "bench" /
+                         "expected.json").read_text())["cli"]
+    assert main(["decompose", "--out", str(tmp_path / "decompose")]) == 0
+    assert main(["patch", "--svg", "--out", str(tmp_path / "patch")]) == 0
+    for path in ("decompose/decompose.csv", "patch/patch.csv",
+                 "patch/patch.svg"):
+        data = (tmp_path / path).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == golden[Path(path).name], path
+
+
 def test_patch_svg_determinism(tmp_path):
     args = ["patch", "--family", "half-hex-classical", "--svg",
             "--window", "box:-1,-1,2,2", "--dilation", "2"]

@@ -175,6 +175,14 @@ def test_special_averaging_sequence_one_d(odp):
     assert math.isfinite(deviation_along_sequence(f, seq, odp, x).slope)
 
 
+def test_special_averaging_sequence_one_d_disk(odp):
+    # a 1-D disk's boundary is its two endpoints c ± r
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 64, 0)
+    seq = special_averaging_sequence(odp, x, Region.disk((0,), 0.5), 0.05, 5)
+    assert seq.hausdorff is not None and seq.hausdorff <= 0.05
+    assert len(seq.entries) == 5
+
+
 def test_special_averaging_rejects_three_dimensional_windows(sol3):
     # boundary samples cover windows of dimension <= 2 only
     x = SymbolSequence.constant(1, 40)
