@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MinimalityError, StructuralError
-from .substitution import RuleFamily, substitution_matrix
+from .substitution import RuleFamily
 from .symbolic import SymbolSequence
 from .tiling import DEFAULT_TILE_BUDGET, Patch, SupertileSystem
 
@@ -51,16 +53,14 @@ class PathWord:
         return PathWord(self.edges[:k])
 
     def validate(self, family: RuleFamily, x: SymbolSequence):
-        for (level, parent, child, branch) in self.edges:
+        for level, parent, child, branch in self.edges:
             if level > len(x):
                 raise StructuralError("path longer than sequence")
-            rule = family.rule(x[level])
-            mult = sum(1 for b in rule.branches
-                       if b.parent == parent and b.child == child)
-            if branch >= mult:
+            if (parent, child, branch) not in (
+                    e[:3] for e in family.rule(x[level]).edges):
                 raise StructuralError(
-                    f"branch index {branch} out of range at level {level} "
-                    f"({parent}<-{child} has multiplicity {mult})")
+                    f"no edge {parent}<-{child} with branch index {branch} "
+                    f"at level {level}")
         return self
 
 
@@ -78,17 +78,15 @@ def connectivity_matrices(family: RuleFamily, x: SymbolSequence, n: int):
     """[A_1..A_n] with A_k = substitution matrix of rule x_k."""
     if n > len(x):
         raise StructuralError("n exceeds sequence length")
-    m = family.n_prototiles
-    return [substitution_matrix(family.rule(x[k]), m) for k in range(1, n + 1)]
+    return [family.matrix(x[k]) for k in range(1, n + 1)]
 
 
 def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
     """h^n = A_n ... A_1 · 𝟙, exact big integers."""
-    m = family.n_prototiles
-    h = [1] * m
+    h = np.ones(family.n_prototiles, dtype=object)
     for a in connectivity_matrices(family, x, n):
-        h = [sum(int(a[i, j]) * h[j] for j in range(m)) for i in range(m)]
-    return h
+        h = a.astype(object) @ h
+    return h.tolist()
 
 
 def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,
@@ -113,27 +111,16 @@ def spanning_system(family: RuleFamily, x: SymbolSequence, depth: int) -> Spanni
     if depth > len(x):
         raise StructuralError("depth exceeds sequence length")
     m = family.n_prototiles
-    best = {0: {v: PathWord(()) for v in range(m)}}
+    best = {0: {v: () for v in range(m)}}
     for level in range(1, depth + 1):
-        rule = family.rule(x[level])
         cur = {}
-        for parent in range(m):
-            cands = []
-            seen = {}
-            for b in rule.children_of(parent):
-                idx = seen.get(b.child, 0)
-                seen[b.child] = idx + 1
-                prev = best[level - 1].get(b.child)
-                if prev is None:
-                    continue
-                cands.append(PathWord(prev.edges + ((level, parent, b.child, idx),)))
-            if cands:
-                cur[parent] = min(cands, key=lambda p: p.edges)
-        if not cur:
-            raise MinimalityError(f"no vertex reachable at level {level}")
+        for parent, child, idx, _ in family.rule(x[level]).edges:
+            path = best[level - 1][child] + ((level, parent, child, idx),)
+            cur[parent] = min(cur.get(parent, path), path)
         missing = [v for v in range(m) if v not in cur]
         if missing:
             raise MinimalityError(
                 f"vertices {missing} unreachable at level {level}")
         best[level] = cur
-    return SpanningSystem(best)
+    return SpanningSystem({level: {v: PathWord(p) for v, p in cur.items()}
+                           for level, cur in best.items()})

@@ -28,8 +28,8 @@ from .cocycle import lyapunov_spectrum
 from .ergodic import (TLCObservable, deviation_along_sequence,
                       deviation_over_regions, make_zero_trace_observable,
                       special_averaging_sequence)
-from .schrodinger import (KernelSpec, PunctureSet, build_operator,
-                          ids_estimate, windowed_trace)
+from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
+                          windowed_trace)
 from .solenoid import SolenoidSpec, dk_check, random_observable
 from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
@@ -50,13 +50,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _code_version() -> str:
-    return __version__
-
-
 def _write_manifest(out: Path, written, **fields) -> dict:
     """Write manifest.json: code version, `fields`, and a sha256 per output."""
-    manifest = {"code_version": _code_version(), **fields,
+    manifest = {"code_version": __version__, **fields,
                 "outputs": {p.name: _sha256(p) for p in sorted(set(written))}}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
@@ -339,13 +335,10 @@ def cmd_schrod(args, out: Path):
     punctures = PunctureSet.from_patch(generate_patch(family, x, src),
                                        window=src)
     energies = np.linspace(args.e_min, args.e_max, args.e_count)
-    trace_rows = []
     windows = [base.dilated(t) for t in dilations]
     ids = ids_estimate(kernel, [punctures] * len(windows), windows, energies)
-    for t, window in zip(dilations, windows):
-        op = build_operator(kernel, punctures, window)
-        trace_rows.append((fmt(t), op.size,
-                           fmt(windowed_trace(op, window, mode="raw"))))
+    trace_rows = [(fmt(t), op.size, fmt(windowed_trace(op, window, mode="raw")))
+                  for t, window, op in zip(dilations, windows, ids.operators)]
     tpath = out / "schrod_trace.csv"
     _write_csv(tpath, ["T_tile_lengths", "points", "trace"], trace_rows)
     ids_rows = []

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
-from .substitution import RuleFamily, substitution_matrix
+from .substitution import RuleFamily
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
 NEG_INF = float("-inf")
@@ -26,8 +26,8 @@ _GAP_TOL = 1e-9          # relative top singular gap below this => no direction
 
 
 def _family_matrices(family: RuleFamily):
-    m = family.n_prototiles
-    return [substitution_matrix(rule, m).astype(float) for rule in family.rules]
+    return [family.matrix(s).astype(float)
+            for s in range(1, family.n_rules + 1)]
 
 
 class CocycleProduct:

@@ -23,7 +23,7 @@ from .errors import (DegenerateObservableError, InsufficientDataError,
                      StructuralError, UnsupportedOperationError)
 from .cocycle import top_left_direction
 from .geometry import frac
-from .substitution import RuleFamily, substitution_matrix
+from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (Region, SupertileSystem, decompose_region, generate_patch)
 
@@ -98,19 +98,11 @@ def _upward_continuation(family, x, k, vertex, m):
     edges = []
     v = vertex
     for level in range(k + 1, m + 1):
-        rule = family.rule(x[level])
-        best = None
-        for parent in range(family.n_prototiles):
-            for b in rule.children_of(parent):
-                if b.child == v:
-                    best = (level, parent, v, 0)
-                    break
-            if best is not None:
-                break
-        if best is None:
+        edge = next((e for e in family.rule(x[level]).edges if e[1] == v), None)
+        if edge is None:
             raise StructuralError(f"vertex {v} has no outgoing edge at {level}")
-        edges.append(best)
-        v = best[1]
+        edges.append((level, *edge[:3]))
+        v = edge[0]
     return tuple(edges)
 
 
@@ -118,15 +110,10 @@ def _paths_to(family, x, k):
     """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
     paths = {v: [()] for v in range(family.n_prototiles)}
     for level in range(1, k + 1):
-        rule = family.rule(x[level])
         nxt = {v: [] for v in range(family.n_prototiles)}
-        for parent in range(family.n_prototiles):
-            seen = {}
-            for b in rule.children_of(parent):
-                idx = seen.get(b.child, 0)
-                seen[b.child] = idx + 1
-                for p in paths[b.child]:
-                    nxt[parent].append(p + ((level, parent, b.child, idx),))
+        for parent, child, idx, _ in family.rule(x[level]).edges:
+            for p in paths[child]:
+                nxt[parent].append(p + ((level, parent, child, idx),))
         paths = nxt
     return paths
 
@@ -174,8 +161,7 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
 
     while len(out) <= depth:
         k = len(out)
-        a = substitution_matrix(family.rule(x[k]), n)
-        a = a.astype(object) if exact else a.astype(float)
+        a = family.matrix(x[k]).astype(object if exact else float)
         out.append(ErgodicVector(k, a @ out[-1].values))
     return out[:depth + 1]
 
@@ -405,7 +391,7 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     prod = np.eye(n, dtype=object)
     k_star = None
     for k in range(1, len(x) + 1):
-        prod = substitution_matrix(family.rule(x[k]), n).astype(object) @ prod
+        prod = family.matrix(x[k]).astype(object) @ prod
         if (prod > 0).all():
             k_star = k
             break
@@ -461,8 +447,7 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     entries = []
     dim = family.dim
     for k_i in recs[:count]:
-        t_i = system.theta_inv(k_i) * t_star if _levels_geometric(
-            family, x, k_i) else _theta_inv_product(family, x, k_i) * t_star
+        t_i = system.theta_inv(k_i) * t_star
         tau = (Fraction(0),) * dim
         if base_anchor is not None and _levels_geometric(
                 family, x, k_i + base_anchor[0]):
@@ -480,13 +465,6 @@ def _levels_geometric(family, x, k) -> bool:
     if k > len(x):
         return False
     return all(family.rule(x[level]).is_geometric for level in range(1, k + 1))
-
-
-def _theta_inv_product(family, x, k) -> Fraction:
-    out = Fraction(1)
-    for level in range(1, k + 1):
-        out /= family.rule(x[level]).theta
-    return out
 
 
 def _inradius(region: Region, embedding) -> float:

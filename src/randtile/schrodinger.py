@@ -10,6 +10,7 @@ ergodic module's supertile integrals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +30,11 @@ from .tiling import Patch, Region, _window_extremes
 _DENSE_LIMIT = 4000
 
 
+# Punctures within one radius: pair k joins i[k] < j[k], and disps[cls[k]]
+# is its exact displacement points[j] - points[i].
+PuncturePairs = namedtuple("PuncturePairs", "i j cls disps")
+
+
 @dataclass
 class PunctureSet:
     """One marked point per tile of a patch, with type labels."""
@@ -46,6 +52,7 @@ class PunctureSet:
             [geometry.embed_point(p, self.family.embedding)
              for p in self.points])
         self._tree = cKDTree(self._embedded) if len(self.points) else None
+        self._pairs = {}               # radius -> PuncturePairs
 
     def __len__(self):
         return len(self.points)
@@ -74,30 +81,46 @@ class PunctureSet:
         d, _ = self._tree.query(self._embedded, k=2)
         return float(d[:, 1].min())
 
-    def neighbors(self, radius: float):
-        """Index pairs (i, j), i < j, within embedded distance radius."""
-        if self._tree is None:
-            return np.zeros((0, 2), dtype=int)
-        return self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
+    def pairs(self, radius: float) -> PuncturePairs:
+        """Index pairs i < j within embedded distance `radius` (cached per
+        radius).  The points go on one integer lattice (1/scale)·ℤ^d, so the
+        exact distance test runs once per displacement class."""
+        if radius in self._pairs:
+            return self._pairs[radius]
+        ij = (self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
+              if len(self) else np.zeros((0, 2), dtype=np.intp))
+        scale = math.lcm(*{c.denominator for p in self.points for c in p})
+        grid = [[c.numerator * (scale // c.denominator) for c in p]
+                for p in self.points]
+        classes, cls = {}, []          # integer displacement -> class
+        for i, j in ij.tolist():
+            d = tuple(b - a for a, b in zip(grid[i], grid[j]))
+            cls.append(classes.setdefault(d, len(classes)))
+        cls = np.array(cls, dtype=np.intp)
+        disps = [tuple(Fraction(c, scale) for c in d) for d in classes]
+        emb = self.family.embedding
+        near = np.array([math.dist(geometry.embed_point(d, emb), (0.0,) * len(d))
+                         <= radius + 1e-9 for d in disps], dtype=bool)
+        keep = near[cls]
+        self._pairs[radius] = PuncturePairs(
+            ij[keep, 0], ij[keep, 1], (np.cumsum(near) - 1)[cls[keep]],
+            [d for d, ok in zip(disps, near) if ok])
+        return self._pairs[radius]
 
     def pattern_labels(self, radius: float):
         """Hashable local-pattern key per point: the exact constellation of
         (displacement, type) within the radius, plus the point's own type."""
+        pairs = self.pairs(radius)
+        flipped = [geometry.vscale(-1, d) for d in pairs.disps]
         nbrs = [[] for _ in range(len(self.points))]
-        for i, j in self.neighbors(radius):
-            disp = geometry.vsub(self.points[j], self.points[i])
-            if _embedded_norm(disp, self.family.embedding) <= radius + 1e-9:
-                nbrs[i].append((disp, self.types[j]))
-                nbrs[j].append((geometry.vscale(-1, disp), self.types[i]))
+        for i, j, c in zip(pairs.i.tolist(), pairs.j.tolist(),
+                           pairs.cls.tolist()):
+            nbrs[i].append((pairs.disps[c], self.types[j]))
+            nbrs[j].append((flipped[c], self.types[i]))
         return [
             (self.types[i], tuple(sorted(nbrs[i])))
             for i in range(len(self.points))
         ]
-
-
-def _embedded_norm(v, embedding) -> float:
-    return math.dist(geometry.embed_point(v, embedding),
-                     (0.0,) * len(v))
 
 
 @dataclass(frozen=True)
@@ -182,24 +205,26 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                 "patterns at the rim would be incomplete")
     sel = [i for i in range(len(punctures))
            if window.contains_points([punctures.points[i]], emb)]
-    pos = {i: k for k, i in enumerate(sel)}
     n = len(sel)
+    pos = np.full(len(punctures), -1)
+    pos[sel] = np.arange(n)
     rows, cols, vals = [], [], []
-    degrees = {i: 0 for i in sel}
+    degrees = [0] * len(punctures)
     if kernel.range > 0 and n:
-        for i, j in punctures.neighbors(kernel.range):
-            disp = geometry.vsub(punctures.points[j], punctures.points[i])
-            if _embedded_norm(disp, emb) > kernel.range + 1e-9:
-                continue
-            if i in pos and j in pos:
-                degrees[i] += 1
-                degrees[j] += 1
-                v = kernel.offdiagonal_value(disp)
-                if v:
-                    rows += [pos[i], pos[j]]
-                    cols += [pos[j], pos[i]]
-                    vals += ([v, np.conj(v)] if isinstance(v, complex)
-                             else [float(v)] * 2)
+        pairs = punctures.pairs(kernel.range)
+        both = (pos[pairs.i] >= 0) & (pos[pairs.j] >= 0)
+        i, j, cls = pairs.i[both], pairs.j[both], pairs.cls[both]
+        degrees = np.bincount(np.concatenate([i, j]),
+                              minlength=len(punctures)).tolist()
+        values = [kernel.offdiagonal_value(d) for d in pairs.disps]
+        keep = np.array([bool(v) for v in values], dtype=bool)[cls]
+        i, j, cls = pos[i[keep]], pos[j[keep]], cls[keep]
+        # pair (i, j) enters as the entries (i, j, v) and (j, i, conj v)
+        entries = np.array([[v, np.conj(v)] if isinstance(v, complex)
+                            else [float(v)] * 2 for v in values], dtype=object)
+        rows = np.stack([i, j], axis=1).ravel().tolist()
+        cols = np.stack([j, i], axis=1).ravel().tolist()
+        vals = entries.reshape(-1, 2)[cls].ravel().tolist()
     diag = kernel.diagonal_values(punctures, sel, degrees)
     for k, v in enumerate(diag):
         if v:
@@ -298,6 +323,7 @@ class IDSReport:
     curves: list                    # one IDS array per window, same grid
     labels: list                    # window descriptors
     sup_differences: list           # ||IDS_{i+1} - IDS_i||_inf
+    operators: list                 # the WindowedOperator of each window
 
 
 def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
@@ -329,16 +355,14 @@ def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,
                  energies) -> IDSReport:
     """IDS_T(E) = #(eigenvalues <= E) / #points over a sweep of windows."""
     energies = np.asarray(energies, dtype=float)
-    curves = []
-    labels = []
+    ops = []
     for punctures, window in zip(punctures_per_window, windows):
-        op = build_operator(kernel, punctures, window)
-        if op.size == 0:
+        ops.append(build_operator(kernel, punctures, window))
+        if ops[-1].size == 0:
             raise StructuralError(f"window {window} contains no punctures")
-        counts = eigenvalue_counts(op.matrix, energies)
-        curves.append(counts / op.size)
-        labels.append(window)
+    curves = [eigenvalue_counts(op.matrix, energies) / op.size for op in ops]
     sups = [float(np.abs(curves[i + 1] - curves[i]).max())
             for i in range(len(curves) - 1)]
-    return IDSReport(energies=energies, curves=curves, labels=labels,
-                     sup_differences=sups)
+    return IDSReport(energies=energies, curves=curves,
+                     labels=[op.window for op in ops],
+                     sup_differences=sups, operators=ops)

@@ -82,7 +82,7 @@ class CylinderObservable:
         q = spec.q_prod(self.depth)
         return np.array(self.values, dtype=object).reshape((q,) * spec.dim)
 
-    def mean(self, spec: SolenoidSpec) -> Fraction:
+    def mean(self) -> Fraction:
         """μ(f): cylinder-measure-weighted average (all cells weigh equally)."""
         return sum(self.values, Fraction(0)) / len(self.values)
 
@@ -180,7 +180,7 @@ def dk_check(spec: SolenoidSpec, f: CylinderObservable, y, path,
     qm = spec.q_prod(m)
     grid = f.grid(spec)
     c0 = base_cell(spec, path, m)
-    mu = f.mean(spec)
+    mu = f.mean()
     entries = []
     for n in sorted(set(int(n) for n in n_values)):
         if n < 0:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -105,6 +107,18 @@ class SubstitutionRule:
     def children_of(self, parent: int):
         return [b for b in self.branches if b.parent == parent]
 
+    @cached_property
+    def edges(self) -> tuple:
+        """The diagram edges of this rule in branch order: (parent, child,
+        index, branch), index counting the earlier branches with the same
+        parent and child."""
+        seen = Counter()
+        out = []
+        for b in self.branches:
+            out.append((b.parent, b.child, seen[b.parent, b.child], b))
+            seen[b.parent, b.child] += 1
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class RuleFamily:
@@ -147,6 +161,15 @@ class RuleFamily:
         if not 1 <= symbol <= len(self.rules):
             raise StructuralError(f"symbol {symbol} outside alphabet")
         return self.rules[symbol - 1]
+
+    def matrix(self, symbol: int) -> np.ndarray:
+        """Substitution matrix of the rule for `symbol` (cached, read-only)."""
+        rule = self.rule(symbol)
+        cache = self.__dict__.setdefault("_matrices", {})
+        if symbol not in cache:
+            cache[symbol] = substitution_matrix(rule, self.n_prototiles)
+            cache[symbol].flags.writeable = False
+        return cache[symbol]
 
     def volumes(self):
         return [p.volume for p in self.prototiles]
@@ -316,12 +339,11 @@ def one_d_pair() -> RuleFamily:
 
 
 def matrix_only_family(name: str, matrices: Sequence[np.ndarray],
-                       thetas: Sequence = None, dim: int = 2,
-                       volumes: Sequence = None) -> RuleFamily:
+                       thetas: Sequence = None, dim: int = 2) -> RuleFamily:
     """Family carrying only branch multiplicities (no geometry).
 
-    Prototiles are unit boxes (volumes optionally scaled is unsupported; the
-    cocycle and combinatorial machinery only consume the matrices and θ).
+    Prototiles are unit boxes; the cocycle and combinatorial machinery only
+    consume the matrices and θ.
     """
     m = len(matrices[0])
     cube = Box([-HALF] * dim, [HALF] * dim)

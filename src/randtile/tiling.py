@@ -33,7 +33,7 @@ from . import geometry
 from .errors import (InsufficientDataError, PartialCoverError, StructuralError,
                      UnsupportedOperationError)
 from .geometry import frac, fpoint
-from .substitution import RuleFamily, substitution_matrix
+from .substitution import RuleFamily
 
 DEFAULT_TILE_BUDGET = 10_000_000
 ANCHOR_MAX_LEVEL = 64            # anchor search: highest supertile level
@@ -191,7 +191,8 @@ class Region:
         """Are all points inside the dilated region?  Exact for box/polygon.
 
         For a convex region this decides containment of the convex hull of
-        `pts`, hence of any tile with those vertices.
+        `pts`, hence of any tile with those vertices; a non-convex region
+        decides fewer than three points one by one.
         """
         if self.kind == "disk":
             c, r = self.embedded_disk(embedding)
@@ -202,7 +203,7 @@ class Region:
             return all(
                 all(l <= c <= h for c, l, h in zip(p, shape.lo, shape.hi))
                 for p in pts)
-        if shape.convex:
+        if shape.convex or len(pts) < 3:
             return all(shape.contains_point(p) for p in pts)
         # non-convex region: exact volume-based containment
         poly = geometry.Polygon(pts)
@@ -258,12 +259,9 @@ def decomposition_tile_multiset(report: DecompositionReport,
     prod = np.eye(m, dtype=object)   # A_level ··· A_1: tiles per supertile
     for level in range(max(report.counts, default=-1) + 1):
         if level > 0:
-            a = substitution_matrix(family.rule(x[level]), m).astype(object)
-            prod = a @ prod
-        for j, kappa in enumerate(report.counts.get(level, ())):
-            for t in range(m):
-                if kappa and prod[j, t]:
-                    out[t] += kappa * int(prod[j, t])
+            prod = family.matrix(x[level]).astype(object) @ prod
+        kappa = np.array(report.counts.get(level, [0] * m), dtype=object)
+        out.update({t: int(c) for t, c in enumerate(kappa @ prod) if c})
     return out
 
 
@@ -298,7 +296,7 @@ class SupertileSystem:
     def __init__(self, family: RuleFamily, x):
         self.family = family
         self.x = x
-        self._theta_inv = []           # θ_(k)^{-1}
+        self._theta_inv = [Fraction(1)]  # θ_(k)^{-1}
         self._footprints = []          # level -> [(shape, bbox, corners)] per type
         self._levels = []              # level -> _Level
         self._faces = {}               # (k, v) -> embedded footprint faces
@@ -315,9 +313,10 @@ class SupertileSystem:
         return self.family.rule(self.x[level])
 
     def _ensure(self, k: int):
-        while len(self._theta_inv) <= k:
-            lvl = len(self._theta_inv)
-            ti = Fraction(1)
+        """Footprints up to level k; a matrix-only rule or a θ other than
+        1/q below it raises UnsupportedOperationError."""
+        while len(self._footprints) <= k:
+            lvl = len(self._footprints)
             if lvl:
                 rule = self.rule_at(lvl)
                 if not rule.is_geometric:
@@ -327,15 +326,17 @@ class SupertileSystem:
                     raise UnsupportedOperationError(
                         f"rule {rule.id} at level {lvl}: θ = {rule.theta} is "
                         f"not 1/q, so its supertiles leave the integer lattice")
-                ti = self._theta_inv[-1] / rule.theta
-            self._theta_inv.append(ti)
+            ti = self.theta_inv(lvl)
             foot = [p.shape.transform(ti, (0,) * self.family.dim)
                     for p in self.family.prototiles]
             self._footprints.append(
                 [(s, s.bbox(), s.vertices_list()) for s in foot])
 
     def theta_inv(self, k: int) -> Fraction:
-        self._ensure(k)
+        """θ_(k)^{-1} = θ_1^{-1}···θ_k^{-1}, exact, for any rules (cached)."""
+        while len(self._theta_inv) <= k:
+            self._theta_inv.append(
+                self._theta_inv[-1] / self.rule_at(len(self._theta_inv)).theta)
         return self._theta_inv[k]
 
     def footprint(self, k: int, v: int):
@@ -368,19 +369,16 @@ class SupertileSystem:
             corners = [lattice(f[2] + f[2][-1:] * (n_corners - len(f[2])))
                        for f in foot]
             lo, hi = lattice(f[1][0] for f in foot), lattice(f[1][1] for f in foot)
-            ti = self._theta_inv[lvl]
+            ti = self.theta_inv(lvl)
             if lvl == 0:
-                kids = [[] for _ in foot]
-                leaves = [1] * len(foot)
+                branches, leaves = (), [1] * len(foot)
             else:
-                rule = self.rule_at(lvl)
-                kids = [rule.children_of(w) for w in range(len(foot))]
-                below = self._levels[-1].leaves
-                leaves = [min(sum(below[b.child] for b in bs), _LEAF_CAP)
-                          for bs in kids]
-            branches = [b for bs in kids for b in bs]
+                branches = self.rule_at(lvl).branches    # grouped by parent
+                leaves = np.minimum(self.family.matrix(self.x[lvl])
+                                    @ self._levels[-1].leaves, _LEAF_CAP)
             delta = lattice(geometry.vscale(ti, b.tau) for b in branches)
-            count = np.array([len(bs) for bs in kids], dtype=np.int64)
+            count = np.bincount([b.parent for b in branches],
+                                minlength=len(foot)).astype(np.int64)
             self._levels.append(_Level(
                 lo=np.array(lo, dtype=object), hi=np.array(hi, dtype=object),
                 corners=np.array(corners, dtype=object),
@@ -407,17 +405,12 @@ class SupertileSystem:
 
     def _up_candidates(self, lvl: int, v: int, offset):
         """Branches placing the current type-v supertile inside a level-lvl one."""
+        self._ensure(lvl)
         ti = self.theta_inv(lvl)
-        out = []
-        for parent in range(self.family.n_prototiles):
-            seen = 0
-            for b in self.rule_at(lvl).children_of(parent):
-                if b.child != v:
-                    continue
-                o = geometry.vsub(offset, geometry.vscale(ti, b.tau))
-                out.append((parent, o, (lvl, parent, v, seen)))
-                seen += 1
-        return out
+        return [(parent, geometry.vsub(offset, geometry.vscale(ti, b.tau)),
+                 (lvl, parent, v, idx))
+                for parent, child, idx, b in self.rule_at(lvl).edges
+                if child == v]
 
     def anchor(self, window: Region):
         """Grow an anchored supertile until its footprint contains the window.
@@ -433,7 +426,7 @@ class SupertileSystem:
         offset0 = (Fraction(0),) * self.family.dim
         m0 = self.margin(0, 0, offset0, pts)
         heap = [(-m0, 0, 0, 0, offset0, ())]
-        seen = {(0, 0, offset0)}
+        visited = {(0, 0, offset0)}
         tick = 1
         deepest = 0
         while heap and tick <= ANCHOR_MAX_EXPANSIONS:
@@ -447,9 +440,9 @@ class SupertileSystem:
                 continue
             for parent, o, edge in self._up_candidates(lvl, v, offset):
                 key = (lvl, parent, o)
-                if key in seen:
+                if key in visited:
                     continue
-                seen.add(key)
+                visited.add(key)
                 m = self.margin(lvl, parent, o, pts)
                 heapq.heappush(heap, (-m, tick, lvl, parent, o,
                                       edges + (edge,)))
@@ -465,11 +458,12 @@ class SupertileSystem:
         """Offset of a path's level-0 tile inside the supertile the path
         reaches: o = -Σ θ_(level)^{-1}·τ_edge, every level raised by `shift`."""
         offset = (Fraction(0),) * self.family.dim
-        for level, parent, child, branch in edges:
-            ti = self.theta_inv(level + shift)
-            taus = [b.tau for b in self.rule_at(level + shift).children_of(parent)
-                    if b.child == child]
-            offset = geometry.vsub(offset, geometry.vscale(ti, taus[branch]))
+        for level, parent, child, index in edges:
+            self._ensure(level + shift)
+            tau = next(b.tau for p, c, i, b in self.rule_at(level + shift).edges
+                       if (p, c, i) == (parent, child, index))
+            offset = geometry.vsub(
+                offset, geometry.vscale(self.theta_inv(level + shift), tau))
         return offset
 
     def cover(self, window: Region, k: int, v: int, offset):

@@ -90,14 +90,19 @@ def test_decompose_command(tmp_path):
 
 
 def test_default_outputs_match_golden_digests(tmp_path):
-    """`decompose` and `patch --svg` at their defaults write the bytes whose
-    SHA-256 digests bench/expected.json records."""
+    """`decompose`, `patch --svg`, `dk` and `schrod --t-grid 4` at their
+    defaults write the bytes whose SHA-256 digests bench/expected.json
+    records."""
     golden = json.loads((Path(__file__).parents[1] / "bench" /
                          "expected.json").read_text())["cli"]
     assert main(["decompose", "--out", str(tmp_path / "decompose")]) == 0
     assert main(["patch", "--svg", "--out", str(tmp_path / "patch")]) == 0
+    assert main(["dk", "--out", str(tmp_path / "dk")]) == 0
+    assert main(["schrod", "--t-grid", "4",
+                 "--out", str(tmp_path / "schrod")]) == 0
     for path in ("decompose/decompose.csv", "patch/patch.csv",
-                 "patch/patch.svg"):
+                 "patch/patch.svg", "dk/dk.csv", "schrod/schrod_trace.csv",
+                 "schrod/schrod_ids.csv"):
         data = (tmp_path / path).read_bytes()
         assert hashlib.sha256(data).hexdigest() == golden[Path(path).name], path
 

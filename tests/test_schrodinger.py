@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 import randtile.schrodinger as schrod
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (IncompletePatternError, StructuralError,
                              UnsupportedOperationError)
 from randtile.ergodic import special_averaging_sequence
+from randtile.geometry import embed_point, vsub
 from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   eigenvalue_counts, ids_estimate,
                                   trace_deviation, windowed_trace)
@@ -173,3 +176,100 @@ def test_trace_deviation_requires_typewise(hh):
                                      count=10)
     with pytest.raises(UnsupportedOperationError):
         trace_deviation(KernelSpec.laplacian(1.5), hh, x, seq)
+
+
+@pytest.fixture(scope="module")
+def half_hex_punctures():
+    from randtile.substitution import half_hex_classical
+    src = Region.box((-6, -6), (12, 12))
+    patch = generate_patch(half_hex_classical(), SymbolSequence.constant(1, 24),
+                           src)
+    return PunctureSet.from_patch(patch, window=src)
+
+
+def _norm(disp, embedding):
+    return math.dist(embed_point(disp, embedding), (0.0,) * len(disp))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.8])
+def test_pairs_match_exact_enumeration(half_hex_punctures, radius):
+    punctures = half_hex_punctures
+    pts, emb = punctures.points, punctures.family.embedding
+    want = {}
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            disp = vsub(pts[j], pts[i])
+            if _norm(disp, emb) <= radius + 1e-9:
+                want[(i, j)] = disp
+    pairs = punctures.pairs(radius)
+    got = {(i, j): pairs.disps[c] for i, j, c in
+           zip(pairs.i.tolist(), pairs.j.tolist(), pairs.cls.tolist())}
+    assert len(got) == len(pairs.i) and got == want
+    assert len(set(pairs.disps)) == len(pairs.disps) == len(set(want.values()))
+    assert punctures.pairs(radius) is pairs
+
+
+def _ref_operator(kernel, punctures, window):
+    """The per-pair assembly with exact Fraction displacements."""
+    emb = punctures.family.embedding
+    pts = punctures.points
+    sel = [i for i in range(len(punctures))
+           if window.contains_points([pts[i]], emb)]
+    pos = {i: k for k, i in enumerate(sel)}
+    rows, cols, vals = [], [], []
+    degrees = {i: 0 for i in sel}
+    if kernel.range > 0 and sel:
+        tree = cKDTree(punctures.embedded)
+        for i, j in tree.query_pairs(kernel.range + 1e-9, output_type="ndarray"):
+            disp = vsub(pts[j], pts[i])
+            if _norm(disp, emb) > kernel.range + 1e-9:
+                continue
+            if i in pos and j in pos:
+                degrees[i] += 1
+                degrees[j] += 1
+                v = kernel.offdiagonal_value(disp)
+                if v:
+                    rows += [pos[i], pos[j]]
+                    cols += [pos[j], pos[i]]
+                    vals += ([v, np.conj(v)] if isinstance(v, complex)
+                             else [float(v)] * 2)
+    for k, v in enumerate(kernel.diagonal_values(punctures, sel, degrees)):
+        if v:
+            rows.append(k)
+            cols.append(k)
+            vals.append(float(v) if isinstance(v, Fraction) else v)
+    return sel, sp.csr_matrix((vals, (rows, cols)), shape=(len(sel),) * 2)
+
+
+def test_build_operator_matches_per_pair_assembly(half_hex_punctures):
+    punctures = half_hex_punctures
+    disps = sorted(set(punctures.pairs(1.8).disps))
+    kernels = [
+        KernelSpec.identity(),
+        KernelSpec.typewise([Fraction(t + 1, 3) for t in range(6)], 1.8),
+        KernelSpec.laplacian(1.8),
+        KernelSpec(range=1.8, diagonal_by_type=(0, 1, 2.5, 0, 1, 2),
+                   offdiagonal=((disps[0], 1 + 2j), (disps[1], -0.5),
+                                (disps[2], 3))),
+        # a complex value only on a displacement that never occurs
+        KernelSpec(range=1.8, offdiagonal=((disps[0], 2),
+                                           ((Fraction(99), Fraction(0)), 1j))),
+    ]
+    window = Region.box((-4, -4), (8, 8))
+    for kernel in kernels:
+        op = build_operator(kernel, punctures, window)
+        sel, want = _ref_operator(kernel, punctures, window)
+        assert op.indices == sel
+        assert op.matrix.dtype == want.dtype
+        assert (op.matrix.toarray() == want.toarray()).all()
+        assert (op.matrix.toarray() == op.matrix.toarray().conj().T).all()
+
+
+def test_nonconvex_window_selects_contained_punctures(lattice):
+    window = Region.polygon([(-2, -2), (2, -2), (2, 0), (0, 0), (0, 2),
+                             (-2, 2)])
+    op = build_operator(KernelSpec.identity(), lattice, window)
+    want = [i for i, p in enumerate(lattice.points)
+            if window.shape().contains_point(p)]
+    assert op.indices == want
+    assert windowed_trace(op, window, mode="raw") == len(want) == 21

@@ -80,7 +80,7 @@ def test_cylinder_measure():
 def test_observable_shape_and_mean():
     spec = SolenoidSpec.periodic([2], dim=1)
     f = CylinderObservable.from_array(spec, 2, [1, 2, 3, 4])
-    assert f.mean(spec) == Fraction(5, 2)
+    assert f.mean() == Fraction(5, 2)
     with pytest.raises(StructuralError):
         CylinderObservable.from_array(spec, 2, [1, 2, 3])
 
@@ -125,7 +125,7 @@ def test_dk_integral_matches_brute_force_1d():
     rep = dk_check(spec, f, y, path, range(0, 4))
     for entry in rep.entries:
         assert entry.integral == _brute_integral(spec, f, y, path, entry.n)
-        assert entry.target == f.mean(spec) * spec.q_prod(entry.n)
+        assert entry.target == f.mean() * spec.q_prod(entry.n)
 
 
 def test_dk_integral_matches_brute_force_2d():

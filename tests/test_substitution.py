@@ -152,3 +152,39 @@ def test_json_is_plain_data(tmp_path, hh):
     assert len(data["prototiles"]) == 6
     assert all("theta" in r for r in data["rules"])
     assert family_from_json(data).n_prototiles == 6
+
+
+def _recount_edges(rule):
+    """Brute force: each branch's index among the earlier branches with the
+    same parent and child."""
+    return tuple(
+        (b.parent, b.child,
+         sum((c.parent, c.child) == (b.parent, b.child)
+             for c in rule.branches[:k]), b)
+        for k, b in enumerate(rule.branches))
+
+
+def test_edges_match_brute_force_recount():
+    repeated = SubstitutionRule(7, Fraction(1, 3), (
+        Branch(0, 1), Branch(1, 0), Branch(0, 1), Branch(0, 0),
+        Branch(1, 0), Branch(0, 1)))
+    rules = [r for fam in builtin_families() for r in fam.rules] + [repeated]
+    for rule in rules:
+        assert rule.edges == _recount_edges(rule)
+        assert rule.edges is rule.edges
+    assert [e[:3] for e in repeated.edges] == [
+        (0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 0, 1)]
+
+
+def test_family_matrix_is_cached_and_read_only():
+    for fam in builtin_families():
+        for symbol in range(1, fam.n_rules + 1):
+            a = fam.matrix(symbol)
+            want = substitution_matrix(fam.rule(symbol), fam.n_prototiles)
+            assert a.dtype == want.dtype and (a == want).all()
+            assert fam.matrix(symbol) is a
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] += 1
+        with pytest.raises(StructuralError):
+            fam.matrix(fam.n_rules + 1)

@@ -176,6 +176,14 @@ def test_matrix_only_levels_rejected(hhp):
         generate_patch(hhp, x, Region.unit_square(dilation=4))
 
 
+def test_theta_products_of_matrix_only_levels(hhp):
+    x = SymbolSequence((2, 1, 2, 2))       # rule 2 (θ = 1/4) is matrix-only
+    system = SupertileSystem(hhp, x)
+    assert [system.theta_inv(k) for k in range(5)] == [1, 4, 8, 32, 128]
+    with pytest.raises(UnsupportedOperationError, match="matrix-only"):
+        system.footprint(1, 0)
+
+
 def test_mixed_sequence_geometric_prefix(hhp):
     """Geometry is only needed up to the anchor level."""
     x = SymbolSequence((1,) * 8 + (2,) * 4)
