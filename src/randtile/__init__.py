@@ -29,9 +29,9 @@ from .cocycle import (CocycleProduct, LyapunovReport, apply_cocycle,
                       lyapunov_spectrum, top_left_direction)
 from .ergodic import (CotraceEstimate, DeviationFit, ErgodicVector,
                       SpecialAveragingSequence, TLCObservable, cotrace_shadow,
-                      deviation_along_sequence, deviation_over_regions,
-                      ergodic_vectors, make_zero_trace_observable,
-                      special_averaging_sequence)
+                      deviation_along_sequence, deviation_cap,
+                      deviation_over_regions, ergodic_vectors,
+                      make_zero_trace_observable, special_averaging_sequence)
 from .solenoid import (CylinderObservable, SolenoidSpec, cylinder_measure,
                        dk_check, random_observable, variation)
 from .schrodinger import (KernelSpec, PunctureSet, WindowedOperator,

@@ -25,7 +25,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateObservableError,
                      MinimalityError, PartialCoverError, StructuralError,
                      UnsupportedOperationError)
 from .cocycle import lyapunov_spectrum
-from .ergodic import (TLCObservable, deviation_along_sequence,
+from .ergodic import (TLCObservable, deviation_along_sequence, deviation_cap,
                       deviation_over_regions, make_zero_trace_observable,
                       special_averaging_sequence)
 from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
@@ -35,6 +35,7 @@ from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from .tiling import Region, decompose_region, generate_patch
 
+_CAP_STEPS = 20000        # least cocycle steps behind `deviate`'s cap
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
             "#937860", "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd")
 
@@ -260,13 +261,19 @@ def cmd_deviate(args, out: Path):
                        if row and not row[0].startswith("#")]
         f = TLCObservable(0, tuple(weights))
     region = parse_region(args.window)
+    # the paper's cap from the spectrum along x: the Bernoulli draw is
+    # prefix-stable, so x is the first --length symbols of this sequence
+    rep = lyapunov_spectrum(family, MeasureSpec.bernoulli_p(
+        1.0 if args.p is None else args.p), max(_CAP_STEPS, args.length),
+        args.seed)
     if args.mode == "regions":
         grid = [Fraction(t) for t in args.t_grid.split(",")]
-        fit = deviation_over_regions(f, family, x, region, grid)
+        fit = deviation_over_regions(f, family, x, region, grid,
+                                     lyapunov=rep)
     else:
         seq = special_averaging_sequence(family, x, region, args.eps,
                                          args.entries, seed=args.seed)
-        fit = deviation_along_sequence(f, seq, family, x)
+        fit = deviation_along_sequence(f, seq, family, x, lyapunov=rep)
     rows = []
     run_best = -math.inf
     for t, li in fit.entries:
@@ -279,10 +286,15 @@ def cmd_deviate(args, out: Path):
     path = out / "deviate.csv"
     _write_csv(path, ["T_tile_lengths", "log_abs_integral_nats",
                       "running_slope"], rows)
+    cap_se = deviation_cap(rep, family.dim)[1]
     summary = out / "deviate_summary.json"
     summary.write_text(json.dumps(
         {"slope": fmt(fit.slope), "running_max_slope":
-         fmt(fit.running_max_slope)}, indent=2, sort_keys=True))
+         fmt(fit.running_max_slope), "cap": fmt(fit.cap),
+         "cap_stderr": None if cap_se is None else fmt(cap_se),
+         "slope_minus_cap": fmt(fit.slope - fit.cap),
+         "lambda": [fmt(v) for v in rep.raw_exponents]},
+        indent=2, sort_keys=True))
     return [path, summary]
 
 

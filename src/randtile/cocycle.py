@@ -2,8 +2,13 @@
 
 The cocycle acts on cotrace vectors by plain left multiplication: after k
 steps the accumulated map is A_{x_k}···A_{x_1}.  Exponents are estimated by
-the discrete-QR method with periodic re-orthonormalization; standard errors
-come from batch means.
+the discrete-QR method (Benettin et al. 1980; Dieci & Van Vleck 1995):
+`CocycleProduct` multiplies factors onto an orthonormal frame and every
+`reorth_every` factors QR-factors it with LAPACK `dgeqrf`/`dorgqr`, keeping
+|diag R|.  The column log-norms and dead (kernel) directions are folded from
+those diagonals once per `extend` call, by one running sum that adds the same
+floats in the same order as a per-QR update would.  Standard errors come from
+batch means.
 """
 
 from __future__ import annotations
@@ -30,12 +35,22 @@ def _family_matrices(family: RuleFamily):
             for s in range(1, family.n_rules + 1)]
 
 
+def _qr(frame):
+    """Q and |diag R| of the QR factorization of a square frame."""
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+    r, tau, _, _ = dgeqrf(frame)
+    diag = np.abs(r.diagonal())
+    q, _, _ = dorgqr(r, tau, overwrite_a=1)
+    return q, diag
+
+
 class CocycleProduct:
     """QR-factored running product A_{i_k}···A_{i_1}.
 
     Maintains an orthonormal frame Q and accumulated log-norms per column, so
-    arbitrarily long products never overflow.  Factors are pushed one at a
-    time; re-orthonormalization happens every `reorth_every` pushes.
+    arbitrarily long products never overflow.  `extend` multiplies factors
+    onto the frame in order and QR-factors it after every `reorth_every`
+    factors; `push(a)` is `extend((a,))` for one checked factor.
     """
 
     def __init__(self, dim: int, reorth_every: int = 5):
@@ -52,25 +67,47 @@ class CocycleProduct:
         a = np.asarray(a, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise StructuralError("factor dimension mismatch")
-        self.frame = a @ self.frame
-        self._pending += 1
-        if self._pending >= self.reorth_every:
-            self.reorthonormalize()
+        return self.extend((a,))
+
+    def extend(self, factors):
+        """Multiply float (dim, dim) factors onto the frame, first factor
+        first; the caller checks their shape once."""
+        frame, pending = self.frame, self._pending
+        diags = []
+        for a in factors:
+            frame = a.dot(frame)
+            pending += 1
+            if pending == self.reorth_every:
+                frame, diag = _qr(frame)
+                diags.append(diag)
+                pending = 0
+        self.frame, self._pending = frame, pending
+        self._fold(diags)
         return self
 
     def reorthonormalize(self):
         """QR-factor the frame, rolling column norms into the log accumulator."""
         if self._pending == 0:
             return
-        q, r = np.linalg.qr(self.frame)
-        diag = np.abs(np.diag(r))
-        with np.errstate(divide="ignore"):
-            logs = np.log(diag)
-        self.dead |= np.logical_or(diag == 0.0,
-                                   self.lognorms + logs < _UNDERFLOW_LOG)
-        self.lognorms = np.where(self.dead, NEG_INF, self.lognorms + logs)
-        self.frame = q
+        self.frame, diag = _qr(self.frame)
         self._pending = 0
+        self._fold([diag])
+
+    def _fold(self, diags):
+        """Add log|diag R| of each QR in turn to the column log-norms.
+
+        A column is dead once a diagonal entry is 0 or a running sum falls
+        below _UNDERFLOW_LOG; dead columns stay at -inf.
+        """
+        if not diags:
+            return
+        diags = np.array(diags)
+        with np.errstate(divide="ignore"):
+            logs = np.log(diags)
+        sums = np.cumsum(np.vstack((self.lognorms, logs)), axis=0)[1:]
+        self.dead |= (diags == 0.0).any(axis=0)
+        self.dead |= (sums < _UNDERFLOW_LOG).any(axis=0)
+        self.lognorms = np.where(self.dead, NEG_INF, sums[-1])
 
     def check_frame(self):
         self.reorthonormalize()
@@ -137,6 +174,8 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
         raise StructuralError("steps must be >= 1000")
     mats = _family_matrices(family)
     dim = family.n_prototiles
+    if any(m.shape != (dim, dim) for m in mats):
+        raise StructuralError("factor dimension mismatch")
     if x is None:
         x = sample_sequence(measure, steps, seed)
     elif len(x) < steps:
@@ -147,17 +186,14 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
     prod = CocycleProduct(dim, reorth_every=reorth_every)
     batch_sums = np.zeros((n_batches, dim))
     prev = prod.lognorms.copy()
-    b = 0
-    for k in range(1, steps + 1):
-        prod.push(mats[x[k] - 1])
-        if k == edges[b + 1]:
-            prod.reorthonormalize()
-            cur = prod.lognorms
-            delta = np.where(np.isinf(cur), 0.0, cur - np.where(
-                np.isinf(prev), 0.0, prev))
-            batch_sums[b] = delta
-            prev = cur.copy()
-            b += 1
+    for b in range(n_batches):
+        prod.extend([mats[s - 1] for s in x.positive[edges[b]:edges[b + 1]]])
+        prod.reorthonormalize()
+        cur = prod.lognorms
+        delta = np.where(np.isinf(cur), 0.0, cur - np.where(
+            np.isinf(prev), 0.0, prev))
+        batch_sums[b] = delta
+        prev = cur.copy()
     prod.check_frame()
 
     lens = np.diff(edges)

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import geometry
 from .bratteli import connectivity_matrices
-from .errors import (DegenerateObservableError, InsufficientDataError,
-                     StructuralError, UnsupportedOperationError)
+from .errors import (ConvergenceError, DegenerateObservableError,
+                     InsufficientDataError, StructuralError,
+                     UnsupportedOperationError)
 from .cocycle import top_left_direction
 from .geometry import frac
 from .substitution import RuleFamily
@@ -250,7 +251,29 @@ class DeviationFit:
     entries: list                   # (T float, log|I| or None)
     slope: float                    # least-squares over the top half of scales
     running_max_slope: float
-    cap: Optional[float]            # max(d·lambda_j/lambda_1, d-1), if known
+    cap: Optional[float]            # max(d·lambda_2/lambda_1, d-1), if known
+
+
+def deviation_cap(lyapunov, d: int):
+    """The paper's bound max(d·λ₂/λ₁, d−1) on deviation slopes, and its
+    standard error.
+
+    λ₁ ≥ λ₂ are the two largest raw exponents of the report.  With no second
+    exponent, or λ₂ = −inf, the cap is d − 1.  The standard error propagates
+    the standard errors of λ₁ and λ₂ to first order, ignoring their
+    covariance: (d/λ₁)·sqrt(se₂² + (λ₂/λ₁)²·se₁²).  It is None when the d − 1
+    term is the cap.
+    """
+    lam, se = lyapunov.raw_exponents, lyapunov.raw_stderrs
+    if not lam[0] > 0:
+        raise ConvergenceError(f"top exponent {lam[0]!r} is not positive")
+    if len(lam) < 2 or not math.isfinite(lam[1]):
+        return d - 1, None
+    cap = d * lam[1] / lam[0]
+    if cap <= d - 1:
+        return d - 1, None
+    ratio = lam[1] / lam[0]
+    return cap, d / lam[0] * math.hypot(se[1], ratio * se[0])
 
 
 def deviation_over_regions(f: TLCObservable, family: RuleFamily,
@@ -286,11 +309,7 @@ def deviation_over_regions(f: TLCObservable, family: RuleFamily,
     top = usable[len(usable) // 2:]
     slope = _lsq_slope([u[0] for u in top], [u[1] for u in top])
     run = _running_max_slope(usable)
-    cap = None
-    if lyapunov is not None:
-        lam = lyapunov.raw_exponents
-        d = family.dim
-        cap = max(d * lam[1] / lam[0], d - 1)
+    cap = None if lyapunov is None else deviation_cap(lyapunov, family.dim)[0]
     return DeviationFit(entries=entries, slope=slope, running_max_slope=run,
                         cap=cap)
 
@@ -482,7 +501,7 @@ def _shape_diameter(shape, embedding) -> float:
 
 def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
                              family: RuleFamily, x: SymbolSequence,
-                             vectors=None) -> DeviationFit:
+                             vectors=None, lyapunov=None) -> DeviationFit:
     """limsup-style slope of log|∫ over the averaging sets| vs log T_i.
 
     The integral over the i-th set is Σ_type multiplicity · V^{k_i}_type.
@@ -512,5 +531,6 @@ def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
     # limsup estimate: least squares through the record points (new maxima of
     # log|I|), which rides the peaks of any oscillating subdominant component
     run = _running_max_slope(usable)
+    cap = None if lyapunov is None else deviation_cap(lyapunov, family.dim)[0]
     return DeviationFit(entries=entries, slope=run, running_max_slope=run,
-                        cap=None)
+                        cap=cap)

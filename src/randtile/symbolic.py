@@ -111,12 +111,24 @@ def _draw(measure: MeasureSpec, length: int, gen: np.random.Generator):
     if measure.kind == "bernoulli":
         p = np.asarray(measure.probs)
         return (gen.choice(len(p), size=length, p=p) + 1).tolist()
-    # markov
-    t = np.asarray(measure.transition)
-    out = [int(gen.choice(len(measure.initial), p=np.asarray(measure.initial))) + 1]
-    for _ in range(length - 1):
-        out.append(int(gen.choice(t.shape[1], p=t[out[-1] - 1])) + 1)
+    # markov: invert each row's CDF on pre-drawn uniforms, built as
+    # Generator.choice builds it, so the stream matches one choice per step
+    u = gen.random(length)
+    nxt = [None]                    # nxt[s][j]: symbol after s given u[j + 1]
+    for row in measure.transition:
+        nxt.append((_cdf(row).searchsorted(u[1:], side="right") + 1).tolist())
+    sym = int(_cdf(measure.initial).searchsorted(u[0], side="right")) + 1
+    out = [sym]
+    for step in range(length - 1):
+        sym = nxt[sym][step]
+        out.append(sym)
     return out
+
+
+def _cdf(probs) -> np.ndarray:
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def sample_sequence(measure: MeasureSpec, length: int, seed: int,

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from randtile.bratteli import approximant, spanning_system
+from randtile import cli
+from randtile.cocycle import lyapunov_spectrum
 from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
 from randtile.errors import ConfigError
@@ -153,6 +155,35 @@ def test_deviate_one_d_command(tmp_path):
     assert len(_read_csv(tmp_path / "deviate.csv")) == 1 + 5
 
 
+def test_deviate_summary_reports_cap(tmp_path):
+    """The summary adds the paper's cap from the spectrum along the run's
+    own sequence; one-d-pair has a kernel direction, so the cap is d - 1."""
+    rc = main(["deviate", "--family", "one-d-pair", "--p", "0.5",
+               "--window", "box:0,1", "--entries", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "deviate_summary.json").read_text())
+    assert summary["cap"] == "0" and summary["cap_stderr"] is None
+    assert summary["lambda"][1] == "-inf"
+    assert float(summary["lambda"][0]) > 0
+    assert summary["slope_minus_cap"] == summary["slope"]
+
+
+def test_deviate_cap_spectrum_covers_long_sequences(tmp_path, monkeypatch):
+    """With --length beyond 20,000 the spectrum behind the cap still runs
+    along all of x, not a prefix of it."""
+    steps = []
+
+    def spy(family, measure, n, seed, **kw):
+        steps.append(n)
+        return lyapunov_spectrum(family, measure, n, seed, **kw)
+
+    monkeypatch.setattr(cli, "lyapunov_spectrum", spy)
+    rc = main(["deviate", "--family", "one-d-pair", "--p", "0.5",
+               "--window", "box:0,1", "--entries", "5", "--length", "20500",
+               "--out", str(tmp_path)])
+    assert rc == 0 and steps == [20500]
+
+
 def test_matrix_only_geometry_is_unsupported(tmp_path, capsys):
     # p=0 drives the matrix-only rule, which has no geometry to render
     rc = main(["patch", "--family", "half-hex-pair", "--p", "0",
@@ -167,6 +198,11 @@ def test_deviate_regions_command(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "deviate_summary.json").read_text())
     assert float(summary["slope"]) == pytest.approx(2.0, abs=0.1)
+    # one rule: lambda = (log 4, log 2, 0, ...), cap 2·log 2/log 4 = d - 1
+    assert float(summary["cap"]) == pytest.approx(1.0, abs=1e-3)
+    assert float(summary["slope_minus_cap"]) == pytest.approx(
+        float(summary["slope"]) - float(summary["cap"]), abs=1e-15)
+    assert len(summary["lambda"]) == 6
     rows = _read_csv(tmp_path / "deviate.csv")
     assert rows[0] == ["T_tile_lengths", "log_abs_integral_nats",
                        "running_slope"]

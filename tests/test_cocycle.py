@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randtile.cocycle import (CocycleProduct, apply_cocycle, lyapunov_spectrum,
-                              top_left_direction)
+from randtile.cocycle import (CocycleProduct, _group_exponents, apply_cocycle,
+                              lyapunov_spectrum, top_left_direction)
 from randtile.errors import ConvergenceError, StructuralError
 from randtile.substitution import (matrix_only_family, substitution_matrix)
-from randtile.symbolic import MeasureSpec, SymbolSequence
+from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
 LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
@@ -46,6 +46,103 @@ def test_cocycle_dimension_check():
         CocycleProduct(3).push(np.eye(2))
     with pytest.raises(StructuralError):
         CocycleProduct(3, reorth_every=0)
+
+
+def test_push_matches_extend(hhp, odp):
+    """One factor at a time through `push` leaves the same log-norms and dead
+    directions, bit for bit, as one `extend` over the same factors."""
+    for fam, every in ((hhp, 3), (odp, 1), (odp, 4)):
+        mats = [fam.matrix(s).astype(float) for s in (1, 2)]
+        x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 103, seed=2)
+        one = CocycleProduct(fam.n_prototiles, every)
+        many = CocycleProduct(fam.n_prototiles, every)
+        for s in x.positive:
+            one.push(mats[s - 1])
+        many.extend([mats[s - 1] for s in x.positive])
+        for prod in (one, many):
+            prod.reorthonormalize()
+        assert np.array_equal(one.lognorms, many.lognorms)
+        assert np.array_equal(one.dead, many.dead)
+        assert np.array_equal(one.frame, many.frame)
+    assert many.dead.any()                      # one-d-pair has a kernel
+
+
+def _reference_spectrum(family, x, steps, every):
+    """The per-step loop `CocycleProduct.extend` replaced, kept as its
+    oracle: push one factor, `np.linalg.qr` every `every` pushes and at each
+    batch edge, and update log-norms and dead columns after every QR.
+    Returns the sorted raw exponents and standard errors."""
+    mats = [family.matrix(s).astype(float)
+            for s in range(1, family.n_rules + 1)]
+    dim = family.n_prototiles
+    frame, lognorms = np.eye(dim), np.zeros(dim)
+    dead = np.zeros(dim, dtype=bool)
+    pending = 0
+
+    def reorthonormalize():
+        nonlocal frame, lognorms, dead, pending
+        if pending == 0:
+            return
+        q, r = np.linalg.qr(frame)
+        diag = np.abs(np.diag(r))
+        with np.errstate(divide="ignore"):
+            logs = np.log(diag)
+        dead = dead | (diag == 0.0) | (lognorms + logs < -600.0)
+        lognorms = np.where(dead, -np.inf, lognorms + logs)
+        frame, pending = q, 0
+
+    n_batches = max(20, min(50, steps // 200))
+    edges = np.linspace(0, steps, n_batches + 1).astype(int)
+    batch_sums = np.zeros((n_batches, dim))
+    prev = lognorms.copy()
+    b = 0
+    for k in range(1, steps + 1):
+        frame = mats[x[k] - 1] @ frame
+        pending += 1
+        if pending >= every:
+            reorthonormalize()
+        if k == edges[b + 1]:
+            reorthonormalize()
+            batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms -
+                                     np.where(np.isinf(prev), 0.0, prev))
+            prev = lognorms.copy()
+            b += 1
+    raw = [-math.inf if dead[i] else float(lognorms[i]) / steps
+           for i in range(dim)]
+    se = np.std(batch_sums / np.diff(edges)[:, None], axis=0,
+                ddof=1) / math.sqrt(n_batches)
+    raw_se = [max(float(s), 20.0 / steps) for s in se]
+    order = sorted(range(dim), key=lambda i: (not math.isfinite(raw[i]),
+                                              -raw[i] if math.isfinite(raw[i])
+                                              else 0.0))
+    return [raw[i] for i in order], [raw_se[i] for i in order]
+
+
+_MARKOV = MeasureSpec.markov([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("every", [1, 2, 5, 7])
+@pytest.mark.parametrize("case", ["hhp-bernoulli", "hhp-markov", "odp",
+                                  "sol2"])
+def test_lyapunov_spectrum_matches_per_step_reference(case, every, hhp, odp,
+                                                      sol2):
+    """5,003 steps divide evenly neither into batches nor by `every`."""
+    fam, measure = {"hhp-bernoulli": (hhp, MeasureSpec.bernoulli_p(0.5)),
+                    "hhp-markov": (hhp, _MARKOV),
+                    "odp": (odp, MeasureSpec.bernoulli_p(0.5)),
+                    "sol2": (sol2, MeasureSpec.bernoulli_p(0.5))}[case]
+    steps = 5003
+    x = sample_sequence(measure, steps, seed=4)
+    rep = lyapunov_spectrum(fam, measure, steps, seed=4, reorth_every=every,
+                            x=x)
+    raw, se = _reference_spectrum(fam, x, steps, every)
+    assert [math.isinf(v) for v in rep.raw_exponents] == \
+        [math.isinf(v) for v in raw]
+    for got, want in zip(rep.raw_exponents + rep.raw_stderrs, raw + se):
+        assert got == want or abs(got - want) <= 1e-12
+    assert rep.multiplicities == _group_exponents(raw, se)[1]
+    if case == "odp":
+        assert rep.raw_exponents[-1] == -math.inf
 
 
 def test_lyapunov_p1_endpoint(hhp):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from randtile.bratteli import spanning_system
 from randtile.cocycle import lyapunov_spectrum
-from randtile.errors import (DegenerateObservableError, InsufficientDataError,
-                             StructuralError, UnsupportedOperationError)
+from randtile.errors import (ConvergenceError, DegenerateObservableError,
+                             InsufficientDataError, StructuralError,
+                             UnsupportedOperationError)
 from randtile.ergodic import (TLCObservable, cotrace_shadow,
-                              deviation_along_sequence,
+                              deviation_along_sequence, deviation_cap,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
                               special_averaging_sequence)
@@ -139,6 +141,50 @@ def test_deviation_cap_from_lyapunov(hh, hhp):
                                  lyapunov=lyap)
     # cap = max(d*lambda2/lambda1, d-1) = 2*log2/log4 = 1 for half-hex p=1
     assert fit.cap == pytest.approx(1.0, abs=0.05)
+
+
+def test_deviation_cap_single_prototile(sol2):
+    """One exponent only: the cap is d - 1 (was an IndexError)."""
+    x = SymbolSequence.constant(1, 40)
+    lyap = lyapunov_spectrum(sol2, MeasureSpec.bernoulli_p(0.5), 1000, seed=0)
+    assert len(lyap.raw_exponents) == 1
+    fit = deviation_over_regions(TLCObservable.constant(1, 1), sol2, x,
+                                 Region.unit_square(), [2, 4, 8, 16, 32],
+                                 lyapunov=lyap)
+    assert fit.cap == 1
+    assert deviation_cap(lyap, 2) == (1, None)
+
+
+def test_deviation_cap_formula(hhp, odp):
+    # lambda_2 = -inf (one-d-pair has a kernel direction): cap d - 1
+    lyap = lyapunov_spectrum(odp, MeasureSpec.bernoulli_p(0.5), 1000, seed=0)
+    assert lyap.raw_exponents[1] == -math.inf
+    assert deviation_cap(lyap, 1) == (0, None)
+    # p=0 on half-hex-pair: lambda_2/lambda_1 = log(52)/2 / log(16) > 1/2
+    lyap = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.0), 2000, seed=0)
+    (l1, l2), (s1, s2) = lyap.raw_exponents[:2], lyap.raw_stderrs[:2]
+    cap, se = deviation_cap(lyap, 2)
+    assert cap == 2 * l2 / l1 and cap > 1
+    # first order in (lambda_1, lambda_2), covariance ignored
+    assert se == pytest.approx(math.hypot(2 / l1 * s2, 2 * l2 / l1 ** 2 * s1),
+                               rel=1e-12)
+    # the d - 1 term wins: no standard error
+    small = SimpleNamespace(raw_exponents=[2.0, 0.5], raw_stderrs=[0.1, 0.1])
+    assert deviation_cap(small, 2) == (1, None)
+    with pytest.raises(ConvergenceError):
+        deviation_cap(SimpleNamespace(raw_exponents=[0.0, -1.0],
+                                      raw_stderrs=[0.1, 0.1]), 2)
+
+
+def test_deviation_along_sequence_reports_cap(hh, hhp):
+    x = SymbolSequence.constant(1, 40)
+    seq = special_averaging_sequence(hh, x, Region.unit_square(), eps=0.05,
+                                     count=10)
+    f = TLCObservable.constant(1, 6)
+    assert deviation_along_sequence(f, seq, hh, x).cap is None
+    lyap = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(1.0), 2000, seed=0)
+    fit = deviation_along_sequence(f, seq, hh, x, lyapunov=lyap)
+    assert fit.cap == deviation_cap(lyap, 2)[0]
 
 
 def test_special_averaging_sequence_geometric(hh):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,3 +93,47 @@ def test_rng_stream_splitting():
 def test_sampled_symbols_in_alphabet(p, seed):
     x = sample_sequence(MeasureSpec.bernoulli_p(p), 64, seed)
     assert all(s in (1, 2) for s in x.positive)
+
+
+def _reference_markov(measure, length, gen):
+    """The per-step sampler CDF inversion replaced: one `gen.choice` per
+    symbol, the initial distribution first."""
+    t = np.asarray(measure.transition)
+    out = [int(gen.choice(len(measure.initial),
+                          p=np.asarray(measure.initial))) + 1]
+    for _ in range(length - 1):
+        out.append(int(gen.choice(t.shape[1], p=t[out[-1] - 1])) + 1)
+    return out
+
+
+@pytest.mark.parametrize("measure", [
+    MeasureSpec.markov([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5]),
+    MeasureSpec.markov([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3],
+                        [0.0, 0.45, 0.55]], [0.2, 0.3, 0.5]),
+    MeasureSpec.markov([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0]),
+    MeasureSpec.markov([[0.9, 0.1, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]],
+                       [0.0, 0.0, 1.0]),
+])
+def test_markov_sampler_matches_per_step_choice(measure):
+    for seed in range(5):
+        for worker_id in (0, 11):
+            gen = rng_stream(seed, worker_id)
+            pos = _reference_markov(measure, 2003, gen)
+            neg = _reference_markov(measure, 17, gen)
+            x = sample_sequence(measure, 2003, seed, negative_length=17,
+                                worker_id=worker_id)
+            assert list(x.positive) == pos
+            assert list(x.negative) == neg
+    assert sample_sequence(measure, 1, 3).positive == tuple(
+        _reference_markov(measure, 1, rng_stream(3)))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_bernoulli_draw_is_prefix_stable(p):
+    """The first n symbols do not depend on the length drawn, so a longer
+    sequence on the same seed extends a shorter one."""
+    m = MeasureSpec.bernoulli_p(p)
+    for seed in range(4):
+        long = sample_sequence(m, 20000, seed).positive
+        for n in (1, 64, 777):
+            assert sample_sequence(m, n, seed).positive == long[:n]
