@@ -100,10 +100,8 @@ def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,
     path.validate(family, x)
     if system is None:
         system = SupertileSystem(family, x)
-    tiles = []
-    system.expand(len(path), path.range, system.path_offset(path.edges),
-                  tiles, budget)
-    return Patch(tiles, family=family)
+    return system.expand(len(path), path.range,
+                         system.path_offset(path.edges), budget)
 
 
 def spanning_system(family: RuleFamily, x: SymbolSequence, depth: int) -> SpanningSystem:

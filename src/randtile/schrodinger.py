@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,11 +22,12 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .errors import (IncompletePatternError, StructuralError,
-                     UnsupportedOperationError)
+from .errors import (ConvergenceError, IncompletePatternError,
+                     StructuralError, UnsupportedOperationError)
 from .ergodic import TLCObservable, deviation_along_sequence
 from .substitution import RuleFamily
-from .tiling import Patch, Region, _window_extremes
+from .tiling import (Patch, Region, _checked, _window_extremes,
+                     lattice_points, lattice_test)
 
 _DENSE_LIMIT = 4000
 
@@ -35,69 +37,59 @@ _DENSE_LIMIT = 4000
 PuncturePairs = namedtuple("PuncturePairs", "i j cls disps")
 
 
-@dataclass
 class PunctureSet:
-    """One marked point per tile of a patch, with type labels."""
+    """One marked point per tile of a patch, with type labels: point i is
+    grid[i] / scale, on the lattice of `Patch` (same arrays and checks).
+    `points` is its exact view, made on first use; do not mutate it."""
 
-    points: list                   # exact coordinate tuples
-    types: list                    # prototile id per point
-    family: RuleFamily
-    patch: Optional[Patch] = None
-    source_window: Optional[Region] = None
-
-    def __post_init__(self):
-        if len(self.points) != len(self.types):
-            raise StructuralError("points/types length mismatch")
-        self._embedded = np.array(
-            [geometry.embed_point(p, self.family.embedding)
-             for p in self.points])
-        self._tree = cKDTree(self._embedded) if len(self.points) else None
+    def __init__(self, types, grid, scale: int, family: RuleFamily,
+                 patch: Optional[Patch] = None,
+                 source_window: Optional[Region] = None):
+        self.types, self.grid = _checked(family, types, grid, scale)
+        self.scale, self.family = scale, family
+        self.patch, self.source_window = patch, source_window
+        emb = (self.grid.astype(object) / scale).astype(float)
+        if family.embedding is not None:
+            emb = emb * np.array([float(e) for e in family.embedding])
+        self.embedded = emb
+        self._tree = cKDTree(emb) if len(self) else None
         self._pairs = {}               # radius -> PuncturePairs
 
     def __len__(self):
-        return len(self.points)
+        return len(self.types)
+
+    @cached_property
+    def points(self) -> list:
+        return lattice_points(self.grid, self.scale)
 
     @staticmethod
     def from_patch(patch: Patch, window: Optional[Region] = None
                    ) -> "PunctureSet":
-        fam = patch.family
-        if fam is None:
-            raise UnsupportedOperationError("patch has no family attached")
-        pts, types = [], []
-        for t, off in patch.tiles:
-            pts.append(geometry.vadd(fam.prototiles[t].puncture, off))
-            types.append(t)
-        return PunctureSet(points=pts, types=types, family=fam, patch=patch,
-                           source_window=window)
-
-    @property
-    def embedded(self) -> np.ndarray:
-        return self._embedded
+        scale, grid = patch.placed([[p.puncture]
+                                    for p in patch.family.prototiles])
+        return PunctureSet(patch.types, grid[:, 0], scale, patch.family,
+                           patch=patch, source_window=window)
 
     def min_gap(self) -> float:
         """Smallest puncture separation (uniform discreteness witness)."""
-        if len(self.points) < 2:
+        if len(self) < 2:
             return math.inf
-        d, _ = self._tree.query(self._embedded, k=2)
+        d, _ = self._tree.query(self.embedded, k=2)
         return float(d[:, 1].min())
 
     def pairs(self, radius: float) -> PuncturePairs:
         """Index pairs i < j within embedded distance `radius` (cached per
-        radius).  The points go on one integer lattice (1/scale)·ℤ^d, so the
-        exact distance test runs once per displacement class."""
+        radius).  The exact distance test runs once per class of equal
+        lattice displacements."""
         if radius in self._pairs:
             return self._pairs[radius]
         ij = (self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
               if len(self) else np.zeros((0, 2), dtype=np.intp))
-        scale = math.lcm(*{c.denominator for p in self.points for c in p})
-        grid = [[c.numerator * (scale // c.denominator) for c in p]
-                for p in self.points]
-        classes, cls = {}, []          # integer displacement -> class
-        for i, j in ij.tolist():
-            d = tuple(b - a for a, b in zip(grid[i], grid[j]))
-            cls.append(classes.setdefault(d, len(classes)))
+        classes, cls = {}, []          # lattice displacement -> class
+        for d in (self.grid[ij[:, 1]] - self.grid[ij[:, 0]]).tolist():
+            cls.append(classes.setdefault(tuple(d), len(classes)))
         cls = np.array(cls, dtype=np.intp)
-        disps = [tuple(Fraction(c, scale) for c in d) for d in classes]
+        disps = lattice_points(list(classes), self.scale)
         emb = self.family.embedding
         near = np.array([math.dist(geometry.embed_point(d, emb), (0.0,) * len(d))
                          <= radius + 1e-9 for d in disps], dtype=bool)
@@ -112,15 +104,13 @@ class PunctureSet:
         (displacement, type) within the radius, plus the point's own type."""
         pairs = self.pairs(radius)
         flipped = [geometry.vscale(-1, d) for d in pairs.disps]
-        nbrs = [[] for _ in range(len(self.points))]
+        types = self.types.tolist()
+        nbrs = [[] for _ in types]
         for i, j, c in zip(pairs.i.tolist(), pairs.j.tolist(),
                            pairs.cls.tolist()):
-            nbrs[i].append((pairs.disps[c], self.types[j]))
-            nbrs[j].append((flipped[c], self.types[i]))
-        return [
-            (self.types[i], tuple(sorted(nbrs[i])))
-            for i in range(len(self.points))
-        ]
+            nbrs[i].append((pairs.disps[c], types[j]))
+            nbrs[j].append((flipped[c], types[i]))
+        return [(t, tuple(sorted(nb))) for t, nb in zip(types, nbrs)]
 
 
 @dataclass(frozen=True)
@@ -186,8 +176,7 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                    window: Region) -> WindowedOperator:
     """Assemble the windowed matrix; every selected point must have its full
     range-ball of punctures available in the source set."""
-    fam = punctures.family
-    emb = fam.embedding
+    emb = punctures.family.embedding
     if punctures.source_window is not None and kernel.range > 0:
         pts = _window_extremes(window, emb)
         padded = [(p, pad + kernel.range) for p, pad in pts]
@@ -203,8 +192,8 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
             raise IncompletePatternError(
                 "window plus kernel range exceeds the source patch; "
                 "patterns at the rim would be incomplete")
-    sel = [i for i in range(len(punctures))
-           if window.contains_points([punctures.points[i]], emb)]
+    sel = np.flatnonzero(lattice_test(   # a point is a tile with one corner
+        window, punctures.scale, punctures.grid[:, None], emb)[1]).tolist()
     n = len(sel)
     pos = np.full(len(punctures), -1)
     pos[sel] = np.arange(n)
@@ -244,40 +233,37 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
     tiles entirely inside the subregion (the trace over O^-(subregion)),
     which matches the ergodic integral of the induced observable exactly.
     """
-    fam = op.punctures.family
-    emb = fam.embedding
-    pts = op.punctures.points
-    diag = op.matrix.diagonal()
+    punctures = op.punctures
+    if mode == "raw":
+        inside = lattice_test(subregion, punctures.scale,
+                              punctures.grid[op.indices][:, None],
+                              punctures.family.embedding)[1]
+    elif mode == "interior-supertile":
+        patch = punctures.patch
+        if patch is None:
+            raise UnsupportedOperationError(
+                "interior-supertile mode needs the source patch")
+        scale, corners = patch.placed([p.shape.vertices_list()
+                                       for p in patch.family.prototiles])
+        inside = lattice_test(subregion, scale, corners[op.indices],
+                              patch.family.embedding)[1]
+    else:
+        raise StructuralError(f"unknown trace mode {mode!r}")
+    diag = _diagonal(op)
     total = 0
-    exact_diag = _exact_diagonal(op)
-    for k, i in enumerate(op.indices):
-        if mode == "raw":
-            inside = subregion.contains_points([pts[i]], emb)
-        elif mode == "interior-supertile":
-            if op.punctures.patch is None:
-                raise UnsupportedOperationError(
-                    "interior-supertile mode needs the source patch")
-            t, off = op.punctures.patch.tiles[i]
-            shape = fam.prototiles[t].shape
-            verts = [geometry.vadd(v, off) for v in shape.vertices_list()]
-            inside = subregion.contains_points(verts, emb)
-        else:
-            raise StructuralError(f"unknown trace mode {mode!r}")
-        if inside:
-            total += exact_diag[k] if exact_diag is not None else diag[k]
+    for k in np.flatnonzero(inside).tolist():  # in order; .sum() rounds otherwise
+        total += diag[k]
     return total
 
 
-def _exact_diagonal(op: WindowedOperator):
-    """Rational diagonal values when the kernel rule is exact."""
+def _diagonal(op: WindowedOperator):
+    """The diagonal of the windowed matrix: rational values when the rule is
+    typewise and exact (integer degrees are exact in the float matrix)."""
     k = op.kernel
-    if k.diagonal_degree:
-        return None  # integer degrees are already exact in the float matrix
     if k.diagonal_by_type is not None and all(
             isinstance(v, (int, Fraction)) for v in k.diagonal_by_type):
-        return [k.diagonal_by_type[op.punctures.types[i]]
-                for i in op.indices]
-    return None
+        return [k.diagonal_by_type[t] for t in op.punctures.types[op.indices]]
+    return op.matrix.diagonal()
 
 
 @dataclass
@@ -304,15 +290,19 @@ def trace_deviation(kernel: KernelSpec, family: RuleFamily, x, seq,
     w = tuple(Fraction(v) / vols[t] if isinstance(v, (int, Fraction))
               else v / float(vols[t])
               for t, v in enumerate(kernel.diagonal_by_type))
-    f = TLCObservable(0, w)
-    fit = deviation_along_sequence(f, seq, family, x)
     target = ratio = flag = None
     if lyapunov is not None:
-        lam = lyapunov.raw_exponents
-        d = family.dim
+        lam, d = lyapunov.raw_exponents, family.dim
+        if not 1 <= r <= len(lam):
+            raise StructuralError(
+                f"r = {r} is not an exponent index of a spectrum with "
+                f"{len(lam)} exponents")
+        if not lam[0] > 0:
+            raise ConvergenceError(f"top exponent {lam[0]!r} is not positive")
         ratio = lam[r - 1] / lam[0]
         target = d * ratio
         flag = ratio > (d - 1) / d
+    fit = deviation_along_sequence(TLCObservable(0, w), seq, family, x)
     return TraceDeviationReport(slope=fit.slope, target=target, ratio=ratio,
                                 trace_flag=flag, fit=fit)
 

@@ -12,10 +12,11 @@ Patches, decompositions and approximants come from one descent on that
 lattice: level by level over numpy frontiers of integer offsets (int64, or
 Python ints when a coordinate bound does not fit), dropping supertiles that
 miss the window, keeping those inside it and cutting the rest into their
-children.  Box and convex polygon windows are decided exactly on the
-integers; disks (float distances through the family embedding) and
-non-convex polygons (exact Fraction geometry) use the Region predicates on
-the frontier only.  Tile offsets leave the module as tuples of Fraction.
+children.  A `Patch` keeps the integer offsets and the scale.  `lattice_test`
+is the one window membership test, for the descent and for operators and
+traces on punctures: exact on the integers for boxes and convex polygons,
+the Region predicates node by node for disks and non-convex polygons.
+Exact rational offsets are made only for the `tiles` view.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,31 +45,67 @@ ANCHOR_MAX_EXPANSIONS = 200_000  # anchor search: placements expanded
 _LEAF_CAP = 2 ** 31
 
 
-@dataclass
-class Patch:
-    """A finite set of placed tiles: (prototile id, translation)."""
+def lattice_points(grid, scale: int) -> list:
+    """Exact points of the integer rows of `grid` on (1/scale)·ℤ^d."""
+    cols = []
+    for col in np.asarray(grid).T:
+        values, index = np.unique(col, return_inverse=True)
+        table = np.array([Fraction(c, scale) for c in values.tolist()],
+                         dtype=object)
+        cols.append(table[index].tolist())
+    return list(zip(*cols))
 
-    tiles: list                      # list of (type, offset tuple of Fraction)
-    family: Optional[RuleFamily] = None
+
+def _checked(family: RuleFamily, types, offsets, scale):
+    """(types, offsets) as n type ids and an (n, d) array of `_int_dtype`."""
+    types, offsets = np.asarray(types, dtype=np.int64), np.asarray(offsets)
+    if (offsets.ndim != 2 or offsets.shape[1] != family.dim
+            or offsets.dtype.kind not in "iuO" or types.shape != offsets.shape[:1]):
+        raise StructuralError(
+            f"want n type ids and an (n, {family.dim}) integer array for "
+            f"{family.name}, got {types.shape} and {offsets.dtype} {offsets.shape}")
+    if len(types) and not 0 <= types.min() <= types.max() < family.n_prototiles:
+        raise StructuralError(f"type ids must lie in [0, {family.n_prototiles}), "
+                              f"got {types.min()}..{types.max()}")
+    if not (isinstance(scale, int) and scale >= 1):
+        raise StructuralError(f"lattice scale must be an int >= 1, got {scale!r}")
+    return types, offsets.astype(_int_dtype(int(np.abs(offsets).max(initial=0))))
+
+
+class Patch:
+    """Placed tiles: prototile types[i] translated by offsets[i] / scale, with
+    integer offsets of shape (n, d).  `tiles` is the exact view (type, offset
+    tuple), made on first use; do not mutate it."""
+
+    def __init__(self, types, offsets, scale: int, family: RuleFamily):
+        self.types, self.offsets = _checked(family, types, offsets, scale)
+        self.scale, self.family = scale, family
 
     def __len__(self):
-        return len(self.tiles)
+        return len(self.types)
+
+    @cached_property
+    def tiles(self) -> list:
+        return list(zip(self.types.tolist(),
+                        lattice_points(self.offsets, self.scale)))
+
+    def placed(self, points):
+        """(scale', array): the exact points points[t] placed at every tile of
+        type t, integers (n, c, d) on a refinement (1/scale')·ℤ^d of the lattice."""
+        scale, table = _point_table(points, self.scale)
+        return scale, (self.offsets.astype(object) * (scale // self.scale))[
+            :, None] + table[self.types]
 
     def multiset(self) -> Counter:
-        return Counter(t for t, _ in self.tiles)
+        return Counter(self.types.tolist())
 
     def shapes(self):
-        if self.family is None:
-            raise UnsupportedOperationError("patch has no family attached")
         for t, off in self.tiles:
             yield self.family.prototiles[t].shape.translate(off)
 
     def total_volume(self) -> Fraction:
-        if self.family is None:
-            raise UnsupportedOperationError("patch has no family attached")
-        vols = [p.volume for p in self.family.prototiles]
-        return sum((c * vols[t] for t, c in self.multiset().items()),
-                   Fraction(0))
+        return sum((c * self.family.prototiles[t].volume
+                    for t, c in self.multiset().items()), Fraction(0))
 
     def placed_set(self):
         return {(t, off) for t, off in self.tiles}
@@ -199,11 +237,7 @@ class Region:
             return all(math.dist(geometry.embed_point(p, embedding), c) <= r
                        for p in pts)
         shape = self.shape()
-        if isinstance(shape, geometry.Box):
-            return all(
-                all(l <= c <= h for c, l, h in zip(p, shape.lo, shape.hi))
-                for p in pts)
-        if shape.convex or len(pts) < 3:
+        if isinstance(shape, geometry.Box) or shape.convex or len(pts) < 3:
             return all(shape.contains_point(p) for p in pts)
         # non-convex region: exact volume-based containment
         poly = geometry.Polygon(pts)
@@ -265,27 +299,76 @@ def decomposition_tile_multiset(report: DecompositionReport,
     return out
 
 
+def _point_table(points, scale: int):
+    """(scale', table): the point lists as an (m, c, d) object array of ints
+    on the coarsest refinement (1/scale')·ℤ^d of (1/scale)·ℤ^d holding them,
+    each list's last point repeated up to c points."""
+    scale = math.lcm(scale, *(c.denominator for v in points for p in v
+                              for c in p))
+    c = max(map(len, points))
+    return scale, np.array([[[int(x * scale) for x in p]
+                             for p in v + v[-1:] * (c - len(v))]
+                            for v in points], dtype=object)
+
+
+def _int_dtype(bound: int):
+    """int64 while a cross product (|.| <= 8·bound²) fits, else Python ints."""
+    return np.int64 if bound < 2 ** 30 else object
+
+
+def lattice_test(window: Region, scale: int, corners, embedding):
+    """(meets, inside) of the convex nodes with integer corners (n, c, d) on
+    (1/scale)·ℤ^d; a point is a node with one corner.  `meets`: the node's
+    bounding box meets the window's (a disk's: the disk); `inside`: the node
+    lies in the dilated window.  Exact on the integers for boxes and convex
+    polygons; disks (floats through `embedding`) and non-convex polygons go
+    through the Region predicates node by node."""
+    shape = None if window.kind == "disk" else window.shape()
+    verts = shape.vertices_list() if shape is not None else []
+    full = math.lcm(scale, *(c.denominator for p in verts for c in p))
+    win = [[int(c * full) for c in p] for p in verts]
+    dtype = _int_dtype(max([int(np.abs(corners).max(initial=0)) * (full // scale),
+                            *(abs(c) for p in win for c in p)]))
+    pts = corners.astype(dtype) * (full // scale)
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    if shape is not None:
+        win = np.array(win, dtype=object).astype(dtype)
+        wlo, whi = win.min(axis=0), win.max(axis=0)
+        meets = (lo <= whi).all(axis=1) & (hi >= wlo).all(axis=1)
+        if window.kind == "box":
+            return meets, (lo >= wlo).all(axis=1) & (hi <= whi).all(axis=1)
+        if shape.convex:
+            px, py = pts[..., 0], pts[..., 1]
+            inside = meets.copy()
+            for (ax, ay), (bx, by) in zip(win, np.roll(win, -1, axis=0)):
+                inside &= ((bx - ax) * (py - ay)
+                           - (by - ay) * (px - ax) >= 0).all(axis=1)
+            return meets, inside
+    _, c, d = pts.shape
+    if shape is None:
+        bounds = lattice_points(np.concatenate([lo, hi]), full)
+        meets = np.array([window.intersects_bbox(l, h, embedding) for l, h
+                          in zip(bounds[:len(lo)], bounds[len(lo):])], dtype=bool)
+    exact = lattice_points(pts.reshape(-1, d), full)
+    inside = np.array([bool(m) and window.contains_points(
+        list(dict.fromkeys(exact[i * c:(i + 1) * c])), embedding)
+        for i, m in enumerate(meets)], dtype=bool)
+    return meets, inside
+
+
 @dataclass
 class _Level:
-    """Integer tables of one level on the lattice (1/scale)·ℤ^d.
+    """Integer tables of one level on (1/scale)·ℤ^d: the footprint `corners`
+    of every type (`_point_table`); the children of every parent type in
+    branch order, `start`/`count` locating each parent's run; `leaves`, the
+    level-0 tiles per type (at most _LEAF_CAP); `step` bounds |child delta|."""
 
-    Coordinates are exact Python ints in object arrays: per type the
-    footprint bbox `lo`/`hi` and `corners` (padded by repeating the last
-    corner); the children of every parent type flattened in branch order,
-    `start`/`count` locating each parent's run; `leaves` the number of
-    level-0 tiles per type, at most _LEAF_CAP.  `reach` bounds |coordinate|
-    of a footprint and `step` of a child delta.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
     corners: np.ndarray
     child_type: np.ndarray
     child_delta: np.ndarray
     start: np.ndarray
     count: np.ndarray
     leaves: np.ndarray
-    reach: int
     step: int
 
 
@@ -297,7 +380,7 @@ class SupertileSystem:
         self.family = family
         self.x = x
         self._theta_inv = [Fraction(1)]  # θ_(k)^{-1}
-        self._footprints = []          # level -> [(shape, bbox, corners)] per type
+        self._footprints = []          # level -> footprint shape per type
         self._levels = []              # level -> _Level
         self._faces = {}               # (k, v) -> embedded footprint faces
         self._volumes = family.volumes()
@@ -327,10 +410,9 @@ class SupertileSystem:
                         f"rule {rule.id} at level {lvl}: θ = {rule.theta} is "
                         f"not 1/q, so its supertiles leave the integer lattice")
             ti = self.theta_inv(lvl)
-            foot = [p.shape.transform(ti, (0,) * self.family.dim)
-                    for p in self.family.prototiles]
             self._footprints.append(
-                [(s, s.bbox(), s.vertices_list()) for s in foot])
+                [p.shape.transform(ti, (0,) * self.family.dim)
+                 for p in self.family.prototiles])
 
     def theta_inv(self, k: int) -> Fraction:
         """θ_(k)^{-1} = θ_1^{-1}···θ_k^{-1}, exact, for any rules (cached)."""
@@ -341,53 +423,36 @@ class SupertileSystem:
 
     def footprint(self, k: int, v: int):
         self._ensure(k)
-        return self._footprints[k][v][0]
-
-    def verts(self, k: int, v: int, offset):
-        """Corner points of the footprint translated by offset."""
-        self._ensure(k)
-        return [geometry.vadd(p, offset) for p in self._footprints[k][v][2]]
+        return self._footprints[k][v]
 
     def volume(self, k: int, v: int) -> Fraction:
         return self._volumes[v] * self.theta_inv(k) ** self.family.dim
 
-    def bbox(self, k: int, v: int, offset):
-        self._ensure(k)
-        lo, hi = self._footprints[k][v][1]
-        return geometry.vadd(lo, offset), geometry.vadd(hi, offset)
-
     def _level(self, k: int) -> _Level:
         """The integer tables of level k (cached)."""
-        def lattice(points):
-            return [[int(c * self.scale) for c in p] for p in points]
-
         while len(self._levels) <= k:
             lvl = len(self._levels)
             self._ensure(lvl)
-            foot = self._footprints[lvl]
-            n_corners = max(len(f[2]) for f in foot)
-            corners = [lattice(f[2] + f[2][-1:] * (n_corners - len(f[2])))
-                       for f in foot]
-            lo, hi = lattice(f[1][0] for f in foot), lattice(f[1][1] for f in foot)
+            m = self.family.n_prototiles
             ti = self.theta_inv(lvl)
             if lvl == 0:
-                branches, leaves = (), [1] * len(foot)
+                branches, leaves = (), [1] * m
             else:
                 branches = self.rule_at(lvl).branches    # grouped by parent
                 leaves = np.minimum(self.family.matrix(self.x[lvl])
                                     @ self._levels[-1].leaves, _LEAF_CAP)
-            delta = lattice(geometry.vscale(ti, b.tau) for b in branches)
+            delta = [[int(c * self.scale) for c in geometry.vscale(ti, b.tau)]
+                     for b in branches]
             count = np.bincount([b.parent for b in branches],
-                                minlength=len(foot)).astype(np.int64)
+                                minlength=m).astype(np.int64)
             self._levels.append(_Level(
-                lo=np.array(lo, dtype=object), hi=np.array(hi, dtype=object),
-                corners=np.array(corners, dtype=object),
+                corners=_point_table([f.vertices_list() for f in
+                                      self._footprints[lvl]], self.scale)[1],
                 child_type=np.array([b.child for b in branches], dtype=np.int64),
                 child_delta=np.array(delta, dtype=object).reshape(
                     len(branches), self.family.dim),
                 start=np.cumsum(count) - count, count=count,
                 leaves=np.array(leaves, dtype=np.int64),
-                reach=max(abs(c) for p in lo + hi for c in p),
                 step=max((abs(c) for p in delta for c in p), default=0)))
         return self._levels[k]
 
@@ -477,21 +542,18 @@ class SupertileSystem:
         return ({level: np.bincount(types, minlength=n).tolist()
                  for level, types, _ in found}, boundary)
 
-    def expand(self, k: int, v: int, offset, tiles: list, budget: int,
-               window: Region = None):
-        """Append to `tiles`, depth first, the level-0 tiles of the level-k
-        type-v supertile at `offset` (those inside `window`, if given).
-        Raises PartialCoverError, carrying the first `budget` tiles, when
-        `tiles` would exceed `budget`."""
-        room = max(budget - len(tiles), 0)
-        found, _, scale = self._descend(window, k, v, offset, room)
-        for _, types, offs in found:
-            tiles.extend(zip(types[:room + 1].tolist(),
-                             _fractions(offs[:room + 1], scale)))
-        if len(tiles) > budget:
-            del tiles[budget:]
-            raise PartialCoverError("tile budget exhausted",
-                                    partial=Patch(tiles, family=self.family))
+    def expand(self, k: int, v: int, offset, budget: int,
+               window: Region = None) -> Patch:
+        """The level-0 tiles, depth first, of the level-k type-v supertile at
+        `offset` (those inside `window`, if given).  More than `budget` tiles
+        raise PartialCoverError, carrying the first `budget` of them."""
+        found, _, scale = self._descend(window, k, v, offset, budget)
+        _, types, offs = found[0] if found else (  # one level: level 0
+            0, [], np.zeros((0, self.family.dim), dtype=np.int64))
+        patch = Patch(types[:budget], offs[:budget], scale, self.family)
+        if len(types) > budget:
+            raise PartialCoverError("tile budget exhausted", partial=patch)
+        return patch
 
     def _descend(self, window, k: int, v: int, offset, budget=None):
         """The one supertile descent: level by level from the level-k type-v
@@ -499,9 +561,9 @@ class SupertileSystem:
 
         A frontier holds node types and integer offsets on (1/scale)·ℤ^d in
         depth-first (lexicographic path) order, which the stable expansion
-        into children keeps.  Nodes missing the window are dropped and nodes
-        inside it are marked (window None contains everything).  Without a
-        budget the descent stops at inside supertiles; with one it expands
+        into children keeps.  `lattice_test` drops nodes missing the window
+        and marks those inside it (window None contains everything).  Without
+        a budget the descent stops at inside supertiles; with one it expands
         them to level 0, cutting each frontier after the first prefix whose
         known tiles exceed the budget.  Offsets use int64 when every
         coordinate and cross product fits, Python ints otherwise.
@@ -511,20 +573,13 @@ class SupertileSystem:
         order of their first node; boundary counts the level-0 nodes the
         window boundary cuts.
         """
-        shape = None if window is None or window.kind == "disk" else window.shape()
-        corners = shape.vertices_list() if shape is not None else []
-        scale = math.lcm(self.scale, *(c.denominator
-                                       for p in [offset, *corners] for c in p))
+        scale = math.lcm(self.scale, *(c.denominator for c in offset))
         mult = scale // self.scale
         levels = [self._level(j) for j in range(k + 1)]
         origin = [int(c * scale) for c in offset]
-        win = [[int(c * scale) for c in p] for p in corners]
-        bound = max(max(map(abs, origin)) + mult * (
-            sum(lv.step for lv in levels) + max(lv.reach for lv in levels)),
-            max((abs(c) for p in win for c in p), default=0))
-        # |cross product| <= 8·bound^2 must fit in an int64
-        dtype = np.int64 if bound < 2 ** 30 else object
-        win = np.array(win, dtype=object).astype(dtype)
+        dtype = _int_dtype(max(map(abs, origin)) + mult * (
+            sum(lv.step for lv in levels)
+            + max(int(np.abs(lv.corners).max()) for lv in levels)))
         types = np.array([v], dtype=np.int64)
         offs = np.array([origin], dtype=object).astype(dtype)
         inside = np.array([window is None])
@@ -542,8 +597,10 @@ class SupertileSystem:
                 inside, rank = inside[parent], rank[parent]
             todo = np.flatnonzero(~inside)
             if len(todo):
-                meets, inside[todo] = self._test(
-                    window, level, types[todo], offs[todo], scale, mult, win)
+                corners = offs[todo, None] + (
+                    levels[level].corners * mult).astype(dtype)[types[todo]]
+                meets, inside[todo] = lattice_test(window, scale, corners,
+                                                   self.family.embedding)
                 keep = np.ones(len(types), dtype=bool)
                 keep[todo] = meets
                 types, offs, inside, rank = (a[keep] for a in
@@ -563,50 +620,6 @@ class SupertileSystem:
                     types, offs, inside, rank = (a[:cut] for a in
                                                  (types, offs, inside, rank))
         return found, len(types), scale
-
-    def _test(self, window, level, types, offs, scale, mult, win):
-        """(meets, inside) of the given level nodes.  Box and convex polygon
-        windows are decided on the integers (bbox overlap; bbox or corners
-        inside, by cross products); disks and non-convex polygons go through
-        the Region predicates on exact Fraction offsets."""
-        lv = self._level(level)
-        if window.kind != "disk":
-            lo = offs + (lv.lo * mult).astype(offs.dtype)[types]
-            hi = offs + (lv.hi * mult).astype(offs.dtype)[types]
-            wlo, whi = win.min(axis=0), win.max(axis=0)
-            meets = (lo <= whi).all(axis=1) & (hi >= wlo).all(axis=1)
-            if window.kind == "box":
-                return meets, (lo >= wlo).all(axis=1) & (hi <= whi).all(axis=1)
-            if window.shape().convex:
-                pts = offs[:, None, :] + (lv.corners * mult).astype(offs.dtype)[types]
-                px, py = pts[..., 0], pts[..., 1]
-                inside = meets.copy()
-                for (ax, ay), (bx, by) in zip(win, np.roll(win, -1, axis=0)):
-                    inside &= ((bx - ax) * (py - ay)
-                               - (by - ay) * (px - ax) >= 0).all(axis=1)
-                return meets, inside
-        emb = self.family.embedding
-        nodes = [(t, tuple(Fraction(c, scale) for c in o))
-                 for t, o in zip(types.tolist(), offs.tolist())]
-        if window.kind == "disk":
-            meets = np.array([window.intersects_bbox(*self.bbox(level, t, o), emb)
-                              for t, o in nodes], dtype=bool)
-        inside = np.array([bool(m) and window.contains_points(
-            self.verts(level, t, o), emb) for (t, o), m in zip(nodes, meets)],
-            dtype=bool)
-        return meets, inside
-
-
-def _fractions(offs, scale):
-    """Fraction offset tuples of integer offsets on (1/scale)·ℤ^d, one
-    Fraction made per distinct coordinate value."""
-    cols = []
-    for col in offs.T:
-        values, index = np.unique(col, return_inverse=True)
-        table = np.array([Fraction(c, scale) for c in values.tolist()],
-                         dtype=object)
-        cols.append(table[index].tolist())
-    return list(zip(*cols))
 
 
 def _window_extremes(window: Region, embedding):
@@ -638,9 +651,7 @@ def generate_patch(family: RuleFamily, x, window: Region,
     several windows can be cut from one coherent hierarchy.
     """
     system, top = _anchored(family, x, window, system, anchor)
-    tiles = []
-    system.expand(*top, tiles, budget, window)
-    return Patch(tiles, family=family)
+    return system.expand(*top, budget, window)
 
 
 def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,

@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randtile.bratteli import approximant, spanning_system
@@ -51,13 +52,13 @@ def test_render_svg_level2_approximant(hh):
 
 
 def test_render_svg_empty(hh):
-    svg = render_svg(Patch([], family=hh))
+    svg = render_svg(Patch([], np.zeros((0, 2), dtype=np.int64), 1, hh))
     assert "empty patch" in svg
     assert svg.startswith("<svg")
 
 
 def test_render_svg_one_d(odp):
-    patch = Patch([(0, (0,)), (1, (1,))], family=odp)
+    patch = Patch([0, 1], [[0], [1]], 1, odp)
     svg = render_svg(patch)
     assert svg.count("<polygon") == 2
 
@@ -92,21 +93,23 @@ def test_decompose_command(tmp_path):
 
 
 def test_default_outputs_match_golden_digests(tmp_path):
-    """`decompose`, `patch --svg`, `dk` and `schrod --t-grid 4` at their
-    defaults write the bytes whose SHA-256 digests bench/expected.json
-    records."""
+    """`decompose`, `patch --svg`, `render`, `dk` and `schrod --t-grid 4`
+    at their defaults write the bytes whose SHA-256 digests
+    bench/expected.json records; `render` writes the `patch.svg` bytes."""
     golden = json.loads((Path(__file__).parents[1] / "bench" /
                          "expected.json").read_text())["cli"]
     assert main(["decompose", "--out", str(tmp_path / "decompose")]) == 0
     assert main(["patch", "--svg", "--out", str(tmp_path / "patch")]) == 0
+    assert main(["render", "--out", str(tmp_path / "render")]) == 0
     assert main(["dk", "--out", str(tmp_path / "dk")]) == 0
     assert main(["schrod", "--t-grid", "4",
                  "--out", str(tmp_path / "schrod")]) == 0
-    for path in ("decompose/decompose.csv", "patch/patch.csv",
-                 "patch/patch.svg", "dk/dk.csv", "schrod/schrod_trace.csv",
-                 "schrod/schrod_ids.csv"):
+    for path, name in [(p, Path(p).name) for p in (
+            "decompose/decompose.csv", "patch/patch.csv", "patch/patch.svg",
+            "dk/dk.csv", "schrod/schrod_trace.csv", "schrod/schrod_ids.csv")
+    ] + [("render/render.svg", "patch.svg")]:
         data = (tmp_path / path).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == golden[Path(path).name], path
+        assert hashlib.sha256(data).hexdigest() == golden[name], path
 
 
 def test_patch_svg_determinism(tmp_path):

@@ -3,17 +3,23 @@
 `_ref_cover` / `_ref_expand` are the depth-first walks the package used
 before its descent moved to integer numpy frontiers; they are kept here as
 the reference that ordered tile lists and decomposition reports must match.
+`_ref_inside` is the per-point Fraction window membership that operator
+assembly and windowed traces used before they moved to the same lattice.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randtile.bratteli import approximant, spanning_system
 from randtile.errors import PartialCoverError, UnsupportedOperationError
-from randtile.geometry import Box, vadd, vscale
+from randtile.geometry import Box, embed_point, vadd, vscale
+from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
+                                  windowed_trace)
 from randtile.substitution import (Branch, Prototile, RuleFamily,
-                                   SubstitutionRule)
+                                   SubstitutionRule, half_hex_classical)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
                              generate_patch)
@@ -32,9 +38,10 @@ def _ref_cover(system, window, k, v, offset):
     stack = [(k, v, offset)]
     while stack:
         k, v, off = stack.pop()
-        if not window.intersects_bbox(*system.bbox(k, v, off), emb):
+        placed = system.footprint(k, v).translate(off)
+        if not window.intersects_bbox(*placed.bbox(), emb):
             continue
-        inside = window.contains_points(system.verts(k, v, off), emb)
+        inside = window.contains_points(placed.vertices_list(), emb)
         if inside or k == 0:
             yield k, v, off, inside
         else:
@@ -42,11 +49,20 @@ def _ref_cover(system, window, k, v, offset):
                          for child, delta in reversed(_ref_children(system, k, v)))
 
 
+def _as_patch(tiles, family):
+    """The Patch of a list of (type, Fraction offset) tiles."""
+    scale = math.lcm(*(c.denominator for _, off in tiles for c in off))
+    offsets = [[int(c * scale) for c in off] for _, off in tiles]
+    return Patch([t for t, _ in tiles],
+                 np.array(offsets, dtype=object).reshape(-1, family.dim),
+                 scale, family)
+
+
 def _ref_expand(system, k, v, offset, tiles, budget):
     if k == 0:
         if len(tiles) >= budget:
             raise PartialCoverError("tile budget exhausted",
-                                    partial=Patch(tiles, family=system.family))
+                                    partial=_as_patch(tiles, system.family))
         tiles.append((v, offset))
         return
     for child, delta in _ref_children(system, k, v):
@@ -147,6 +163,61 @@ def test_approximant_matches_fraction_reference(hh, sol2):
             with pytest.raises(PartialCoverError) as err:
                 approximant(family, x, path, budget=7, system=system)
             assert err.value.partial.tiles == want[:7]
+
+
+def _ref_inside(window, point_sets, embedding):
+    """Per point set, whether all its exact points lie in the window."""
+    return [window.contains_points(pts, embedding) for pts in point_sets]
+
+
+_HH = half_hex_classical()
+_HH_SOURCE = Region.box((-6, -6), (16, 16))
+_FAR = (2 ** 60, -2 ** 60)
+
+
+@pytest.mark.parametrize("source, window", [
+    (_HH_SOURCE, Region.box((Fraction(-7, 3), -2),
+                            (Fraction(27, 4), Fraction(11, 2)))),
+    (_HH_SOURCE, Region.polygon([(Fraction(1, 16), Fraction(1, 16)),
+                                 (1, Fraction(1, 16)), (Fraction(1, 2), 1),
+                                 (0, Fraction(2, 3))], dilation=8)),
+    (_HH_SOURCE, Region.polygon([(0, 0), (1, 0), (1, Fraction(1, 2)),
+                                 (Fraction(1, 2), Fraction(1, 2)),
+                                 (Fraction(1, 2), 1), (0, 1)], dilation=8)),
+    (_HH_SOURCE, Region.disk((Fraction(1, 2), 0), 0.5, dilation=8)),
+    (Region.box(_FAR, (6, 4)),
+     Region.box((_FAR[0] + Fraction(3, 2), _FAR[1] + 1), (3, 2))),
+], ids=["box", "polygon", "nonconvex", "disk", "far-box"])
+def test_operator_membership_matches_fraction_reference(source, window):
+    emb = _HH.embedding
+    patch = generate_patch(_HH, SymbolSequence.constant(1, 64), source)
+    punctures = PunctureSet.from_patch(patch, window=source)
+    if window.kind == "box" and window.corner[0] > 2 ** 59:
+        assert patch.offsets.dtype == punctures.grid.dtype == object
+    points = [vadd(_HH.prototiles[t].puncture, off) for t, off in patch.tiles]
+    assert punctures.points == points
+    assert np.array_equal(punctures.embedded,
+                          np.array([embed_point(p, emb) for p in points]))
+    corners = [[vadd(v, off) for v in _HH.prototiles[t].shape.vertices_list()]
+               for t, off in patch.tiles]
+    raw = _ref_inside(window, [[p] for p in points], emb)
+    interior = _ref_inside(window, corners, emb)
+    assert 0 < sum(interior) < sum(raw) < len(points)
+    for kernel in (KernelSpec.typewise([Fraction(t + 1, 7) for t in range(6)]),
+                   KernelSpec.typewise([0.1 * (t + 1) for t in range(6)])):
+        op = build_operator(kernel, punctures, window)
+        assert op.indices == [i for i, ok in enumerate(raw) if ok]
+        whole = build_operator(kernel, punctures, source)
+        assert whole.indices == list(range(len(points)))
+        diag = [kernel.diagonal_by_type[t] for t in punctures.types]
+        if isinstance(diag[0], float):
+            diag = whole.matrix.diagonal()
+        for mode, inside in (("raw", raw), ("interior-supertile", interior)):
+            want = 0
+            for i in range(len(points)):
+                if inside[i]:
+                    want += diag[i]
+            assert windowed_trace(whole, window, mode) == want, mode
 
 
 def test_non_unit_theta_is_unsupported():

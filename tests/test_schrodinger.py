@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,15 +9,15 @@ from scipy.spatial import cKDTree
 
 import randtile.schrodinger as schrod
 from randtile.cocycle import lyapunov_spectrum
-from randtile.errors import (IncompletePatternError, StructuralError,
-                             UnsupportedOperationError)
+from randtile.errors import (ConvergenceError, IncompletePatternError,
+                             StructuralError, UnsupportedOperationError)
 from randtile.ergodic import special_averaging_sequence
 from randtile.geometry import embed_point, vsub
 from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   eigenvalue_counts, ids_estimate,
                                   trace_deviation, windowed_trace)
-from randtile.symbolic import MeasureSpec, SymbolSequence
-from randtile.tiling import (Region, SupertileSystem, decompose_region,
+from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
+from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
                              generate_patch)
 
 
@@ -117,8 +118,23 @@ def test_interior_supertile_trace_matches_ergodic(hh):
     assert trace == integral
 
 
+@pytest.mark.parametrize("cls", [Patch, PunctureSet])
+def test_array_constructors_validate_against_the_family(cls, hh):
+    for types, offsets in (([0, 1], [[0, 0, 5], [1, 0, 9]]),   # width 3
+                           ([0, 1], [[0.5, 0], [1, 0]]),       # not integers
+                           ([0], [[0, 0], [1, 0]])):           # one type id
+        with pytest.raises(StructuralError, match=r"\(n, 2\) integer array"):
+            cls(types, offsets, 1, hh)
+    for bad in ([0, 7], [-1, 0]):
+        with pytest.raises(StructuralError, match=r"type ids must lie in \[0, 6\)"):
+            cls(bad, [[0, 0], [1, 0]], 1, hh)
+    with pytest.raises(StructuralError, match="scale"):
+        cls([0, 5], [[0, 0], [1, 0]], 0, hh)
+    assert len(cls([0, 5], [[0, 0], [1, 0]], 2, hh)) == 2
+
+
 def test_interior_supertile_needs_patch(hh):
-    punctures = PunctureSet(points=[(0, 0)], types=[0], family=hh)
+    punctures = PunctureSet(types=[0], grid=[[0, 0]], scale=1, family=hh)
     op = build_operator(KernelSpec.identity(), punctures,
                         Region.box((-1, -1), (2, 2)))
     with pytest.raises(UnsupportedOperationError):
@@ -168,6 +184,23 @@ def test_trace_deviation_flag_p1(hh, hhp):
     # so the flag reflects estimation noise; it must only match the ratio
     assert rep.ratio == pytest.approx(0.5, abs=0.01)
     assert rep.trace_flag == (rep.ratio > 0.5)
+
+
+def test_trace_deviation_checks_exponents_before_the_fit(sol2):
+    """One prototile gives one exponent, so r = 2 is a typed error (it was
+    an IndexError after the fit), and so is a top exponent <= 0."""
+    bern = MeasureSpec.bernoulli_p(0.5)
+    x = sample_sequence(bern, 400, seed=0)
+    seq = special_averaging_sequence(sol2, x, Region.unit_square(), eps=0.05,
+                                     count=6)
+    lyap = lyapunov_spectrum(sol2, bern, 1000, seed=0)
+    kernel = KernelSpec.typewise([3])
+    with pytest.raises(StructuralError, match="r = 2 .* 1 exponents"):
+        trace_deviation(kernel, sol2, x, seq, lyapunov=lyap)
+    assert trace_deviation(kernel, sol2, x, seq, lyapunov=lyap, r=1).ratio == 1
+    with pytest.raises(ConvergenceError, match="not positive"):
+        trace_deviation(kernel, sol2, x, seq, r=1,
+                        lyapunov=SimpleNamespace(raw_exponents=[0.0]))
 
 
 def test_trace_deviation_requires_typewise(hh):

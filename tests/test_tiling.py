@@ -144,8 +144,7 @@ def test_nonconvex_window_on_box_tiles(sol2):
                             dilation=2)
     system = SupertileSystem(sol2, x)
     level, vertex, offset, _ = system.anchor(window)
-    tiles = []
-    system.expand(level, vertex, offset, tiles, budget=10 ** 6)
+    tiles = system.expand(level, vertex, offset, budget=10 ** 6).tiles
     shape = window.shape()
     want = [(t, off) for t, off in tiles if shape.contains_shape(
         sol2.prototiles[t].shape.translate(off))]
