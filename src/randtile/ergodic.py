@@ -89,7 +89,9 @@ class SpecialAveragingSequence:
     base_multiset: Counter          # tile types of the base patch P_eps
     t_star: Fraction
     entries: list                   # (k_i, T_i, tau_i)
-    hausdorff: Optional[float]      # measured distance of base patch to B
+    # largest distance from 96 sampled boundary points of T_*·B to the base
+    # patch, over T_*: a sampled one-sided distance, not a full Hausdorff one
+    hausdorff: Optional[float]
     window: int                     # recurrence window used
     dim: int
 
@@ -329,11 +331,14 @@ def _running_max_slope(points) -> float:
 
 
 def _patch_point_distance(points, patch, embedding):
-    """Distance of each embedded point to the patch (0 when covered)."""
-    shapes = list(patch.shapes())
-    bboxes = [s.bbox() for s in shapes]
-    lo_arr = np.array([geometry.embed_point(lo, embedding) for lo, _ in bboxes])
-    hi_arr = np.array([geometry.embed_point(hi, embedding) for _, hi in bboxes])
+    """Distance of each embedded point to the patch (0 when covered), from the
+    exact corners on (1/S')·ℤ^d: int / S' times e, as `embed_point` rounds."""
+    shapes = [p.shape for p in patch.family.prototiles]
+    scale, corners = patch.placed([s.vertices_list() for s in shapes])
+    e = np.array([float(c) for c in embedding or (1,) * patch.family.dim])
+    lo_arr = (corners.min(axis=1) / scale).astype(float) * e
+    hi_arr = (corners.max(axis=1) / scale).astype(float) * e
+    faces = {}
     out = []
     for p in points:
         pa = np.asarray(p)
@@ -343,21 +348,22 @@ def _patch_point_distance(points, patch, embedding):
         for idx in np.argsort(lower):
             if lower[idx] >= best:
                 break
-            s = shapes[idx]
+            s = shapes[patch.types[idx]]
             if isinstance(s, geometry.Box):
                 # a box is its own bbox, so the gap is its exact distance;
                 # every later bbox gap is at least as large
                 best = float(lower[idx])
                 break
-            faces = geometry.faces(s, embedding)
-            if geometry.margin(pa, faces) >= 0:
+            if idx not in faces:
+                faces[idx] = geometry.polygon_faces(((corners[
+                    idx, :len(s.vertices)] / scale).astype(float) * e).tolist())
+            vs = [a for a, _, _ in faces[idx]]
+            if (geometry.margin(pa, faces[idx]) >= 0 if s.convex
+                    else geometry.winding_contains(vs, tuple(pa))):
                 best = 0.0
                 break
-            vs = [a for a, _, _ in faces]
-            n = len(vs)
-            for i in range(n):
-                best = min(best, geometry.point_segment_distance(
-                    tuple(pa), vs[i], vs[(i + 1) % n]))
+            best = min(best, *(geometry.point_segment_distance(tuple(pa), a, b)
+                               for a, b in zip(vs, vs[1:] + vs[:1])))
         out.append(best)
     return out
 
@@ -397,9 +403,10 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     """Averaging sets along recurrence times of the sequence.
 
     The base patch covers T_*·B with T_* the smallest dyadic dilation whose
-    rescaled patch is eps-close to B in Hausdorff distance; each recurrence
-    time k_i of x blows the base patch up into a union of level-k_i
-    supertiles of the same type multiset, at dilation T_i = θ_(k_i)^{-1}·T_*.
+    rescaled patch is eps-close to B in `hausdorff` (a sampled one-sided
+    distance, not a full Hausdorff distance); each recurrence time k_i of x
+    blows the base patch up into a union of level-k_i supertiles of the same
+    type multiset, at dilation T_i = θ_(k_i)^{-1}·T_*.
     """
     if count < 1:
         raise StructuralError("count must be >= 1")
@@ -423,13 +430,13 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     if geometric:
         emb = family.embedding
         t_star = Fraction(1)
-        patch = None
-        hausdorff = None
         diam = max(_shape_diameter(p.shape, emb) for p in family.prototiles)
         for _ in range(32):
             window = b_region.dilated(t_star)
             try:
-                patch = generate_patch(family, x, window, system=system)
+                anchor = system.anchor(window)
+                patch = generate_patch(family, x, window, system=system,
+                                       anchor=anchor)
             except UnsupportedOperationError:
                 geometric = False
                 break
@@ -454,8 +461,7 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
         base_anchor = None
     else:
         mult = patch.multiset()
-        level, _, offset, edges = system.anchor(b_region.dilated(t_star))
-        base_anchor = (level, offset, edges)
+        base_anchor = anchor[0], anchor[2], anchor[3]
 
     window = max(k_star, base_anchor[0] if base_anchor else 0)
     recs = recurrence_times(x, window) if window <= len(x) else []

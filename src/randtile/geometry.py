@@ -206,7 +206,7 @@ class Polygon:
                 if c < 0 or (strict and c == 0):
                     return False
             return True
-        inside = _winding_contains(self.vertices, p)
+        inside = winding_contains(self.vertices, p)
         if strict:
             return inside and not _on_boundary(self.vertices, p)
         return inside or _on_boundary(self.vertices, p)
@@ -289,8 +289,8 @@ def _on_boundary(vs, p) -> bool:
     return any(_on_segment(vs[i], vs[(i + 1) % n], p) for i in range(n))
 
 
-def _winding_contains(vs, p) -> bool:
-    # Exact crossing-number test (boundary points resolved separately).
+def winding_contains(vs, p) -> bool:
+    # Crossing-number test, exact on rationals, also run on embedded floats.
     n = len(vs)
     count = 0
     for i in range(n):
@@ -400,7 +400,11 @@ def faces(shape, embedding):
             axis = tuple(float(j == i) for j in range(shape.dim))
             out += [(lo, axis, 1.0), (hi, tuple(-c for c in axis), 1.0)]
         return out
-    vs = [embed_point(v, embedding) for v in shape.vertices]
+    return polygon_faces([embed_point(v, embedding) for v in shape.vertices])
+
+
+def polygon_faces(vs):
+    """`faces` of the CCW polygon with embedded float vertices vs."""
     out = []
     for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
         norm = math.hypot(ay - by, bx - ax)

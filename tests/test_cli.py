@@ -112,6 +112,18 @@ def test_default_outputs_match_golden_digests(tmp_path):
         assert hashlib.sha256(data).hexdigest() == golden[name], path
 
 
+def test_geometric_deviate_matches_golden_digest(tmp_path):
+    """`deviate --family half-hex-classical` picks T_* through the boundary
+    distance loop of `special_averaging_sequence`; tests/golden_cli.json pins
+    its CSV bytes.  The summary carries BLAS-dependent Lyapunov floats."""
+    cmd = "deviate --family half-hex-classical"
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_patch_svg_determinism(tmp_path):
     args = ["patch", "--family", "half-hex-classical", "--svg",
             "--window", "box:-1,-1,2,2", "--dilation", "2"]

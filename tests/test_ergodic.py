@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randtile import geometry
 from randtile.bratteli import spanning_system
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
                              UnsupportedOperationError)
-from randtile.ergodic import (TLCObservable, cotrace_shadow,
+from randtile.ergodic import (TLCObservable, _boundary_samples,
+                              _patch_point_distance, cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
                               special_averaging_sequence)
 from randtile.substitution import matrix_only_family, substitution_matrix
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import Region, SupertileSystem
+from randtile.tiling import Patch, Region, SupertileSystem, generate_patch
 
 
 def test_observable_constructors():
@@ -227,6 +229,109 @@ def test_special_averaging_sequence_one_d_disk(odp):
     seq = special_averaging_sequence(odp, x, Region.disk((0,), 0.5), 0.05, 5)
     assert seq.hausdorff is not None and seq.hausdorff <= 0.05
     assert len(seq.entries) == 5
+
+
+def _shape_point_distance(points, patch, embedding):
+    """Oracle: the distance loop over exact `Fraction` tile shapes."""
+    shapes = list(patch.shapes())
+    bboxes = [s.bbox() for s in shapes]
+    lo_arr = np.array([geometry.embed_point(lo, embedding) for lo, _ in bboxes])
+    hi_arr = np.array([geometry.embed_point(hi, embedding) for _, hi in bboxes])
+    out = []
+    for p in points:
+        pa = np.asarray(p)
+        gap = np.maximum(lo_arr - pa, 0) + np.maximum(pa - hi_arr, 0)
+        lower = np.sqrt((gap ** 2).sum(axis=1))
+        best = math.inf
+        for idx in np.argsort(lower):
+            if lower[idx] >= best:
+                break
+            s = shapes[idx]
+            if isinstance(s, geometry.Box):
+                best = float(lower[idx])
+                break
+            faces = geometry.faces(s, embedding)
+            if geometry.margin(pa, faces) >= 0:
+                best = 0.0
+                break
+            vs = [a for a, _, _ in faces]
+            for i in range(len(vs)):
+                best = min(best, geometry.point_segment_distance(
+                    tuple(pa), vs[i], vs[(i + 1) % len(vs)]))
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("name", ["hh", "sol2"])
+@pytest.mark.parametrize("window,dilations", [
+    (Region.unit_square(), (1, 2, 8, 64)),
+    (Region.disk((0, 0), 1), (1, 4, 64)),
+    (Region.box((-1, -1), (2, 2)), (1, 8, 64))])
+def test_patch_point_distance_matches_shape_oracle(request, name, window,
+                                                   dilations):
+    """The lattice-corner distances equal the `Fraction`-shape loop bit for
+    bit (`==` on floats), so `hausdorff` and the chosen T_* cannot move."""
+    fam = request.getfixturevalue(name)
+    # solenoid-2x3 alternates q = 2, 3, so its lattice scale is 6^k
+    x = SymbolSequence((1, 2) * 32 if name == "sol2" else (1,) * 64)
+    system = SupertileSystem(fam, x)
+    sizes = []
+    for t in dilations:
+        win = window.dilated(t)
+        patch = generate_patch(fam, x, win, system=system)
+        sizes.append(len(patch))
+        if len(patch):              # an empty patch is never measured
+            pts = _boundary_samples(win, fam.embedding)
+            want = _shape_point_distance(pts, patch, fam.embedding)
+            assert _patch_point_distance(pts, patch, fam.embedding) == want, t
+    assert sizes[-1] > 500
+
+
+def test_patch_point_distance_oracle_one_d_and_far(hh, odp):
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 64, 0)
+    for t in (4, 16, 64):
+        win = Region.box((0,), (1,)).dilated(t)
+        patch = generate_patch(odp, x, win)
+        pts = _boundary_samples(win, None) + [(-0.25,), (t + 0.3,)]
+        assert (_patch_point_distance(pts, patch, None)
+                == _shape_point_distance(pts, patch, None))
+    # offsets past int64's safe range are Python ints (object dtype)
+    x = SymbolSequence.constant(1, 64)
+    win = Region.box((2 ** 35, -2 ** 35), (3, 2)).dilated(4)
+    patch = generate_patch(hh, x, win)
+    assert len(patch) and patch.offsets.dtype == object
+    pts = _boundary_samples(win, hh.embedding)
+    assert (_patch_point_distance(pts, patch, hh.embedding)
+            == _shape_point_distance(pts, patch, hh.embedding))
+
+
+def test_patch_point_distance_oracle_stretched_thirds():
+    """Tiles on (1/21)·ℤ² under an irrational stretch: each coordinate is
+    rounded once by int / S' and then multiplied, as `embed_point` does."""
+    tri = geometry.Polygon([(0, 0), (Fraction(2, 3), 0),
+                            (Fraction(1, 3), Fraction(5, 7))])
+    box = geometry.Box((0, 0), (Fraction(1, 3), Fraction(2, 7)))
+    emb = (math.sqrt(2), math.sqrt(3))
+    fam = SimpleNamespace(name="thirds", dim=2, n_prototiles=2,
+                          prototiles=[SimpleNamespace(shape=tri),
+                                      SimpleNamespace(shape=box)])
+    rng = np.random.default_rng(1)
+    patch = Patch(rng.integers(0, 2, 300), rng.integers(-40, 40, (300, 2)),
+                  3, fam)
+    pts = [tuple(p) for p in (rng.uniform(-14, 14, (400, 2)) * emb).tolist()]
+    assert (_patch_point_distance(pts, patch, emb)
+            == _shape_point_distance(pts, patch, emb))
+
+
+def test_patch_point_distance_non_convex_tile():
+    """An L-shaped tile covers its two arms; the notch and the outside are
+    at their edge distance (the convex-face margin missed both arms)."""
+    ell = geometry.Polygon([(-1, -1), (2, -1), (2, 1), (1, 1), (1, 2), (-1, 2)])
+    fam = SimpleNamespace(name="L", dim=2, n_prototiles=1,
+                          prototiles=[SimpleNamespace(shape=ell)])
+    patch = Patch([0], [[0, 0]], 1, fam)
+    pts = [(1.5, 0.5), (0.5, 1.5), (0.0, 0.0), (1.5, 1.5), (3.0, 0.0)]
+    assert _patch_point_distance(pts, patch, None) == [0.0, 0.0, 0.0, 0.5, 1.0]
 
 
 def test_special_averaging_rejects_three_dimensional_windows(sol3):
