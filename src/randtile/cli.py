@@ -327,36 +327,29 @@ def cmd_dk(args, out: Path):
 
 def cmd_schrod(args, out: Path):
     family = _resolve_family(args.family)
-    x = SymbolSequence.constant(1, args.length)
-    spec = json.loads(Path(args.kernel).read_text()) if args.kernel else {
-        "range": 1.8, "diagonal": "degree", "offdiagonal": -1}
-    rng = float(spec.get("range", 0.0))
-    if spec.get("diagonal") == "degree":
-        kernel = KernelSpec(range=rng, diagonal_degree=True,
-                            offdiagonal=spec.get("offdiagonal", -1))
-    elif isinstance(spec.get("diagonal"), list):
-        kernel = KernelSpec(range=rng,
-                            diagonal_by_type=tuple(spec["diagonal"]),
-                            offdiagonal=spec.get("offdiagonal", 0))
-    else:
-        kernel = KernelSpec.identity()
+    try:   # a kernel file holds exactly the KernelSpec fields
+        kernel = (KernelSpec(**json.loads(Path(args.kernel).read_text()))
+                  if args.kernel else KernelSpec.laplacian(1.8))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"kernel file {args.kernel}: {exc}") from None
     dilations = [Fraction(t) for t in args.t_grid.split(",")]
-    base = parse_region(args.window)
-    margin = Fraction(2) * Fraction(max(1.0, 2 * rng)).limit_denominator(16)
-    src = base.dilated(max(dilations) + margin)
-    punctures = PunctureSet.from_patch(generate_patch(family, x, src),
-                                       window=src)
+    windows = [parse_region(args.window).dilated(t) for t in dilations]
+    # the source box: the windows' bounding box, max(2, 4·range) wider per side
+    margin = 2 * Fraction(max(1.0, 2 * kernel.range)).limit_denominator(16)
+    lows, highs = zip(*(w.bbox(family.embedding) for w in windows))
+    lo = [min(c) - margin for c in zip(*lows)]
+    hi = [max(c) + margin for c in zip(*highs)]
+    src = Region.box(lo, geometry.vsub(hi, lo))
+    patch = generate_patch(family, SymbolSequence.constant(1, args.length), src)
+    punctures = PunctureSet.from_patch(patch, window=src)
     energies = np.linspace(args.e_min, args.e_max, args.e_count)
-    windows = [base.dilated(t) for t in dilations]
     ids = ids_estimate(kernel, [punctures] * len(windows), windows, energies)
     trace_rows = [(fmt(t), op.size, fmt(windowed_trace(op, window, mode="raw")))
                   for t, window, op in zip(dilations, windows, ids.operators)]
     tpath = out / "schrod_trace.csv"
     _write_csv(tpath, ["T_tile_lengths", "points", "trace"], trace_rows)
-    ids_rows = []
-    for t, curve in zip(dilations, ids.curves):
-        for e, v in zip(energies, curve):
-            ids_rows.append((fmt(t), fmt(e), fmt(v)))
+    ids_rows = [(fmt(t), fmt(e), fmt(v)) for t, curve in zip(dilations, ids.curves)
+                for e, v in zip(energies, curve)]
     ipath = out / "schrod_ids.csv"
     _write_csv(ipath, ["T_tile_lengths", "energy", "ids"], ids_rows)
     return [tpath, ipath]

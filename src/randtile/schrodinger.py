@@ -10,6 +10,7 @@ ergodic module's supertile integrals.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ PuncturePairs = namedtuple("PuncturePairs", "i j cls disps")
 
 
 class PunctureSet:
-    """One marked point per tile of a patch, with type labels: point i is
+    """One marked point per tile of a patch, with its tile type: point i is
     grid[i] / scale, on the lattice of `Patch` (same arrays and checks).
     `points` is its exact view, made on first use; do not mutate it."""
 
@@ -115,18 +116,21 @@ class PunctureSet:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Finite-range hermitian kernel: diagonal per tile type or the neighbor
-    degree (identity when neither), off-diagonal per displacement within the
-    range; the entry at -disp is the conjugate of the one at disp."""
+    """Finite-range hermitian kernel: `diagonal` is None (identity), "degree"
+    (#neighbors within range) or one real value per prototile id; the
+    off-diagonal entry at -disp is the conjugate of the one at disp."""
 
     range: float
-    diagonal_by_type: Optional[tuple] = None     # value per prototile id
-    diagonal_degree: bool = False                # diag = #neighbors in range
+    diagonal: object = None                      # None | "degree" | values
     offdiagonal: object = 0                      # scalar, or ((disp, v), ...)
 
     def __post_init__(self):
-        if self.diagonal_by_type is not None and self.diagonal_degree:
-            raise StructuralError("choose one diagonal rule")
+        if isinstance(self.diagonal, (list, tuple, np.ndarray)) and all(
+                isinstance(v, numbers.Real) for v in self.diagonal):
+            object.__setattr__(self, "diagonal", tuple(self.diagonal))
+        elif self.diagonal not in (None, "degree"):
+            raise StructuralError(f"kernel diagonal {self.diagonal!r} is not "
+                                  "None, 'degree' or one real value per type")
         if self.range < 0:
             raise StructuralError("kernel range must be >= 0")
 
@@ -136,20 +140,12 @@ class KernelSpec:
 
     @staticmethod
     def typewise(values, range=0.0) -> "KernelSpec":
-        return KernelSpec(range=range, diagonal_by_type=tuple(values))
+        return KernelSpec(range=range, diagonal=tuple(values))
 
     @staticmethod
     def laplacian(range: float) -> "KernelSpec":
         """Adjacency Laplacian: diag = degree, offdiag = -1 within range."""
-        return KernelSpec(range=range, diagonal_degree=True, offdiagonal=-1)
-
-    def diagonal_values(self, punctures: PunctureSet, indices, degrees):
-        if self.diagonal_degree:
-            return [degrees[i] for i in indices]
-        if self.diagonal_by_type is not None:
-            return [self.diagonal_by_type[punctures.types[i]]
-                    for i in indices]
-        return [1] * len(indices)   # identity kernel
+        return KernelSpec(range=range, diagonal="degree", offdiagonal=-1)
 
     def offdiagonal_value(self, disp):
         if isinstance(self.offdiagonal, (int, float, complex, Fraction)):
@@ -164,8 +160,7 @@ class WindowedOperator:
     matrix: sp.csr_matrix
     indices: list                   # indices into the puncture set
     punctures: PunctureSet
-    kernel: KernelSpec
-    window: Region
+    diagonal: list                  # kernel diagonal value per point
 
     @property
     def size(self) -> int:
@@ -178,9 +173,8 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
     range-ball of punctures available in the source set."""
     emb = punctures.family.embedding
     if punctures.source_window is not None and kernel.range > 0:
-        pts = _window_extremes(window, emb)
-        padded = [(p, pad + kernel.range) for p, pad in pts]
-        src = punctures.source_window
+        src, rng = punctures.source_window, kernel.range
+        padded = [(p, pad + rng) for p, pad in _window_extremes(window, emb)]
         if src.kind != "disk":
             faces = geometry.faces(src.shape(), emb)
             ok = all(geometry.margin(p, faces) >= pad - 1e-9
@@ -190,8 +184,8 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
             ok = all(math.dist(p, c) + pad <= r + 1e-9 for p, pad in padded)
         if not ok:
             raise IncompletePatternError(
-                "window plus kernel range exceeds the source patch; "
-                "patterns at the rim would be incomplete")
+                f"window {window} plus kernel range {rng} exceeds the source "
+                f"window {src}; patterns at the rim would be incomplete")
     sel = np.flatnonzero(lattice_test(   # a point is a tile with one corner
         window, punctures.scale, punctures.grid[:, None], emb)[1]).tolist()
     n = len(sel)
@@ -214,15 +208,22 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
         rows = np.stack([i, j], axis=1).ravel().tolist()
         cols = np.stack([j, i], axis=1).ravel().tolist()
         vals = entries.reshape(-1, 2)[cls].ravel().tolist()
-    diag = kernel.diagonal_values(punctures, sel, degrees)
-    for k, v in enumerate(diag):
-        if v:
-            rows.append(k)
-            cols.append(k)
-            vals.append(float(v) if isinstance(v, Fraction) else v)
+    if kernel.diagonal == "degree":
+        diag = [degrees[i] for i in sel]
+    elif kernel.diagonal is None:   # identity kernel
+        diag = [1] * n
+    elif len(kernel.diagonal) != punctures.family.n_prototiles:
+        raise StructuralError(f"kernel diagonal {kernel.diagonal!r} needs "
+                              f"{punctures.family.n_prototiles} values, one per tile type")
+    else:
+        diag = [kernel.diagonal[t] for t in punctures.types[sel].tolist()]
+    nonzero = [k for k, v in enumerate(diag) if v]
+    rows, cols = rows + nonzero, cols + nonzero
+    vals = vals + [float(diag[k]) if isinstance(diag[k], Fraction)
+                   else diag[k] for k in nonzero]
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return WindowedOperator(matrix=mat, indices=sel, punctures=punctures,
-                            kernel=kernel, window=window)
+                            diagonal=diag)
 
 
 def windowed_trace(op: WindowedOperator, subregion: Region,
@@ -249,21 +250,10 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
                               patch.family.embedding)[1]
     else:
         raise StructuralError(f"unknown trace mode {mode!r}")
-    diag = _diagonal(op)
     total = 0
     for k in np.flatnonzero(inside).tolist():  # in order; .sum() rounds otherwise
-        total += diag[k]
+        total += op.diagonal[k]
     return total
-
-
-def _diagonal(op: WindowedOperator):
-    """The diagonal of the windowed matrix: rational values when the rule is
-    typewise and exact (integer degrees are exact in the float matrix)."""
-    k = op.kernel
-    if k.diagonal_by_type is not None and all(
-            isinstance(v, (int, Fraction)) for v in k.diagonal_by_type):
-        return [k.diagonal_by_type[t] for t in op.punctures.types[op.indices]]
-    return op.matrix.diagonal()
 
 
 @dataclass
@@ -283,13 +273,12 @@ def trace_deviation(kernel: KernelSpec, family: RuleFamily, x, seq,
     w_t = diag_t / vol_t, so the trace deviation is exactly the ergodic
     deviation of that observable along the special averaging sequence.
     """
-    if kernel.diagonal_by_type is None:
+    if not isinstance(kernel.diagonal, tuple):
         raise UnsupportedOperationError(
             "trace deviation needs a typewise diagonal rule")
     vols = family.volumes()
     w = tuple(Fraction(v) / vols[t] if isinstance(v, (int, Fraction))
-              else v / float(vols[t])
-              for t, v in enumerate(kernel.diagonal_by_type))
+              else v / float(vols[t]) for t, v in enumerate(kernel.diagonal))
     target = ratio = flag = None
     if lyapunov is not None:
         lam, d = lyapunov.raw_exponents, family.dim
@@ -309,9 +298,7 @@ def trace_deviation(kernel: KernelSpec, family: RuleFamily, x, seq,
 
 @dataclass
 class IDSReport:
-    energies: np.ndarray
     curves: list                    # one IDS array per window, same grid
-    labels: list                    # window descriptors
     sup_differences: list           # ||IDS_{i+1} - IDS_i||_inf
     operators: list                 # the WindowedOperator of each window
 
@@ -333,18 +320,15 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     base = matrix.tocsc().astype(float)
     eye = sp.identity(n, format="csc")
     for idx, e in enumerate(energies):
-        shifted = (base - e * eye).tocsc()
-        lu = spla.splu(shifted, diag_pivot_thresh=0.0,
+        lu = spla.splu((base - e * eye).tocsc(), diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        d = lu.U.diagonal()
-        out[idx] = int((d < 0).sum())
+        out[idx] = int((lu.U.diagonal() < 0).sum())
     return out
 
 
 def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,
                  energies) -> IDSReport:
     """IDS_T(E) = #(eigenvalues <= E) / #points over a sweep of windows."""
-    energies = np.asarray(energies, dtype=float)
     ops = []
     for punctures, window in zip(punctures_per_window, windows):
         ops.append(build_operator(kernel, punctures, window))
@@ -353,6 +337,4 @@ def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,
     curves = [eigenvalue_counts(op.matrix, energies) / op.size for op in ops]
     sups = [float(np.abs(curves[i + 1] - curves[i]).max())
             for i in range(len(curves) - 1)]
-    return IDSReport(energies=energies, curves=curves,
-                     labels=[op.window for op in ops],
-                     sup_differences=sups, operators=ops)
+    return IDSReport(curves=curves, sup_differences=sups, operators=ops)

@@ -190,6 +190,20 @@ class Region:
                 float(self.dilation) * self.radius)
         return cache[embedding]
 
+    def __str__(self):
+        nums = ((*self.center, self.radius) if self.kind == "disk" else
+                (*self.corner, *self.widths) if self.kind == "box" else
+                [c for v in self.vertices for c in v])
+        return f"{self.kind}:{','.join(map(str, nums))} dilated by {self.dilation}"
+
+    def bbox(self, embedding):
+        """Coordinate bounding box (lo, hi); a disk's is rounded out to ints."""
+        if self.kind != "disk":
+            return self.shape().bbox()
+        (c, r), e = self.embedded_disk(embedding), embedding or (1,) * self.dim
+        return ([math.floor((ci - r) / ei) for ci, ei in zip(c, e)],
+                [math.ceil((ci + r) / ei) for ci, ei in zip(c, e)])
+
     def _build_shape(self):
         t = self.dilation
         if self.kind == "box":

@@ -124,6 +124,64 @@ def test_geometric_deviate_matches_golden_digest(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+def test_kernel_file_schrod_matches_golden_digest(tmp_path, monkeypatch):
+    """`schrod --kernel` with a typewise kernel file writes the bytes whose
+    digests tests/golden_cli.json records."""
+    cmd = "schrod --kernel kernel.json --t-grid 4"
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    Path("kernel.json").write_text(json.dumps(
+        {"range": 1.8, "diagonal": [1, 2, 3, 4, 5, 6], "offdiagonal": -1}))
+    assert main([*cmd.split(), "--out", "out"]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"range": 1.8, "diag": "degree", "offdiagonal": -1}, "'diag'"),
+    ({"range": 1.8, "diagonal": "degre", "offdiagonal": -1}, "'degre'"),
+    ({"range": 1.8, "diagonal": ["one"] * 6}, "'one'"),
+    ({"range": 1.8, "diagonal": [1, 2, 3]}, "(1, 2, 3) needs 6 values"),
+])
+def test_kernel_file_rejects_unknown_keys_and_values(tmp_path, capsys, spec,
+                                                     named):
+    """An unknown key or diagonal value exits 2 naming it; it used to run
+    the identity kernel (or fail with an IndexError)."""
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(spec))
+    assert main(["schrod", "--kernel", str(path), "--t-grid", "4",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_kernel_file_without_diagonal_keeps_range_and_offdiagonal(tmp_path):
+    """No `diagonal` key means the identity diagonal, with the file's range
+    and off-diagonal kept: the trace is the point count, and the -1 hopping
+    puts eigenvalues below 1, where the identity kernel has none."""
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"range": 1.5, "offdiagonal": -1}))
+    assert main(["schrod", "--kernel", str(path), "--t-grid", "4",
+                 "--out", str(tmp_path)]) == 0
+    [_, (t, points, trace)] = _read_csv(tmp_path / "schrod_trace.csv")
+    assert (t, trace) == ("4", points)
+    ids = {float(e): float(v) for _, e, v in
+           _read_csv(tmp_path / "schrod_ids.csv")[1:]}
+    assert ids[0.75] > 0 and ids[9.0] == 1
+
+
+@pytest.mark.parametrize("window", ["square", "disk:1,1,1", "box:1,1,1,1"])
+def test_schrod_runs_on_windows_off_the_origin(tmp_path, window):
+    """The source patch pads the windows' bounding box on every side; it
+    used to pad the dilation, so only the far side of an off-centre window
+    had room for the kernel range."""
+    assert main(["schrod", "--window", window, "--t-grid", "1,4",
+                 "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "schrod_trace.csv")[1:]
+    assert [r[0] for r in rows] == ["1", "4"]
+    assert 0 < int(rows[0][1]) < int(rows[1][1])
+
+
 def test_patch_svg_determinism(tmp_path):
     args = ["patch", "--family", "half-hex-classical", "--svg",
             "--window", "box:-1,-1,2,2", "--dilation", "2"]

@@ -209,7 +209,7 @@ def test_operator_membership_matches_fraction_reference(source, window):
         assert op.indices == [i for i, ok in enumerate(raw) if ok]
         whole = build_operator(kernel, punctures, source)
         assert whole.indices == list(range(len(points)))
-        diag = [kernel.diagonal_by_type[t] for t in punctures.types]
+        diag = [kernel.diagonal[t] for t in punctures.types]
         if isinstance(diag[0], float):
             diag = whole.matrix.diagonal()
         for mode, inside in (("raw", raw), ("interior-supertile", interior)):

@@ -96,6 +96,46 @@ def test_incomplete_pattern_guard(lattice):
     build_operator(KernelSpec.identity(), lattice, wide)
 
 
+def test_incomplete_pattern_error_names_windows_and_range(lattice):
+    wide = Region.box((-6, -6), (12, 12), dilation=Fraction(1, 2))
+    with pytest.raises(IncompletePatternError) as err:
+        build_operator(KernelSpec.laplacian(3.75), lattice, wide)
+    assert str(err.value).startswith(
+        "window box:-6,-6,12,12 dilated by 1/2 plus kernel range 3.75 "
+        "exceeds the source window box:-13/2,-13/2,13,13 dilated by 1;")
+
+
+def test_kernel_diagonal_is_one_field():
+    """None, "degree" or real values per type (lists and arrays become
+    tuples); anything else is a StructuralError naming the value."""
+    assert KernelSpec(1.0, [1, Fraction(1, 2), 2.5]).diagonal == (
+        1, Fraction(1, 2), 2.5)
+    assert KernelSpec(1.0, np.arange(3)).diagonal == (0, 1, 2)
+    assert KernelSpec.laplacian(1.0).diagonal == "degree"
+    for bad in ("Degree", 1, {"degree": 1}, [1, "2"], [[1, 2]]):
+        with pytest.raises(StructuralError, match="kernel diagonal"):
+            KernelSpec(1.0, bad)
+
+
+def test_operator_keeps_the_diagonal_it_assembles(lattice):
+    """`WindowedOperator.diagonal` holds the kernel's own values (exact
+    integers and fractions), the matrix diagonal is their float image, and
+    the trace sums them."""
+    window = _inner_window(Fraction(3, 2))
+    lap = KernelSpec.laplacian(1.1)
+    degrees = (build_operator(lap, lattice, window).matrix.toarray() == -1
+               ).sum(axis=1).tolist()
+    assert sorted(degrees) == [2, 2, 2, 2, 3, 3, 3, 3, 4]
+    for kernel, want in [(KernelSpec.identity(), [1] * 9), (lap, degrees),
+                         (KernelSpec.typewise([Fraction(3, 2)], 1.1),
+                          [Fraction(3, 2)] * 9)]:
+        op = build_operator(kernel, lattice, window)
+        assert op.diagonal == want
+        assert [type(v) for v in op.diagonal] == [type(v) for v in want]
+        assert op.matrix.diagonal().tolist() == [float(v) for v in want]
+        assert windowed_trace(op, window) == sum(want)
+
+
 def test_interior_supertile_trace_matches_ergodic(hh):
     from randtile.ergodic import TLCObservable, ergodic_vectors
     x = SymbolSequence.constant(1, 40)
@@ -166,7 +206,7 @@ def test_ids_identity_step(lattice):
 
 def test_kernel_spec_validation():
     with pytest.raises(StructuralError):
-        KernelSpec(range=1.0, diagonal_by_type=(1,), diagonal_degree=True)
+        KernelSpec(range=1.0, diagonal="degre")
     with pytest.raises(StructuralError):
         KernelSpec(range=-1.0)
 
@@ -266,7 +306,13 @@ def _ref_operator(kernel, punctures, window):
                     cols += [pos[j], pos[i]]
                     vals += ([v, np.conj(v)] if isinstance(v, complex)
                              else [float(v)] * 2)
-    for k, v in enumerate(kernel.diagonal_values(punctures, sel, degrees)):
+    if kernel.diagonal is None:
+        diag = [1] * len(sel)
+    elif kernel.diagonal == "degree":
+        diag = [degrees[i] for i in sel]
+    else:
+        diag = [kernel.diagonal[punctures.types[i]] for i in sel]
+    for k, v in enumerate(diag):
         if v:
             rows.append(k)
             cols.append(k)
@@ -281,7 +327,7 @@ def test_build_operator_matches_per_pair_assembly(half_hex_punctures):
         KernelSpec.identity(),
         KernelSpec.typewise([Fraction(t + 1, 3) for t in range(6)], 1.8),
         KernelSpec.laplacian(1.8),
-        KernelSpec(range=1.8, diagonal_by_type=(0, 1, 2.5, 0, 1, 2),
+        KernelSpec(range=1.8, diagonal=(0, 1, 2.5, 0, 1, 2),
                    offdiagonal=((disps[0], 1 + 2j), (disps[1], -0.5),
                                 (disps[2], 3))),
         # a complex value only on a displacement that never occurs

@@ -19,6 +19,21 @@ def test_region_basics():
         Region("blob")
 
 
+def test_region_bbox_and_str():
+    """Exact bounding boxes for boxes and polygons; a disk's (radius through
+    the embedding) is rounded outward to integers."""
+    box = Region.box((-1, -1), (2, 2), dilation=Fraction(5, 2))
+    assert box.bbox(None) == ((Fraction(-5, 2),) * 2, (Fraction(5, 2),) * 2)
+    tri = Region.polygon([(0, 0), (2, 1), (1, 3)], dilation=2)
+    assert tri.bbox(None) == ((0, 0), (4, 6))
+    disk = Region.disk((1, 1), 1, dilation=4)
+    assert disk.bbox((1.0, 3 ** 0.5)) == ([0, 1], [8, 7])    # 4 ± 4/√3
+    assert disk.bbox(None) == ([0, 0], [8, 8])
+    assert str(box) == "box:-1,-1,2,2 dilated by 5/2"
+    assert str(tri) == "polygon:0,0,2,1,1,3 dilated by 2"
+    assert str(disk) == "disk:1,1,1.0 dilated by 4"
+
+
 def test_region_boundary_measure():
     sq = Region.unit_square(dilation=3)
     assert sq.boundary_measure() == pytest.approx(12.0)
