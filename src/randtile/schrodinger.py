@@ -117,12 +117,14 @@ class PunctureSet:
 @dataclass(frozen=True)
 class KernelSpec:
     """Finite-range hermitian kernel: `diagonal` is None (identity), "degree"
-    (#neighbors within range) or one real value per prototile id; the
-    off-diagonal entry at -disp is the conjugate of the one at disp."""
+    (#neighbors within range) or one real value per prototile id;
+    `offdiagonal` is one number or [[disp, value], ...] pairs (a JSON list
+    works; disp is kept as exact Fractions).  The off-diagonal entry at
+    -disp is the conjugate of the one at disp."""
 
     range: float
     diagonal: object = None                      # None | "degree" | values
-    offdiagonal: object = 0                      # scalar, or ((disp, v), ...)
+    offdiagonal: object = 0                      # number | ((disp, v), ...)
 
     def __post_init__(self):
         if isinstance(self.diagonal, (list, tuple, np.ndarray)) and all(
@@ -133,6 +135,13 @@ class KernelSpec:
                                   "None, 'degree' or one real value per type")
         if self.range < 0:
             raise StructuralError("kernel range must be >= 0")
+        if not isinstance(self.offdiagonal, numbers.Number):
+            if not isinstance(self.offdiagonal, (list, tuple)):
+                raise StructuralError(
+                    f"kernel offdiagonal {self.offdiagonal!r} is not a number "
+                    "or a list of [displacement, value] entries")
+            object.__setattr__(self, "offdiagonal", tuple(
+                _offdiagonal_entry(e) for e in self.offdiagonal))
 
     @staticmethod
     def identity() -> "KernelSpec":
@@ -148,9 +157,24 @@ class KernelSpec:
         return KernelSpec(range=range, diagonal="degree", offdiagonal=-1)
 
     def offdiagonal_value(self, disp):
-        if isinstance(self.offdiagonal, (int, float, complex, Fraction)):
+        if isinstance(self.offdiagonal, numbers.Number):
             return self.offdiagonal
         return dict(self.offdiagonal).get(disp, 0)
+
+
+def _offdiagonal_entry(entry):
+    """[disp, value] (a JSON list or a tuple) -> (exact displacement, value);
+    the displacement must be finite real coordinates, the value a number."""
+    if (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and isinstance(entry[0], (list, tuple))
+            and all(isinstance(c, numbers.Real) for c in entry[0])
+            and isinstance(entry[1], numbers.Number)):
+        try:
+            return tuple(Fraction(c) for c in entry[0]), entry[1]
+        except (ValueError, OverflowError):     # nan, inf
+            pass
+    raise StructuralError(f"kernel offdiagonal entry {entry!r} is not a "
+                          "[displacement, value] pair of numbers")
 
 
 @dataclass
@@ -304,10 +328,22 @@ class IDSReport:
 
 
 def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
-    """#eigenvalues <= E for each E, exact up to solver tolerance.
+    """#eigenvalues <= E for each E of a hermitian matrix.
 
-    Dense solve below _DENSE_LIMIT points; sparse LDL^T inertia counting
-    (LU with no pivoting threshold on A - E·I) above.
+    Up to _DENSE_LIMIT points: dense `eigvalsh`.  Above: inertia counting.
+    Each A - E·I is factored by SuperLU in SymmetricMode with no pivoting
+    threshold, in a minimum-degree order on A + A^T (MMD_AT_PLUS_A), so the
+    factorization is P(A - E·I)P^T = LDL^H with the same permutation on rows
+    and columns.  That is a congruence, so by Sylvester's law of inertia the
+    number of negative pivots (the real parts of U's diagonal) is the number
+    of eigenvalues below E.  The order only cuts fill: on a 4,144-point
+    half-hex Laplacian L+U holds 140,248 entries against COLAMD's 247,824.
+
+    Counts at energies that are, or lie within rounding of, an eigenvalue
+    are not reliable on either branch.  Dense: rounding decides the tie.
+    Sparse: a zero diagonal pivot makes SuperLU pivot off the diagonal,
+    which breaks the congruence and miscounts silently, or it raises
+    `RuntimeError: Factor is exactly singular`.
     """
     n = matrix.shape[0]
     energies = np.asarray(energies, dtype=float)
@@ -317,12 +353,13 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
         vals = np.linalg.eigvalsh(matrix.toarray())
         return np.searchsorted(vals, energies, side="right")
     out = np.empty(len(energies), dtype=int)
-    base = matrix.tocsc().astype(float)
+    base = matrix.tocsc()           # complex stays complex
     eye = sp.identity(n, format="csc")
     for idx, e in enumerate(energies):
-        lu = spla.splu((base - e * eye).tocsc(), diag_pivot_thresh=0.0,
+        lu = spla.splu((base - e * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        out[idx] = int((lu.U.diagonal() < 0).sum())
+        out[idx] = int((lu.U.diagonal().real < 0).sum())
     return out
 
 

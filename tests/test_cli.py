@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from randtile.bratteli import approximant, spanning_system
 from randtile import cli
@@ -14,6 +16,7 @@ from randtile.cocycle import lyapunov_spectrum
 from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
 from randtile.errors import ConfigError
+from randtile.schrodinger import KernelSpec
 from randtile.symbolic import SymbolSequence
 from randtile.tiling import Patch
 
@@ -124,6 +127,19 @@ def test_geometric_deviate_matches_golden_digest(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+def test_sparse_schrod_matches_golden_digest(tmp_path):
+    """At T=28 the window has 4,144 points, above `_DENSE_LIMIT`, so the
+    IDS comes from sparse inertia counts; the energies avoid the lattice
+    of Laplacian eigenvalues.  tests/golden_cli.json pins the bytes."""
+    cmd = "schrod --t-grid 28 --e-min -0.875 --e-max 9.125 --e-count 41"
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    assert _read_csv(tmp_path / "schrod_trace.csv")[1][1] == "4144"
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_kernel_file_schrod_matches_golden_digest(tmp_path, monkeypatch):
     """`schrod --kernel` with a typewise kernel file writes the bytes whose
     digests tests/golden_cli.json records."""
@@ -143,16 +159,48 @@ def test_kernel_file_schrod_matches_golden_digest(tmp_path, monkeypatch):
     ({"range": 1.8, "diagonal": "degre", "offdiagonal": -1}, "'degre'"),
     ({"range": 1.8, "diagonal": ["one"] * 6}, "'one'"),
     ({"range": 1.8, "diagonal": [1, 2, 3]}, "(1, 2, 3) needs 6 values"),
+    ({"range": 1.8, "offdiagonal": [[[1, 0]]]}, "entry [[1, 0]] is not"),
+    ({"range": 1.8, "offdiagonal": [[[1, "a"], -1]]}, "entry [[1, 'a'], -1]"),
+    ({"range": 1.8, "offdiagonal": [[1, -1]]}, "entry [1, -1] is not"),
+    ({"range": 1.8, "offdiagonal": [[[math.inf, 0], -1]]}, "[[inf, 0], -1]"),
 ])
 def test_kernel_file_rejects_unknown_keys_and_values(tmp_path, capsys, spec,
                                                      named):
-    """An unknown key or diagonal value exits 2 naming it; it used to run
-    the identity kernel (or fail with an IndexError)."""
+    """An unknown key, diagonal value or off-diagonal entry exits 2 naming
+    it; it used to run the identity kernel (or fail with an IndexError, or
+    an untyped TypeError for an off-diagonal entry)."""
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(spec))
     assert main(["schrod", "--kernel", str(path), "--t-grid", "4",
                  "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_kernel_file_offdiagonal_per_displacement(tmp_path, monkeypatch):
+    """A kernel file spells a per-displacement off-diagonal as
+    [[displacement, value], ...]; the run gets the KernelSpec built in
+    Python with exact displacements.  It used to die with an untyped
+    TypeError (a JSON list is not a hashable displacement)."""
+    entries = [[[0, 1], -1], [[0, -1], -1], [[1.5, 0.5], 2], [[-1.5, -0.5], 2]]
+    want = KernelSpec(range=1.8, diagonal="degree", offdiagonal=tuple(
+        ((Fraction(x), Fraction(y)), v) for (x, y), v in entries))
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"range": 1.8, "diagonal": "degree",
+                                "offdiagonal": entries}))
+    seen, ids_estimate = [], cli.ids_estimate
+
+    def spy(kernel, *args):
+        seen.append(kernel)
+        seen.append(ids_estimate(kernel, *args))
+        return seen[-1]
+    monkeypatch.setattr(cli, "ids_estimate", spy)
+    assert main(["schrod", "--kernel", str(path), "--t-grid", "4",
+                 "--out", str(tmp_path / "out")]) == 0
+    [kernel, report] = seen
+    assert kernel == want
+    [op] = report.operators
+    hopping = op.matrix - sp.diags(op.matrix.diagonal())
+    assert sorted(set(hopping.data.tolist())) == [-1.0, 2.0]
 
 
 def test_kernel_file_without_diagonal_keeps_range_and_offdiagonal(tmp_path):

@@ -194,6 +194,65 @@ def test_eigenvalue_counts_sparse_matches_dense(lattice, monkeypatch):
     assert (dense == sparse).all()
 
 
+@pytest.fixture(scope="module")
+def half_hex_windows(hh):
+    """Half-hex punctures on the CLI window `box:-1,-1,2,2` dilated by 20,
+    and the windows dilated by 8 and 16 (352 and 1,344 points)."""
+    base = Region.box((-1, -1), (2, 2))
+    src = base.dilated(20)
+    patch = generate_patch(hh, SymbolSequence.constant(1, 40), src)
+    return (PunctureSet.from_patch(patch, window=src),
+            [base.dilated(8), base.dilated(16)])
+
+
+def _off_spectrum(dense):
+    """41 energies across the spectrum of `dense`, none within 1e-6 of an
+    eigenvalue, and the sorted eigenvalues."""
+    vals = np.linalg.eigvalsh(dense)
+    energies = np.linspace(vals[0] - 1, vals[-1] + 1, 41) + 0.0123
+    gaps = np.abs(energies[:, None] - vals[None, :]).min(axis=1)
+    assert gaps.min() > 1e-6
+    return energies, vals
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", [
+    KernelSpec.laplacian(1.8),
+    KernelSpec(range=1.8, diagonal=(3, -1, 0.5, 2, -2.5, 1), offdiagonal=-1),
+    # hermitian: (i, j) holds 1j and (j, i) holds -1j
+    KernelSpec(range=1.8, diagonal="degree", offdiagonal=1j),
+], ids=["laplacian", "typewise", "complex"])
+def test_sparse_counts_match_dense_eigvalsh(half_hex_windows, monkeypatch,
+                                            kernel):
+    """Inertia counts equal dense `eigvalsh` counts off the spectrum.  The
+    sparse branch cast complex operators to float (with a ComplexWarning),
+    which miscounted the complex kernel."""
+    punctures, windows = half_hex_windows
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    for window in windows:
+        op = build_operator(kernel, punctures, window)
+        assert 350 <= op.size <= 1350
+        energies, vals = _off_spectrum(op.matrix.toarray())
+        want = np.searchsorted(vals, energies, side="right")
+        assert eigenvalue_counts(op.matrix, energies).tolist() == want.tolist()
+
+
+def test_sparse_counts_invariant_under_symmetric_permutation(
+        half_hex_windows, monkeypatch):
+    """P A P^T has the inertia of A, whatever order the factorization
+    picks for either."""
+    punctures, windows = half_hex_windows
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    op = build_operator(KernelSpec.laplacian(1.8), punctures, windows[1])
+    energies, _ = _off_spectrum(op.matrix.toarray())
+    want = eigenvalue_counts(op.matrix, energies)
+    gen = np.random.default_rng(5)
+    for _ in range(2):
+        perm = gen.permutation(op.size)
+        permuted = op.matrix[perm][:, perm]
+        assert (eigenvalue_counts(permuted, energies) == want).all()
+
+
 def test_ids_identity_step(lattice):
     windows = [_inner_window(Fraction(5, 2)), _inner_window(Fraction(9, 2))]
     energies = [-0.5, 0.5, 0.999, 1.0, 1.5]
