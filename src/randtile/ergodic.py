@@ -10,6 +10,7 @@ k >= m, which makes deviation measurements exact in rational arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,21 +110,47 @@ def _upward_continuation(family, x, k, vertex, m):
     return tuple(edges)
 
 
+def _extend_paths(family, x, level, paths):
+    """Length-`level` paths by terminal vertex, {vertex: [edge tuple]}, from
+    the length-(level − 1) ones."""
+    nxt = {v: [] for v in range(family.n_prototiles)}
+    for parent, child, idx, _ in family.rule(x[level]).edges:
+        for p in paths[child]:
+            nxt[parent].append(p + ((level, parent, child, idx),))
+    return nxt
+
+
 def _paths_to(family, x, k):
     """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
     paths = {v: [()] for v in range(family.n_prototiles)}
     for level in range(1, k + 1):
-        nxt = {v: [] for v in range(family.n_prototiles)}
-        for parent, child, idx, _ in family.rule(x[level]).edges:
-            for p in paths[child]:
-                nxt[parent].append(p + ((level, parent, child, idx),))
-        paths = nxt
+        paths = _extend_paths(family, x, level, paths)
     return paths
+
+
+def _numerators(values):
+    """D, the lcm of the denominators of ints and Fractions, and each D·v
+    as an int."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                     depth: int):
-    """[V^0 .. V^depth]; exact arithmetic when the weights are rational."""
+    """[V^0 .. V^depth]; exact arithmetic when the weights are rational.
+
+    Exact weights carry integer numerators over one common denominator.  The
+    last explicit vector (V^0, or V^m for a depth-m observable) is written as
+    N/D with D the lcm of its denominators; A_k is an integer matrix, so
+    V^k = A_k···A_1·V^0 is N^k/D with N^k = A_k·N^(k−1) in Python ints.  An
+    entry is built once per level: Fraction(N^k_j, D) when the last explicit
+    vector holds a Fraction, else the int N^k_j, the types an object matmul
+    would give.  A path level k <= m sums the numerators of w·vol[src] over
+    the length-k paths ending at each vertex (int 0 where there are none).
+    Float and complex weights use float matmuls.
+    """
+    if depth < 0:
+        raise StructuralError(f"depth must be >= 0, not {depth}")
     if depth > len(x):
         raise StructuralError("depth exceeds sequence length")
     m = f.depth
@@ -147,25 +174,59 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                 "depth > 0 observables need geometric rules "
                 "(pattern classes are positions of tiles)")
         wmap = f.weight_map()
+        if exact:
+            # (D·w, w is a Fraction) per path and (D'·vol, vol is a Fraction)
+            # per type: a sum of w·vol is a Fraction if any term is one
+            wden, wnum = _numerators(list(wmap.values()))
+            wnum = {p: (num, isinstance(w, Fraction))
+                    for (p, w), num in zip(wmap.items(), wnum)}
+            vden, vnum = _numerators(vols)
+            vnum = [(num, isinstance(v, Fraction))
+                    for v, num in zip(vols, vnum)]
         out = []
+        paths = {v: [()] for v in range(n)}
         # at level k <= m a pattern class is a level-k path continued to level m
         for k in range(0, min(m, depth) + 1):
-            paths = _paths_to(family, x, k)
+            if k:
+                paths = _extend_paths(family, x, k, paths)
             vals = []
             for j in range(n):
                 cont = _upward_continuation(family, x, k, j, m)
-                total = 0
-                for p in paths[j]:
-                    src = p[0][2] if p else j
-                    w = wmap.get(p + cont, 0)
-                    total += w * (vols[src] if exact else float(vols[src]))
-                vals.append(total)
+                if exact:
+                    total, fractional = 0, False
+                    for p in paths[j]:
+                        w, wfrac = wnum.get(p + cont, (0, False))
+                        v, vfrac = vnum[p[0][2] if p else j]
+                        total += w * v
+                        fractional = fractional or wfrac or vfrac
+                    vals.append(Fraction(total, wden * vden) if fractional
+                                else total // (wden * vden))
+                else:
+                    total = 0
+                    for p in paths[j]:
+                        src = p[0][2] if p else j
+                        total += wmap.get(p + cont, 0) * float(vols[src])
+                    vals.append(total)
             out.append(ErgodicVector(k, vec(vals)))
 
+    if not exact:
+        while len(out) <= depth:
+            k = len(out)
+            a = family.matrix(x[k]).astype(float)
+            out.append(ErgodicVector(k, a @ out[-1].values))
+        return out[:depth + 1]
+
+    den, num = _numerators(out[-1].values)
+    fractional = any(isinstance(v, Fraction) for v in out[-1].values)
+    rows = {}
     while len(out) <= depth:
         k = len(out)
-        a = family.matrix(x[k]).astype(object if exact else float)
-        out.append(ErgodicVector(k, a @ out[-1].values))
+        s = x[k]
+        if s not in rows:
+            rows[s] = family.matrix(s).tolist()
+        num = [sum(map(operator.mul, row, num)) for row in rows[s]]
+        out.append(ErgodicVector(k, vec(
+            [Fraction(v, den) for v in num] if fractional else num)))
     return out[:depth + 1]
 
 
@@ -519,6 +580,10 @@ def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
     kmax = max(k for k, _, _ in seq.entries)
     if vectors is None:
         vectors = ergodic_vectors(f, family, x, kmax)
+    elif len(vectors) <= kmax:
+        raise StructuralError(
+            f"vectors reach depth {len(vectors) - 1}; the averaging "
+            f"sequence needs k_max = {kmax}")
     entries = []
     for i, (k_i, t_i, _) in enumerate(seq.entries):
         try:

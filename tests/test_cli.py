@@ -127,6 +127,21 @@ def test_geometric_deviate_matches_golden_digest(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("cmd", [
+    "deviate --mode regions",
+    "deviate --family half-hex-pair --p 0.5 --length 2000 --entries 40",
+])
+def test_exact_chain_deviate_matches_golden_digest(tmp_path, cmd):
+    """Both integrals come from the exact ergodic vectors: over supertile
+    decompositions of T·B, and along a 40-entry averaging sequence whose
+    vectors run 229 levels deep.  tests/golden_cli.json pins the CSV bytes."""
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_sparse_schrod_matches_golden_digest(tmp_path):
     """At T=28 the window has 4,144 points, above `_DENSE_LIMIT`, so the
     IDS comes from sparse inertia counts; the energies avoid the lattice

@@ -14,7 +14,8 @@ from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
                              UnsupportedOperationError)
 from randtile.ergodic import (TLCObservable, _boundary_samples,
-                              _patch_point_distance, cotrace_shadow,
+                              _patch_point_distance, _upward_continuation,
+                              cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
@@ -90,6 +91,178 @@ def test_depth_requires_geometry(hhp):
     f = TLCObservable(1, ((((1, 0, 0, 0),), Fraction(1)),))
     with pytest.raises(UnsupportedOperationError):
         ergodic_vectors(f, hhp, x, 6)
+
+
+def _paths_to(family, x, k):
+    """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
+    paths = {v: [()] for v in range(family.n_prototiles)}
+    for level in range(1, k + 1):
+        nxt = {v: [] for v in range(family.n_prototiles)}
+        for parent, child, idx, _ in family.rule(x[level]).edges:
+            for p in paths[child]:
+                nxt[parent].append(p + ((level, parent, child, idx),))
+        paths = nxt
+    return paths
+
+
+def _object_matmul_vectors(f, family, x, depth):
+    """Reference chain: per-path sums of w·vol, then V^k = A_k·V^(k−1) as
+    object (or float) matmuls, one `Fraction` operation at a time."""
+    m = f.depth
+    vols = family.volumes()
+    n = family.n_prototiles
+    exact = f.is_exact()
+    dtype = object if exact else complex if any(
+        isinstance(w, complex) for w in (dict(f.weights).values()
+                                         if m else f.weights)) else float
+    if m == 0:
+        out = [np.array([f.weights[j] * (vols[j] if exact else float(vols[j]))
+                         for j in range(n)], dtype=dtype)]
+    else:
+        wmap = f.weight_map()
+        out = []
+        for k in range(0, min(m, depth) + 1):
+            paths = _paths_to(family, x, k)
+            vals = []
+            for j in range(n):
+                cont = _upward_continuation(family, x, k, j, m)
+                total = 0
+                for p in paths[j]:
+                    src = p[0][2] if p else j
+                    w = wmap.get(p + cont, 0)
+                    total += w * (vols[src] if exact else float(vols[src]))
+                vals.append(total)
+            out.append(np.array(vals, dtype=dtype))
+    while len(out) <= depth:
+        a = family.matrix(x[len(out)]).astype(object if exact else float)
+        out.append(a @ out[-1])
+    return out[:depth + 1]
+
+
+def _assert_same_vectors(got, want):
+    assert [v.level for v in got] == list(range(len(want)))
+    for v, w in zip(got, want):
+        assert v.values.dtype == w.dtype
+        if w.dtype != object:
+            assert np.array_equal(v.values, w), v.level
+            continue
+        for a, b in zip(v.values, w):
+            assert a == b and type(a) is type(b), (v.level, a, b)
+
+
+def _int_volume_family(hhp):
+    """half-hex-pair's matrices over integer volumes 1..6, so that int weights
+    give int vectors and mixed weights give mixed V^0."""
+    return SimpleNamespace(n_prototiles=6, volumes=lambda: [1, 2, 3, 4, 5, 6],
+                           matrix=hhp.matrix)
+
+
+def test_exact_chain_matches_object_matmul_zero_trace(hhp):
+    """Zero-trace `Fraction` weights to depth 1,000: every entry of every
+    level equals the object-matmul chain's, with the same type."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 1000, seed=3)
+    f = make_zero_trace_observable(hhp, x, 40)
+    assert f.is_exact() and any(isinstance(w, Fraction) for w in f.weights)
+    _assert_same_vectors(ergodic_vectors(f, hhp, x, 1000),
+                         _object_matmul_vectors(f, hhp, x, 1000))
+
+
+@pytest.mark.parametrize("weights", [
+    (1,) * 6,                                           # volume observable
+    (1, Fraction(-2, 3), 0, Fraction(5, 7), -3, Fraction(1, 2)),    # mixed
+    (0,) * 6,                                           # all zero
+    (Fraction(0),) * 6,
+])
+def test_exact_chain_matches_object_matmul(hhp, weights):
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.3), 120, seed=11)
+    f = TLCObservable(0, weights)
+    for fam in (hhp, _int_volume_family(hhp)):
+        _assert_same_vectors(ergodic_vectors(f, fam, x, 120),
+                             _object_matmul_vectors(f, fam, x, 120))
+
+
+def test_exact_chain_int_volumes_keep_int_types(hhp):
+    """Integer weights over integer volumes stay ints at every level; one
+    `Fraction` weight makes every later level `Fraction`."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 30, seed=2)
+    fam = _int_volume_family(hhp)
+    vecs = ergodic_vectors(TLCObservable(0, (1, -1, 2, 0, 3, -5)), fam, x, 30)
+    assert all(type(c) is int for v in vecs for c in v.values)
+    vecs = ergodic_vectors(TLCObservable(0, (1, -1, 2, 0, 3, Fraction(1, 3))),
+                           fam, x, 30)
+    assert [type(c) for c in vecs[0].values] == [int] * 5 + [Fraction]
+    assert all(type(c) is Fraction for v in vecs[1:] for c in v.values)
+
+
+def test_path_observable_matches_object_matmul(hh):
+    """Depth-5 path observable on half-hex-classical with random `Fraction`
+    weights (and a few int ones); no path through vertex 0 at level 5 is
+    weighted, so V^5_0 is a `Fraction` zero."""
+    x = SymbolSequence.constant(1, 9)
+    paths = [p for ps in _paths_to(hh, x, 5).values() for p in ps]
+    assert len(paths) == 6144
+    rng = np.random.default_rng(5)
+    weights = []
+    for p, a, b in zip(paths, rng.integers(-40, 41, len(paths)),
+                       rng.integers(1, 30, len(paths))):
+        if p[-1][1] != 0:
+            weights.append((p, int(a) if b == 1 else Fraction(int(a), int(b))))
+    f = TLCObservable(5, tuple(weights))
+    vecs = ergodic_vectors(f, hh, x, 9)
+    _assert_same_vectors(vecs, _object_matmul_vectors(f, hh, x, 9))
+    assert vecs[5].values[0] == 0 and type(vecs[5].values[0]) is Fraction
+    _assert_same_vectors(ergodic_vectors(f, hh, x, 3),
+                         _object_matmul_vectors(f, hh, x, 3))
+
+
+@pytest.mark.parametrize("volumes", [[1, 2, 3, 4, 5, 6],
+                                     [1, 2, 3, 4, 5, Fraction(1, 2)]])
+def test_path_observable_pruned_matches_object_matmul(hh, volumes):
+    """Without the edges into parent 0, vertex 0 has no path above level 0
+    and stays int 0; int weights over int volumes stay ints."""
+    def rule(symbol):
+        r = hh.rule(symbol)
+        return SimpleNamespace(is_geometric=r.is_geometric, edges=tuple(
+            e for e in r.edges if e[0] != 0))
+    fam = SimpleNamespace(n_prototiles=6, volumes=lambda: volumes,
+                          matrix=hh.matrix, rule=rule)
+    x = SymbolSequence.constant(1, 6)
+    paths = [p for ps in _paths_to(fam, x, 3).values() for p in ps]
+    rng = np.random.default_rng(8)
+    for weights in ([int(a) for a in rng.integers(-9, 10, len(paths))],
+                    [Fraction(int(a), 3) if a % 2 else int(a)
+                     for a in rng.integers(-9, 10, len(paths))]):
+        f = TLCObservable(3, tuple(zip(paths, weights)))
+        vecs = ergodic_vectors(f, fam, x, 6)
+        _assert_same_vectors(vecs, _object_matmul_vectors(f, fam, x, 6))
+        assert all(type(v.values[0]) is int and v.values[0] == 0
+                   for v in vecs[1:4])
+
+
+@pytest.mark.parametrize("weights", [
+    (0.5, -1.25, 3.0, 0.0, 2.5, -0.75),
+    (0.5 + 1j, -1.25, 3.0 - 2j, 0.0, 2.5j, -0.75),
+])
+def test_float_chain_matches_float_matmul(hhp, weights):
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 60, seed=4)
+    f = TLCObservable(0, weights)
+    _assert_same_vectors(ergodic_vectors(f, hhp, x, 60),
+                         _object_matmul_vectors(f, hhp, x, 60))
+
+
+def test_float_path_observable_matches_float_sums(hh):
+    x = SymbolSequence.constant(1, 5)
+    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    f = TLCObservable(2, tuple((p, 0.1 * i - 3) for i, p in enumerate(paths)))
+    _assert_same_vectors(ergodic_vectors(f, hh, x, 5),
+                         _object_matmul_vectors(f, hh, x, 5))
+
+
+def test_ergodic_vectors_rejects_negative_depth(hh):
+    """depth = -1 used to return an empty list."""
+    x = SymbolSequence.constant(1, 6)
+    with pytest.raises(StructuralError, match="depth"):
+        ergodic_vectors(TLCObservable.constant(1, 6), hh, x, -1)
 
 
 def test_cotrace_shadow_depth0_exact(hhp):
@@ -387,3 +560,20 @@ def test_deviation_along_sequence_float_overflow(hhp):
     f = TLCObservable(0, (1, -1, 0, 0, 0, 0))
     with pytest.raises(InsufficientDataError, match=r"entry 511 \(k_i = 512\)"):
         deviation_along_sequence(f, seq, hhp, x)
+
+
+def test_deviation_along_sequence_rejects_short_vectors(hh):
+    """Vectors that stop below k_max raise a typed error naming both depths;
+    they used to die with an IndexError."""
+    x = SymbolSequence.constant(1, 40)
+    seq = special_averaging_sequence(hh, x, Region.unit_square(), eps=0.05,
+                                     count=10)
+    kmax = max(k for k, _, _ in seq.entries)
+    f = TLCObservable.constant(1, 6)
+    short = ergodic_vectors(f, hh, x, kmax - 1)
+    with pytest.raises(StructuralError,
+                       match=rf"depth {kmax - 1}.*k_max = {kmax}"):
+        deviation_along_sequence(f, seq, hh, x, vectors=short)
+    full = ergodic_vectors(f, hh, x, kmax)
+    assert (deviation_along_sequence(f, seq, hh, x, vectors=full).entries
+            == deviation_along_sequence(f, seq, hh, x).entries)
