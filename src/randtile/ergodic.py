@@ -232,15 +232,23 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
 
 def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                    depth: int) -> CotraceEstimate:
-    """Level-0 vector a with A_k···A_1·a shadowing V^k; exact for depth 0."""
+    """Level-0 vector a with A_k···A_1·a shadowing V^k; exact for depth 0.
+
+    residuals[k] = |V^(k+1) − A_(k+1)·V^k|.  Exact weights satisfy
+    V^(k+1) = A_(k+1)·V^k exactly from k = f.depth on (`ergodic_vectors`
+    builds those levels so), so their residuals are 0.0 without a matmul."""
     if depth < 2:
         raise StructuralError("depth must be >= 2")
     vecs = ergodic_vectors(f, family, x, depth)
     n = family.n_prototiles
     mats = connectivity_matrices(family, x, depth)
+    exact = f.is_exact()
     residuals = []
     for k in range(depth):
-        pred = mats[k].astype(object if f.is_exact() else float) @ vecs[k].values
+        if exact and k >= f.depth:
+            residuals.append(0.0)
+            continue
+        pred = mats[k].astype(object if exact else float) @ vecs[k].values
         diff = vecs[k + 1].values - pred
         residuals.append(math.sqrt(sum(float(c) ** 2 for c in diff)))
     if f.depth == 0:

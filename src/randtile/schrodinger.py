@@ -9,6 +9,7 @@ ergodic module's supertile integrals.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections import namedtuple
@@ -20,7 +21,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import (ConvergenceError, IncompletePatternError,
@@ -38,6 +38,57 @@ _DENSE_LIMIT = 4000
 PuncturePairs = namedtuple("PuncturePairs", "i j cls disps")
 
 
+def _norm(disp, embedding) -> float:
+    """Euclidean length of the embedded float image of a displacement."""
+    return math.dist(geometry.embed_point(disp, embedding), (0.0,) * len(disp))
+
+
+def _near_pairs(coords: np.ndarray, cut: float):
+    """(i, j), i < j in lexicographic order: every pair of rows of `coords`
+    within distance `cut`.  The rows are bucketed into cells of side >= cut,
+    so such a pair shares a cell or lies in two neighbouring ones; each point
+    looks up its own cell and the half of its neighbours that follow it in
+    lexicographic offset order, by `searchsorted` on the sorted cell keys."""
+    n, d = coords.shape
+    coords = coords - coords.min(axis=0)
+    # sides past `cut` keep every cell key below 2^62
+    side = max(cut, float(coords.max()) * 2.0 ** (2 - 62 // d))
+    cells = np.floor(coords / side).astype(np.int64) + 1
+    strides = np.cumprod([1, *(cells.max(axis=0)[:-1] + 2)])
+    key = cells @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # the zero offset first, then the lexicographically positive ones; one
+    # ascending run of targets per offset, so each search walks forward
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))[3 ** d // 2:])
+    target = (key + (offsets @ strides)[:, None]).ravel()
+    lo = np.searchsorted(key, target, "left")
+    counts = np.searchsorted(key, target, "right") - lo
+    # candidate (a, b): positions in sorted order, b in a's target cell
+    a = np.repeat(np.tile(np.arange(n), len(offsets)), counts)
+    b = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(a))
+    dist2 = sum((x[b] - x[a]) ** 2 for x in coords[order].T)
+    own_cell = np.repeat(np.arange(len(target)) < n, counts)
+    keep = (dist2 <= cut * cut) & ~(own_cell & (a >= b))
+    a, b = order[a[keep]], order[b[keep]]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    lex = np.argsort(i * n + j)
+    return i[lex], j[lex]
+
+
+def _row_classes(rows: np.ndarray):
+    """(classes, cls): the distinct rows in lexicographic order and the class
+    of each row, like `np.unique(rows, axis=0, return_inverse=True)` at a
+    sixth of its time on the pair differences."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    cls = np.empty(len(rows), dtype=np.intp)
+    cls[order] = np.cumsum(new) - 1
+    return rows[new], cls
+
+
 class PunctureSet:
     """One marked point per tile of a patch, with its tile type: point i is
     grid[i] / scale, on the lattice of `Patch` (same arrays and checks).
@@ -49,11 +100,6 @@ class PunctureSet:
         self.types, self.grid = _checked(family, types, grid, scale)
         self.scale, self.family = scale, family
         self.patch, self.source_window = patch, source_window
-        emb = (self.grid.astype(object) / scale).astype(float)
-        if family.embedding is not None:
-            emb = emb * np.array([float(e) for e in family.embedding])
-        self.embedded = emb
-        self._tree = cKDTree(emb) if len(self) else None
         self._pairs = {}               # radius -> PuncturePairs
 
     def __len__(self):
@@ -62,6 +108,15 @@ class PunctureSet:
     @cached_property
     def points(self) -> list:
         return lattice_points(self.grid, self.scale)
+
+    @cached_property
+    def _offset_images(self) -> np.ndarray:
+        """Float images of the points less the grid's lowest corner, as
+        precise however far out the grid lies (the cell search's input)."""
+        rel = (self.grid - self.grid.min(axis=0)).astype(float) / self.scale
+        if self.family.embedding is not None:
+            rel = rel * np.array([float(e) for e in self.family.embedding])
+        return rel
 
     @staticmethod
     def from_patch(patch: Patch, window: Optional[Region] = None
@@ -72,31 +127,42 @@ class PunctureSet:
                            patch=patch, source_window=window)
 
     def min_gap(self) -> float:
-        """Smallest puncture separation (uniform discreteness witness)."""
+        """Smallest puncture separation (uniform discreteness witness): the
+        shortest exact class of `pairs(r)`, with r doubling from the span
+        over the point count until a pair exists."""
         if len(self) < 2:
             return math.inf
-        d, _ = self._tree.query(self.embedded, k=2)
-        return float(d[:, 1].min())
+        r = float(np.ptp(self._offset_images, axis=0).max()) / len(self)
+        while not len((pairs := self.pairs(r)).i):
+            r *= 2
+        return min(_norm(d, self.family.embedding) for d in pairs.disps)
 
     def pairs(self, radius: float) -> PuncturePairs:
-        """Index pairs i < j within embedded distance `radius` (cached per
-        radius).  The exact distance test runs once per class of equal
-        lattice displacements."""
+        """Index pairs i < j within embedded distance `radius`, in
+        lexicographic (i, j) order (cached per radius).
+
+        A cell search on float images of the points (`_offset_images`)
+        proposes every pair within radius + 1e-6.  The proposals fall into
+        classes of equal lattice displacement d, and the exact test
+        |embed_point(d)| <= radius + 1e-9, run once per class, is the only
+        decision."""
         if radius in self._pairs:
             return self._pairs[radius]
-        ij = (self._tree.query_pairs(radius + 1e-9, output_type="ndarray")
-              if len(self) else np.zeros((0, 2), dtype=np.intp))
-        classes, cls = {}, []          # lattice displacement -> class
-        for d in (self.grid[ij[:, 1]] - self.grid[ij[:, 0]]).tolist():
-            cls.append(classes.setdefault(tuple(d), len(classes)))
-        cls = np.array(cls, dtype=np.intp)
-        disps = lattice_points(list(classes), self.scale)
-        emb = self.family.embedding
-        near = np.array([math.dist(geometry.embed_point(d, emb), (0.0,) * len(d))
-                         <= radius + 1e-9 for d in disps], dtype=bool)
+        if not 0 <= radius < math.inf:
+            raise StructuralError(
+                f"pair radius {radius!r} is not a finite number >= 0")
+        i = j = np.zeros(0, dtype=np.intp)
+        if len(self) > 1:
+            i, j = _near_pairs(self._offset_images, radius + 1e-6)
+        # neighbour differences are small even on an object grid
+        lattice, cls = _row_classes(
+            (self.grid[j] - self.grid[i]).astype(np.int64))
+        disps = lattice_points(lattice, self.scale)
+        near = np.array([_norm(d, self.family.embedding) <= radius + 1e-9
+                         for d in disps], dtype=bool)
         keep = near[cls]
         self._pairs[radius] = PuncturePairs(
-            ij[keep, 0], ij[keep, 1], (np.cumsum(near) - 1)[cls[keep]],
+            i[keep], j[keep], (np.cumsum(near) - 1)[cls[keep]],
             [d for d, ok in zip(disps, near) if ok])
         return self._pairs[radius]
 
@@ -133,8 +199,9 @@ class KernelSpec:
         elif self.diagonal not in (None, "degree"):
             raise StructuralError(f"kernel diagonal {self.diagonal!r} is not "
                                   "None, 'degree' or one real value per type")
-        if self.range < 0:
-            raise StructuralError("kernel range must be >= 0")
+        if not 0 <= self.range < math.inf:
+            raise StructuralError(
+                f"kernel range {self.range!r} is not a finite number >= 0")
         if not isinstance(self.offdiagonal, numbers.Number):
             if not isinstance(self.offdiagonal, (list, tuple)):
                 raise StructuralError(

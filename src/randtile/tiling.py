@@ -260,16 +260,9 @@ class Region:
     def intersects_bbox(self, lo, hi, embedding=None) -> bool:
         """Cheap reject: does the dilated region possibly meet bbox [lo,hi]?"""
         if self.kind == "disk":
-            c, r = self.embedded_disk(embedding)
-            d2 = 0.0
-            loe = geometry.embed_point(lo, embedding)
-            hie = geometry.embed_point(hi, embedding)
-            for ci, l, h in zip(c, loe, hie):
-                if ci < l:
-                    d2 += (l - ci) ** 2
-                elif ci > h:
-                    d2 += (ci - h) ** 2
-            return d2 <= r * r
+            return _disk_meets(*self.embedded_disk(embedding),
+                               geometry.embed_point(lo, embedding),
+                               geometry.embed_point(hi, embedding))
         rlo, rhi = self.shape().bbox()
         return all(l <= rh and rl <= h
                    for l, h, rl, rh in zip(lo, hi, rlo, rhi))
@@ -281,6 +274,17 @@ class Region:
             return geometry.margin(
                 c, geometry.faces(footprint, embedding)) >= r - 1e-12
         return footprint.contains_shape(self.shape())
+
+
+def _disk_meets(c, r, lo, hi) -> bool:
+    """Does the disk (c, r) meet the box [lo, hi]?  All embedded floats."""
+    d2 = 0.0
+    for ci, l, h in zip(c, lo, hi):
+        if ci < l:
+            d2 += (l - ci) ** 2
+        elif ci > h:
+            d2 += (ci - h) ** 2
+    return d2 <= r * r
 
 
 @dataclass
@@ -335,8 +339,9 @@ def lattice_test(window: Region, scale: int, corners, embedding):
     (1/scale)·ℤ^d; a point is a node with one corner.  `meets`: the node's
     bounding box meets the window's (a disk's: the disk); `inside`: the node
     lies in the dilated window.  Exact on the integers for boxes and convex
-    polygons; disks (floats through `embedding`) and non-convex polygons go
-    through the Region predicates node by node."""
+    polygons; disks test the float images of the corners with the float
+    predicates of `Region`, and non-convex polygons go through the exact
+    `Region.contains_points` node by node."""
     shape = None if window.kind == "disk" else window.shape()
     verts = shape.vertices_list() if shape is not None else []
     full = math.lcm(scale, *(c.denominator for p in verts for c in p))
@@ -358,11 +363,19 @@ def lattice_test(window: Region, scale: int, corners, embedding):
                 inside &= ((bx - ax) * (py - ay)
                            - (by - ay) * (px - ax) >= 0).all(axis=1)
             return meets, inside
+    else:
+        # float images n/full·e, bit-identical to `geometry.embed_point` of
+        # the exact points: n/full is correctly rounded (in int64 |n| < 2^30)
+        def image(a):
+            a = (a / full).astype(float)
+            return (a if embedding is None else
+                    a * np.array([float(e) for e in embedding])).tolist()
+        c, r = window.embedded_disk(embedding)
+        meets = [_disk_meets(c, r, l, h) for l, h in zip(image(lo), image(hi))]
+        inside = [m and all(math.dist(p, c) <= r for p in node)
+                  for m, node in zip(meets, image(pts))]
+        return np.array(meets, dtype=bool), np.array(inside, dtype=bool)
     _, c, d = pts.shape
-    if shape is None:
-        bounds = lattice_points(np.concatenate([lo, hi]), full)
-        meets = np.array([window.intersects_bbox(l, h, embedding) for l, h
-                          in zip(bounds[:len(lo)], bounds[len(lo):])], dtype=bool)
     exact = lattice_points(pts.reshape(-1, d), full)
     inside = np.array([bool(m) and window.contains_points(
         list(dict.fromkeys(exact[i * c:(i + 1) * c])), embedding)

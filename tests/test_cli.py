@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +170,33 @@ def test_kernel_file_schrod_matches_golden_digest(tmp_path, monkeypatch):
     for name, digest in golden[cmd].items():
         data = (tmp_path / "out" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("cmd", [
+    "schrod --family solenoid-2x3-2d --t-grid 4,8",
+    "schrod --family solenoid-2-1d --window box:-1,2 --t-grid 4,8",
+])
+def test_box_and_line_schrod_match_golden_digests(tmp_path, cmd):
+    """Laplacians on box tiles without an embedding (d = 2) and on the line
+    (d = 1); tests/golden_cli.json pins the CSV bytes."""
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    """Neighbour pairs come from a numpy cell search, so a cold CLI start
+    does not import scipy.spatial."""
+    code = ("import randtile.cli, sys; "
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("spec, named", [

@@ -22,7 +22,7 @@ from randtile.substitution import (Branch, Prototile, RuleFamily,
                                    SubstitutionRule, half_hex_classical)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
-                             generate_patch)
+                             generate_patch, lattice_test)
 
 
 def _ref_children(system, k, v):
@@ -196,8 +196,6 @@ def test_operator_membership_matches_fraction_reference(source, window):
         assert patch.offsets.dtype == punctures.grid.dtype == object
     points = [vadd(_HH.prototiles[t].puncture, off) for t, off in patch.tiles]
     assert punctures.points == points
-    assert np.array_equal(punctures.embedded,
-                          np.array([embed_point(p, emb) for p in points]))
     corners = [[vadd(v, off) for v in _HH.prototiles[t].shape.vertices_list()]
                for t, off in patch.tiles]
     raw = _ref_inside(window, [[p] for p in points], emb)
@@ -218,6 +216,47 @@ def test_operator_membership_matches_fraction_reference(source, window):
                 if inside[i]:
                     want += diag[i]
             assert windowed_trace(whole, window, mode) == want, mode
+
+
+@pytest.mark.parametrize("name", ["half-hex-classical", "solenoid-2x3-2d"])
+def test_disk_lattice_test_matches_fraction_reference(name, hh, sol2):
+    """The disk branch of `lattice_test` tests float images of the integer
+    corners; it decides every tile as `Region.intersects_bbox` and
+    `Region.contains_points` do on the exact corners: disks centred on a tile
+    corner, through a tile corner, dilated, and shifted past 2^40."""
+    family, x = {"half-hex-classical": (hh, SymbolSequence.constant(1, 32)),
+                 "solenoid-2x3-2d": (sol2, sample_sequence(
+                     MeasureSpec.bernoulli_p(0.5), 32, seed=2))}[name]
+    emb = family.embedding
+    patch = generate_patch(family, x, Region.box((-4, -4), (8, 8)))
+    scale, corners = patch.placed([p.shape.vertices_list()
+                                   for p in family.prototiles])
+    exact = [[vadd(v, off) for v in family.prototiles[t].shape.vertices_list()]
+             for t, off in patch.tiles]
+    corner, other = exact[len(exact) // 2][0], exact[len(exact) // 3][2]
+    through = math.dist(embed_point(other, emb), embed_point(corner, emb))
+    far = 2 ** 40
+    shifted = corners + np.array([far * scale, -far * scale], dtype=object)
+    cases = [(Region.disk(corner, 1.75), corners, exact),
+             (Region.disk(corner, through), corners, exact),
+             (Region.disk((Fraction(1, 3), Fraction(-1, 7)), 0.6, dilation=5),
+              corners, exact),
+             (Region.disk((far + corner[0], corner[1] - far), through),
+              shifted, [[(a + far, b - far) for a, b in tile] for tile in exact])]
+    on_circle = 0
+    for window, pts, ref in cases:
+        meets, inside = lattice_test(window, scale, pts, emb)
+        boxes = [(tuple(map(min, zip(*tile))), tuple(map(max, zip(*tile))))
+                 for tile in ref]
+        want_meets = [window.intersects_bbox(lo, hi, emb) for lo, hi in boxes]
+        assert meets.tolist() == want_meets
+        assert inside.tolist() == [m and window.contains_points(tile, emb)
+                                   for m, tile in zip(want_meets, ref)]
+        assert 0 < inside.sum() < meets.sum() < len(ref)
+        c, r = window.embedded_disk(emb)
+        on_circle += sum(math.dist(embed_point(q, emb), c) == r
+                         for tile in ref for q in tile)
+    assert on_circle >= 2
 
 
 def test_non_unit_theta_is_unsupported():

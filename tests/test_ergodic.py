@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randtile import geometry
-from randtile.bratteli import spanning_system
+from randtile.bratteli import connectivity_matrices, spanning_system
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
@@ -272,6 +272,35 @@ def test_cotrace_shadow_depth0_exact(hhp):
     assert all(r == 0 for r in est.residuals)
     vols = hhp.volumes()
     assert est.vector.tolist() == [f.weights[j] * vols[j] for j in range(6)]
+
+
+def _matmul_residuals(f, family, x, depth):
+    """|V^(k+1) − A_(k+1)·V^k| per level by one object (or float) matmul
+    each, the chain `cotrace_shadow` ran on every level."""
+    vecs = ergodic_vectors(f, family, x, depth)
+    mats = connectivity_matrices(family, x, depth)
+    out = []
+    for k in range(depth):
+        pred = mats[k].astype(object if f.is_exact() else float) @ vecs[k].values
+        out.append(math.sqrt(sum(float(c) ** 2 for c in vecs[k + 1].values - pred)))
+    return out
+
+
+def test_cotrace_residuals_match_object_matmul(hh, hhp):
+    """Exact levels from f.depth on are 0.0 without a matmul; the path
+    levels below f.depth keep their (nonzero) matmul residuals."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 1000, seed=3001)
+    f = make_zero_trace_observable(hhp, x, 40)
+    assert f.is_exact()
+    want = _matmul_residuals(f, hhp, x, 1000)
+    assert cotrace_shadow(f, hhp, x, 1000).residuals == want == [0.0] * 1000
+    x = SymbolSequence.constant(1, 8)
+    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    f = TLCObservable(2, tuple((p, Fraction(i % 7 - 3, 5))
+                               for i, p in enumerate(paths)))
+    want = _matmul_residuals(f, hh, x, 8)
+    assert all(want[:2]) and want[2:] == [0.0] * 6
+    assert cotrace_shadow(f, hh, x, 8).residuals == want
 
 
 def test_zero_trace_observable_half_hex(hh):

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 import randtile.schrodinger as schrod
 from randtile.cocycle import lyapunov_spectrum
@@ -268,6 +267,11 @@ def test_kernel_spec_validation():
         KernelSpec(range=1.0, diagonal="degre")
     with pytest.raises(StructuralError):
         KernelSpec(range=-1.0)
+    # a NaN range used to pass, and `build_operator` then assembled an
+    # all-zero Laplacian (no pair is within NaN)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StructuralError, match=f"kernel range {bad!r}"):
+            KernelSpec(range=bad, diagonal="degree", offdiagonal=-1)
 
 
 def test_trace_deviation_flag_p1(hh, hhp):
@@ -323,9 +327,9 @@ def _norm(disp, embedding):
     return math.dist(embed_point(disp, embedding), (0.0,) * len(disp))
 
 
-@pytest.mark.parametrize("radius", [1.0, 1.8])
-def test_pairs_match_exact_enumeration(half_hex_punctures, radius):
-    punctures = half_hex_punctures
+def _exact_pairs(punctures, radius):
+    """{(i, j): exact displacement} of every pair i < j within `radius`, by
+    exact differences of all pairs of points."""
     pts, emb = punctures.points, punctures.family.embedding
     want = {}
     for i in range(len(pts)):
@@ -333,12 +337,112 @@ def test_pairs_match_exact_enumeration(half_hex_punctures, radius):
             disp = vsub(pts[j], pts[i])
             if _norm(disp, emb) <= radius + 1e-9:
                 want[(i, j)] = disp
+    return want
+
+
+def _assert_exact_pairs(punctures, radius):
+    """`pairs(radius)` is the exact enumeration, in lexicographic (i, j)
+    order, with one class per distinct displacement; returns the pairs."""
+    want = _exact_pairs(punctures, radius)
     pairs = punctures.pairs(radius)
-    got = {(i, j): pairs.disps[c] for i, j, c in
-           zip(pairs.i.tolist(), pairs.j.tolist(), pairs.cls.tolist())}
-    assert len(got) == len(pairs.i) and got == want
+    ij = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+    assert ij == sorted(want)
+    assert [pairs.disps[c] for c in pairs.cls.tolist()] == [want[k] for k in ij]
     assert len(set(pairs.disps)) == len(pairs.disps) == len(set(want.values()))
     assert punctures.pairs(radius) is pairs
+    return pairs
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.8])
+def test_pairs_match_exact_enumeration(half_hex_punctures, radius):
+    _assert_exact_pairs(half_hex_punctures, radius)
+
+
+def test_pairs_keep_the_class_on_the_radius(half_hex_punctures):
+    """The displacement (0, 1) embeds at exactly sqrt(3): a radius of
+    sqrt(3) keeps it, and one just under sqrt(3) less the 1e-9 tolerance
+    drops it."""
+    sqrt3 = half_hex_punctures.family.embedding[1]
+    on = (Fraction(0), Fraction(1))
+    assert _norm(on, half_hex_punctures.family.embedding) == sqrt3
+    assert on in _assert_exact_pairs(half_hex_punctures, sqrt3).disps
+    below = math.nextafter(sqrt3 - 1e-9, 0)
+    assert on not in _assert_exact_pairs(half_hex_punctures, below).disps
+
+
+@pytest.fixture(scope="module")
+def box_and_line_punctures(sol1, sol2):
+    """Punctures of solenoid-2x3-2d (box tiles, no embedding) and of
+    solenoid-2-1d (d = 1) on random sequences."""
+    out = {}
+    for name, fam, x, src in (
+            ("2d", sol2, sample_sequence(MeasureSpec.bernoulli_p(0.5), 24,
+                                         seed=7), Region.box((-4, -3), (8, 7))),
+            ("1d", sol1, SymbolSequence.constant(1, 24), Region.box((-30,), (61,)))):
+        out[name] = PunctureSet.from_patch(generate_patch(fam, x, src), src)
+    return out
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("2d", 1.0), ("2d", 1.5), ("2d", 2.0), ("1d", 1.0), ("1d", 3.5)])
+def test_pairs_match_exact_enumeration_box_and_line(box_and_line_punctures,
+                                                    name, radius):
+    punctures = box_and_line_punctures[name]
+    assert len(punctures) > 40
+    assert len(_assert_exact_pairs(punctures, radius).i) > len(punctures) / 2
+
+
+def test_pairs_on_a_far_shifted_grid(half_hex_punctures):
+    """Shifted by a lattice vector past 2^30 the grid holds Python ints; at
+    2^40 absolute float coordinates are 2^-12 apart, and the pairs, their
+    order and their classes are still those of the unshifted set."""
+    base = half_hex_punctures
+    shift = np.array([3 * 2 ** 40 * base.scale, -2 ** 40 * base.scale],
+                     dtype=object)
+    far = PunctureSet(base.types, base.grid.astype(object) + shift, base.scale,
+                      base.family)
+    assert far.grid.dtype == object
+    for radius in (1.8, base.family.embedding[1]):   # sqrt(3): a class on it
+        want, got = base.pairs(radius), far.pairs(radius)
+        assert got.i.tolist() == want.i.tolist()
+        assert got.j.tolist() == want.j.tolist()
+        assert got.cls.tolist() == want.cls.tolist() and got.disps == want.disps
+    assert far.min_gap() == base.min_gap()
+
+
+def test_pairs_and_min_gap_of_small_sets(sol2):
+    empty = PunctureSet(np.zeros(0, dtype=int), np.zeros((0, 2), dtype=int),
+                        1, sol2)
+    one = PunctureSet([0], [[5, -3]], 1, sol2)
+    for punctures in (empty, one):
+        pairs = punctures.pairs(1.5)
+        assert len(pairs.i) == len(pairs.j) == len(pairs.cls) == 0
+        assert pairs.disps == []
+        assert punctures.min_gap() == math.inf
+    # far apart next to a tiny radius: the cells widen to keep their keys
+    spread = PunctureSet([0, 0, 0], [[0, 0], [3, 4], [10 ** 9, 0]], 2, sol2)
+    assert len(spread.pairs(1e-300).i) == 0
+    pairs = spread.pairs(2.5)
+    assert pairs.i.tolist() == [0] and pairs.j.tolist() == [1]
+    assert pairs.disps == [(Fraction(3, 2), Fraction(2))]
+    assert spread.min_gap() == 2.5
+
+
+@pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf,
+                                    -math.inf])
+def test_pairs_reject_negative_and_non_finite_radii(half_hex_punctures, radius):
+    with pytest.raises(StructuralError, match=f"pair radius {radius!r}"):
+        half_hex_punctures.pairs(radius)
+
+
+def test_min_gap_matches_exact_distances(lattice, half_hex_punctures,
+                                         box_and_line_punctures):
+    for punctures in (lattice, half_hex_punctures,
+                      *box_and_line_punctures.values()):
+        pts, emb = punctures.points, punctures.family.embedding
+        want = min(_norm(vsub(pts[j], pts[i]), emb)
+                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        assert punctures.min_gap() == want
 
 
 def _ref_operator(kernel, punctures, window):
@@ -351,11 +455,7 @@ def _ref_operator(kernel, punctures, window):
     rows, cols, vals = [], [], []
     degrees = {i: 0 for i in sel}
     if kernel.range > 0 and sel:
-        tree = cKDTree(punctures.embedded)
-        for i, j in tree.query_pairs(kernel.range + 1e-9, output_type="ndarray"):
-            disp = vsub(pts[j], pts[i])
-            if _norm(disp, emb) > kernel.range + 1e-9:
-                continue
+        for (i, j), disp in _exact_pairs(punctures, kernel.range).items():
             if i in pos and j in pos:
                 degrees[i] += 1
                 degrees[j] += 1
