@@ -7,8 +7,11 @@ the discrete-QR method (Benettin et al. 1980; Dieci & Van Vleck 1995):
 `reorth_every` factors QR-factors it with LAPACK `dgeqrf`/`dorgqr`, keeping
 |diag R|.  The column log-norms and dead (kernel) directions are folded from
 those diagonals once per `extend` call, by one running sum that adds the same
-floats in the same order as a per-QR update would.  Standard errors come from
-batch means.
+floats in the same order as a per-QR update would.  `lyapunov_spectrum`
+feeds it word products: the product of each run of `reorth_every` symbols,
+multiplied once per distinct run, so one Python-level product and one QR
+advance the frame a whole reorthonormalisation interval.  Standard errors
+come from batch means.
 """
 
 from __future__ import annotations
@@ -35,11 +38,23 @@ def _family_matrices(family: RuleFamily):
             for s in range(1, family.n_rules + 1)]
 
 
+_lapack = None   # (dgeqrf, dorgqr), bound on the first QR
+
+
 def _qr(frame):
-    """Q and |diag R| of the QR factorization of a square frame."""
-    from scipy.linalg.lapack import dgeqrf, dorgqr
+    """Q and diag R of the QR factorization of a square frame.
+
+    LAPACK is imported on first use, not with the module, so commands that
+    never QR-factor do not load it; the binding is kept, because a `from ...
+    import` per call costs about a fifth of a QR.
+    """
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg.lapack import dgeqrf, dorgqr
+        _lapack = dgeqrf, dorgqr
+    dgeqrf, dorgqr = _lapack
     r, tau, _, _ = dgeqrf(frame)
-    diag = np.abs(r.diagonal())
+    diag = r.diagonal().copy()
     q, _, _ = dorgqr(r, tau, overwrite_a=1)
     return q, diag
 
@@ -94,14 +109,15 @@ class CocycleProduct:
         self._fold([diag])
 
     def _fold(self, diags):
-        """Add log|diag R| of each QR in turn to the column log-norms.
+        """Add log|diag R| of each QR in turn to the column log-norms; `diags`
+        holds the signed diagonals, one per QR.
 
         A column is dead once a diagonal entry is 0 or a running sum falls
         below _UNDERFLOW_LOG; dead columns stay at -inf.
         """
         if not diags:
             return
-        diags = np.array(diags)
+        diags = np.abs(np.array(diags))
         with np.errstate(divide="ignore"):
             logs = np.log(diags)
         sums = np.cumsum(np.vstack((self.lognorms, logs)), axis=0)[1:]
@@ -161,17 +177,48 @@ def _group_exponents(exponents, stderrs):
     return out_e, out_m, out_se
 
 
+def _words(mats, symbols, length, cache):
+    """Word products a_{s_L}···a_{s_1}, one per run of `length` symbols, the
+    runs cut from the start of `symbols` (so the last may be shorter).
+
+    Each distinct run is multiplied once and kept in `cache`, keyed by its
+    symbol tuple.  A one-symbol word is the factor itself.
+    """
+    out = []
+    for i in range(0, len(symbols), length):
+        run = symbols[i:i + length]
+        word = cache.get(run)
+        if word is None:
+            word = mats[run[0] - 1]
+            for s in run[1:]:
+                word = mats[s - 1].dot(word)
+            cache[run] = word
+        out.append(word)
+    return out
+
+
 def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
                       seed: int, reorth_every: int = 5,
                       x: Optional[SymbolSequence] = None) -> LyapunovReport:
     """Discrete-QR estimate of all exponents of A_{x_k}···A_{x_1}.
 
-    Standard errors are batch means over >= 20 batches, floored at 20/steps
+    The sequence is cut into >= 20 batches, and each batch into runs of
+    `reorth_every` symbols from its first symbol, so the QR points are every
+    `reorth_every` factors after a batch edge, plus each edge.  Each run
+    meets the frame as one float word product a_L···a_1, multiplied once per
+    call for each distinct run.  The substitution matrices are nonnegative
+    integer matrices, so a word is exact while the entries of its partial
+    products stay below 2^53; it is rounded once where it meets the frame,
+    instead of once per factor.
+
+    Standard errors are batch means over the batches, floored at 20/steps
     so deterministic (single-matrix) sequences still report the finite-step
     truncation error scale.
     """
     if steps < 1000:
         raise StructuralError("steps must be >= 1000")
+    if reorth_every < 1:
+        raise StructuralError("reorth_every must be >= 1")
     mats = _family_matrices(family)
     dim = family.n_prototiles
     if any(m.shape != (dim, dim) for m in mats):
@@ -183,12 +230,13 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
 
     n_batches = max(20, min(50, steps // 200))
     edges = np.linspace(0, steps, n_batches + 1).astype(int)
-    prod = CocycleProduct(dim, reorth_every=reorth_every)
+    prod = CocycleProduct(dim, reorth_every=1)
+    words = {}
     batch_sums = np.zeros((n_batches, dim))
     prev = prod.lognorms.copy()
     for b in range(n_batches):
-        prod.extend([mats[s - 1] for s in x.positive[edges[b]:edges[b + 1]]])
-        prod.reorthonormalize()
+        prod.extend(_words(mats, x.positive[edges[b]:edges[b + 1]],
+                           reorth_every, words))
         cur = prod.lognorms
         delta = np.where(np.isinf(cur), 0.0, cur - np.where(
             np.isinf(prev), 0.0, prev))

@@ -394,6 +394,11 @@ class IDSReport:
     operators: list                 # the WindowedOperator of each window
 
 
+def _unreliable_count(e, n, signal):
+    return ConvergenceError(f"sparse inertia count at E={e:g} (n={n}) is not "
+                            f"reliable: {signal}")
+
+
 def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     """#eigenvalues <= E for each E of a hermitian matrix.
 
@@ -408,9 +413,12 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
 
     Counts at energies that are, or lie within rounding of, an eigenvalue
     are not reliable on either branch.  Dense: rounding decides the tie.
-    Sparse: a zero diagonal pivot makes SuperLU pivot off the diagonal,
-    which breaks the congruence and miscounts silently, or it raises
-    `RuntimeError: Factor is exactly singular`.
+    Sparse: the count is refused with a `ConvergenceError` naming E, n and
+    the signal when the factorization cannot be trusted, which is when
+    SuperLU finds A - E·I exactly singular, when a zero diagonal made it
+    pivot off the diagonal (row order != column order, so the factorization
+    is no longer a congruence), or when the smallest pivot |u_kk| is at most
+    n·eps·||A||_1, so that rounding may have set its sign.
     """
     n = matrix.shape[0]
     energies = np.asarray(energies, dtype=float)
@@ -422,11 +430,27 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     out = np.empty(len(energies), dtype=int)
     base = matrix.tocsc()           # complex stays complex
     eye = sp.identity(n, format="csc")
+    tiny = n * np.finfo(float).eps * spla.norm(base, 1)
     for idx, e in enumerate(energies):
-        lu = spla.splu((base - e * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        out[idx] = int((lu.U.diagonal().real < 0).sum())
+        try:
+            lu = spla.splu((base - e * eye).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:         # "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise
+            raise _unreliable_count(e, n, str(exc)) from exc
+        moved = int((lu.perm_r != lu.perm_c).sum())
+        if moved:
+            raise _unreliable_count(
+                e, n, f"{moved} rows pivoted off the diagonal")
+        pivots = lu.U.diagonal()
+        smallest = float(np.abs(pivots).min())
+        if smallest <= tiny:
+            raise _unreliable_count(
+                e, n, f"smallest pivot {smallest:.3g} <= n·eps·||A||_1 "
+                      f"= {tiny:.3g}")
+        out[idx] = int((pivots.real < 0).sum())
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from randtile import cocycle
 from randtile.cocycle import (CocycleProduct, _group_exponents, apply_cocycle,
                               lyapunov_spectrum, top_left_direction)
 from randtile.errors import ConvergenceError, StructuralError
@@ -107,15 +108,41 @@ def _reference_spectrum(family, x, steps, every):
                                      np.where(np.isinf(prev), 0.0, prev))
             prev = lognorms.copy()
             b += 1
+    return _sorted_spectrum(lognorms, dead, batch_sums, edges)
+
+
+def _sorted_spectrum(lognorms, dead, batch_sums, edges):
+    """Raw exponents and batch-means standard errors, largest first."""
+    steps, n_batches = edges[-1], len(edges) - 1
     raw = [-math.inf if dead[i] else float(lognorms[i]) / steps
-           for i in range(dim)]
+           for i in range(len(lognorms))]
     se = np.std(batch_sums / np.diff(edges)[:, None], axis=0,
                 ddof=1) / math.sqrt(n_batches)
     raw_se = [max(float(s), 20.0 / steps) for s in se]
-    order = sorted(range(dim), key=lambda i: (not math.isfinite(raw[i]),
-                                              -raw[i] if math.isfinite(raw[i])
-                                              else 0.0))
+    order = sorted(range(len(raw)), key=lambda i: (
+        not math.isfinite(raw[i]), -raw[i] if math.isfinite(raw[i]) else 0.0))
     return [raw[i] for i in order], [raw_se[i] for i in order]
+
+
+def _per_factor_spectrum(family, x, steps, every):
+    """The loop the word products replaced: every factor multiplied onto
+    the frame on its own by `CocycleProduct(dim, every)`, one batch per
+    `extend`, and a QR at each batch edge."""
+    mats = [family.matrix(s).astype(float)
+            for s in range(1, family.n_rules + 1)]
+    n_batches = max(20, min(50, steps // 200))
+    edges = np.linspace(0, steps, n_batches + 1).astype(int)
+    prod = CocycleProduct(family.n_prototiles, reorth_every=every)
+    batch_sums = np.zeros((n_batches, family.n_prototiles))
+    prev = prod.lognorms.copy()
+    for b in range(n_batches):
+        prod.extend([mats[s - 1] for s in x.positive[edges[b]:edges[b + 1]]])
+        prod.reorthonormalize()
+        cur = prod.lognorms
+        batch_sums[b] = np.where(np.isinf(cur), 0.0, cur - np.where(
+            np.isinf(prev), 0.0, prev))
+        prev = cur.copy()
+    return _sorted_spectrum(prod.lognorms, prod.dead, batch_sums, edges)
 
 
 _MARKOV = MeasureSpec.markov([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5])
@@ -143,6 +170,73 @@ def test_lyapunov_spectrum_matches_per_step_reference(case, every, hhp, odp,
     assert rep.multiplicities == _group_exponents(raw, se)[1]
     if case == "odp":
         assert rep.raw_exponents[-1] == -math.inf
+
+
+def _bernoulli_half(fam):
+    measure = MeasureSpec.bernoulli_p(0.5)
+    return fam, measure, sample_sequence(measure, 5003, seed=4)
+
+
+_SHEARS = matrix_only_family("shears", [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+
+
+@pytest.mark.parametrize("every", [1, 5, 13])
+@pytest.mark.parametrize("case", ["hhp", "sol2", "shears"])
+def test_word_products_are_exact(case, every, hhp, sol2, monkeypatch):
+    """Every word `lyapunov_spectrum` caches equals the exact integer
+    product of its symbols (object matmul), first symbol rightmost: the
+    factors are nonnegative integer matrices and the words stay below
+    2^53.  The two matrices of half-hex-pair commute, and so do those of
+    solenoid-2x3-2d; the shears do not, so they pin the order."""
+    fam, measure, x = _bernoulli_half(
+        {"hhp": hhp, "sol2": sol2, "shears": _SHEARS}[case])
+    caches = []
+
+    def recording(mats, symbols, length, cache):
+        caches.append(cache)
+        return words(mats, symbols, length, cache)
+    words = cocycle._words
+    monkeypatch.setattr(cocycle, "_words", recording)
+    lyapunov_spectrum(fam, measure, 5003, seed=4, reorth_every=every, x=x)
+    cache = caches[0]
+    assert all(c is cache for c in caches)
+    assert {len(run) for run in cache} >= {every}
+    for run, word in cache.items():
+        exact = np.eye(fam.n_prototiles, dtype=int).astype(object)
+        for s in run:
+            exact = fam.matrix(s).astype(object) @ exact
+        assert max(exact.flat) < 2 ** 53
+        assert word.dtype == float
+        assert word.tolist() == exact.tolist()
+
+
+@pytest.mark.parametrize("case", ["hhp", "sol2", "odp"])
+def test_one_symbol_words_are_the_per_factor_product(case, hhp, sol2, odp):
+    """At reorth_every=1 every word is one factor, so the spectrum is the
+    per-factor result bit for bit."""
+    fam, measure, x = _bernoulli_half({"hhp": hhp, "sol2": sol2,
+                                       "odp": odp}[case])
+    rep = lyapunov_spectrum(fam, measure, 5003, seed=4, reorth_every=1, x=x)
+    raw, se = _per_factor_spectrum(fam, x, 5003, 1)
+    assert rep.raw_exponents == raw
+    assert rep.raw_stderrs == se
+
+
+@pytest.mark.parametrize("every", [1, 2, 5, 7, 300])
+def test_one_qr_per_word(every, hhp, monkeypatch):
+    """One QR per run of `every` symbols, the runs starting again at each
+    batch edge: sum over batches of ceil(len_b / every)."""
+    calls = []
+
+    def counting(frame):
+        calls.append(1)
+        return qr(frame)
+    qr = cocycle._qr
+    monkeypatch.setattr(cocycle, "_qr", counting)
+    measure = MeasureSpec.bernoulli_p(0.5)
+    lyapunov_spectrum(hhp, measure, 5003, seed=4, reorth_every=every)
+    lens = np.diff(np.linspace(0, 5003, 26).astype(int))   # 25 batches
+    assert len(calls) == sum(-(-int(n) // every) for n in lens)
 
 
 def test_lyapunov_p1_endpoint(hhp):
@@ -200,6 +294,9 @@ def test_lyapunov_explicit_sequence(hhp):
 def test_lyapunov_minimum_steps(hhp):
     with pytest.raises(StructuralError):
         lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.5), 500, seed=0)
+    with pytest.raises(StructuralError, match="reorth_every"):
+        lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.5), 1000, seed=0,
+                          reorth_every=0)
 
 
 def test_normalized_spectrum(hhp):

@@ -252,6 +252,29 @@ def test_sparse_counts_invariant_under_symmetric_permutation(
         assert (eigenvalue_counts(permuted, energies) == want).all()
 
 
+def test_sparse_counts_refuse_tie_energies(hh):
+    """The default CLI grid puts E on exact Laplacian eigenvalues.  On the
+    T=28 window (4,144 points, the sparse branch) the factorization then
+    fails in each of three ways, and each is refused by name instead of
+    returning a count: E=0 leaves a pivot within rounding of 0, a zero
+    diagonal at E=1 forces off-diagonal pivots, and E=5 is exactly
+    singular."""
+    x = SymbolSequence.constant(1, 64)
+    base = Region.box((-1, -1), (2, 2))
+    src = base.dilated(32)
+    patch = generate_patch(hh, x, src, system=SupertileSystem(hh, x))
+    op = build_operator(KernelSpec.laplacian(1.8),
+                        PunctureSet.from_patch(patch, window=src),
+                        base.dilated(28))
+    assert op.size == 4144 > schrod._DENSE_LIMIT
+    for e, signal in ((0.0, "smallest pivot"),
+                      (1.0, "rows pivoted off the diagonal"),
+                      (5.0, "exactly singular")):
+        with pytest.raises(ConvergenceError,
+                           match=rf"E={e:g} \(n=4144\).*{signal}"):
+            eigenvalue_counts(op.matrix, [-0.5, e])
+
+
 def test_ids_identity_step(lattice):
     windows = [_inner_window(Fraction(5, 2)), _inner_window(Fraction(9, 2))]
     energies = [-0.5, 0.5, 0.999, 1.0, 1.5]
