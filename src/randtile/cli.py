@@ -326,6 +326,12 @@ def cmd_dk(args, out: Path):
 
 
 def cmd_schrod(args, out: Path):
+    if args.e_count < 1:
+        raise ConfigError(f"--e-count {args.e_count} is not a positive count "
+                          "of energies")
+    for flag, value in (("--e-min", args.e_min), ("--e-max", args.e_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} {value!r} is not a finite number")
     family = _resolve_family(args.family)
     try:   # a kernel file holds exactly the KernelSpec fields
         kernel = (KernelSpec(**json.loads(Path(args.kernel).read_text()))

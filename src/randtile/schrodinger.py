@@ -399,17 +399,54 @@ def _unreliable_count(e, n, signal):
                             f"reliable: {signal}")
 
 
+def _fixed_order(matrix: sp.spmatrix):
+    """(B, diag): A with its whole diagonal stored (zeros included), as CSC
+    in SuperLU's minimum-degree order on A + A^T applied to rows and columns
+    alike, and the positions of B's diagonal entries in B.data.
+
+    The order depends on the pattern only, so it is read off one
+    factorization of a strictly diagonally dominant matrix on A's pattern
+    plus the diagonal, which neither fails nor pivots."""
+    n = matrix.shape[0]
+    coo = matrix.tocoo()
+    every = np.arange(n)
+    rows = np.concatenate([coo.row, every])
+    cols = np.concatenate([coo.col, every])
+    dominant = sp.csc_matrix((np.concatenate(
+        [np.ones(coo.nnz), np.bincount(coo.col, minlength=n) + 1.0]),
+        (rows, cols)), shape=(n, n))
+    perm = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, panel_size=1,
+                     options={"SymmetricMode": True}).perm_c
+    # A[i, j] moves to B[perm[i], perm[j]]; duplicates sum, zeros stay
+    # stored, and integer entries become floats
+    base = sp.csc_matrix((np.concatenate([coo.data, np.zeros(n)]),
+                          (perm[rows], perm[cols])), shape=(n, n))
+    diag = np.flatnonzero(
+        base.indices == np.repeat(every, np.diff(base.indptr)))
+    return base, diag
+
+
 def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     """#eigenvalues <= E for each E of a hermitian matrix.
 
+    The matrix must be square and hermitian within n·eps·||A||_1, and every
+    energy finite; otherwise a `StructuralError` names what is wrong.
+
     Up to _DENSE_LIMIT points: dense `eigvalsh`.  Above: inertia counting.
-    Each A - E·I is factored by SuperLU in SymmetricMode with no pivoting
-    threshold, in a minimum-degree order on A + A^T (MMD_AT_PLUS_A), so the
-    factorization is P(A - E·I)P^T = LDL^H with the same permutation on rows
-    and columns.  That is a congruence, so by Sylvester's law of inertia the
-    number of negative pivots (the real parts of U's diagonal) is the number
-    of eigenvalues below E.  The order only cuts fill: on a 4,144-point
-    half-hex Laplacian L+U holds 140,248 entries against COLAMD's 247,824.
+    A minimum-degree order on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed
+    once per matrix, from A's pattern plus the full diagonal (`_fixed_order`).
+    A is permuted into it once, with every diagonal entry stored, so each
+    energy only subtracts E at the diagonal positions and factors
+    P(A - E·I)P^T in that fixed order (NATURAL), in SymmetricMode with no
+    pivoting threshold.  A diagonal entry that cancels to 0 stays stored, so
+    SuperLU sees the zero pivot candidate and pivots off the diagonal.  With
+    no such pivot the factorization is LDL^H, a congruence, so by
+    Sylvester's law of inertia the number of negative pivots (the real parts
+    of U's diagonal) is the number of eigenvalues below E.  The order only
+    cuts fill: on a 4,144-point half-hex Laplacian L+U holds 140,248 entries
+    against COLAMD's 247,824, the same as a minimum-degree order computed
+    afresh for every energy.
 
     Counts at energies that are, or lie within rounding of, an eigenvalue
     are not reliable on either branch.  Dense: rounding decides the tie.
@@ -420,21 +457,34 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     is no longer a congruence), or when the smallest pivot |u_kk| is at most
     n·eps·||A||_1, so that rounding may have set its sign.
     """
-    n = matrix.shape[0]
+    if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise StructuralError(f"eigenvalue counts need a square matrix, "
+                              f"not one of shape {matrix.shape}")
     energies = np.asarray(energies, dtype=float)
+    if not np.isfinite(energies).all():
+        bad = float(energies[~np.isfinite(energies)][0])
+        raise StructuralError(f"energy {bad!r} is not a finite number")
+    n = matrix.shape[0]
     if n == 0:
         return np.zeros(len(energies), dtype=int)
+    tiny = n * np.finfo(float).eps * spla.norm(matrix, 1)
+    skew = abs(matrix - matrix.conj().T).max()
+    if not skew <= tiny:
+        raise StructuralError(
+            f"matrix (n={n}) is not hermitian: max |A - A^H| = {skew:.3g} "
+            f"> n·eps·||A||_1 = {tiny:.3g}")
     if n <= _DENSE_LIMIT:
         vals = np.linalg.eigvalsh(matrix.toarray())
         return np.searchsorted(vals, energies, side="right")
     out = np.empty(len(energies), dtype=int)
-    base = matrix.tocsc()           # complex stays complex
-    eye = sp.identity(n, format="csc")
-    tiny = n * np.finfo(float).eps * spla.norm(base, 1)
+    shifted, diag = _fixed_order(matrix)    # complex stays complex
+    data = shifted.data.copy()
     for idx, e in enumerate(energies):
+        shifted.data[:] = data
+        shifted.data[diag] -= e
         try:
-            lu = spla.splu((base - e * eye).tocsc(),
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = spla.splu(shifted, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, panel_size=1,
                            options={"SymmetricMode": True})
         except RuntimeError as exc:         # "Factor is exactly singular"
             if "singular" not in str(exc):

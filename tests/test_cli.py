@@ -221,6 +221,22 @@ def test_kernel_file_rejects_unknown_keys_and_values(tmp_path, capsys, spec,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--e-count", "-1"], "--e-count -1 is not a positive count"),
+    (["--e-count", "0"], "--e-count 0 is not a positive count"),
+    (["--e-min", "nan"], "--e-min nan is not a finite number"),
+    (["--e-max", "inf"], "--e-max inf is not a finite number"),
+])
+def test_schrod_rejects_a_bad_energy_grid(tmp_path, capsys, flags, named):
+    """A bad energy grid exits 2 naming the flag and writes nothing.  It
+    used to end in an untyped ValueError (a negative count), an empty
+    schrod_ids.csv (0 energies) or rows with a NaN energy."""
+    out = tmp_path / "out"
+    assert main(["schrod", *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "schrod_ids.csv").exists()
+
+
 def test_kernel_file_offdiagonal_per_displacement(tmp_path, monkeypatch):
     """A kernel file spells a per-displacement off-diagonal as
     [[displacement, value], ...]; the run gets the KernelSpec built in

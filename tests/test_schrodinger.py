@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 import randtile.schrodinger as schrod
 from randtile.cocycle import lyapunov_spectrum
@@ -214,6 +216,24 @@ def _off_spectrum(dense):
     return energies, vals
 
 
+def _per_energy_counts(matrix, energies, fills):
+    """The sparse branch with an order computed afresh for every energy:
+    A - E·I is built and factored in a minimum-degree order on A + A^T
+    (MMD_AT_PLUS_A) each time.  The reference for the fixed-order
+    factorizations; appends each L+U fill to `fills`."""
+    n = matrix.shape[0]
+    base = matrix.tocsc()
+    eye = sp.identity(n, format="csc")
+    out = []
+    for e in energies:
+        lu = spla.splu((base - e * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert (lu.perm_r == lu.perm_c).all()
+        out.append(int((lu.U.diagonal().real < 0).sum()))
+        fills.append(lu.L.nnz + lu.U.nnz)
+    return out
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kernel", [
     KernelSpec.laplacian(1.8),
@@ -223,9 +243,10 @@ def _off_spectrum(dense):
 ], ids=["laplacian", "typewise", "complex"])
 def test_sparse_counts_match_dense_eigvalsh(half_hex_windows, monkeypatch,
                                             kernel):
-    """Inertia counts equal dense `eigvalsh` counts off the spectrum.  The
-    sparse branch cast complex operators to float (with a ComplexWarning),
-    which miscounted the complex kernel."""
+    """Inertia counts equal dense `eigvalsh` counts off the spectrum, and
+    the counts of an order computed afresh for every energy.  The sparse
+    branch cast complex operators to float (with a ComplexWarning), which
+    miscounted the complex kernel."""
     punctures, windows = half_hex_windows
     monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
     for window in windows:
@@ -233,7 +254,9 @@ def test_sparse_counts_match_dense_eigvalsh(half_hex_windows, monkeypatch,
         assert 350 <= op.size <= 1350
         energies, vals = _off_spectrum(op.matrix.toarray())
         want = np.searchsorted(vals, energies, side="right")
-        assert eigenvalue_counts(op.matrix, energies).tolist() == want.tolist()
+        got = eigenvalue_counts(op.matrix, energies).tolist()
+        assert got == want.tolist()
+        assert got == _per_energy_counts(op.matrix, energies, [])
 
 
 def test_sparse_counts_invariant_under_symmetric_permutation(
@@ -273,6 +296,125 @@ def test_sparse_counts_refuse_tie_energies(hh):
         with pytest.raises(ConvergenceError,
                            match=rf"E={e:g} \(n=4144\).*{signal}"):
             eigenvalue_counts(op.matrix, [-0.5, e])
+
+
+@pytest.fixture(scope="module")
+def t28_laplacian(hh):
+    """The half-hex Laplacian (range 1.8) on the CLI window dilated by 28:
+    4,144 points, the one `ids-windows` window on the sparse branch."""
+    x = SymbolSequence.constant(1, 64)
+    base = Region.box((-1, -1), (2, 2))
+    src = base.dilated(32)
+    patch = generate_patch(hh, x, src, system=SupertileSystem(hh, x))
+    return build_operator(KernelSpec.laplacian(1.8),
+                          PunctureSet.from_patch(patch, window=src),
+                          base.dilated(28)).matrix
+
+
+def test_fixed_order_matches_per_energy_order(t28_laplacian, monkeypatch):
+    """One minimum-degree order per matrix, then one fixed-order (NATURAL)
+    factorization per energy: the same counts and the same L+U fill as
+    ordering every A - E·I afresh, at the 41 shifted energies of
+    `ids-windows`."""
+    matrix = t28_laplacian
+    assert matrix.shape == (4144, 4144)
+    energies = np.linspace(-1, 9, 41) + 0.125
+    fills = []
+    want = _per_energy_counts(matrix, energies, fills)
+    assert fills == [140248] * 41
+    calls, splu = [], spla.splu
+
+    def spy(a, **kwargs):           # (permc_spec, L+U fill) of each call
+        lu = splu(a, **kwargs)
+        calls.append((kwargs["permc_spec"], lu.L.nnz + lu.U.nnz))
+        return lu
+    monkeypatch.setattr(spla, "splu", spy)
+    assert eigenvalue_counts(matrix, energies).tolist() == want
+    assert calls == [("MMD_AT_PLUS_A", 140248)] + [("NATURAL", 140248)] * 41
+
+
+def test_fixed_order_stores_missing_diagonal_entries(half_hex_windows,
+                                                     monkeypatch):
+    """A typewise diagonal that is 0 on some types leaves those rows with no
+    stored diagonal entry; the fixed order stores it, and the counts still
+    equal dense `eigvalsh` off the spectrum."""
+    punctures, windows = half_hex_windows
+    kernel = KernelSpec(range=1.8, diagonal=(0, 2, 0, -1.5, 0, 1),
+                        offdiagonal=-1)
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    for window in windows:
+        op = build_operator(kernel, punctures, window)
+        stored = op.matrix.tocoo()
+        assert 0 < (stored.row == stored.col).sum() < op.size
+        energies, vals = _off_spectrum(op.matrix.toarray())
+        want = np.searchsorted(vals, energies, side="right")
+        assert eigenvalue_counts(op.matrix, energies).tolist() == want.tolist()
+
+
+def test_sparse_counts_refuse_a_diagonal_that_cancels(monkeypatch):
+    """[[1, 1], [1, 1]] (integer entries) has eigenvalues 0 and 2.  At E = 1
+    both diagonal entries cancel to 0 and stay stored, so SuperLU pivots off
+    the diagonal in any order and the count is refused, although E is no
+    eigenvalue."""
+    ones = sp.csr_matrix([[1, 1], [1, 1]])
+    assert ones.dtype.kind == "i"
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    assert eigenvalue_counts(ones, [-0.5, 0.5, 1.5, 2.5]).tolist() == [
+        0, 1, 1, 2]
+    with pytest.raises(ConvergenceError,
+                       match=r"E=1 \(n=2\).*2 rows pivoted off the diagonal"):
+        eigenvalue_counts(ones, [1.0])
+
+
+def test_sparse_count_at_zero_is_the_number_of_components(half_hex_windows,
+                                                          monkeypatch):
+    """A graph Laplacian is positive semidefinite, and #{lambda <= 0} is its
+    number of connected components: an exact count at a tie that does not
+    come from `eigvalsh`.  On two windows side by side the sparse branch
+    counts 0 at E = -delta and the components at E = +delta, with delta
+    below the smallest positive eigenvalue of either window."""
+    punctures, windows = half_hex_windows
+    laps = [build_operator(KernelSpec.laplacian(1.8), punctures, w).matrix
+            for w in windows]
+    delta = 1e-3
+    for lap in laps:
+        vals = np.linalg.eigvalsh(lap.toarray())
+        assert abs(vals[0]) < 1e-9 < delta < vals[1]
+    both = sp.block_diag(laps, format="csr")
+    components, _ = connected_components(both, directed=False)
+    assert components == 2
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    assert eigenvalue_counts(both, [-delta, delta]).tolist() == [0, components]
+
+
+@pytest.mark.parametrize("dense_limit", [4000, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("matrix, energies, named", [
+    (sp.csr_matrix(np.ones((2, 3))), [0.0],
+     r"square matrix, not one of shape \(2, 3\)"),
+    (sp.csr_matrix([[0.0, 1.0], [0.0, 0.0]]), [0.5],
+     r"\(n=2\) is not hermitian: max \|A - A\^H\| = 1 >"),
+    (sp.csr_matrix([[0, 1j], [1j, 0]]), [0.5], "is not hermitian"),
+    (sp.identity(3, format="csr"), [0.5, math.nan], "energy nan is not"),
+    (sp.identity(3, format="csr"), [-math.inf], "energy -inf is not"),
+], ids=["non-square", "lower-triangle", "complex-symmetric", "nan", "-inf"])
+def test_eigenvalue_counts_check_preconditions(monkeypatch, dense_limit,
+                                               matrix, energies, named):
+    """Each used to give an answer or an untyped error: numpy's LinAlgError
+    for a non-square matrix, 2 for [[0, 1], [0, 0]] at E = 0.5 (the dense
+    branch reads one triangle), n at NaN on the dense branch and "Factor is
+    exactly singular" on the sparse one."""
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", dense_limit)
+    with pytest.raises(StructuralError, match=named):
+        eigenvalue_counts(matrix, energies)
+
+
+@pytest.mark.parametrize("dense_limit", [4000, 0], ids=["dense", "sparse"])
+def test_eigenvalue_counts_accept_rounding_asymmetry(monkeypatch,
+                                                     dense_limit):
+    """|A - A^H| within n·eps·||A||_1 counts as hermitian."""
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", dense_limit)
+    near = sp.csr_matrix([[2.0, 1.0], [math.nextafter(1.0, 2.0), 2.0]])
+    assert eigenvalue_counts(near, [0.5, 1.5, 3.5]).tolist() == [0, 1, 2]
 
 
 def test_ids_identity_step(lattice):
