@@ -25,8 +25,8 @@ from .tiling import (DecompositionReport, Patch, Region, SupertileSystem,
                      generate_patch)
 from .bratteli import (PathWord, SpanningSystem, approximant,
                        connectivity_matrices, path_counts, spanning_system)
-from .cocycle import (CocycleProduct, LyapunovReport, apply_cocycle,
-                      lyapunov_spectrum, top_left_direction)
+from .cocycle import (LyapunovReport, apply_cocycle, lyapunov_spectrum,
+                      top_left_direction)
 from .ergodic import (CotraceEstimate, DeviationFit, ErgodicVector,
                       SpecialAveragingSequence, TLCObservable, cotrace_shadow,
                       deviation_along_sequence, deviation_cap,

@@ -3,14 +3,11 @@
 The cocycle acts on cotrace vectors by plain left multiplication: after k
 steps the accumulated map is A_{x_k}···A_{x_1}.  Exponents are estimated by
 the discrete-QR method (Benettin et al. 1980; Dieci & Van Vleck 1995):
-`CocycleProduct` multiplies factors onto an orthonormal frame and every
-`reorth_every` factors QR-factors it with LAPACK `dgeqrf`/`dorgqr`, keeping
-|diag R|.  The column log-norms and dead (kernel) directions are folded from
-those diagonals once per `extend` call, by one running sum that adds the same
-floats in the same order as a per-QR update would.  `lyapunov_spectrum`
-feeds it word products: the product of each run of `reorth_every` symbols,
-multiplied once per distinct run, so one Python-level product and one QR
-advance the frame a whole reorthonormalisation interval.  Standard errors
+`lyapunov_spectrum` multiplies the word product of each run of
+`reorth_every` symbols onto an orthonormal frame and QR-factors it with
+LAPACK `dgeqrf`/`dorgqr`, so one product and one QR advance the frame a
+whole reorthonormalisation interval.  `_fold` rolls each batch's |diag R|
+into the column log-norms and dead (kernel) directions.  Standard errors
 come from batch means.
 """
 
@@ -33,7 +30,14 @@ _MERGE_FACTOR = 5.0      # exponents closer than this many stderrs are merged
 _GAP_TOL = 1e-9          # relative top singular gap below this => no direction
 
 
-def _family_matrices(family: RuleFamily):
+def _family_matrices(family: RuleFamily, symbols):
+    """Float substitution matrices, symbol s at index s - 1; every symbol in
+    `symbols` must have a rule in the family."""
+    top = max(symbols)
+    if top > family.n_rules:
+        raise StructuralError(
+            f"symbol {top} has no rule in family {family.name!r}, whose "
+            f"alphabet is 1..{family.n_rules}")
     return [family.matrix(s).astype(float)
             for s in range(1, family.n_rules + 1)]
 
@@ -59,78 +63,19 @@ def _qr(frame):
     return q, diag
 
 
-class CocycleProduct:
-    """QR-factored running product A_{i_k}···A_{i_1}.
-
-    Maintains an orthonormal frame Q and accumulated log-norms per column, so
-    arbitrarily long products never overflow.  `extend` multiplies factors
-    onto the frame in order and QR-factors it after every `reorth_every`
-    factors; `push(a)` is `extend((a,))` for one checked factor.
+def _fold(lognorms, dead, diags):
+    """Column log-norms and dead columns after adding log|diag R| of each QR
+    in turn, by one running sum; `diags` holds the signed diagonals, one per
+    QR, at least one.  A column is dead once a diagonal entry is 0 or a
+    running sum falls below _UNDERFLOW_LOG; dead columns stay at -inf.
     """
-
-    def __init__(self, dim: int, reorth_every: int = 5):
-        if reorth_every < 1:
-            raise StructuralError("reorth_every must be >= 1")
-        self.dim = dim
-        self.reorth_every = reorth_every
-        self.frame = np.eye(dim)
-        self.lognorms = np.zeros(dim)
-        self.dead = np.zeros(dim, dtype=bool)   # kernel directions (V^inf)
-        self._pending = 0
-
-    def push(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.dim, self.dim):
-            raise StructuralError("factor dimension mismatch")
-        return self.extend((a,))
-
-    def extend(self, factors):
-        """Multiply float (dim, dim) factors onto the frame, first factor
-        first; the caller checks their shape once."""
-        frame, pending = self.frame, self._pending
-        diags = []
-        for a in factors:
-            frame = a.dot(frame)
-            pending += 1
-            if pending == self.reorth_every:
-                frame, diag = _qr(frame)
-                diags.append(diag)
-                pending = 0
-        self.frame, self._pending = frame, pending
-        self._fold(diags)
-        return self
-
-    def reorthonormalize(self):
-        """QR-factor the frame, rolling column norms into the log accumulator."""
-        if self._pending == 0:
-            return
-        self.frame, diag = _qr(self.frame)
-        self._pending = 0
-        self._fold([diag])
-
-    def _fold(self, diags):
-        """Add log|diag R| of each QR in turn to the column log-norms; `diags`
-        holds the signed diagonals, one per QR.
-
-        A column is dead once a diagonal entry is 0 or a running sum falls
-        below _UNDERFLOW_LOG; dead columns stay at -inf.
-        """
-        if not diags:
-            return
-        diags = np.abs(np.array(diags))
-        with np.errstate(divide="ignore"):
-            logs = np.log(diags)
-        sums = np.cumsum(np.vstack((self.lognorms, logs)), axis=0)[1:]
-        self.dead |= (diags == 0.0).any(axis=0)
-        self.dead |= (sums < _UNDERFLOW_LOG).any(axis=0)
-        self.lognorms = np.where(self.dead, NEG_INF, sums[-1])
-
-    def check_frame(self):
-        self.reorthonormalize()
-        err = np.abs(self.frame.T @ self.frame - np.eye(self.dim)).max()
-        if err > _ORTHO_TOL:
-            raise StructuralError(f"frame lost orthonormality ({err:.2e})")
-        return err
+    diags = np.abs(np.array(diags))
+    with np.errstate(divide="ignore"):
+        logs = np.log(diags)
+    sums = np.cumsum(np.vstack((lognorms, logs)), axis=0)[1:]
+    dead = (dead | (diags == 0.0).any(axis=0)
+            | (sums < _UNDERFLOW_LOG).any(axis=0))
+    return np.where(dead, NEG_INF, sums[-1]), dead
 
 
 @dataclass
@@ -213,48 +158,47 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
 
     Standard errors are batch means over the batches, floored at 20/steps
     so deterministic (single-matrix) sequences still report the finite-step
-    truncation error scale.
+    truncation error scale.  A symbol with no rule in the family, or a
+    sequence shorter than `steps`, is a `StructuralError`.
     """
     if steps < 1000:
         raise StructuralError("steps must be >= 1000")
     if reorth_every < 1:
         raise StructuralError("reorth_every must be >= 1")
-    mats = _family_matrices(family)
-    dim = family.n_prototiles
-    if any(m.shape != (dim, dim) for m in mats):
-        raise StructuralError("factor dimension mismatch")
     if x is None:
         x = sample_sequence(measure, steps, seed)
     elif len(x) < steps:
         raise StructuralError("provided sequence shorter than steps")
+    symbols = x.positive[:steps]
+    mats = _family_matrices(family, symbols)
+    dim = family.n_prototiles
 
     n_batches = max(20, min(50, steps // 200))
     edges = np.linspace(0, steps, n_batches + 1).astype(int)
-    prod = CocycleProduct(dim, reorth_every=1)
+    frame, lognorms, dead = np.eye(dim), np.zeros(dim), np.zeros(dim, bool)
     words = {}
     batch_sums = np.zeros((n_batches, dim))
-    prev = prod.lognorms.copy()
     for b in range(n_batches):
-        prod.extend(_words(mats, x.positive[edges[b]:edges[b + 1]],
-                           reorth_every, words))
-        cur = prod.lognorms
-        delta = np.where(np.isinf(cur), 0.0, cur - np.where(
+        diags = []
+        for word in _words(mats, symbols[edges[b]:edges[b + 1]],
+                           reorth_every, words):
+            frame, diag = _qr(word.dot(frame))
+            diags.append(diag)
+        prev = lognorms
+        lognorms, dead = _fold(lognorms, dead, diags)
+        batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms - np.where(
             np.isinf(prev), 0.0, prev))
-        batch_sums[b] = delta
-        prev = cur.copy()
-    prod.check_frame()
+    err = np.abs(frame.T @ frame - np.eye(dim)).max()
+    if err > _ORTHO_TOL:
+        raise StructuralError(f"frame lost orthonormality ({err:.2e})")
 
-    lens = np.diff(edges)
-    batch_means = batch_sums / lens[:, None]
-    raw = [NEG_INF if prod.dead[i] else float(prod.lognorms[i]) / steps
-           for i in range(dim)]
+    batch_means = batch_sums / np.diff(edges)[:, None]
+    raw = [float(v) / steps for v in lognorms]     # dead columns: -inf
     se = np.std(batch_means, axis=0, ddof=1) / math.sqrt(n_batches)
-    floor = 20.0 / steps
-    raw_se = [max(float(s), floor) for s in se]
+    raw_se = [max(float(s), 20.0 / steps) for s in se]
 
-    order = sorted(range(dim), key=lambda i: (not math.isfinite(raw[i]),
-                                              -raw[i] if math.isfinite(raw[i])
-                                              else 0.0))
+    order = sorted(range(dim), key=lambda i: (
+        not math.isfinite(raw[i]), -raw[i] if math.isfinite(raw[i]) else 0.0))
     raw_sorted = [raw[i] for i in order]
     se_sorted = [raw_se[i] for i in order]
     exps, mults, gses = _group_exponents(raw_sorted, se_sorted)
@@ -286,11 +230,15 @@ def top_left_direction(family: RuleFamily, x: SymbolSequence,
     """
     if depth < 1:
         raise StructuralError("depth must be >= 1")
-    mats = _family_matrices(family)
+    if depth > len(x):
+        raise StructuralError(f"depth {depth} is longer than the sequence "
+                              f"({len(x)} symbols)")
+    symbols = x.positive[:depth]
+    mats = _family_matrices(family, symbols)
     dim = family.n_prototiles
     prod = np.eye(dim)
-    for k in range(1, depth + 1):
-        prod = mats[x[k] - 1] @ prod
+    for sym in symbols:
+        prod = mats[sym - 1] @ prod
         scale = np.abs(prod).max()
         if scale == 0.0:
             raise ConvergenceError("product vanished; no dominant direction")

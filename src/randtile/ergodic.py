@@ -120,14 +120,6 @@ def _extend_paths(family, x, level, paths):
     return nxt
 
 
-def _paths_to(family, x, k):
-    """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
-    paths = {v: [()] for v in range(family.n_prototiles)}
-    for level in range(1, k + 1):
-        paths = _extend_paths(family, x, level, paths)
-    return paths
-
-
 def _numerators(values):
     """D, the lcm of the denominators of ints and Fractions, and each D·v
     as an int."""

@@ -430,8 +430,9 @@ def _fixed_order(matrix: sp.spmatrix):
 def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     """#eigenvalues <= E for each E of a hermitian matrix.
 
-    The matrix must be square and hermitian within n·eps·||A||_1, and every
-    energy finite; otherwise a `StructuralError` names what is wrong.
+    The matrix must be a square scipy sparse matrix, hermitian within
+    n·eps·||A||_1, and every energy finite; otherwise a `StructuralError`
+    names what is wrong.
 
     Up to _DENSE_LIMIT points: dense `eigvalsh`.  Above: inertia counting.
     A minimum-degree order on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed
@@ -457,6 +458,9 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     is no longer a congruence), or when the smallest pivot |u_kk| is at most
     n·eps·||A||_1, so that rounding may have set its sign.
     """
+    if not sp.issparse(matrix):
+        raise StructuralError(f"eigenvalue counts need a scipy sparse matrix, "
+                              f"not a {type(matrix).__name__}")
     if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
         raise StructuralError(f"eigenvalue counts need a square matrix, "
                               f"not one of shape {matrix.shape}")

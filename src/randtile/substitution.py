@@ -372,11 +372,15 @@ def builtin_families():
     ]
 
 
+_NAMED_FAMILIES = {"half-hex-classical": half_hex_classical,
+                   "half-hex-pair": half_hex_pair, "one-d-pair": one_d_pair}
+
+
 def builtin_family(name: str) -> RuleFamily:
-    for fam in builtin_families():
-        if fam.name == name:
-            return fam
-    # parameterized solenoids: "solenoid-2x3-2d"
+    """The family called `name`, built alone: a named family, or a solenoid
+    parsed from its name ("solenoid-2x3-2d")."""
+    if name in _NAMED_FAMILIES:
+        return _NAMED_FAMILIES[name]()
     if name.startswith("solenoid-"):
         try:
             body = name[len("solenoid-"):]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -121,8 +122,24 @@ def test_default_outputs_match_golden_digests(tmp_path):
 def test_geometric_deviate_matches_golden_digest(tmp_path):
     """`deviate --family half-hex-classical` picks T_* through the boundary
     distance loop of `special_averaging_sequence`; tests/golden_cli.json pins
-    its CSV bytes.  The summary carries BLAS-dependent Lyapunov floats."""
+    its CSV bytes, and the summary's Lyapunov floats from the QR loop (the
+    same bytes under 1 and 2 BLAS threads)."""
     cmd = "deviate --family half-hex-classical"
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("cmd", [
+    "spectrum",
+    "spectrum --family one-d-pair --reorth-every 1 --steps 5000",
+])
+def test_spectrum_matches_golden_digest(tmp_path, cmd):
+    """The QR loop of `lyapunov_spectrum` over the default p-grid, in words
+    of 5 symbols, and one factor per QR on a family with a dead (-inf)
+    direction; tests/golden_cli.json pins the CSV bytes."""
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
     assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
     for name, digest in golden[cmd].items():
@@ -328,6 +345,21 @@ def test_deviate_insufficient_is_numeric_error(tmp_path, capsys):
                "--mode", "sequence", "--entries", "500", "--length", "16",
                "--direction-depth", "12", "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--family", "half-hex-classical"],
+     "symbol 2 has no rule in family 'half-hex-classical'"),
+    (["deviate", "--family", "half-hex-classical", "--p", "0.5"],
+     "symbol 2 has no rule in family 'half-hex-classical'"),
+    (["deviate", "--length", "30"],
+     r"depth 40 is longer than the sequence \(30 symbols\)"),
+], ids=["spectrum-one-rule", "deviate-one-rule", "deviate-depth"])
+def test_cocycle_sequence_errors_are_config_errors(tmp_path, capsys, argv,
+                                                   named):
+    """Each used to exit 1 with an IndexError traceback."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert re.search(named, capsys.readouterr().err)
 
 
 def test_deviate_one_d_command(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randtile import cocycle
-from randtile.cocycle import (CocycleProduct, _group_exponents, apply_cocycle,
+from randtile.cocycle import (_group_exponents, apply_cocycle,
                               lyapunov_spectrum, top_left_direction)
 from randtile.errors import ConvergenceError, StructuralError
 from randtile.substitution import (matrix_only_family, substitution_matrix)
@@ -17,59 +17,68 @@ LOG16 = math.log(16.0)
 LOG52_HALF = 0.5 * math.log(52.0)
 
 
-def test_cocycle_product_identity():
-    prod = CocycleProduct(4, reorth_every=3)
-    for _ in range(10):
-        prod.push(np.eye(4))
-    prod.check_frame()
-    assert np.allclose(prod.lognorms, 0.0)
-    assert not prod.dead.any()
+def _fold(diags, lognorms=None, dead=None):
+    dim = len(diags[0])
+    return cocycle._fold(np.zeros(dim) if lognorms is None else lognorms,
+                         np.zeros(dim, bool) if dead is None else dead, diags)
 
 
-def test_cocycle_product_scaling():
-    prod = CocycleProduct(2, reorth_every=2)
-    for _ in range(50):
-        prod.push(np.diag([2.0, 0.5]))
-    prod.reorthonormalize()
-    assert prod.lognorms[0] == pytest.approx(50 * LOG2)
-    assert prod.lognorms[1] == pytest.approx(-50 * LOG2)
+def test_fold_zero_logs():
+    lognorms, dead = _fold([np.ones(4)] * 10)
+    assert lognorms.tolist() == [0.0] * 4
+    assert not dead.any()
 
 
-def test_cocycle_kernel_detection():
-    prod = CocycleProduct(2, reorth_every=1)
-    prod.push(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert prod.dead.tolist() == [False, True]
-    assert prod.lognorms[1] == float("-inf")
+def test_fold_scaling():
+    """Signs of diag R do not count: 50 QRs of diag(2, -1/2)."""
+    lognorms, dead = _fold([np.array([2.0, -0.5])] * 50)
+    assert lognorms[0] == pytest.approx(50 * LOG2)
+    assert lognorms[1] == pytest.approx(-50 * LOG2)
+    assert not dead.any()
 
 
-def test_cocycle_dimension_check():
-    with pytest.raises(StructuralError):
-        CocycleProduct(3).push(np.eye(2))
-    with pytest.raises(StructuralError):
-        CocycleProduct(3, reorth_every=0)
+def test_fold_zero_diagonal_is_dead():
+    lognorms, dead = _fold([np.array([1.0, 0.0])])
+    assert dead.tolist() == [False, True]
+    assert lognorms[1] == float("-inf")
+    lognorms, dead = _fold([np.array([2.0, 3.0])], lognorms, dead)
+    assert dead.tolist() == [False, True]       # dead columns stay dead
+    assert lognorms.tolist() == [LOG2, float("-inf")]
 
 
-def test_push_matches_extend(hhp, odp):
-    """One factor at a time through `push` leaves the same log-norms and dead
-    directions, bit for bit, as one `extend` over the same factors."""
-    for fam, every in ((hhp, 3), (odp, 1), (odp, 4)):
+def test_fold_underflow_is_dead():
+    """A running sum below -600 kills the column, even when later QRs of
+    the same fold bring the sum back above it."""
+    small, big = math.exp(-400.0), math.exp(500.0)
+    lognorms, dead = _fold([np.array([1.0, small]), np.array([1.0, small]),
+                            np.array([1.0, big])])
+    assert dead.tolist() == [False, True]
+    assert lognorms.tolist() == [0.0, float("-inf")]
+    lognorms, dead = _fold([np.array([1.0, small])])
+    assert not dead.any()
+
+
+def test_fold_in_one_call_matches_one_per_qr(hhp, odp):
+    """One fold over a batch of QR diagonals leaves the same log-norms and
+    dead columns, bit for bit, as one fold per QR."""
+    for fam in (hhp, odp):
         mats = [fam.matrix(s).astype(float) for s in (1, 2)]
         x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 103, seed=2)
-        one = CocycleProduct(fam.n_prototiles, every)
-        many = CocycleProduct(fam.n_prototiles, every)
+        frame, diags = np.eye(fam.n_prototiles), []
         for s in x.positive:
-            one.push(mats[s - 1])
-        many.extend([mats[s - 1] for s in x.positive])
-        for prod in (one, many):
-            prod.reorthonormalize()
-        assert np.array_equal(one.lognorms, many.lognorms)
-        assert np.array_equal(one.dead, many.dead)
-        assert np.array_equal(one.frame, many.frame)
-    assert many.dead.any()                      # one-d-pair has a kernel
+            frame, diag = cocycle._qr(mats[s - 1].dot(frame))
+            diags.append(diag)
+        many = _fold(diags)
+        one = _fold(diags[:1])
+        for diag in diags[1:]:
+            one = _fold([diag], *one)
+        assert np.array_equal(one[0], many[0])
+        assert np.array_equal(one[1], many[1])
+    assert many[1].any()                        # one-d-pair has a kernel
 
 
 def _reference_spectrum(family, x, steps, every):
-    """The per-step loop `CocycleProduct.extend` replaced, kept as its
+    """The per-step loop the word-blocked QR loop replaced, kept as its
     oracle: push one factor, `np.linalg.qr` every `every` pushes and at each
     batch edge, and update log-norms and dead columns after every QR.
     Returns the sorted raw exponents and standard errors."""
@@ -124,25 +133,25 @@ def _sorted_spectrum(lognorms, dead, batch_sums, edges):
     return [raw[i] for i in order], [raw_se[i] for i in order]
 
 
-def _per_factor_spectrum(family, x, steps, every):
-    """The loop the word products replaced: every factor multiplied onto
-    the frame on its own by `CocycleProduct(dim, every)`, one batch per
-    `extend`, and a QR at each batch edge."""
+def _per_factor_spectrum(family, x, steps):
+    """The loop the word products replaced, at one factor per QR: every
+    factor multiplied onto the frame on its own and QR-factored by `_qr`,
+    and the log-norms folded after every QR."""
     mats = [family.matrix(s).astype(float)
             for s in range(1, family.n_rules + 1)]
+    dim = family.n_prototiles
     n_batches = max(20, min(50, steps // 200))
     edges = np.linspace(0, steps, n_batches + 1).astype(int)
-    prod = CocycleProduct(family.n_prototiles, reorth_every=every)
-    batch_sums = np.zeros((n_batches, family.n_prototiles))
-    prev = prod.lognorms.copy()
+    frame, lognorms, dead = np.eye(dim), np.zeros(dim), np.zeros(dim, bool)
+    batch_sums = np.zeros((n_batches, dim))
     for b in range(n_batches):
-        prod.extend([mats[s - 1] for s in x.positive[edges[b]:edges[b + 1]]])
-        prod.reorthonormalize()
-        cur = prod.lognorms
-        batch_sums[b] = np.where(np.isinf(cur), 0.0, cur - np.where(
+        prev = lognorms
+        for s in x.positive[edges[b]:edges[b + 1]]:
+            frame, diag = cocycle._qr(mats[s - 1].dot(frame))
+            lognorms, dead = cocycle._fold(lognorms, dead, [diag])
+        batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms - np.where(
             np.isinf(prev), 0.0, prev))
-        prev = cur.copy()
-    return _sorted_spectrum(prod.lognorms, prod.dead, batch_sums, edges)
+    return _sorted_spectrum(lognorms, dead, batch_sums, edges)
 
 
 _MARKOV = MeasureSpec.markov([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5])
@@ -213,11 +222,11 @@ def test_word_products_are_exact(case, every, hhp, sol2, monkeypatch):
 @pytest.mark.parametrize("case", ["hhp", "sol2", "odp"])
 def test_one_symbol_words_are_the_per_factor_product(case, hhp, sol2, odp):
     """At reorth_every=1 every word is one factor, so the spectrum is the
-    per-factor result bit for bit."""
+    per-factor result, folded after every QR, bit for bit."""
     fam, measure, x = _bernoulli_half({"hhp": hhp, "sol2": sol2,
                                        "odp": odp}[case])
     rep = lyapunov_spectrum(fam, measure, 5003, seed=4, reorth_every=1, x=x)
-    raw, se = _per_factor_spectrum(fam, x, 5003, 1)
+    raw, se = _per_factor_spectrum(fam, x, 5003)
     assert rep.raw_exponents == raw
     assert rep.raw_stderrs == se
 
@@ -297,6 +306,28 @@ def test_lyapunov_minimum_steps(hhp):
     with pytest.raises(StructuralError, match="reorth_every"):
         lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.5), 1000, seed=0,
                           reorth_every=0)
+
+
+def test_lyapunov_symbol_outside_family(hh):
+    """half-hex-classical has one rule: a Bernoulli(1/2) draw uses symbol
+    2, which it cannot map.  Only the first `steps` symbols are read, so a
+    2 after them does not matter."""
+    with pytest.raises(StructuralError,
+                       match="symbol 2 .* 'half-hex-classical'.* 1..1"):
+        lyapunov_spectrum(hh, MeasureSpec.bernoulli_p(0.5), 1000, seed=0)
+    x = SymbolSequence((1,) * 1000 + (2,))
+    rep = lyapunov_spectrum(hh, MeasureSpec.bernoulli_p(0.5), 1000, seed=0,
+                            x=x)
+    assert rep.top == pytest.approx(LOG4, abs=1e-3)
+
+
+def test_top_left_direction_checks_sequence(hh, hhp):
+    with pytest.raises(StructuralError, match=r"depth 40 .*\(30 symbols\)"):
+        top_left_direction(hhp, SymbolSequence.constant(1, 30), 40)
+    x = SymbolSequence((1, 1, 2, 1))
+    with pytest.raises(StructuralError, match="symbol 2 .*half-hex-classical"):
+        top_left_direction(hh, x, 3)
+    assert top_left_direction(hh, x, 2).shape == (6,)
 
 
 def test_normalized_spectrum(hhp):

@@ -396,13 +396,17 @@ def test_sparse_count_at_zero_is_the_number_of_components(half_hex_windows,
     (sp.csr_matrix([[0, 1j], [1j, 0]]), [0.5], "is not hermitian"),
     (sp.identity(3, format="csr"), [0.5, math.nan], "energy nan is not"),
     (sp.identity(3, format="csr"), [-math.inf], "energy -inf is not"),
-], ids=["non-square", "lower-triangle", "complex-symmetric", "nan", "-inf"])
+    (np.eye(3), [0.5], "need a scipy sparse matrix, not a ndarray"),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.5], "sparse matrix, not a list"),
+], ids=["non-square", "lower-triangle", "complex-symmetric", "nan", "-inf",
+        "ndarray", "list"])
 def test_eigenvalue_counts_check_preconditions(monkeypatch, dense_limit,
                                                matrix, energies, named):
     """Each used to give an answer or an untyped error: numpy's LinAlgError
     for a non-square matrix, 2 for [[0, 1], [0, 0]] at E = 0.5 (the dense
     branch reads one triangle), n at NaN on the dense branch and "Factor is
-    exactly singular" on the sparse one."""
+    exactly singular" on the sparse one, TypeError for a dense array and
+    AttributeError for a nested list."""
     monkeypatch.setattr(schrod, "_DENSE_LIMIT", dense_limit)
     with pytest.raises(StructuralError, match=named):
         eigenvalue_counts(matrix, energies)

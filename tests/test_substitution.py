@@ -134,6 +134,17 @@ def test_builtin_family_lookup():
         builtin_family("no-such-family")
 
 
+def test_builtin_family_builds_the_listed_family():
+    """Looking one family up builds only that family, and it is the one
+    `builtin_families` lists, in the listed order."""
+    fams = builtin_families()
+    assert [f.name for f in fams] == ["half-hex-classical", "half-hex-pair",
+                                      "solenoid-2-1d", "solenoid-2x3-2d",
+                                      "one-d-pair"]
+    for fam in fams:
+        assert family_to_json(builtin_family(fam.name)) == family_to_json(fam)
+
+
 def test_json_round_trip(tmp_path):
     for fam in builtin_families():
         path = tmp_path / f"{fam.name}.json"
