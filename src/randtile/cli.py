@@ -299,6 +299,11 @@ def cmd_deviate(args, out: Path):
 
 
 def cmd_dk(args, out: Path):
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--n-max", args.n_max, 0),
+                               ("--depth", args.depth, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} {value} is below {least}")
     qs = [int(q) for q in args.q.split(",")]
     spec = SolenoidSpec.periodic(qs, dim=args.d)
     gen_rows = []

@@ -67,6 +67,10 @@ class CylinderObservable:
     depth: int
     values: tuple        # flat, C-order over the (q_(m),)^d grid
 
+    def __post_init__(self):
+        if self.depth < 0:
+            raise StructuralError(f"observable depth {self.depth} is negative")
+
     @staticmethod
     def from_array(spec: SolenoidSpec, depth: int, values) -> "CylinderObservable":
         q = spec.q_prod(depth)

@@ -386,8 +386,9 @@ def builtin_family(name: str) -> RuleFamily:
             body = name[len("solenoid-"):]
             qs_part, d_part = body.rsplit("-", 1)
             qs = [int(q) for q in qs_part.split("x")]
-            d = int(d_part.rstrip("d"))
-            return solenoid_family(qs, d)
+            fam = solenoid_family(qs, int(d_part.rstrip("d")))
+            if fam.name == name:     # refuses "solenoid-02-1d", "...-1dd"
+                return fam
         except (ValueError, StructuralError):
             pass
     raise StructuralError(f"unknown builtin family {name!r}")

@@ -8,15 +8,17 @@ integer matrix), so each θ_(k)^{-1} is an integer, and every footprint corner
 and child offset lies on the lattice (1/S)·ℤ^d, S the lcm of the denominators
 of the prototile corners and translations.
 
-Patches, decompositions and approximants come from one descent on that
-lattice: level by level over numpy frontiers of integer offsets (int64, or
-Python ints when a coordinate bound does not fit), dropping supertiles that
-miss the window, keeping those inside it and cutting the rest into their
-children.  A `Patch` keeps the integer offsets and the scale.  `lattice_test`
-is the one window membership test, for the descent and for operators and
-traces on punctures: exact on the integers for boxes and convex polygons,
-the Region predicates node by node for disks and non-convex polygons.
-Exact rational offsets are made only for the `tiles` view.
+The anchor search, `path_offset` and the descent share one integer table
+per level (`_Level`).  Patches, decompositions and approximants come from
+one descent: level by level over numpy frontiers of integer offsets (int64,
+or Python ints when a coordinate bound does not fit), dropping supertiles
+that miss the window, keeping those inside it and cutting the rest into
+their children.  A `Patch` keeps the integer offsets and the scale.
+`lattice_test` is the one window membership test, for the descent and for
+operators and traces on punctures: exact on the integers for boxes and
+convex polygons, the Region predicates node by node for disks and
+non-convex polygons.  `Fraction` offsets appear only at the API boundary:
+in `anchor`, `path_offset` and the `tiles` view of a patch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -130,9 +132,14 @@ class Region:
 
     def __post_init__(self):
         object.__setattr__(self, "dilation", frac(self.dilation))
+        if self.dilation <= 0:
+            raise StructuralError(f"dilation {self.dilation} is not positive")
         if self.kind == "disk":
             if self.center is None or self.radius is None:
                 raise StructuralError("disk region needs center and radius")
+            if not (math.isfinite(self.radius) and self.radius > 0):
+                raise StructuralError(f"disk radius {self.radius!r} is not a "
+                                      "positive finite number")
             object.__setattr__(self, "center", fpoint(self.center))
         elif self.kind == "box":
             if self.corner is None or self.widths is None:
@@ -388,7 +395,9 @@ class _Level:
     """Integer tables of one level on (1/scale)·ℤ^d: the footprint `corners`
     of every type (`_point_table`); the children of every parent type in
     branch order, `start`/`count` locating each parent's run; `leaves`, the
-    level-0 tiles per type (at most _LEAF_CAP); `step` bounds |child delta|."""
+    level-0 tiles per type (at most _LEAF_CAP); `step` bounds |child delta|;
+    `faces`, by type, the embedded faces of the exact footprint at the origin
+    (filled by `SupertileSystem.margin`)."""
 
     corners: np.ndarray
     child_type: np.ndarray
@@ -397,19 +406,20 @@ class _Level:
     count: np.ndarray
     leaves: np.ndarray
     step: int
+    faces: dict = field(default_factory=dict)
 
 
 class SupertileSystem:
-    """Cached supertile data for (family, x): θ products, footprints and the
-    integer tables of the descent."""
+    """Cached supertile data for (family, x): θ products and the integer
+    `_Level` tables that the anchor search, `path_offset` and the descent
+    share.  Offsets are integers on (1/scale)·ℤ^d inside; `Fraction` offsets
+    appear only where `anchor` and `path_offset` return them."""
 
     def __init__(self, family: RuleFamily, x):
         self.family = family
         self.x = x
         self._theta_inv = [Fraction(1)]  # θ_(k)^{-1}
-        self._footprints = []          # level -> footprint shape per type
         self._levels = []              # level -> _Level
-        self._faces = {}               # (k, v) -> embedded footprint faces
         self._volumes = family.volumes()
         # every footprint corner and child delta lies on (1/scale)·ℤ^d,
         # because each θ_(k)^{-1} is an integer
@@ -422,12 +432,36 @@ class SupertileSystem:
     def rule_at(self, level: int):
         return self.family.rule(self.x[level])
 
-    def _ensure(self, k: int):
-        """Footprints up to level k; a matrix-only rule or a θ other than
-        1/q below it raises UnsupportedOperationError."""
-        while len(self._footprints) <= k:
-            lvl = len(self._footprints)
-            if lvl:
+    def theta_inv(self, k: int) -> Fraction:
+        """θ_(k)^{-1} = θ_1^{-1}···θ_k^{-1}, exact, for any rules (cached)."""
+        while len(self._theta_inv) <= k:
+            self._theta_inv.append(
+                self._theta_inv[-1] / self.rule_at(len(self._theta_inv)).theta)
+        return self._theta_inv[k]
+
+    def volume(self, k: int, v: int) -> Fraction:
+        return self._volumes[v] * self.theta_inv(k) ** self.family.dim
+
+    def _exact(self, offset) -> tuple:
+        """The exact point of an integer offset on (1/scale)·ℤ^d."""
+        return tuple(Fraction(c, self.scale) for c in offset)
+
+    def _shape(self, k: int, v: int, offset):
+        """Exact footprint of the level-k type-v supertile at an integer offset."""
+        return self.family.prototiles[v].shape.transform(
+            self.theta_inv(k), self._exact(offset))
+
+    def _level(self, k: int) -> _Level:
+        """The integer tables of level k (cached); a matrix-only rule or a θ
+        other than 1/q at or below it raises UnsupportedOperationError."""
+        while len(self._levels) <= k:
+            lvl = len(self._levels)
+            m = self.family.n_prototiles
+            if lvl == 0:
+                branches, leaves, ti = (), [1] * m, 1
+                corners = _point_table([p.shape.vertices_list() for p in
+                                        self.family.prototiles], self.scale)[1]
+            else:
                 rule = self.rule_at(lvl)
                 if not rule.is_geometric:
                     raise UnsupportedOperationError(
@@ -436,45 +470,18 @@ class SupertileSystem:
                     raise UnsupportedOperationError(
                         f"rule {rule.id} at level {lvl}: θ = {rule.theta} is "
                         f"not 1/q, so its supertiles leave the integer lattice")
-            ti = self.theta_inv(lvl)
-            self._footprints.append(
-                [p.shape.transform(ti, (0,) * self.family.dim)
-                 for p in self.family.prototiles])
-
-    def theta_inv(self, k: int) -> Fraction:
-        """θ_(k)^{-1} = θ_1^{-1}···θ_k^{-1}, exact, for any rules (cached)."""
-        while len(self._theta_inv) <= k:
-            self._theta_inv.append(
-                self._theta_inv[-1] / self.rule_at(len(self._theta_inv)).theta)
-        return self._theta_inv[k]
-
-    def footprint(self, k: int, v: int):
-        self._ensure(k)
-        return self._footprints[k][v]
-
-    def volume(self, k: int, v: int) -> Fraction:
-        return self._volumes[v] * self.theta_inv(k) ** self.family.dim
-
-    def _level(self, k: int) -> _Level:
-        """The integer tables of level k (cached)."""
-        while len(self._levels) <= k:
-            lvl = len(self._levels)
-            self._ensure(lvl)
-            m = self.family.n_prototiles
-            ti = self.theta_inv(lvl)
-            if lvl == 0:
-                branches, leaves = (), [1] * m
-            else:
-                branches = self.rule_at(lvl).branches    # grouped by parent
+                branches = rule.branches                 # grouped by parent
                 leaves = np.minimum(self.family.matrix(self.x[lvl])
                                     @ self._levels[-1].leaves, _LEAF_CAP)
-            delta = [[int(c * self.scale) for c in geometry.vscale(ti, b.tau)]
-                     for b in branches]
+                ti = int(self.theta_inv(lvl))
+                corners = self._levels[0].corners * ti
+            # θ_(lvl)^{-1}·τ·scale, in integers: each τ denominator divides scale
+            delta = [[ti * c.numerator * (self.scale // c.denominator)
+                      for c in b.tau] for b in branches]
             count = np.bincount([b.parent for b in branches],
                                 minlength=m).astype(np.int64)
             self._levels.append(_Level(
-                corners=_point_table([f.vertices_list() for f in
-                                      self._footprints[lvl]], self.scale)[1],
+                corners=corners,
                 child_type=np.array([b.child for b in branches], dtype=np.int64),
                 child_delta=np.array(delta, dtype=object).reshape(
                     len(branches), self.family.dim),
@@ -484,25 +491,17 @@ class SupertileSystem:
         return self._levels[k]
 
     def margin(self, k: int, v: int, offset, pts) -> float:
-        """Min signed distance of window extreme points inside the translated
-        footprint of (k, v); negative means some point sticks out."""
+        """Min signed distance of window extreme points inside the footprint
+        of (k, v) at the integer offset; negative means some point sticks out."""
         emb = self.family.embedding
-        faces = self._faces.get((k, v))
-        if faces is None:
-            faces = self._faces[(k, v)] = geometry.faces(
-                self.footprint(k, v), emb)
-        off = geometry.embed_point(offset, emb)
-        return min(geometry.margin(tuple(c - o for c, o in zip(p, off)), faces)
-                   - pad for p, pad in pts)
-
-    def _up_candidates(self, lvl: int, v: int, offset):
-        """Branches placing the current type-v supertile inside a level-lvl one."""
-        self._ensure(lvl)
-        ti = self.theta_inv(lvl)
-        return [(parent, geometry.vsub(offset, geometry.vscale(ti, b.tau)),
-                 (lvl, parent, v, idx))
-                for parent, child, idx, b in self.rule_at(lvl).edges
-                if child == v]
+        faces = self._level(k).faces
+        if v not in faces:
+            faces[v] = geometry.faces(
+                self._shape(k, v, (0,) * self.family.dim), emb)
+        # c / scale is correctly rounded, as float(Fraction(c, scale)) is
+        off = geometry.embed_point([c / self.scale for c in offset], emb)
+        return min(geometry.margin(tuple(c - o for c, o in zip(p, off)),
+                                   faces[v]) - pad for p, pad in pts)
 
     def anchor(self, window: Region):
         """Grow an anchored supertile until its footprint contains the window.
@@ -511,33 +510,36 @@ class SupertileSystem:
         diagram edges (level, parent, child, branch index).  Footprints are
         nested along ancestor chains, so the window margin is monotone
         non-decreasing up any path; best-first search on the margin therefore
-        finds a covering placement whenever one exists.
+        finds a covering placement whenever one exists.  The search moves
+        integer offsets up a level by the rows of `child_delta`, which are in
+        the branch order of the rule's edges.
         """
         emb = self.family.embedding
         pts = _window_extremes(window, emb)
-        offset0 = (Fraction(0),) * self.family.dim
-        m0 = self.margin(0, 0, offset0, pts)
-        heap = [(-m0, 0, 0, 0, offset0, ())]
+        offset0 = (0,) * self.family.dim
+        heap = [(-self.margin(0, 0, offset0, pts), 0, 0, 0, offset0, ())]
         visited = {(0, 0, offset0)}
-        tick = 1
-        deepest = 0
+        tick, deepest = 1, 0
         while heap and tick <= ANCHOR_MAX_EXPANSIONS:
             neg_m, _, k, v, offset, edges = heapq.heappop(heap)
             if -neg_m >= 0 and window.contains_window(
-                    self.footprint(k, v).translate(offset), emb):
-                return k, v, offset, list(edges)
+                    self._shape(k, v, offset), emb):
+                return k, v, self._exact(offset), list(edges)
             lvl = k + 1
             deepest = max(deepest, k)
             if lvl > min(len(self.x), ANCHOR_MAX_LEVEL):
                 continue
-            for parent, o, edge in self._up_candidates(lvl, v, offset):
-                key = (lvl, parent, o)
-                if key in visited:
+            for (parent, child, idx, _), delta in zip(
+                    self.rule_at(lvl).edges, self._level(lvl).child_delta):
+                if child != v:
                     continue
-                visited.add(key)
-                m = self.margin(lvl, parent, o, pts)
-                heapq.heappush(heap, (-m, tick, lvl, parent, o,
-                                      edges + (edge,)))
+                o = tuple(a - b for a, b in zip(offset, delta))
+                if (lvl, parent, o) in visited:
+                    continue
+                visited.add((lvl, parent, o))
+                heapq.heappush(heap, (-self.margin(lvl, parent, o, pts), tick,
+                                      lvl, parent, o,
+                                      edges + ((lvl, parent, v, idx),)))
                 tick += 1
         if not heap:
             raise InsufficientDataError(
@@ -549,14 +551,13 @@ class SupertileSystem:
     def path_offset(self, edges, shift: int = 0):
         """Offset of a path's level-0 tile inside the supertile the path
         reaches: o = -Σ θ_(level)^{-1}·τ_edge, every level raised by `shift`."""
-        offset = (Fraction(0),) * self.family.dim
+        offset = (0,) * self.family.dim
         for level, parent, child, index in edges:
-            self._ensure(level + shift)
-            tau = next(b.tau for p, c, i, b in self.rule_at(level + shift).edges
-                       if (p, c, i) == (parent, child, index))
-            offset = geometry.vsub(
-                offset, geometry.vscale(self.theta_inv(level + shift), tau))
-        return offset
+            deltas = self._level(level + shift).child_delta
+            row = next(i for i, e in enumerate(self.rule_at(level + shift).edges)
+                       if e[:3] == (parent, child, index))
+            offset = tuple(a - b for a, b in zip(offset, deltas[row]))
+        return self._exact(offset)
 
     def cover(self, window: Region, k: int, v: int, offset):
         """Maximal supertiles inside the window, below the level-k type-v
@@ -564,7 +565,7 @@ class SupertileSystem:
         to the number of inside supertiles per type (levels in depth-first
         order of their first supertile) and boundary counts the level-0
         tiles cut by the window boundary."""
-        found, boundary, _ = self._descend(window, k, v, offset)
+        found, boundary = self._descend(window, k, v, offset)
         n = self.family.n_prototiles
         return ({level: np.bincount(types, minlength=n).tolist()
                  for level, types, _ in found}, boundary)
@@ -574,17 +575,17 @@ class SupertileSystem:
         """The level-0 tiles, depth first, of the level-k type-v supertile at
         `offset` (those inside `window`, if given).  More than `budget` tiles
         raise PartialCoverError, carrying the first `budget` of them."""
-        found, _, scale = self._descend(window, k, v, offset, budget)
+        found, _ = self._descend(window, k, v, offset, budget)
         _, types, offs = found[0] if found else (  # one level: level 0
             0, [], np.zeros((0, self.family.dim), dtype=np.int64))
-        patch = Patch(types[:budget], offs[:budget], scale, self.family)
+        patch = Patch(types[:budget], offs[:budget], self.scale, self.family)
         if len(types) > budget:
             raise PartialCoverError("tile budget exhausted", partial=patch)
         return patch
 
     def _descend(self, window, k: int, v: int, offset, budget=None):
         """The one supertile descent: level by level from the level-k type-v
-        supertile at `offset` down to level 0.
+        supertile at `offset`, a point of (1/scale)·ℤ^d, down to level 0.
 
         A frontier holds node types and integer offsets on (1/scale)·ℤ^d in
         depth-first (lexicographic path) order, which the stable expansion
@@ -595,18 +596,19 @@ class SupertileSystem:
         known tiles exceed the budget.  Offsets use int64 when every
         coordinate and cross product fits, Python ints otherwise.
 
-        Returns (found, boundary, scale): found lists (level, types, offsets)
-        of the inside nodes where the descent stopped, levels in depth-first
-        order of their first node; boundary counts the level-0 nodes the
-        window boundary cuts.
+        Returns (found, boundary): found lists (level, types, offsets) of the
+        inside nodes where the descent stopped, levels in depth-first order
+        of their first node; boundary counts the level-0 nodes the window
+        boundary cuts.
         """
-        scale = math.lcm(self.scale, *(c.denominator for c in offset))
-        mult = scale // self.scale
+        origin = [frac(c) * self.scale for c in offset]
+        if any(c.denominator != 1 for c in origin):
+            raise StructuralError(f"offset ({', '.join(map(str, offset))}) is "
+                                  f"off the lattice (1/{self.scale})·ℤ^d")
+        origin = [int(c) for c in origin]
         levels = [self._level(j) for j in range(k + 1)]
-        origin = [int(c * scale) for c in offset]
-        dtype = _int_dtype(max(map(abs, origin)) + mult * (
-            sum(lv.step for lv in levels)
-            + max(int(np.abs(lv.corners).max()) for lv in levels)))
+        dtype = _int_dtype(max(map(abs, origin)) + sum(lv.step for lv in levels)
+                           + max(int(np.abs(lv.corners).max()) for lv in levels))
         types = np.array([v], dtype=np.int64)
         offs = np.array([origin], dtype=object).astype(dtype)
         inside = np.array([window is None])
@@ -620,13 +622,13 @@ class SupertileSystem:
                 pos = np.arange(len(parent)) + np.repeat(
                     up.start[types] - (np.cumsum(count) - count), count)
                 types = up.child_type[pos]
-                offs = offs[parent] + (up.child_delta * mult).astype(dtype)[pos]
+                offs = offs[parent] + up.child_delta.astype(dtype)[pos]
                 inside, rank = inside[parent], rank[parent]
             todo = np.flatnonzero(~inside)
             if len(todo):
-                corners = offs[todo, None] + (
-                    levels[level].corners * mult).astype(dtype)[types[todo]]
-                meets, inside[todo] = lattice_test(window, scale, corners,
+                corners = offs[todo, None] + levels[level].corners.astype(
+                    dtype)[types[todo]]
+                meets, inside[todo] = lattice_test(window, self.scale, corners,
                                                    self.family.embedding)
                 keep = np.ones(len(types), dtype=bool)
                 keep[todo] = meets
@@ -646,7 +648,7 @@ class SupertileSystem:
                     cut = int(np.argmax(over)) + 1
                     types, offs, inside, rank = (a[:cut] for a in
                                                  (types, offs, inside, rank))
-        return found, len(types), scale
+        return found, len(types)
 
 
 def _window_extremes(window: Region, embedding):
@@ -690,9 +692,6 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     decomposition refers to the same hierarchy as a previously generated
     patch.
     """
-    t_dilation = frac(t_dilation)
-    if t_dilation <= 0:
-        raise StructuralError("dilation must be positive")
     window = b_region.dilated(t_dilation)
     system, (level, vertex, offset) = _anchored(family, x, window, system,
                                                 anchor)

@@ -19,7 +19,7 @@ from randtile import cli
 from randtile.cocycle import lyapunov_spectrum
 from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
-from randtile.errors import ConfigError
+from randtile.errors import ConfigError, StructuralError
 from randtile.schrodinger import KernelSpec
 from randtile.symbolic import SymbolSequence
 from randtile.tiling import Patch
@@ -47,6 +47,26 @@ def test_parse_region():
     for bad in ("box:1,2,3", "disk:1,2", "wedge:1", "box:a,b,c,d"):
         with pytest.raises(ConfigError):
             parse_region(bad)
+    for bad, named in (("disk:0,0,-1", "radius -1.0"),
+                       ("disk:0,0,0", "radius 0.0")):
+        with pytest.raises(StructuralError, match=named):
+            parse_region(bad)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["patch", "--window", "disk:0,0,-1"], "disk radius -1.0 is not"),
+    (["patch", "--window", "disk:0,0,0"], "disk radius 0.0 is not"),
+    (["patch", "--window", "disk:0,0,1", "--dilation", "-4"],
+     "dilation -4 is not positive"),
+    (["decompose", "--dilation", "0"], "dilation 0 is not positive"),
+    (["schrod", "--t-grid", "4,-8"], "dilation -8 is not positive"),
+])
+def test_bad_window_exits_2(tmp_path, capsys, argv, named):
+    """A non-positive disk radius or dilation exits 2 naming the value.  A
+    disk with a negative radius used to meet nodes as if it were positive,
+    and each run wrote a header-only CSV with exit 0."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_render_svg_level2_approximant(hh):
@@ -338,6 +358,19 @@ def test_dk_command(tmp_path):
     rows = _read_csv(tmp_path / "dk.csv")
     assert len(rows) == 1 + 5 * 6
     assert all(r[-1] == "1" for r in rows[1:])   # every bound holds
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--trials", "0", "--trials 0 is below 1"),
+    ("--n-max", "-1", "--n-max -1 is below 0"),
+    ("--depth", "-1", "--depth -1 is below 0"),
+])
+def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
+    """Each used to exit 0: a header-only dk.csv for --trials 0 and
+    --n-max -1, and 180 meaningless rows for --depth -1."""
+    assert main(["dk", flag, value, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "dk.csv").exists()
 
 
 def test_deviate_insufficient_is_numeric_error(tmp_path, capsys):

@@ -5,8 +5,11 @@ before its descent moved to integer numpy frontiers; they are kept here as
 the reference that ordered tile lists and decomposition reports must match.
 `_ref_inside` is the per-point Fraction window membership that operator
 assembly and windowed traces used before they moved to the same lattice.
+`_ref_anchor` is the best-first anchor search on Fraction footprints that
+the package ran before the search moved to the integer level tables.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -14,15 +17,23 @@ import numpy as np
 import pytest
 
 from randtile.bratteli import approximant, spanning_system
-from randtile.errors import PartialCoverError, UnsupportedOperationError
-from randtile.geometry import Box, embed_point, vadd, vscale
+from randtile import geometry
+from randtile.errors import (PartialCoverError, StructuralError,
+                             UnsupportedOperationError)
+from randtile.geometry import Box, embed_point, vadd, vscale, vsub
 from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   windowed_trace)
 from randtile.substitution import (Branch, Prototile, RuleFamily,
                                    SubstitutionRule, half_hex_classical)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
+from randtile.tiling import (ANCHOR_MAX_EXPANSIONS, ANCHOR_MAX_LEVEL, Patch,
+                             Region, SupertileSystem, decompose_region,
                              generate_patch, lattice_test)
+
+
+def _ref_footprint(system, k, v, offset):
+    return system.family.prototiles[v].shape.transform(system.theta_inv(k),
+                                                       offset)
 
 
 def _ref_children(system, k, v):
@@ -38,7 +49,7 @@ def _ref_cover(system, window, k, v, offset):
     stack = [(k, v, offset)]
     while stack:
         k, v, off = stack.pop()
-        placed = system.footprint(k, v).translate(off)
+        placed = _ref_footprint(system, k, v, off)
         if not window.intersects_bbox(*placed.bbox(), emb):
             continue
         inside = window.contains_points(placed.vertices_list(), emb)
@@ -140,7 +151,7 @@ def test_descent_matches_fraction_reference(name, hh, sol2, sol3, odp):
         assert rep.volume_covered == covered, kind
         assert rep.n == max(counts, default=-1)
         if kind == "far-box":           # too far for int64 cross products
-            found, _, _ = system._descend(window, *anchor[:3])
+            found, _ = system._descend(window, *anchor[:3])
             assert found and all(offs.dtype == object for _, _, offs in found)
         if len(want) > 3:
             budget = len(want) // 2
@@ -163,6 +174,84 @@ def test_approximant_matches_fraction_reference(hh, sol2):
             with pytest.raises(PartialCoverError) as err:
                 approximant(family, x, path, budget=7, system=system)
             assert err.value.partial.tiles == want[:7]
+
+
+def _ref_anchor(system, window):
+    """Best-first search up the ancestor chains of the level-0 type-0 tile
+    at the origin, on exact footprints and Fraction offsets, for the first
+    placement whose footprint contains the window."""
+    family, emb = system.family, system.family.embedding
+    if window.kind == "disk":
+        pts = [window.embedded_disk(emb)]
+    else:
+        pts = [(embed_point(v, emb), 0.0)
+               for v in window.shape().vertices_list()]
+    faces = {}
+
+    def margin(k, v, offset):
+        if (k, v) not in faces:
+            faces[k, v] = geometry.faces(
+                _ref_footprint(system, k, v, (0,) * family.dim), emb)
+        off = embed_point(offset, emb)
+        return min(geometry.margin(tuple(c - o for c, o in zip(p, off)),
+                                   faces[k, v]) - pad for p, pad in pts)
+
+    offset0 = (Fraction(0),) * family.dim
+    heap = [(-margin(0, 0, offset0), 0, 0, 0, offset0, ())]
+    visited = {(0, 0, offset0)}
+    tick = 1
+    while heap and tick <= ANCHOR_MAX_EXPANSIONS:
+        neg_m, _, k, v, offset, edges = heapq.heappop(heap)
+        if -neg_m >= 0 and window.contains_window(
+                _ref_footprint(system, k, v, offset), emb):
+            return k, v, offset, list(edges)
+        lvl = k + 1
+        if lvl > min(len(system.x), ANCHOR_MAX_LEVEL):
+            continue
+        ti = system.theta_inv(lvl)
+        for parent, child, idx, b in system.rule_at(lvl).edges:
+            o = vsub(offset, vscale(ti, b.tau))
+            if child != v or (lvl, parent, o) in visited:
+                continue
+            visited.add((lvl, parent, o))
+            heapq.heappush(heap, (-margin(lvl, parent, o), tick, lvl, parent,
+                                  o, edges + ((lvl, parent, v, idx),)))
+            tick += 1
+    return None
+
+
+@pytest.mark.parametrize("name", ["half-hex-classical", "solenoid-2x3-2d",
+                                  "solenoid-2-3d", "one-d-pair"])
+def test_anchor_matches_fraction_reference(name, hh, sol2, sol3, odp):
+    """The anchor search on integer offsets finds the placement, path and
+    offset of the Fraction search, on every window kind and on unit cubes
+    dilated 1 to 512."""
+    family, x = _families(hh, sol2, sol3, odp)[name]
+    system = SupertileSystem(family, x)
+    d = family.dim
+    windows = [base.dilated(t) for _, base, t in _windows(d)] + [
+        Region.box((0,) * d, (1,) * d, dilation=t) for t in (1, 3, 8, 64, 512)]
+    if d == 2:
+        windows.append(Region.disk((Fraction(1, 2), Fraction(1, 2)), 0.5, 24))
+    for window in windows:
+        want = _ref_anchor(system, window)
+        assert want is not None, str(window)
+        assert system.anchor(window) == want, str(window)
+
+
+def test_off_lattice_anchor_offset_is_refused(hh):
+    """The descent runs on (1/scale)·ℤ^d only; an anchor offset off that
+    lattice is a StructuralError naming it."""
+    x = SymbolSequence.constant(1, 16)
+    system = SupertileSystem(hh, x)
+    window = Region.unit_square(4)
+    k, v, offset, _ = system.anchor(window)
+    off = (offset[0] + Fraction(1, 7 * system.scale), offset[1])
+    with pytest.raises(StructuralError, match="off the lattice"):
+        generate_patch(hh, x, window, system=system, anchor=(k, v, off))
+    with pytest.raises(StructuralError, match="off the lattice"):
+        decompose_region(hh, x, Region.unit_square(), 4, system=system,
+                         anchor=(k, v, off))
 
 
 def _ref_inside(window, point_sets, embedding):

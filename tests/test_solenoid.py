@@ -83,6 +83,10 @@ def test_observable_shape_and_mean():
     assert f.mean() == Fraction(5, 2)
     with pytest.raises(StructuralError):
         CylinderObservable.from_array(spec, 2, [1, 2, 3])
+    with pytest.raises(StructuralError, match="depth -1 is negative"):
+        CylinderObservable(-1, (Fraction(1),))
+    with pytest.raises(StructuralError, match="depth -1 is negative"):
+        random_observable(spec, -1, seed=3)
 
 
 def test_variation_matches_brute_force():

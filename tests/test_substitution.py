@@ -132,6 +132,11 @@ def test_builtin_family_lookup():
     assert builtin_family("solenoid-5-1d").rules[0].theta == Fraction(1, 5)
     with pytest.raises(StructuralError):
         builtin_family("no-such-family")
+    assert builtin_family("solenoid-2x3-2d").name == "solenoid-2x3-2d"
+    # each parses to solenoid-2-1d, a family with another name
+    for name in ("solenoid-2-1", "solenoid-02-1d", "solenoid-2-1dd"):
+        with pytest.raises(StructuralError, match=f"'{name}'"):
+            builtin_family(name)
 
 
 def test_builtin_family_builds_the_listed_family():

@@ -76,8 +76,8 @@ def test_anchor_deterministic(hh):
     a2 = system.anchor(window)
     assert a1 == a2
     level, vertex, offset, edges = a1
-    assert window.contains_window(
-        system.footprint(level, vertex).translate(offset), hh.embedding)
+    assert window.contains_window(hh.prototiles[vertex].shape.transform(
+        system.theta_inv(level), offset), hh.embedding)
     assert len(edges) == level
 
 
@@ -194,8 +194,9 @@ def test_theta_products_of_matrix_only_levels(hhp):
     x = SymbolSequence((2, 1, 2, 2))       # rule 2 (θ = 1/4) is matrix-only
     system = SupertileSystem(hhp, x)
     assert [system.theta_inv(k) for k in range(5)] == [1, 4, 8, 32, 128]
-    with pytest.raises(UnsupportedOperationError, match="matrix-only"):
-        system.footprint(1, 0)
+    with pytest.raises(UnsupportedOperationError,
+                       match="level 1 is matrix-only"):
+        system.anchor(Region.unit_square(4))
 
 
 def test_mixed_sequence_geometric_prefix(hhp):
