@@ -33,7 +33,7 @@ from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
 from .solenoid import SolenoidSpec, dk_check, random_observable
 from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from .tiling import Region, decompose_region, generate_patch
+from .tiling import Region, decompose_region, generate_patch, lattice_images
 
 _CAP_STEPS = 20000        # least cocycle steps behind `deviate`'s cap
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -136,29 +136,24 @@ def render_svg(patch) -> str:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1">'
                 "<!-- empty patch -->"
                 "</svg>\n")
-    emb = fam.embedding
-    polys = []
-    lo = [math.inf, math.inf]
-    hi = [-math.inf, -math.inf]
-    for t, off in patch.tiles:
-        shape = fam.prototiles[t].shape
-        if shape.dim == 2:
-            verts = shape.vertices_list()
-            off2 = off
-        else:
-            # 1D tiles rendered as thin boxes
-            verts = [(shape.lo[0], 0), (shape.hi[0], 0),
-                     (shape.hi[0], Fraction(1, 4)),
-                     (shape.lo[0], Fraction(1, 4))]
-            off2 = (off[0], Fraction(0))
-        pts = []
-        for v in verts:
-            p = geometry.vadd(geometry.fpoint(v), off2)
-            e = geometry.embed_point(p, emb if shape.dim == 2 else None)
-            pts.append((round(e[0], 6), round(e[1], 6)))
-            lo[0], lo[1] = min(lo[0], pts[-1][0]), min(lo[1], pts[-1][1])
-            hi[0], hi[1] = max(hi[0], pts[-1][0]), max(hi[1], pts[-1][1])
-        polys.append((pts, _PALETTE[t % len(_PALETTE)]))
+    verts = [p.shape.vertices_list() for p in fam.prototiles]
+    scale, corners = patch.placed(verts)
+    types = patch.types.tolist()
+    if fam.dim == 2:   # `placed` pads short vertex lists: slice them off
+        xy = lattice_images(corners, scale, fam.embedding)
+        nodes = (xy[i, :len(verts[t])].tolist() for i, t in enumerate(types))
+    else:   # x-extents a quarter tile high; corners 0, 1 are lo, hi (Gray)
+        nodes = ([(a, 0.0), (b, 0.0), (b, 0.25), (a, 0.25)] for a, b in
+                 lattice_images(corners[:, :2, 0], scale).tolist())
+    lo, hi, polys = [math.inf] * 2, [-math.inf] * 2, []
+    for t, node in zip(types, nodes):
+        pts = [(round(a, 6), round(b, 6)) for a, b in node]
+        for i in (0, 1):
+            lo[i] = min(lo[i], *(p[i] for p in pts))
+            hi[i] = max(hi[i], *(p[i] for p in pts))
+        coords = " ".join(f"{a:.6f},{b:.6f}" for a, b in pts)
+        polys.append(f'<polygon points="{coords}" '
+                     f'fill="{_PALETTE[t % len(_PALETTE)]}"/>')
     pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
     view = (lo[0] - pad, lo[1] - pad,
             (hi[0] - lo[0]) + 2 * pad, (hi[1] - lo[1]) + 2 * pad)
@@ -166,10 +161,7 @@ def render_svg(patch) -> str:
            f'viewBox="{view[0]:.6f} {view[1]:.6f} '
            f'{view[2]:.6f} {view[3]:.6f}">',
            f'<g transform="scale(1,-1) translate(0,{-(view[1]*2+view[3]):.6f})"'
-           ' stroke="#222222" stroke-width="0.02">']
-    for pts, color in polys:
-        coords = " ".join(f"{a:.6f},{b:.6f}" for a, b in pts)
-        out.append(f'<polygon points="{coords}" fill="{color}"/>')
+           ' stroke="#222222" stroke-width="0.02">', *polys]
     out.append("</g></svg>")
     return "\n".join(out) + "\n"
 
@@ -207,8 +199,9 @@ def _deterministic_patch(args, family):
 def cmd_patch(args, out: Path):
     family = _resolve_family(args.family)
     patch = _deterministic_patch(args, family)
-    rows = [(t,) + tuple(fmt(c) for c in geometry.embed_point(
-        off, family.embedding)) for t, off in patch.tiles]
+    images = lattice_images(patch.offsets, patch.scale, family.embedding)
+    rows = [(t, *map(fmt, p))
+            for t, p in zip(patch.types.tolist(), images.tolist())]
     path = out / "patch.csv"
     _write_csv(path, ["prototile_type"] +
                [f"offset_{ax}_tile_lengths" for ax in "xyz"[:family.dim]],

@@ -27,7 +27,8 @@ from .cocycle import top_left_direction
 from .geometry import frac
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
-from .tiling import (Region, SupertileSystem, decompose_region, generate_patch)
+from .tiling import (Region, SupertileSystem, decompose_region, generate_patch,
+                     lattice_images)
 
 
 @dataclass(frozen=True)
@@ -393,12 +394,11 @@ def _running_max_slope(points) -> float:
 
 def _patch_point_distance(points, patch, embedding):
     """Distance of each embedded point to the patch (0 when covered), from the
-    exact corners on (1/S')·ℤ^d: int / S' times e, as `embed_point` rounds."""
+    float images of the exact corners on (1/S')·ℤ^d."""
     shapes = [p.shape for p in patch.family.prototiles]
     scale, corners = patch.placed([s.vertices_list() for s in shapes])
-    e = np.array([float(c) for c in embedding or (1,) * patch.family.dim])
-    lo_arr = (corners.min(axis=1) / scale).astype(float) * e
-    hi_arr = (corners.max(axis=1) / scale).astype(float) * e
+    lo_arr = lattice_images(corners.min(axis=1), scale, embedding)
+    hi_arr = lattice_images(corners.max(axis=1), scale, embedding)
     faces = {}
     out = []
     for p in points:
@@ -416,8 +416,8 @@ def _patch_point_distance(points, patch, embedding):
                 best = float(lower[idx])
                 break
             if idx not in faces:
-                faces[idx] = geometry.polygon_faces(((corners[
-                    idx, :len(s.vertices)] / scale).astype(float) * e).tolist())
+                faces[idx] = geometry.polygon_faces(lattice_images(
+                    corners[idx, :len(s.vertices)], scale, embedding).tolist())
             vs = [a for a, _, _ in faces[idx]]
             if (geometry.margin(pa, faces[idx]) >= 0 if s.convex
                     else geometry.winding_contains(vs, tuple(pa))):
@@ -555,7 +555,7 @@ def _levels_geometric(family, x, k) -> bool:
 
 def _inradius(region: Region, embedding) -> float:
     if region.kind == "disk":
-        return region.radius
+        return region.embedded_disk(embedding)[1]
     shape = region.shape()
     return geometry.margin(geometry.embed_point(shape.centroid(), embedding),
                            geometry.faces(shape, embedding))

@@ -28,7 +28,7 @@ from .errors import (ConvergenceError, IncompletePatternError,
 from .ergodic import TLCObservable, deviation_along_sequence
 from .substitution import RuleFamily
 from .tiling import (Patch, Region, _checked, _window_extremes,
-                     lattice_points, lattice_test)
+                     lattice_images, lattice_points, lattice_test)
 
 _DENSE_LIMIT = 4000
 
@@ -113,10 +113,8 @@ class PunctureSet:
     def _offset_images(self) -> np.ndarray:
         """Float images of the points less the grid's lowest corner, as
         precise however far out the grid lies (the cell search's input)."""
-        rel = (self.grid - self.grid.min(axis=0)).astype(float) / self.scale
-        if self.family.embedding is not None:
-            rel = rel * np.array([float(e) for e in self.family.embedding])
-        return rel
+        return lattice_images(self.grid - self.grid.min(axis=0), self.scale,
+                              self.family.embedding)
 
     @staticmethod
     def from_patch(patch: Patch, window: Optional[Region] = None

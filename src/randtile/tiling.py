@@ -17,8 +17,8 @@ their children.  A `Patch` keeps the integer offsets and the scale.
 `lattice_test` is the one window membership test, for the descent and for
 operators and traces on punctures: exact on the integers for boxes and
 convex polygons, the Region predicates node by node for disks and
-non-convex polygons.  `Fraction` offsets appear only at the API boundary:
-in `anchor`, `path_offset` and the `tiles` view of a patch.
+non-convex polygons.  `lattice_images` is the one float image of lattice
+points; `Fraction` offsets appear only in `anchor`, `path_offset` and `tiles`.
 """
 
 from __future__ import annotations
@@ -56,6 +56,15 @@ def lattice_points(grid, scale: int) -> list:
                          dtype=object)
         cols.append(table[index].tolist())
     return list(zip(*cols))
+
+
+def lattice_images(points, scale: int, embedding=None) -> np.ndarray:
+    """Float images of integer points (..., d) on (1/scale)·ℤ^d, bit-identical
+    to `geometry.embed_point` of the exact points: n / scale is correctly
+    rounded for int64 |n| < 2^53 and for Python ints (object arrays)."""
+    images = (np.asarray(points) / scale).astype(float)
+    return images if embedding is None else images * np.array(
+        [float(e) for e in embedding])
 
 
 def _checked(family: RuleFamily, types, offsets, scale):
@@ -371,16 +380,12 @@ def lattice_test(window: Region, scale: int, corners, embedding):
                            - (by - ay) * (px - ax) >= 0).all(axis=1)
             return meets, inside
     else:
-        # float images n/full·e, bit-identical to `geometry.embed_point` of
-        # the exact points: n/full is correctly rounded (in int64 |n| < 2^30)
-        def image(a):
-            a = (a / full).astype(float)
-            return (a if embedding is None else
-                    a * np.array([float(e) for e in embedding])).tolist()
         c, r = window.embedded_disk(embedding)
-        meets = [_disk_meets(c, r, l, h) for l, h in zip(image(lo), image(hi))]
+        lo, hi, pts = (lattice_images(a, full, embedding).tolist()
+                       for a in (lo, hi, pts))
+        meets = [_disk_meets(c, r, l, h) for l, h in zip(lo, hi)]
         inside = [m and all(math.dist(p, c) <= r for p in node)
-                  for m, node in zip(meets, image(pts))]
+                  for m, node in zip(meets, pts)]
         return np.array(meets, dtype=bool), np.array(inside, dtype=bool)
     _, c, d = pts.shape
     exact = lattice_points(pts.reshape(-1, d), full)
@@ -498,8 +503,8 @@ class SupertileSystem:
         if v not in faces:
             faces[v] = geometry.faces(
                 self._shape(k, v, (0,) * self.family.dim), emb)
-        # c / scale is correctly rounded, as float(Fraction(c, scale)) is
-        off = geometry.embed_point([c / self.scale for c in offset], emb)
+        off = lattice_images(np.array(offset, dtype=object), self.scale,
+                             emb).tolist()
         return min(geometry.margin(tuple(c - o for c, o in zip(p, off)),
                                    faces[v]) - pad for p, pad in pts)
 
@@ -550,12 +555,18 @@ class SupertileSystem:
 
     def path_offset(self, edges, shift: int = 0):
         """Offset of a path's level-0 tile inside the supertile the path
-        reaches: o = -Σ θ_(level)^{-1}·τ_edge, every level raised by `shift`."""
+        reaches: o = -Σ θ_(level)^{-1}·τ_edge, every level raised by `shift`.
+        An edge that the shifted level's rule lacks raises StructuralError."""
         offset = (0,) * self.family.dim
         for level, parent, child, index in edges:
-            deltas = self._level(level + shift).child_delta
-            row = next(i for i, e in enumerate(self.rule_at(level + shift).edges)
-                       if e[:3] == (parent, child, index))
+            lvl = level + shift
+            deltas = self._level(lvl).child_delta
+            row = next((i for i, e in enumerate(self.rule_at(lvl).edges)
+                        if e[:3] == (parent, child, index)), None)
+            if row is None:
+                raise StructuralError(
+                    f"no edge {parent}<-{child} with branch index {index} at "
+                    f"level {lvl} (path level {level} shifted by {shift})")
             offset = tuple(a - b for a, b in zip(offset, deltas[row]))
         return self._exact(offset)
 

@@ -22,7 +22,7 @@ from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
 from randtile.errors import ConfigError, StructuralError
 from randtile.schrodinger import KernelSpec
 from randtile.symbolic import SymbolSequence
-from randtile.tiling import Patch
+from randtile.tiling import Patch, Region, generate_patch
 
 
 def _read_csv(path):
@@ -88,6 +88,31 @@ def test_render_svg_one_d(odp):
     patch = Patch([0, 1], [[0], [1]], 1, odp)
     svg = render_svg(patch)
     assert svg.count("<polygon") == 2
+
+
+def test_render_svg_three_d(sol3):
+    """A 3-D patch is drawn like a 1-D one: the x-extent of each tile from
+    its corners 0 and 1, a quarter tile high.  The digest pins the bytes."""
+    patch = generate_patch(sol3, SymbolSequence.constant(1, 30),
+                           Region.box((-1, -1, -1), (2, 2, 2), 2))
+    assert len(patch) == 27
+    assert hashlib.sha256(render_svg(patch).encode()).hexdigest() == (
+        "05b0ba1a46f3a265cb58db385320a5cb496dedcbdd84197b44d2eb2098e18293")
+
+
+@pytest.mark.parametrize("cmd", [
+    "patch --family one-d-pair --window box:-1,2 --svg",
+    "patch --family solenoid-2x3-2d --p 0.5 --svg",
+])
+def test_line_and_box_patch_match_golden_digests(tmp_path, cmd):
+    """Patch rows and SVG on the line (d = 1, drawn as x-extents) and on
+    random box tiles without an embedding; tests/golden_cli.json pins the
+    bytes."""
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_no_command_usage_error(capsys):
@@ -402,6 +427,20 @@ def test_deviate_one_d_command(tmp_path):
     assert len(_read_csv(tmp_path / "deviate.csv")) == 1 + 5
 
 
+def test_deviate_observable_file_matches_volume(tmp_path):
+    """A weights file of six 1s, with a comment and a blank line skipped, is
+    the volume observable of half-hex-classical: the same bytes."""
+    weights = tmp_path / "weights.csv"
+    weights.write_text("# one weight per prototile\n1\n1\n\n1\n1\n1\n1\n")
+    for name, observable in (("file", str(weights)), ("volume", "volume")):
+        assert main(["deviate", "--family", "half-hex-classical",
+                     "--observable", observable,
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("deviate.csv", "deviate_summary.json"):
+        assert ((tmp_path / "file" / name).read_bytes()
+                == (tmp_path / "volume" / name).read_bytes())
+
+
 def test_deviate_summary_reports_cap(tmp_path):
     """The summary adds the paper's cap from the spectrum along the run's
     own sequence; one-d-pair has a kernel direction, so the cap is d - 1."""
@@ -475,6 +514,16 @@ def test_config_run_reproducible(tmp_path):
     assert m1["outputs"] == m2["outputs"]
     assert m1["code_version"] == "0.1.0"
     assert set(m1["outputs"]) == {"decompose.csv", "dk.csv"}
+
+
+@pytest.mark.parametrize("svg", [True, False])
+def test_config_boolean_flag(tmp_path, svg):
+    """A true config value passes the bare flag; false leaves it out."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"blocks": {"patch": {"svg": svg}}}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "patch.svg").exists() == svg
+    assert (tmp_path / "out" / "patch.csv").exists()
 
 
 def test_config_rejects_threads(tmp_path):

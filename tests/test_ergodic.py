@@ -433,6 +433,18 @@ def test_special_averaging_sequence_one_d_disk(odp):
     assert len(seq.entries) == 5
 
 
+def test_special_averaging_sequence_disk_dilation(hh):
+    """A disk of radius 2 and one of radius 1/2 dilated by 4 are the same
+    window, so T_* and the sequence agree; the ball test used to read the
+    undilated radius and push T_* from 2 to 8."""
+    x = SymbolSequence.constant(1, 64)
+    seqs = [special_averaging_sequence(hh, x, disk, eps=1.0, count=5)
+            for disk in (Region.disk((0, 0), 2.0),
+                         Region.disk((0, 0), 0.5, dilation=4))]
+    assert seqs[0].t_star == 2
+    assert seqs[0] == seqs[1]
+
+
 def _shape_point_distance(points, patch, embedding):
     """Oracle: the distance loop over exact `Fraction` tile shapes."""
     shapes = list(patch.shapes())

@@ -106,6 +106,28 @@ def test_incomplete_pattern_error_names_windows_and_range(lattice):
         "exceeds the source window box:-13/2,-13/2,13,13 dilated by 1;")
 
 
+def test_disk_source_window_guard(sol2_module, lattice):
+    """Punctures cut from a disk of radius 6: a window whose range ball stays
+    in the disk gets the operator the box-cut lattice gives; one whose ball
+    leaves it raises IncompletePatternError."""
+    src = Region.disk((0, 0), 6.0)
+    disk = PunctureSet.from_patch(generate_patch(
+        sol2_module, SymbolSequence.constant(1, 24), src), window=src)
+    lap = KernelSpec.laplacian(1.1)
+    fits = _inner_window(3)                   # 3√2 + 1.1 < 6
+
+    def by_point(op):
+        pts = [op.punctures.points[i] for i in op.indices]
+        order = sorted(range(op.size), key=pts.__getitem__)
+        return op.matrix.toarray()[np.ix_(order, order)]
+
+    got = by_point(build_operator(lap, disk, fits))
+    assert got.shape == (49, 49)
+    assert (got == by_point(build_operator(lap, lattice, fits))).all()
+    with pytest.raises(IncompletePatternError, match="source window disk"):
+        build_operator(lap, disk, _inner_window(4))     # 4√2 + 1.1 > 6
+
+
 def test_kernel_diagonal_is_one_field():
     """None, "degree" or real values per type (lists and arrays become
     tuples); anything else is a StructuralError naming the value."""

@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
+from randtile.geometry import embed_point
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (Region, SupertileSystem, decompose_region,
-                             decomposition_tile_multiset, generate_patch)
+                             decomposition_tile_multiset, generate_patch,
+                             lattice_images, lattice_points)
 
 
 def test_region_basics():
@@ -88,6 +92,44 @@ def test_path_offset_matches_anchor(hh, sol2):
         level, _, offset, edges = system.anchor(Region.unit_square(12))
         assert level > 0
         assert system.path_offset(edges) == offset
+
+
+def test_path_offset_names_a_missing_edge(sol2):
+    """Raised one level, the anchor's edge with branch index 4 meets a q = 2
+    rule, which has only 4 branches per parent: a typed error names it."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 64, 7)
+    system = SupertileSystem(sol2, x)
+    edges = system.anchor(Region.box((-1, -1), (2, 2)))[3]
+    assert edges == [(1, 0, 0, 4)]
+    with pytest.raises(StructuralError, match="no edge 0<-0 with branch "
+                       "index 4 at level 2 [(]path level 1 shifted by 1[)]"):
+        system.path_offset(edges, shift=1)
+
+
+@pytest.mark.parametrize("embedding", [None, (1.0, math.sqrt(3))])
+@pytest.mark.parametrize("scale", [1, 3, 48])
+def test_lattice_images_match_embed_point(scale, embedding):
+    """`lattice_images` is `embed_point` of the exact lattice points bit for
+    bit: on int64 grids, and on Python-int grids near ±2^53 and ±2^60, where
+    a float conversion before the division would round twice."""
+    rng = np.random.default_rng(scale)
+    grids = [np.concatenate([rng.integers(-2 ** 40, 2 ** 40, size=(60, 2)),
+                             rng.integers(-100, 100, size=(60, 2))])]
+    for base in (2 ** 53, 2 ** 60):
+        near = rng.integers(-1000, 1000, size=(40, 2)).tolist()
+        grids.append(np.array([[s * (base + a), -s * (base - b)]
+                               for s in (1, -1) for a, b in near],
+                              dtype=object))
+    for grid in grids:
+        got = lattice_images(grid, scale, embedding)
+        want = np.array([embed_point(p, embedding)
+                         for p in lattice_points(grid, scale)])
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        # points (n, c, d) map row for row
+        nodes = lattice_images(grid.reshape(-1, 2, 2), scale, embedding)
+        assert (nodes.reshape(got.shape).view(np.int64)
+                == got.view(np.int64)).all()
 
 
 def test_anchor_insufficient_sequence(hh):
