@@ -114,6 +114,21 @@ def parse_region(text: str) -> Region:
     raise ConfigError(f"bad region spec {text!r}")
 
 
+def _number(flag: str, item: str, kind):
+    """`kind(item)` (int, float or Fraction) for a flag's value; an item
+    that does not parse is a `ConfigError` naming the flag and the item."""
+    try:
+        return kind(item)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag}: cannot read {item!r} as "
+                          f"{kind.__name__}") from None
+
+
+def _numbers(flag: str, text: str, kind) -> list:
+    """The comma-separated items of a flag's value, each by `_number`."""
+    return [_number(flag, item, kind) for item in text.split(",")]
+
+
 def _sequence(args) -> SymbolSequence:
     """Bernoulli(--p) sample of --length symbols, or all 1s without --p."""
     if args.p is None:
@@ -172,7 +187,7 @@ def render_svg(patch) -> str:
 
 def cmd_spectrum(args, out: Path):
     family = _resolve_family(args.family)
-    grid = [float(p) for p in args.p_grid.split(",")]
+    grid = _numbers("--p-grid", args.p_grid, float)
     rows = []
     for p in grid:
         measure = MeasureSpec.bernoulli_p(p)
@@ -192,7 +207,8 @@ def cmd_spectrum(args, out: Path):
 
 
 def _deterministic_patch(args, family):
-    window = parse_region(args.window).dilated(Fraction(args.dilation))
+    window = parse_region(args.window).dilated(
+        _number("--dilation", args.dilation, Fraction))
     return generate_patch(family, _sequence(args), window)
 
 
@@ -226,7 +242,8 @@ def cmd_decompose(args, out: Path):
     family = _resolve_family(args.family)
     x = _sequence(args)
     region = parse_region(args.window)
-    rep = decompose_region(family, x, region, Fraction(args.dilation))
+    rep = decompose_region(family, x, region,
+                           _number("--dilation", args.dilation, Fraction))
     vols = family.volumes()
     rows = []
     for level in sorted(rep.counts):
@@ -254,13 +271,14 @@ def cmd_deviate(args, out: Path):
                        if row and not row[0].startswith("#")]
         f = TLCObservable(0, tuple(weights))
     region = parse_region(args.window)
+    grid = (_numbers("--t-grid", args.t_grid, Fraction)
+            if args.mode == "regions" else None)
     # the paper's cap from the spectrum along x: the Bernoulli draw is
     # prefix-stable, so x is the first --length symbols of this sequence
     rep = lyapunov_spectrum(family, MeasureSpec.bernoulli_p(
         1.0 if args.p is None else args.p), max(_CAP_STEPS, args.length),
         args.seed)
     if args.mode == "regions":
-        grid = [Fraction(t) for t in args.t_grid.split(",")]
         fit = deviation_over_regions(f, family, x, region, grid,
                                      lyapunov=rep)
     else:
@@ -297,7 +315,7 @@ def cmd_dk(args, out: Path):
                                ("--depth", args.depth, 0)):
         if value < least:
             raise ConfigError(f"{flag} {value} is below {least}")
-    qs = [int(q) for q in args.q.split(",")]
+    qs = _numbers("--q", args.q, int)
     spec = SolenoidSpec.periodic(qs, dim=args.d)
     gen_rows = []
     rng = np.random.Generator(np.random.Philox(key=(args.seed, 99)))
@@ -336,7 +354,7 @@ def cmd_schrod(args, out: Path):
                   if args.kernel else KernelSpec.laplacian(1.8))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel file {args.kernel}: {exc}") from None
-    dilations = [Fraction(t) for t in args.t_grid.split(",")]
+    dilations = _numbers("--t-grid", args.t_grid, Fraction)
     windows = [parse_region(args.window).dilated(t) for t in dilations]
     # the source box: the windows' bounding box, max(2, 4·range) wider per side
     margin = 2 * Fraction(max(1.0, 2 * kernel.range)).limit_denominator(16)

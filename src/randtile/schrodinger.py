@@ -30,6 +30,7 @@ from .substitution import RuleFamily
 from .tiling import (Patch, Region, _checked, _window_extremes,
                      lattice_images, lattice_points, lattice_test)
 
+# the largest n at which a refused inertia count is decided by dense eigvalsh
 _DENSE_LIMIT = 4000
 
 
@@ -393,7 +394,7 @@ class IDSReport:
 
 
 def _unreliable_count(e, n, signal):
-    return ConvergenceError(f"sparse inertia count at E={e:g} (n={n}) is not "
+    return ConvergenceError(f"inertia count at E={e:g} (n={n}) is not "
                             f"reliable: {signal}")
 
 
@@ -425,59 +426,12 @@ def _fixed_order(matrix: sp.spmatrix):
     return base, diag
 
 
-def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
-    """#eigenvalues <= E for each E of a hermitian matrix.
-
-    The matrix must be a square scipy sparse matrix, hermitian within
-    n·eps·||A||_1, and every energy finite; otherwise a `StructuralError`
-    names what is wrong.
-
-    Up to _DENSE_LIMIT points: dense `eigvalsh`.  Above: inertia counting.
-    A minimum-degree order on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed
-    once per matrix, from A's pattern plus the full diagonal (`_fixed_order`).
-    A is permuted into it once, with every diagonal entry stored, so each
-    energy only subtracts E at the diagonal positions and factors
-    P(A - E·I)P^T in that fixed order (NATURAL), in SymmetricMode with no
-    pivoting threshold.  A diagonal entry that cancels to 0 stays stored, so
-    SuperLU sees the zero pivot candidate and pivots off the diagonal.  With
-    no such pivot the factorization is LDL^H, a congruence, so by
-    Sylvester's law of inertia the number of negative pivots (the real parts
-    of U's diagonal) is the number of eigenvalues below E.  The order only
-    cuts fill: on a 4,144-point half-hex Laplacian L+U holds 140,248 entries
-    against COLAMD's 247,824, the same as a minimum-degree order computed
-    afresh for every energy.
-
-    Counts at energies that are, or lie within rounding of, an eigenvalue
-    are not reliable on either branch.  Dense: rounding decides the tie.
-    Sparse: the count is refused with a `ConvergenceError` naming E, n and
-    the signal when the factorization cannot be trusted, which is when
-    SuperLU finds A - E·I exactly singular, when a zero diagonal made it
-    pivot off the diagonal (row order != column order, so the factorization
-    is no longer a congruence), or when the smallest pivot |u_kk| is at most
-    n·eps·||A||_1, so that rounding may have set its sign.
-    """
-    if not sp.issparse(matrix):
-        raise StructuralError(f"eigenvalue counts need a scipy sparse matrix, "
-                              f"not a {type(matrix).__name__}")
-    if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise StructuralError(f"eigenvalue counts need a square matrix, "
-                              f"not one of shape {matrix.shape}")
-    energies = np.asarray(energies, dtype=float)
-    if not np.isfinite(energies).all():
-        bad = float(energies[~np.isfinite(energies)][0])
-        raise StructuralError(f"energy {bad!r} is not a finite number")
+def _inertia_counts(matrix: sp.spmatrix, energies: np.ndarray,
+                    tiny: float) -> np.ndarray:
+    """The negative pivots of one LDL^H of A - E·I per energy, in the fixed
+    order of `_fixed_order`; a factorization that cannot be trusted raises
+    the `ConvergenceError` of `_unreliable_count`."""
     n = matrix.shape[0]
-    if n == 0:
-        return np.zeros(len(energies), dtype=int)
-    tiny = n * np.finfo(float).eps * spla.norm(matrix, 1)
-    skew = abs(matrix - matrix.conj().T).max()
-    if not skew <= tiny:
-        raise StructuralError(
-            f"matrix (n={n}) is not hermitian: max |A - A^H| = {skew:.3g} "
-            f"> n·eps·||A||_1 = {tiny:.3g}")
-    if n <= _DENSE_LIMIT:
-        vals = np.linalg.eigvalsh(matrix.toarray())
-        return np.searchsorted(vals, energies, side="right")
     out = np.empty(len(energies), dtype=int)
     shifted, diag = _fixed_order(matrix)    # complex stays complex
     data = shifted.data.copy()
@@ -504,6 +458,73 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
                       f"= {tiny:.3g}")
         out[idx] = int((pivots.real < 0).sum())
     return out
+
+
+def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
+    """#eigenvalues <= E for each E of a hermitian matrix.
+
+    The matrix must be a square scipy sparse matrix, hermitian within
+    n·eps·||A||_1, and every energy finite; otherwise a `StructuralError`
+    names what is wrong.
+
+    Every count is an inertia count, at every size.  A minimum-degree order
+    on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed once per matrix, from
+    A's pattern plus the full diagonal (`_fixed_order`).  A is permuted into
+    it once, with every diagonal entry stored, so each energy only subtracts
+    E at the diagonal positions and factors P(A - E·I)P^T in that fixed
+    order (NATURAL), in SymmetricMode with no pivoting threshold.  A
+    diagonal entry that cancels to 0 stays stored, so SuperLU sees the zero
+    pivot candidate and pivots off the diagonal.  With no such pivot the
+    factorization is LDL^H, a congruence, so by Sylvester's law of inertia
+    the number of negative pivots (the real parts of U's diagonal) is the
+    number of eigenvalues below E.  The order only cuts fill: on a
+    4,144-point half-hex Laplacian L+U holds 140,248 entries against
+    COLAMD's 247,824, the same as a minimum-degree order computed afresh for
+    every energy.
+
+    An energy is refused when the factorization cannot be trusted: SuperLU
+    finds A - E·I exactly singular, a zero diagonal made it pivot off the
+    diagonal (row order != column order, so the factorization is no longer
+    a congruence), or the smallest pivot |u_kk| is at most n·eps·||A||_1,
+    so that rounding may have set its sign.  Up to _DENSE_LIMIT points a
+    refusal is decided by dense `eigvalsh`: every energy of the call is
+    then counted by `searchsorted` on its eigenvalues, and rounding decides
+    a tie.  Above _DENSE_LIMIT the refusal is raised as a `ConvergenceError`
+    naming E, n and the signal.  Every Laplacian has 0 as an exact
+    eigenvalue, so the integer grids of the CLI defaults are counted dense.
+
+    The checks do not catch every tie, so no count at an energy within
+    rounding of an eigenvalue is reliable.  On the 1,089-point window of
+    `schrod --family solenoid-2x3-2d --t-grid 16`, two eigenvalues lie
+    within 2e-14 of E = 6.75, yet the smallest pivot (2.6e-9) is above the
+    bound (3.9e-12): the inertia count is 354 where `eigvalsh` counts 353.
+    """
+    if not sp.issparse(matrix):
+        raise StructuralError(f"eigenvalue counts need a scipy sparse matrix, "
+                              f"not a {type(matrix).__name__}")
+    if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise StructuralError(f"eigenvalue counts need a square matrix, "
+                              f"not one of shape {matrix.shape}")
+    energies = np.asarray(energies, dtype=float)
+    if not np.isfinite(energies).all():
+        bad = float(energies[~np.isfinite(energies)][0])
+        raise StructuralError(f"energy {bad!r} is not a finite number")
+    n = matrix.shape[0]
+    if n == 0:
+        return np.zeros(len(energies), dtype=int)
+    tiny = n * np.finfo(float).eps * spla.norm(matrix, 1)
+    skew = abs(matrix - matrix.conj().T).max()
+    if not skew <= tiny:
+        raise StructuralError(
+            f"matrix (n={n}) is not hermitian: max |A - A^H| = {skew:.3g} "
+            f"> n·eps·||A||_1 = {tiny:.3g}")
+    try:
+        return _inertia_counts(matrix, energies, tiny)
+    except ConvergenceError:
+        if n > _DENSE_LIMIT:
+            raise
+    vals = np.linalg.eigvalsh(matrix.toarray())
+    return np.searchsorted(vals, energies, side="right")
 
 
 def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,

@@ -208,9 +208,10 @@ def test_exact_chain_deviate_matches_golden_digest(tmp_path, cmd):
 
 
 def test_sparse_schrod_matches_golden_digest(tmp_path):
-    """At T=28 the window has 4,144 points, above `_DENSE_LIMIT`, so the
-    IDS comes from sparse inertia counts; the energies avoid the lattice
-    of Laplacian eigenvalues.  tests/golden_cli.json pins the bytes."""
+    """At T=28 the window has 4,144 points, above `_DENSE_LIMIT`, so no
+    refused energy could fall back to `eigvalsh`; the energies avoid the
+    lattice of Laplacian eigenvalues, so every count is an inertia count.
+    tests/golden_cli.json pins the bytes."""
     cmd = "schrod --t-grid 28 --e-min -0.875 --e-max 9.125 --e-count 41"
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
     assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
@@ -396,6 +397,24 @@ def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     assert main(["dk", flag, value, "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "dk.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["schrod", "--t-grid", "4,x"], "--t-grid: cannot read 'x' as Fraction"),
+    (["deviate", "--mode", "regions", "--t-grid", "4,y"],
+     "--t-grid: cannot read 'y' as Fraction"),
+    (["spectrum", "--p-grid", "0.5,x"], "--p-grid: cannot read 'x' as float"),
+    (["dk", "--q", "2,x"], "--q: cannot read 'x' as int"),
+    (["patch", "--dilation", "x"], "--dilation: cannot read 'x' as Fraction"),
+    (["decompose", "--dilation", "1/0"],
+     "--dilation: cannot read '1/0' as Fraction"),
+], ids=["schrod", "deviate", "spectrum", "dk", "patch", "decompose"])
+def test_bad_list_flag_exits_2(tmp_path, capsys, argv, named):
+    """Each used to exit 1 with a ValueError or ZeroDivisionError
+    traceback."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deviate_insufficient_is_numeric_error(tmp_path, capsys):

@@ -208,13 +208,15 @@ def test_interior_supertile_needs_patch(hh):
 
 
 def test_eigenvalue_counts_sparse_matches_dense(lattice, monkeypatch):
+    """The oracle is `eigvalsh` itself; with `_DENSE_LIMIT` 0 a refused
+    energy would raise, so the counts are inertia counts."""
     window = _inner_window(Fraction(9, 2))
     op = build_operator(KernelSpec.laplacian(1.1), lattice, window)
     energies = [0.5, 1.7, 3.9, 6.2, 8.5]
-    dense = eigenvalue_counts(op.matrix, energies)
-    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 10)
-    sparse = eigenvalue_counts(op.matrix, energies)
-    assert (dense == sparse).all()
+    dense = np.searchsorted(np.linalg.eigvalsh(op.matrix.toarray()),
+                            energies, side="right")
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    assert eigenvalue_counts(op.matrix, energies).tolist() == dense.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,42 @@ def half_hex_windows(hh):
             [base.dilated(8), base.dilated(16)])
 
 
+def _eigvalsh_spy(monkeypatch):
+    """Replace `np.linalg.eigvalsh` by a wrapper that appends the size of
+    each matrix it is called on to the returned list."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_counts_call_eigvalsh_only_for_a_refused_energy(half_hex_windows,
+                                                        monkeypatch):
+    """The Laplacian windows of 80, 352 and 1,344 points, below
+    `_DENSE_LIMIT`.  At the shifted energies of `ids-windows` every count is
+    an inertia count and `eigvalsh` is never called.  On the integer grid
+    E = 0 is an exact eigenvalue, so the inertia loop refuses it, `eigvalsh`
+    runs once per matrix and decides all 41 counts."""
+    punctures, windows = half_hex_windows
+    base = Region.box((-1, -1), (2, 2))
+    ops = [build_operator(KernelSpec.laplacian(1.8), punctures, w)
+           for w in [base.dilated(4), *windows]]
+    assert [op.size for op in ops] == [80, 352, 1344]
+    wants = [np.linalg.eigvalsh(op.matrix.toarray()) for op in ops]
+    grid = np.linspace(-1, 9, 41)
+    calls = _eigvalsh_spy(monkeypatch)
+    for op, vals in zip(ops, wants):
+        for energies, called in ((grid + 0.125, []), (grid, [op.size])):
+            got = eigenvalue_counts(op.matrix, energies).tolist()
+            assert got == np.searchsorted(vals, energies,
+                                          side="right").tolist()
+            assert calls == called
+            calls.clear()
+
+
 def _off_spectrum(dense):
     """41 energies across the spectrum of `dense`, none within 1e-6 of an
     eigenvalue, and the sorted eigenvalues."""
@@ -239,7 +277,7 @@ def _off_spectrum(dense):
 
 
 def _per_energy_counts(matrix, energies, fills):
-    """The sparse branch with an order computed afresh for every energy:
+    """Inertia counts with an order computed afresh for every energy:
     A - E·I is built and factored in a minimum-degree order on A + A^T
     (MMD_AT_PLUS_A) each time.  The reference for the fixed-order
     factorizations; appends each L+U fill to `fills`."""
@@ -299,7 +337,7 @@ def test_sparse_counts_invariant_under_symmetric_permutation(
 
 def test_sparse_counts_refuse_tie_energies(hh):
     """The default CLI grid puts E on exact Laplacian eigenvalues.  On the
-    T=28 window (4,144 points, the sparse branch) the factorization then
+    T=28 window (4,144 points, above `_DENSE_LIMIT`) the factorization then
     fails in each of three ways, and each is refused by name instead of
     returning a count: E=0 leaves a pivot within rounding of 0, a zero
     diagonal at E=1 forces off-diagonal pivots, and E=5 is exactly
@@ -323,7 +361,7 @@ def test_sparse_counts_refuse_tie_energies(hh):
 @pytest.fixture(scope="module")
 def t28_laplacian(hh):
     """The half-hex Laplacian (range 1.8) on the CLI window dilated by 28:
-    4,144 points, the one `ids-windows` window on the sparse branch."""
+    4,144 points, the one `ids-windows` window above `_DENSE_LIMIT`."""
     x = SymbolSequence.constant(1, 64)
     base = Region.box((-1, -1), (2, 2))
     src = base.dilated(32)
@@ -377,9 +415,12 @@ def test_sparse_counts_refuse_a_diagonal_that_cancels(monkeypatch):
     """[[1, 1], [1, 1]] (integer entries) has eigenvalues 0 and 2.  At E = 1
     both diagonal entries cancel to 0 and stay stored, so SuperLU pivots off
     the diagonal in any order and the count is refused, although E is no
-    eigenvalue."""
+    eigenvalue.  At the default `_DENSE_LIMIT`, `eigvalsh` decides it."""
     ones = sp.csr_matrix([[1, 1], [1, 1]])
     assert ones.dtype.kind == "i"
+    calls = _eigvalsh_spy(monkeypatch)
+    assert eigenvalue_counts(ones, [1.0]).tolist() == [1]
+    assert calls == [2]
     monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
     assert eigenvalue_counts(ones, [-0.5, 0.5, 1.5, 2.5]).tolist() == [
         0, 1, 1, 2]
@@ -392,7 +433,7 @@ def test_sparse_count_at_zero_is_the_number_of_components(half_hex_windows,
                                                           monkeypatch):
     """A graph Laplacian is positive semidefinite, and #{lambda <= 0} is its
     number of connected components: an exact count at a tie that does not
-    come from `eigvalsh`.  On two windows side by side the sparse branch
+    come from `eigvalsh`.  On two windows side by side the inertia path
     counts 0 at E = -delta and the components at E = +delta, with delta
     below the smallest positive eigenvalue of either window."""
     punctures, windows = half_hex_windows
