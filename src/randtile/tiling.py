@@ -13,12 +13,15 @@ per level (`_Level`).  Patches, decompositions and approximants come from
 one descent: level by level over numpy frontiers of integer offsets (int64,
 or Python ints when a coordinate bound does not fit), dropping supertiles
 that miss the window, keeping those inside it and cutting the rest into
-their children.  A `Patch` keeps the integer offsets and the scale.
+their children.  A `Patch` keeps the integer offsets and the scale; its
+exact views (`tiles`, a read-only sequence, and `shapes`) are made from them
+on each access and store nothing.
 `lattice_test` is the one window membership test, for the descent and for
 operators and traces on punctures: exact on the integers for boxes and
 convex polygons, the Region predicates node by node for disks and
 non-convex polygons.  `lattice_images` is the one float image of lattice
-points; `Fraction` offsets appear only in `anchor`, `path_offset` and `tiles`.
+points; `Fraction` offsets appear only in `anchor`, `path_offset` and the
+exact views.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,13 +52,19 @@ _LEAF_CAP = 2 ** 31
 
 def lattice_points(grid, scale: int) -> list:
     """Exact points of the integer rows of `grid` on (1/scale)·ℤ^d."""
+    return list(_lattice_stream(grid, scale))
+
+
+def _lattice_stream(grid, scale: int):
+    """Iterator over the exact points of the rows of `grid`, each a tuple of
+    one shared `Fraction` per distinct coordinate value of its column."""
     cols = []
     for col in np.asarray(grid).T:
         values, index = np.unique(col, return_inverse=True)
         table = np.array([Fraction(c, scale) for c in values.tolist()],
                          dtype=object)
         cols.append(table[index].tolist())
-    return list(zip(*cols))
+    return zip(*cols)
 
 
 def lattice_images(points, scale: int, embedding=None) -> np.ndarray:
@@ -85,8 +94,8 @@ def _checked(family: RuleFamily, types, offsets, scale):
 
 class Patch:
     """Placed tiles: prototile types[i] translated by offsets[i] / scale, with
-    integer offsets of shape (n, d).  `tiles` is the exact view (type, offset
-    tuple), made on first use; do not mutate it."""
+    integer offsets of shape (n, d).  `tiles` is the exact view of the same
+    tiles, (type, offset tuple), made on each access and storing nothing."""
 
     def __init__(self, types, offsets, scale: int, family: RuleFamily):
         self.types, self.offsets = _checked(family, types, offsets, scale)
@@ -95,31 +104,79 @@ class Patch:
     def __len__(self):
         return len(self.types)
 
-    @cached_property
-    def tiles(self) -> list:
-        return list(zip(self.types.tolist(),
-                        lattice_points(self.offsets, self.scale)))
+    @property
+    def tiles(self) -> TileView:
+        return TileView(self)
 
     def placed(self, points):
         """(scale', array): the exact points points[t] placed at every tile of
-        type t, integers (n, c, d) on a refinement (1/scale')·ℤ^d of the lattice."""
+        type t, integers (n, c, d) on a refinement (1/scale')·ℤ^d of the
+        lattice, int64 or Python ints as `_int_dtype` of their bound."""
         scale, table = _point_table(points, self.scale)
-        return scale, (self.offsets.astype(object) * (scale // self.scale))[
-            :, None] + table[self.types]
+        step = scale // self.scale
+        dtype = _int_dtype(int(np.abs(self.offsets).max(initial=0)) * step
+                           + int(np.abs(table).max(initial=0)))
+        offsets = self.offsets.astype(dtype) * step
+        return scale, offsets[:, None] + table.astype(dtype)[self.types]
 
     def multiset(self) -> Counter:
-        return Counter(self.types.tolist())
+        """Tiles per type, keyed in order of first appearance."""
+        counts = np.bincount(self.types)
+        seen = sorted(np.flatnonzero(counts).tolist(),
+                      key=lambda t: np.argmax(self.types == t))
+        return Counter({t: int(counts[t]) for t in seen})
 
     def shapes(self):
-        for t, off in self.tiles:
-            yield self.family.prototiles[t].shape.translate(off)
+        """The exact tiles, built from the integer corners that `placed` gives
+        for each prototile's defining points: polygon vertices, box lo and hi."""
+        protos = [p.shape for p in self.family.prototiles]
+        points = [[s.lo, s.hi] if isinstance(s, geometry.Box)
+                  else s.vertices_list() for s in protos]
+        scale, corners = self.placed(points)
+        _, c, d = corners.shape
+        rows = _lattice_stream(corners.reshape(-1, d), scale)
+        for t, pts in zip(self.types.tolist(), zip(*[rows] * c)):
+            s = protos[t]
+            yield (geometry.Box(*pts[:2]) if isinstance(s, geometry.Box) else
+                   geometry.Polygon._trusted(pts[:len(points[t])], s.convex))
 
     def total_volume(self) -> Fraction:
         return sum((c * self.family.prototiles[t].volume
                     for t, c in self.multiset().items()), Fraction(0))
 
     def placed_set(self):
-        return {(t, off) for t, off in self.tiles}
+        return set(self.tiles)
+
+
+class TileView(Sequence):
+    """Read-only exact view of a patch's tiles, (type, offset tuple) per tile:
+    an item comes from one row of the integer offsets, a slice is a list, and
+    iteration streams the tiles over one shared `Fraction` per distinct
+    coordinate.  Equal to any sequence of the same tiles."""
+
+    __slots__ = ("_patch",)
+
+    def __init__(self, patch: Patch):
+        self._patch = patch
+
+    def __len__(self):
+        return len(self._patch.types)
+
+    def __getitem__(self, i):
+        p = self._patch
+        if isinstance(i, slice):
+            return list(zip(p.types[i].tolist(),
+                            _lattice_stream(p.offsets[i], p.scale)))
+        return (int(p.types[i]),
+                tuple(Fraction(c, p.scale) for c in p.offsets[i].tolist()))
+
+    def __iter__(self):
+        p = self._patch
+        return zip(p.types.tolist(), _lattice_stream(p.offsets, p.scale))
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
 
 
 @dataclass(frozen=True)
@@ -495,17 +552,15 @@ class SupertileSystem:
                 step=max((abs(c) for p in delta for c in p), default=0)))
         return self._levels[k]
 
-    def margin(self, k: int, v: int, offset, pts) -> float:
+    def margin(self, k: int, v: int, image, pts) -> float:
         """Min signed distance of window extreme points inside the footprint
-        of (k, v) at the integer offset; negative means some point sticks out."""
-        emb = self.family.embedding
+        of (k, v) at an offset with the float image `image` (`lattice_images`);
+        negative means some point sticks out."""
         faces = self._level(k).faces
         if v not in faces:
             faces[v] = geometry.faces(
-                self._shape(k, v, (0,) * self.family.dim), emb)
-        off = lattice_images(np.array(offset, dtype=object), self.scale,
-                             emb).tolist()
-        return min(geometry.margin(tuple(c - o for c, o in zip(p, off)),
+                self._shape(k, v, (0,) * self.family.dim), self.family.embedding)
+        return min(geometry.margin(tuple(c - o for c, o in zip(p, image)),
                                    faces[v]) - pad for p, pad in pts)
 
     def anchor(self, window: Region):
@@ -522,7 +577,8 @@ class SupertileSystem:
         emb = self.family.embedding
         pts = _window_extremes(window, emb)
         offset0 = (0,) * self.family.dim
-        heap = [(-self.margin(0, 0, offset0, pts), 0, 0, 0, offset0, ())]
+        heap = [(-self.margin(0, 0, (0.0,) * self.family.dim, pts), 0, 0, 0,
+                 offset0, ())]
         visited = {(0, 0, offset0)}
         tick, deepest = 1, 0
         while heap and tick <= ANCHOR_MAX_EXPANSIONS:
@@ -534,6 +590,7 @@ class SupertileSystem:
             deepest = max(deepest, k)
             if lvl > min(len(self.x), ANCHOR_MAX_LEVEL):
                 continue
+            new = []
             for (parent, child, idx, _), delta in zip(
                     self.rule_at(lvl).edges, self._level(lvl).child_delta):
                 if child != v:
@@ -542,8 +599,13 @@ class SupertileSystem:
                 if (lvl, parent, o) in visited:
                     continue
                 visited.add((lvl, parent, o))
-                heapq.heappush(heap, (-self.margin(lvl, parent, o, pts), tick,
-                                      lvl, parent, o,
+                new.append((parent, o, idx))
+            images = lattice_images(np.array(
+                [o for _, o, _ in new], dtype=object).reshape(-1, len(offset)),
+                self.scale, emb).tolist()
+            for (parent, o, idx), image in zip(new, images):
+                heapq.heappush(heap, (-self.margin(lvl, parent, image, pts),
+                                      tick, lvl, parent, o,
                                       edges + ((lvl, parent, v, idx),)))
                 tick += 1
         if not heap:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,9 @@ from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
 from randtile.geometry import embed_point
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import (Region, SupertileSystem, decompose_region,
-                             decomposition_tile_multiset, generate_patch,
-                             lattice_images, lattice_points)
+from randtile.tiling import (Patch, Region, SupertileSystem, _point_table,
+                             decompose_region, decomposition_tile_multiset,
+                             generate_patch, lattice_images, lattice_points)
 
 
 def test_region_basics():
@@ -252,3 +253,82 @@ def test_decompose_bad_dilation(hh):
     x = SymbolSequence.constant(1, 10)
     with pytest.raises(StructuralError):
         decompose_region(hh, x, Region.unit_square(), 0)
+
+
+def _view_cases(hh, sol2, odp):
+    """Patches of polygons, of boxes and of intervals, and a hand-built patch
+    whose offsets pass 2^30 (Python ints in an object array)."""
+    big = 2 ** 40
+    return [generate_patch(hh, SymbolSequence.constant(1, 40),
+                           Region.box((-4, -4), (8, 8))),
+            generate_patch(sol2, SymbolSequence((1, 2) * 20),
+                           Region.unit_square(6)),
+            generate_patch(odp, SymbolSequence.constant(1, 30),
+                           Region.box((-5,), (10,))),
+            Patch([1, 0, 1], np.array([[big + 3, -big], [5, 7],
+                                       [-big - 1, big + 11]], dtype=object),
+                  4, hh)]
+
+
+def test_tiles_view_matches_exact_points(hh, sol2, odp):
+    """`tiles` is a read-only sequence of (type, exact offset), equal to the
+    pairs that `lattice_points` makes of the integer offsets."""
+    for patch in _view_cases(hh, sol2, odp):
+        tiles = patch.tiles
+        want = list(zip(patch.types.tolist(),
+                        lattice_points(patch.offsets, patch.scale)))
+        assert len(want) > 2 and list(tiles) == want
+        assert len(tiles) == len(want)
+        assert tiles[1] == want[1] and tiles[-1] == want[-1]
+        assert tiles[1:3] == want[1:3] and isinstance(tiles[1:3], list)
+        assert tiles == want and want == tiles and tiles == patch.tiles
+        assert tiles != want[:-1] and tiles != want[::-1]
+        assert set(tiles) == patch.placed_set() == set(want)
+        with pytest.raises(TypeError):
+            tiles[0] = want[1]
+        with pytest.raises(TypeError):
+            tiles += want[:1]
+        with pytest.raises(AttributeError):
+            patch.tiles.append(want[0])
+        assert list(patch.tiles) == want
+
+
+def test_shapes_match_translated_prototiles(hh, sol2, odp):
+    """`shapes` builds every tile from integer corners: the same vertices
+    (box lo and hi) and convex flag as the translated prototile."""
+    for patch in _view_cases(hh, sol2, odp):
+        shapes = list(patch.shapes())
+        assert len(shapes) == len(patch)
+        for got, (t, off) in zip(shapes, patch.tiles):
+            want = patch.family.prototiles[t].shape.translate(off)
+            assert type(got) is type(want)
+            assert got.vertices_list() == want.vertices_list()
+            assert got.bbox() == want.bbox()
+            assert getattr(got, "convex", None) == getattr(want, "convex", None)
+
+
+def test_multiset_keeps_first_appearance_order(hh, sol2, odp):
+    cases = _view_cases(hh, sol2, odp)
+    for patch in cases:
+        want = Counter(patch.types.tolist())
+        assert list(patch.multiset().items()) == list(want.items())
+    assert list(cases[-1].multiset()) == [1, 0]
+
+
+def test_placed_values_and_dtype(hh, sol2, odp):
+    """`placed` gives the corners that Python-int arithmetic gives, as int64
+    below 2^30 and as Python ints (object) past it."""
+    for patch in _view_cases(hh, sol2, odp):
+        protos = patch.family.prototiles
+        for points in ([p.shape.vertices_list() for p in protos],
+                       [[p.puncture] for p in protos]):
+            scale, got = patch.placed(points)
+            ref_scale, table = _point_table(points, patch.scale)
+            want = (patch.offsets.astype(object) * (ref_scale // patch.scale)
+                    )[:, None] + table[patch.types]
+            assert scale == ref_scale and got.shape == want.shape
+            assert (got == want).all()
+            big = max(abs(int(c)) for c in want.ravel()) >= 2 ** 30
+            assert got.dtype == (object if big else np.int64)
+            if big:
+                assert all(type(c) is int for c in got.ravel())
