@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MinimalityError, StructuralError
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence
@@ -82,11 +80,11 @@ def connectivity_matrices(family: RuleFamily, x: SymbolSequence, n: int):
 
 
 def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
-    """h^n = A_n ... A_1 · 𝟙, exact big integers."""
-    h = np.ones(family.n_prototiles, dtype=object)
-    for a in connectivity_matrices(family, x, n):
-        h = a.astype(object) @ h
-    return h.tolist()
+    """h^n = A_n ... A_1 · 𝟙, exact big integers: the row sums of
+    `SupertileSystem.counts(n)`."""
+    if n > len(x):
+        raise StructuralError("n exceeds sequence length")
+    return SupertileSystem(family, x).counts(n).sum(axis=1).tolist()
 
 
 def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,

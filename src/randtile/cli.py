@@ -153,20 +153,19 @@ def render_svg(patch) -> str:
                 "</svg>\n")
     verts = [p.shape.vertices_list() for p in fam.prototiles]
     scale, corners = patch.placed(verts)
-    types = patch.types.tolist()
+    sizes = [len(v) if fam.dim == 2 else 4 for v in verts]
     if fam.dim == 2:   # `placed` pads short vertex lists: slice them off
         xy = lattice_images(corners, scale, fam.embedding)
-        nodes = (xy[i, :len(verts[t])].tolist() for i, t in enumerate(types))
     else:   # x-extents a quarter tile high; corners 0, 1 are lo, hi (Gray)
-        nodes = ([(a, 0.0), (b, 0.0), (b, 0.25), (a, 0.25)] for a, b in
-                 lattice_images(corners[:, :2, 0], scale).tolist())
-    lo, hi, polys = [math.inf] * 2, [-math.inf] * 2, []
-    for t, node in zip(types, nodes):
-        pts = [(round(a, 6), round(b, 6)) for a, b in node]
-        for i in (0, 1):
-            lo[i] = min(lo[i], *(p[i] for p in pts))
-            hi[i] = max(hi[i], *(p[i] for p in pts))
-        coords = " ".join(f"{a:.6f},{b:.6f}" for a, b in pts)
+        xy = np.dstack([lattice_images(corners[:, [0, 1, 1, 0], 0], scale),
+                        np.tile([0.0, 0.0, 0.25, 0.25], (len(patch), 1))])
+    # the padding repeats real vertices, and `round` is monotone, so these
+    # are the extremes of the rounded vertices; `.6f` prints x as round(x, 6)
+    lo = [round(c, 6) for c in xy.min(axis=(0, 1)).tolist()]
+    hi = [round(c, 6) for c in xy.max(axis=(0, 1)).tolist()]
+    polys = []
+    for t, node in zip(patch.types.tolist(), xy.tolist()):
+        coords = " ".join(f"{a:.6f},{b:.6f}" for a, b in node[:sizes[t]])
         polys.append(f'<polygon points="{coords}" '
                      f'fill="{_PALETTE[t % len(_PALETTE)]}"/>')
     pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)

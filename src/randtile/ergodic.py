@@ -140,7 +140,8 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     vector holds a Fraction, else the int N^k_j, the types an object matmul
     would give.  A path level k <= m sums the numerators of w·vol[src] over
     the length-k paths ending at each vertex (int 0 where there are none).
-    Float and complex weights use float matmuls.
+    Float and complex weights sum the raw w·float(vol) over the same paths
+    and use float matmuls above them.
     """
     if depth < 0:
         raise StructuralError(f"depth must be >= 0, not {depth}")
@@ -176,6 +177,9 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
             vden, vnum = _numerators(vols)
             vnum = [(num, isinstance(v, Fraction))
                     for v, num in zip(vols, vnum)]
+        else:   # the raw weights and float(vol), over a denominator of 1
+            wden, wnum = 1, {p: (w, False) for p, w in wmap.items()}
+            vden, vnum = 1, [(float(v), False) for v in vols]
         out = []
         paths = {v: [()] for v in range(n)}
         # at level k <= m a pattern class is a level-k path continued to level m
@@ -185,21 +189,14 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
             vals = []
             for j in range(n):
                 cont = _upward_continuation(family, x, k, j, m)
-                if exact:
-                    total, fractional = 0, False
-                    for p in paths[j]:
-                        w, wfrac = wnum.get(p + cont, (0, False))
-                        v, vfrac = vnum[p[0][2] if p else j]
-                        total += w * v
-                        fractional = fractional or wfrac or vfrac
-                    vals.append(Fraction(total, wden * vden) if fractional
-                                else total // (wden * vden))
-                else:
-                    total = 0
-                    for p in paths[j]:
-                        src = p[0][2] if p else j
-                        total += wmap.get(p + cont, 0) * float(vols[src])
-                    vals.append(total)
+                total, fractional = 0, False
+                for p in paths[j]:
+                    w, wfrac = wnum.get(p + cont, (0, False))
+                    v, vfrac = vnum[p[0][2] if p else j]
+                    total += w * v
+                    fractional = fractional or wfrac or vfrac
+                vals.append(Fraction(total, wden * vden) if fractional
+                            else total // (wden * vden) if exact else total)
             out.append(ErgodicVector(k, vec(vals)))
 
     if not exact:
@@ -233,7 +230,6 @@ def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     if depth < 2:
         raise StructuralError("depth must be >= 2")
     vecs = ergodic_vectors(f, family, x, depth)
-    n = family.n_prototiles
     mats = connectivity_matrices(family, x, depth)
     exact = f.is_exact()
     residuals = []
@@ -246,9 +242,7 @@ def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
         residuals.append(math.sqrt(sum(float(c) ** 2 for c in diff)))
     if f.depth == 0:
         return CotraceEstimate(vector=vecs[0].values, residuals=residuals)
-    prod = np.eye(n)
-    for k in range(f.depth):
-        prod = mats[k].astype(float) @ prod
+    prod = SupertileSystem(family, x).counts(f.depth).astype(float)
     a, *_ = np.linalg.lstsq(prod, vecs[f.depth].values.astype(float),
                             rcond=None)
     return CotraceEstimate(vector=a, residuals=residuals)
@@ -347,7 +341,9 @@ def deviation_over_regions(f: TLCObservable, family: RuleFamily,
     """Fitted slope of log|∫_{T·B} f| against log T over a grid of dilations.
 
     The integral over the patch covering T·B is computed exactly from the
-    supertile decomposition: ∫ = Σ_{i,j} κ^(i)_j · V^i_j.
+    supertile decomposition: ∫ = Σ_{i,j} κ^(i)_j · V^i_j, summed over the
+    levels i of `DecompositionReport.counts` from the top down and over the
+    types j in ascending order (the order a float observable's sum rounds in).
     """
     if f.depth != 0:
         raise UnsupportedOperationError("region deviations need depth 0")
@@ -475,13 +471,8 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
         system = SupertileSystem(family, x)
     n = family.n_prototiles
     # path richness: smallest k* with A_{k*}···A_1 everywhere positive
-    prod = np.eye(n, dtype=object)
-    k_star = None
-    for k in range(1, len(x) + 1):
-        prod = family.matrix(x[k]).astype(object) @ prod
-        if (prod > 0).all():
-            k_star = k
-            break
+    k_star = next((k for k in range(1, len(x) + 1)
+                   if (system.counts(k) > 0).all()), None)
     if k_star is None:
         raise InsufficientDataError("no level with all path pairs connected")
 
@@ -571,7 +562,9 @@ def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
                              vectors=None, lyapunov=None) -> DeviationFit:
     """limsup-style slope of log|∫ over the averaging sets| vs log T_i.
 
-    The integral over the i-th set is Σ_type multiplicity · V^{k_i}_type.
+    The integral over the i-th set is Σ_type multiplicity · V^{k_i}_type,
+    summed over the base multiset's types in ascending order (the order a
+    float observable's sum rounds in).
     The limsup is estimated by a least-squares fit through the record points
     (new maxima) of log|I|.
     """

@@ -9,13 +9,15 @@ and child offset lies on the lattice (1/S)·ℤ^d, S the lcm of the denominators
 of the prototile corners and translations.
 
 The anchor search, `path_offset` and the descent share one integer table
-per level (`_Level`).  Patches, decompositions and approximants come from
-one descent: level by level over numpy frontiers of integer offsets (int64,
-or Python ints when a coordinate bound does not fit), dropping supertiles
-that miss the window, keeping those inside it and cutting the rest into
-their children.  A `Patch` keeps the integer offsets and the scale; its
-exact views (`tiles`, a read-only sequence, and `shapes`) are made from them
-on each access and store nothing.
+per level (`_Level`), and `SupertileSystem.counts` is the one exact table of
+A_k···A_1.  Patches, decompositions and approximants come from one descent:
+level by level over numpy frontiers of integer offsets (int64, or Python
+ints when a coordinate bound does not fit), dropping supertiles that miss
+the window, keeping those inside it and cutting the rest into their
+children.  Tiles come depth first, decomposition levels from the top down,
+tile multisets by ascending type.  A `Patch` keeps the integer offsets and
+the scale; its exact views (`tiles`, a read-only sequence, and `shapes`)
+are made from them on each access and store nothing.
 `lattice_test` is the one window membership test, for the descent and for
 operators and traces on punctures: exact on the integers for boxes and
 convex polygons, the Region predicates node by node for disks and
@@ -120,11 +122,9 @@ class Patch:
         return scale, offsets[:, None] + table.astype(dtype)[self.types]
 
     def multiset(self) -> Counter:
-        """Tiles per type, keyed in order of first appearance."""
-        counts = np.bincount(self.types)
-        seen = sorted(np.flatnonzero(counts).tolist(),
-                      key=lambda t: np.argmax(self.types == t))
-        return Counter({t: int(counts[t]) for t in seen})
+        """Tiles per type, keyed in ascending type order."""
+        return Counter({t: c for t, c in
+                        enumerate(np.bincount(self.types).tolist()) if c})
 
     def shapes(self):
         """The exact tiles, built from the integer corners that `placed` gives
@@ -365,7 +365,7 @@ class DecompositionReport:
     """Greedy supertile decomposition of a dilated region."""
 
     n: int                         # top level with nonzero counts (-1 if empty)
-    counts: dict                   # level i -> list of counts per type
+    counts: dict                   # level i -> counts per type, top level first
     boundary_skipped: int
     volume_covered: Fraction
     theta_products: list           # θ_(i) for i = 0..top ancestor level
@@ -378,16 +378,13 @@ class DecompositionReport:
 
 def decomposition_tile_multiset(report: DecompositionReport,
                                 family: RuleFamily, x) -> Counter:
-    """Level-0 tile-type multiset of all supertiles in the report."""
-    m = family.n_prototiles
-    out = Counter()
-    prod = np.eye(m, dtype=object)   # A_level ··· A_1: tiles per supertile
-    for level in range(max(report.counts, default=-1) + 1):
-        if level > 0:
-            prod = family.matrix(x[level]).astype(object) @ prod
-        kappa = np.array(report.counts.get(level, [0] * m), dtype=object)
-        out.update({t: int(c) for t, c in enumerate(kappa @ prod) if c})
-    return out
+    """Level-0 tile-type multiset of all supertiles in the report,
+    Σ_i κ^(i)·A_i···A_1, keyed in ascending type order."""
+    system = SupertileSystem(family, x)
+    total = sum((np.array(kappa, dtype=object) @ system.counts(level)
+                 for level, kappa in report.counts.items()),
+                np.zeros(family.n_prototiles, dtype=object))
+    return Counter({t: c for t, c in enumerate(total.tolist()) if c})
 
 
 def _point_table(points, scale: int):
@@ -457,7 +454,7 @@ class _Level:
     """Integer tables of one level on (1/scale)·ℤ^d: the footprint `corners`
     of every type (`_point_table`); the children of every parent type in
     branch order, `start`/`count` locating each parent's run; `leaves`, the
-    level-0 tiles per type (at most _LEAF_CAP); `step` bounds |child delta|;
+    row sums of `SupertileSystem.counts`, capped; `step` bounds |child delta|;
     `faces`, by type, the embedded faces of the exact footprint at the origin
     (filled by `SupertileSystem.margin`)."""
 
@@ -481,6 +478,7 @@ class SupertileSystem:
         self.family = family
         self.x = x
         self._theta_inv = [Fraction(1)]  # θ_(k)^{-1}
+        self._counts = [np.eye(family.n_prototiles, dtype=object)]
         self._levels = []              # level -> _Level
         self._volumes = family.volumes()
         # every footprint corner and child delta lies on (1/scale)·ℤ^d,
@@ -501,6 +499,15 @@ class SupertileSystem:
                 self._theta_inv[-1] / self.rule_at(len(self._theta_inv)).theta)
         return self._theta_inv[k]
 
+    def counts(self, k: int) -> np.ndarray:
+        """A_k···A_1 in Python ints, for any rules (cached, read-only): row v
+        counts the level-0 tiles of each type in a level-k type-v supertile."""
+        while len(self._counts) <= k:
+            a = self.family.matrix(self.x[len(self._counts)]).astype(object)
+            self._counts.append(a @ self._counts[-1])
+        self._counts[k].flags.writeable = False
+        return self._counts[k]
+
     def volume(self, k: int, v: int) -> Fraction:
         return self._volumes[v] * self.theta_inv(k) ** self.family.dim
 
@@ -520,7 +527,7 @@ class SupertileSystem:
             lvl = len(self._levels)
             m = self.family.n_prototiles
             if lvl == 0:
-                branches, leaves, ti = (), [1] * m, 1
+                branches, ti = (), 1
                 corners = _point_table([p.shape.vertices_list() for p in
                                         self.family.prototiles], self.scale)[1]
             else:
@@ -533,8 +540,6 @@ class SupertileSystem:
                         f"rule {rule.id} at level {lvl}: θ = {rule.theta} is "
                         f"not 1/q, so its supertiles leave the integer lattice")
                 branches = rule.branches                 # grouped by parent
-                leaves = np.minimum(self.family.matrix(self.x[lvl])
-                                    @ self._levels[-1].leaves, _LEAF_CAP)
                 ti = int(self.theta_inv(lvl))
                 corners = self._levels[0].corners * ti
             # θ_(lvl)^{-1}·τ·scale, in integers: each τ denominator divides scale
@@ -548,7 +553,8 @@ class SupertileSystem:
                 child_delta=np.array(delta, dtype=object).reshape(
                     len(branches), self.family.dim),
                 start=np.cumsum(count) - count, count=count,
-                leaves=np.array(leaves, dtype=np.int64),
+                leaves=np.minimum(self.counts(lvl).sum(axis=1),
+                                  _LEAF_CAP).astype(np.int64),
                 step=max((abs(c) for p in delta for c in p), default=0)))
         return self._levels[k]
 
@@ -635,9 +641,9 @@ class SupertileSystem:
     def cover(self, window: Region, k: int, v: int, offset):
         """Maximal supertiles inside the window, below the level-k type-v
         supertile at `offset`: (counts, boundary), where counts maps a level
-        to the number of inside supertiles per type (levels in depth-first
-        order of their first supertile) and boundary counts the level-0
-        tiles cut by the window boundary."""
+        to the number of inside supertiles per type (levels from the top
+        down) and boundary counts the level-0 tiles cut by the window
+        boundary."""
         found, boundary = self._descend(window, k, v, offset)
         n = self.family.n_prototiles
         return ({level: np.bincount(types, minlength=n).tolist()
@@ -670,9 +676,9 @@ class SupertileSystem:
         coordinate and cross product fits, Python ints otherwise.
 
         Returns (found, boundary): found lists (level, types, offsets) of the
-        inside nodes where the descent stopped, levels in depth-first order
-        of their first node; boundary counts the level-0 nodes the window
-        boundary cuts.
+        inside nodes where the descent stopped, one entry per level that has
+        any, from the top level down; boundary counts the level-0 nodes the
+        window boundary cuts.
         """
         origin = [frac(c) * self.scale for c in offset]
         if any(c.denominator != 1 for c in origin):
@@ -685,7 +691,6 @@ class SupertileSystem:
         types = np.array([v], dtype=np.int64)
         offs = np.array([origin], dtype=object).astype(dtype)
         inside = np.array([window is None])
-        rank = np.zeros(1, dtype=np.int64)  # levels found before each node
         found = []
         for level in range(k, -1, -1):
             if level < k:
@@ -696,7 +701,7 @@ class SupertileSystem:
                     up.start[types] - (np.cumsum(count) - count), count)
                 types = up.child_type[pos]
                 offs = offs[parent] + up.child_delta.astype(dtype)[pos]
-                inside, rank = inside[parent], rank[parent]
+                inside = inside[parent]
             todo = np.flatnonzero(~inside)
             if len(todo):
                 corners = offs[todo, None] + levels[level].corners.astype(
@@ -705,22 +710,18 @@ class SupertileSystem:
                                                    self.family.embedding)
                 keep = np.ones(len(types), dtype=bool)
                 keep[todo] = meets
-                types, offs, inside, rank = (a[keep] for a in
-                                             (types, offs, inside, rank))
+                types, offs, inside = (a[keep] for a in (types, offs, inside))
             if (budget is None or level == 0) and inside.any():
-                first = int(np.argmax(inside))
-                found.insert(int(rank[first]),
-                             (level, types[inside], offs[inside]))
-                rank[first + 1:] += 1
-                types, offs, inside, rank = (a[~inside] for a in
-                                             (types, offs, inside, rank))
+                found.append((level, types[inside], offs[inside]))
+                types, offs, inside = (a[~inside] for a in
+                                       (types, offs, inside))
             elif budget is not None:
                 known = np.where(inside, levels[level].leaves[types], 0)
                 over = np.cumsum(known) > budget
                 if over.any():
                     cut = int(np.argmax(over)) + 1
-                    types, offs, inside, rank = (a[:cut] for a in
-                                                 (types, offs, inside, rank))
+                    types, offs, inside = (a[:cut] for a in
+                                           (types, offs, inside))
         return found, len(types)
 
 

@@ -41,6 +41,8 @@ def test_path_counts_half_hex_constant(hh):
     x = SymbolSequence.constant(1, 8)
     for n in range(0, 9):
         assert path_counts(hh, x, n) == [4 ** n] * 6
+    with pytest.raises(StructuralError, match="n exceeds sequence length"):
+        path_counts(hh, x, 9)
 
 
 def test_path_branch_index_validation(hh):

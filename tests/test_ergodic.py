@@ -13,7 +13,7 @@ from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
                              UnsupportedOperationError)
-from randtile.ergodic import (TLCObservable, _boundary_samples,
+from randtile.ergodic import (TLCObservable, _boundary_samples, _log_abs,
                               _patch_point_distance, _upward_continuation,
                               cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
@@ -21,8 +21,10 @@ from randtile.ergodic import (TLCObservable, _boundary_samples,
                               make_zero_trace_observable,
                               special_averaging_sequence)
 from randtile.substitution import matrix_only_family, substitution_matrix
-from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import Patch, Region, SupertileSystem, generate_patch
+from randtile.symbolic import (MeasureSpec, SymbolSequence, rng_stream,
+                               sample_sequence)
+from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
+                             generate_patch)
 
 
 def test_observable_constructors():
@@ -337,6 +339,46 @@ def test_deviation_over_regions_needs_points(hh):
         deviation_over_regions(f, hh, x, Region.unit_square(), [4, 8])
 
 
+def test_log_abs_float_branch():
+    assert _log_abs(-2.5) == math.log(2.5)
+    assert _log_abs(np.float64(0.75)) == math.log(0.75)
+    assert _log_abs(0.0) is None and _log_abs(-0.0) is None
+
+
+def test_deviations_sum_float_observables_in_documented_order(hh):
+    """A float observable's integrals round in the documented orders: the
+    decomposition levels from the top down and the types ascending, for
+    regions; the base multiset's types ascending, along the sequence."""
+    x = SymbolSequence.constant(1, 40)
+    f = TLCObservable.typewise((0.1, -0.7, 0.3, 1.1, -0.2, 0.45))
+    base, grid = Region.unit_square(), [8, 12, 16, 20, 24, 32]
+    system = SupertileSystem(hh, x)
+    fit = deviation_over_regions(f, hh, x, base, grid, system=system)
+    assert len(fit.entries) == len(grid)
+    for (t, got), dilation in zip(fit.entries, grid):
+        rep = decompose_region(hh, x, base, dilation, system=system)
+        assert len(rep.counts) > 1
+        assert list(rep.counts) == sorted(rep.counts, reverse=True)
+        vecs = ergodic_vectors(f, hh, x, rep.anchor_level)
+        total = 0
+        for level in sorted(rep.counts, reverse=True):
+            for j in range(hh.n_prototiles):
+                if rep.counts[level][j]:
+                    total += rep.counts[level][j] * vecs[level].values[j]
+        assert t == dilation and got == math.log(abs(total))
+
+    seq = special_averaging_sequence(hh, x, base, eps=0.05, count=8)
+    mult = seq.base_multiset
+    assert len(mult) > 1 and list(mult) == sorted(mult)
+    vecs = ergodic_vectors(f, hh, x, max(k for k, _, _ in seq.entries))
+    fit = deviation_along_sequence(f, seq, hh, x, vectors=vecs)
+    for (_, got), (k_i, _, _) in zip(fit.entries, seq.entries):
+        total = 0
+        for t in sorted(mult):
+            total += mult[t] * vecs[k_i].values[t]
+        assert got == math.log(abs(total))
+
+
 def test_deviation_cap_from_lyapunov(hh, hhp):
     x = SymbolSequence.constant(1, 40)
     lyap = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(1.0), 2000, seed=0)
@@ -414,6 +456,23 @@ def test_special_averaging_sequence_matrix_only(hhp):
     again = special_averaging_sequence(hhp, x, Region.unit_square(), eps=0.05,
                                        count=8, seed=3)
     assert again.base_multiset == seq.base_multiset
+
+
+def test_special_averaging_sequence_falls_back_past_geometry(hhp):
+    """Levels 1..max(k*, 8) are geometric, so the dyadic search starts, but
+    the far window's anchor climbs to the matrix-only rule at level 10: the
+    sequence falls back to the seeded matrix-only multiset."""
+    x = SymbolSequence((1,) * 9 + (2,) + (1,) * 30)
+    system = SupertileSystem(hhp, x)
+    k_star = next(k for k in range(1, 41) if (system.counts(k) > 0).all())
+    assert x.positive.index(2) + 1 > max(k_star, 8)
+    seq = special_averaging_sequence(hhp, x, Region.box((64, 64), (1, 1)),
+                                     eps=0.05, count=5, seed=3, system=system)
+    gen = rng_stream(3, worker_id=1)
+    assert seq.base_multiset == {t: int(gen.integers(1, 10)) for t in range(6)}
+    assert seq.hausdorff is None and seq.t_star == 1
+    assert seq.window == k_star and len(seq.entries) == 5
+    assert all(tau == (0, 0) for _, _, tau in seq.entries)
 
 
 def test_special_averaging_sequence_one_d(odp):

@@ -9,9 +9,10 @@ from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
 from randtile.geometry import embed_point
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import (Patch, Region, SupertileSystem, _point_table,
-                             decompose_region, decomposition_tile_multiset,
-                             generate_patch, lattice_images, lattice_points)
+from randtile.tiling import (_LEAF_CAP, Patch, Region, SupertileSystem,
+                             _point_table, decompose_region,
+                             decomposition_tile_multiset, generate_patch,
+                             lattice_images, lattice_points)
 
 
 def test_region_basics():
@@ -307,12 +308,52 @@ def test_shapes_match_translated_prototiles(hh, sol2, odp):
             assert getattr(got, "convex", None) == getattr(want, "convex", None)
 
 
-def test_multiset_keeps_first_appearance_order(hh, sol2, odp):
+def test_level_counts_are_the_matrix_products(hhp):
+    """`counts(k)` is A_k···A_1 in Python ints, read-only, for any rules: the
+    half-hex pair's rule 2 is matrix-only, and its entries pass 2^64."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 40, seed=11)
+    system = SupertileSystem(hhp, x)
+    m = hhp.n_prototiles
+    want = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k in range(41):
+        if k:
+            a = hhp.matrix(x[k]).tolist()
+            want = [[sum(a[i][l] * want[l][j] for l in range(m))
+                     for j in range(m)] for i in range(m)]
+        got = system.counts(k)
+        assert got.tolist() == want
+        assert all(type(c) is int for c in got.flat)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+    assert max(map(max, want)) > 2 ** 64
+
+
+def test_level_leaves_match_capped_recursion(hh, sol2):
+    """`_Level.leaves` (row sums of `counts`, capped) equals the recursion
+    capped at every level, also at and past the level where 2^31 is crossed."""
+    for family, x in ((hh, SymbolSequence.constant(1, 20)),
+                      (sol2, sample_sequence(MeasureSpec.bernoulli_p(0.5),
+                                             20, seed=2))):
+        system = SupertileSystem(family, x)
+        leaves = np.ones(family.n_prototiles, dtype=np.int64)
+        for k in range(21):
+            if k:
+                leaves = np.minimum(family.matrix(x[k]) @ leaves, _LEAF_CAP)
+            assert system._level(k).leaves.tolist() == leaves.tolist()
+        assert system._level(20).leaves.tolist() == [_LEAF_CAP] * len(leaves)
+        assert (system.counts(20).sum(axis=1) > _LEAF_CAP).all()
+    # 4^15 < 2^31 = _LEAF_CAP < 4^16 half-hex tiles per supertile
+    system = SupertileSystem(hh, SymbolSequence.constant(1, 20))
+    assert system._level(15).leaves.tolist() == [4 ** 15] * 6
+    assert system._level(16).leaves.tolist() == [_LEAF_CAP] * 6
+
+
+def test_multiset_keys_types_in_ascending_order(hh, sol2, odp):
     cases = _view_cases(hh, sol2, odp)
     for patch in cases:
-        want = Counter(patch.types.tolist())
-        assert list(patch.multiset().items()) == list(want.items())
-    assert list(cases[-1].multiset()) == [1, 0]
+        want = sorted(Counter(patch.types.tolist()).items())
+        assert list(patch.multiset().items()) == want
+    assert list(cases[-1].multiset().items()) == [(0, 1), (1, 2)]
 
 
 def test_placed_values_and_dtype(hh, sol2, odp):
