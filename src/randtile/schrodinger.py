@@ -9,7 +9,6 @@ ergodic module's supertile integrals.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections import namedtuple
@@ -27,7 +26,7 @@ from .errors import (ConvergenceError, IncompletePatternError,
                      StructuralError, UnsupportedOperationError)
 from .ergodic import TLCObservable, deviation_along_sequence
 from .substitution import RuleFamily
-from .tiling import (Patch, Region, _checked, _window_extremes,
+from .tiling import (CellGrid, Patch, Region, _checked, _window_extremes,
                      lattice_images, lattice_points, lattice_test)
 
 # the largest n at which a refused inertia count is decided by dense eigvalsh
@@ -47,26 +46,20 @@ def _norm(disp, embedding) -> float:
 def _near_pairs(coords: np.ndarray, cut: float):
     """(i, j), i < j in lexicographic order: every pair of rows of `coords`
     within distance `cut`.  The rows are bucketed into cells of side >= cut,
-    so such a pair shares a cell or lies in two neighbouring ones; each point
-    looks up its own cell and the half of its neighbours that follow it in
-    lexicographic offset order, by `searchsorted` on the sorted cell keys."""
+    so such a pair shares a cell or lies in two neighbouring ones
+    (`tiling.CellGrid`); each point looks up its own cell and the half of its
+    neighbours that follow it in lexicographic offset order."""
     n, d = coords.shape
     coords = coords - coords.min(axis=0)
-    # sides past `cut` keep every cell key below 2^62
-    side = max(cut, float(coords.max()) * 2.0 ** (2 - 62 // d))
-    cells = np.floor(coords / side).astype(np.int64) + 1
-    strides = np.cumprod([1, *(cells.max(axis=0)[:-1] + 2)])
-    key = cells @ strides
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    grid = CellGrid(coords, cut)
+    key, order = grid.keys, grid.order
     # the zero offset first, then the lexicographically positive ones; one
     # ascending run of targets per offset, so each search walks forward
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))[3 ** d // 2:])
-    target = (key + (offsets @ strides)[:, None]).ravel()
-    lo = np.searchsorted(key, target, "left")
-    counts = np.searchsorted(key, target, "right") - lo
+    steps = grid.steps[3 ** d // 2:]
+    target = (key + steps[:, None]).ravel()
+    lo, counts = grid.members(target)
     # candidate (a, b): positions in sorted order, b in a's target cell
-    a = np.repeat(np.tile(np.arange(n), len(offsets)), counts)
+    a = np.repeat(np.tile(np.arange(n), len(steps)), counts)
     b = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(a))
     dist2 = sum((x[b] - x[a]) ** 2 for x in coords[order].T)
     own_cell = np.repeat(np.arange(len(target)) < n, counts)
@@ -467,12 +460,22 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     n·eps·||A||_1, and every energy finite; otherwise a `StructuralError`
     names what is wrong.
 
-    Every count is an inertia count, at every size.  A minimum-degree order
-    on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed once per matrix, from
-    A's pattern plus the full diagonal (`_fixed_order`).  A is permuted into
-    it once, with every diagonal entry stored, so each energy only subtracts
-    E at the diagonal positions and factors P(A - E·I)P^T in that fixed
-    order (NATURAL), in SymmetricMode with no pivoting threshold.  A
+    Gershgorin's theorem decides the energies outside the spectrum's
+    enclosure without a factorization.  Every eigenvalue lies in
+    [lo, hi], lo = min_i (Re a_ii - r_i) and hi = max_i (Re a_ii + r_i),
+    with r_i = sum_{j != i} |a_ij|; tiny = n·eps·||A||_1 exceeds the
+    rounding in r_i and in the two bounds.  So an energy E < lo - tiny
+    counts 0, and one with E >= hi + tiny counts n (the count is #λ <= E,
+    so a 1x1 zero matrix, where tiny = 0, counts 1 at E = 0).  Only the
+    energies in between are factored, and a call whose energies all lie
+    outside computes no order.
+
+    Every other count is an inertia count, at every size.  A minimum-degree
+    order on A + A^T (SuperLU's MMD_AT_PLUS_A) is computed once per matrix,
+    from A's pattern plus the full diagonal (`_fixed_order`).  A is permuted
+    into it once, with every diagonal entry stored, so each energy only
+    subtracts E at the diagonal positions and factors P(A - E·I)P^T in that
+    fixed order (NATURAL), in SymmetricMode with no pivoting threshold.  A
     diagonal entry that cancels to 0 stays stored, so SuperLU sees the zero
     pivot candidate and pivots off the diagonal.  With no such pivot the
     factorization is LDL^H, a congruence, so by Sylvester's law of inertia
@@ -487,11 +490,12 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     diagonal (row order != column order, so the factorization is no longer
     a congruence), or the smallest pivot |u_kk| is at most n·eps·||A||_1,
     so that rounding may have set its sign.  Up to _DENSE_LIMIT points a
-    refusal is decided by dense `eigvalsh`: every energy of the call is
-    then counted by `searchsorted` on its eigenvalues, and rounding decides
-    a tie.  Above _DENSE_LIMIT the refusal is raised as a `ConvergenceError`
-    naming E, n and the signal.  Every Laplacian has 0 as an exact
-    eigenvalue, so the integer grids of the CLI defaults are counted dense.
+    refusal is decided by dense `eigvalsh`: every energy of the call, those
+    outside the enclosure included, is then counted by `searchsorted` on its
+    eigenvalues, and rounding decides a tie.  Above _DENSE_LIMIT the
+    refusal is raised as a `ConvergenceError` naming E, n and the signal.
+    Every Laplacian has 0 as an exact eigenvalue, so the integer grids of
+    the CLI defaults are counted dense.
 
     The checks do not catch every tie, so no count at an energy within
     rounding of an eigenvalue is reliable.  On the 1,089-point window of
@@ -518,8 +522,17 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
         raise StructuralError(
             f"matrix (n={n}) is not hermitian: max |A - A^H| = {skew:.3g} "
             f"> n·eps·||A||_1 = {tiny:.3g}")
+    coo = matrix.tocoo()
+    off = coo.row != coo.col
+    radii = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=n)
+    centres = matrix.diagonal().real
+    lo, hi = (centres - radii).min(), (centres + radii).max()
+    counts = np.where(energies < lo - tiny, 0, n)
+    inside = (lo - tiny <= energies) & (energies < hi + tiny)
     try:
-        return _inertia_counts(matrix, energies, tiny)
+        if inside.any():
+            counts[inside] = _inertia_counts(matrix, energies[inside], tiny)
+        return counts
     except ConvergenceError:
         if n > _DENSE_LIMIT:
             raise

@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,12 +80,15 @@ class SymbolSequence:
     measure: Optional[MeasureSpec] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "positive", tuple(int(s) for s in self.positive))
-        object.__setattr__(self, "negative", tuple(int(s) for s in self.negative))
+        object.__setattr__(self, "positive", tuple(map(int, self.positive)))
+        object.__setattr__(self, "negative", tuple(map(int, self.negative)))
         alpha = self.measure.n_symbols if self.measure is not None else None
-        for s in self.positive + self.negative:
-            if s < 1 or (alpha is not None and s > alpha):
-                raise StructuralError(f"symbol {s} outside alphabet")
+        top = math.inf if alpha is None else alpha
+        for part in (self.positive, self.negative):
+            # min and max decide; the loop only names the first bad symbol
+            if part and not 1 <= min(part) <= max(part) <= top:
+                bad = next(s for s in part if not 1 <= s <= top)
+                raise StructuralError(f"symbol {bad} outside alphabet")
 
     def __len__(self):
         return len(self.positive)

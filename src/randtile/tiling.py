@@ -29,6 +29,7 @@ exact views.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -76,6 +77,48 @@ def lattice_images(points, scale: int, embedding=None) -> np.ndarray:
     images = (np.asarray(points) / scale).astype(float)
     return images if embedding is None else images * np.array(
         [float(e) for e in embedding])
+
+
+class CellGrid:
+    """Float points (n, d) bucketed into cubic cells of side >= `side`, so
+    that two points closer than the side in every coordinate share a cell
+    or lie in neighbouring ones.  A cell's key is its integer coordinates
+    (from 1) in mixed radix, with an empty cell of padding on every side,
+    so a key plus the step of a neighbour offset never reaches another
+    occupied cell.  `keys` is sorted, `order[k]` is the point of `keys[k]`,
+    and `steps` holds the key step of each offset in {-1, 0, 1}^d in
+    lexicographic order, the zero offset in the middle."""
+
+    def __init__(self, points: np.ndarray, side: float):
+        d = points.shape[1]
+        self.origin = points.min(axis=0)
+        # sides past `side` keep every cell key below 2^62
+        self.side = max(side, float((points - self.origin).max())
+                        * 2.0 ** (2 - 62 // d))
+        cells = self._cells(points).astype(np.int64)
+        self.top = cells.max(axis=0) + 1
+        self.strides = np.cumprod([1, *(self.top[:-1] + 1)])
+        key = cells @ self.strides
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+        self.steps = np.array(list(itertools.product((-1, 0, 1), repeat=d))
+                              ) @ self.strides
+
+    def _cells(self, points):
+        return np.floor((points - self.origin) / self.side) + 1
+
+    def key(self, points: np.ndarray) -> np.ndarray:
+        """Cell keys of any points.  A point past the padding is clamped
+        onto it, so its cell and its neighbours are cells of the grid, and
+        they hold every grid point within one side of it, maybe more."""
+        cells = np.clip(self._cells(points), 0, self.top)
+        return cells.astype(np.int64) @ self.strides
+
+    def members(self, keys: np.ndarray):
+        """(start, count): the run of each key in `keys`, `order[start:
+        start + count]` being the points in that cell."""
+        start = np.searchsorted(self.keys, keys, "left")
+        return start, np.searchsorted(self.keys, keys, "right") - start
 
 
 def _checked(family: RuleFamily, types, offsets, scale):

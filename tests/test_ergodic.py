@@ -607,6 +607,78 @@ def test_patch_point_distance_non_convex_tile():
     assert _patch_point_distance(pts, patch, None) == [0.0, 0.0, 0.0, 0.5, 1.0]
 
 
+def _full_walks(monkeypatch):
+    """Count the points `_patch_point_distance` walks over every tile: the
+    full walk is its one `np.argsort` call without a `kind`."""
+    calls, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        if not args and not kwargs:
+            calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+def _box_and_triangle_patch():
+    """A unit box and the triangle below its diagonal, both at the origin:
+    two tiles with one bbox, so every point outside it ties at a gap."""
+    tri = geometry.Polygon([(0, 0), (1, 0), (0, 1)])
+    box = geometry.Box((0, 0), (1, 1))
+    fam = SimpleNamespace(name="box-and-triangle", dim=2, n_prototiles=2,
+                          prototiles=[SimpleNamespace(shape=tri),
+                                      SimpleNamespace(shape=box)])
+    return Patch([0, 1], [[0, 0], [0, 0]], 1, fam)
+
+
+@pytest.mark.parametrize("point, walks", [
+    ((-0.3, -0.4), 0),      # both tiles end the walk at 0.5
+    ((-0.6, 0.5), 0),       # at 0.6; the triangle's edge is that far too
+    ((0.9, 1.3), 0),        # the box at 0.3; the triangle, 0.85 away, not
+    ((-0.62, -0.29), 1),    # the box at its gap, the triangle an ulp below
+])
+def test_patch_point_distance_tie_at_a_positive_gap(monkeypatch, point,
+                                                    walks):
+    """Two tiles tie at a positive gap.  The order within the tie is the
+    full `argsort`'s, so the prefilter walks every tile again unless both
+    tiles end the walk at one distance; either way the result equals the
+    `Fraction`-shape oracle bit for bit."""
+    patch = _box_and_triangle_patch()
+    calls = _full_walks(monkeypatch)
+    got = _patch_point_distance([point], patch, None)
+    assert len(calls) == walks
+    assert got == _shape_point_distance([point], patch, None)
+
+
+def test_patch_point_distance_beyond_the_first_radius(hh, monkeypatch):
+    """A point farther from the patch than the widest tile bbox has no tile
+    within the prefilter's radius: it is walked over every tile, and the
+    points near the patch are not."""
+    patch = generate_patch(hh, SymbolSequence.constant(1, 64),
+                           Region.unit_square().dilated(8))
+    near = _boundary_samples(Region.unit_square().dilated(8), hh.embedding)
+    far = [(-40.0, 3.0), (5.0, 1e6), (-1e9, -1e9)]
+    calls = _full_walks(monkeypatch)
+    got = _patch_point_distance(near + far, patch, hh.embedding)
+    assert calls == [len(patch)] * len(far)
+    assert got == _shape_point_distance(near + far, patch, hh.embedding)
+    assert min(got[-3:]) > 30
+
+
+def test_patch_point_distance_walks_only_near_tiles_on_the_search(
+        hh, monkeypatch):
+    """On the averaging search's largest base patch (half-hex, unit square
+    dilated by 64, 5,302 tiles) no boundary sample is walked over every
+    tile: its positive ties all end the walk at one distance."""
+    win = Region.unit_square().dilated(64)
+    patch = generate_patch(hh, SymbolSequence.constant(1, 64), win)
+    assert len(patch) == 5302
+    calls = _full_walks(monkeypatch)
+    dists = _patch_point_distance(_boundary_samples(win, hh.embedding),
+                                  patch, hh.embedding)
+    assert calls == [] and max(dists) > 0
+
+
 def test_special_averaging_rejects_three_dimensional_windows(sol3):
     # boundary samples cover windows of dimension <= 2 only
     x = SymbolSequence.constant(1, 40)

@@ -375,7 +375,8 @@ def test_fixed_order_matches_per_energy_order(t28_laplacian, monkeypatch):
     """One minimum-degree order per matrix, then one fixed-order (NATURAL)
     factorization per energy: the same counts and the same L+U fill as
     ordering every A - E·I afresh, at the 41 shifted energies of
-    `ids-windows`."""
+    `ids-windows`.  The four below 0, the Gershgorin lower bound of every
+    Laplacian, are counted 0 without a factorization."""
     matrix = t28_laplacian
     assert matrix.shape == (4144, 4144)
     energies = np.linspace(-1, 9, 41) + 0.125
@@ -390,7 +391,72 @@ def test_fixed_order_matches_per_energy_order(t28_laplacian, monkeypatch):
         return lu
     monkeypatch.setattr(spla, "splu", spy)
     assert eigenvalue_counts(matrix, energies).tolist() == want
-    assert calls == [("MMD_AT_PLUS_A", 140248)] + [("NATURAL", 140248)] * 41
+    assert calls == [("MMD_AT_PLUS_A", 140248)] + [("NATURAL", 140248)] * 37
+
+
+def _splu_spy(monkeypatch):
+    """Replace `spla.splu` by a wrapper that appends the `permc_spec` of
+    each call to the returned list."""
+    calls, splu = [], spla.splu
+
+    def spy(a, **kwargs):
+        calls.append(kwargs["permc_spec"])
+        return splu(a, **kwargs)
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+def _gershgorin(dense):
+    """(lo, hi, tiny): the Gershgorin enclosure of a hermitian array,
+    min and max of Re a_ii -/+ sum_{j != i} |a_ij|, and n·eps·||A||_1."""
+    centres, absolute = np.diag(dense).real, np.abs(dense)
+    radii = absolute.sum(axis=1) - np.diag(absolute)
+    tiny = len(dense) * np.finfo(float).eps * absolute.sum(axis=0).max()
+    return (centres - radii).min(), (centres + radii).max(), tiny
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec.laplacian(1.8),
+    KernelSpec(range=1.8, diagonal=(3, -1, 0.5, 2, -2.5, 1), offdiagonal=-1),
+    KernelSpec(range=1.8, diagonal="degree", offdiagonal=1j),
+], ids=["laplacian", "typewise", "complex"])
+def test_counts_outside_the_gershgorin_enclosure_are_not_factored(
+        half_hex_windows, monkeypatch, kernel):
+    """Energies below lo - tiny count 0 and energies from hi + tiny up
+    count n, with no factorization; only the energies in between are
+    factored.  All counts equal dense `eigvalsh`, below, inside and above
+    the enclosure.  A call with no energy inside computes no order."""
+    punctures, windows = half_hex_windows
+    op = build_operator(kernel, punctures, windows[0])
+    dense = op.matrix.toarray()
+    lo, hi, tiny = _gershgorin(dense)
+    assert tiny > 0
+    energies, vals = _off_spectrum(dense)
+    inside = energies[(lo - tiny <= energies) & (energies < hi + tiny)]
+    outside = [lo - 1, lo - 2 * tiny, hi + 2 * tiny, hi + 1]
+    assert len(inside) > 30
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    calls = _splu_spy(monkeypatch)
+    energies = np.concatenate([outside[:2], inside, outside[2:]])
+    got = eigenvalue_counts(op.matrix, energies).tolist()
+    assert got == np.searchsorted(vals, energies, side="right").tolist()
+    assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * len(inside)
+    calls.clear()
+    assert eigenvalue_counts(op.matrix, outside).tolist() == [
+        0, 0, op.size, op.size]
+    assert calls == []
+
+
+def test_zero_matrix_is_counted_by_its_enclosure(monkeypatch):
+    """A 1x1 zero matrix (a one-point window with no neighbour) has the
+    enclosure [0, 0] and tiny = 0.  It counts 0 below E = 0 and 1 at and
+    above it, with no factorization, so E = 0 is not refused."""
+    monkeypatch.setattr(schrod, "_DENSE_LIMIT", 0)
+    calls, eig = _splu_spy(monkeypatch), _eigvalsh_spy(monkeypatch)
+    energies = [-1.0, -5e-324, 0.0, 5e-324, 1.0]
+    assert eigenvalue_counts(sp.csr_matrix((1, 1)), energies).tolist() == [
+        0, 0, 1, 1, 1]
+    assert calls == [] and eig == []
 
 
 def test_fixed_order_stores_missing_diagonal_entries(half_hex_windows,

@@ -38,6 +38,22 @@ def test_sequence_alphabet_check():
         SymbolSequence((3,), measure=MeasureSpec.bernoulli_p(0.5))
 
 
+@pytest.mark.parametrize("positive, negative, bad", [
+    ((1, 2, 0, 5), (), 0),
+    ((1, 2, 2), (1, 3, -1, 4), -1),
+    ((2, 1), (2, 0), 0),
+    ((1, 4, 3), (0,), 4),
+])
+def test_sequence_alphabet_check_names_the_first_bad_symbol(positive,
+                                                            negative, bad):
+    """The symbol named is the first bad one of the positive part, then of
+    the negative part, whichever bound it breaks."""
+    with pytest.raises(StructuralError,
+                       match=rf"^symbol {bad} outside alphabet$"):
+        SymbolSequence(positive, negative,
+                       measure=MeasureSpec.bernoulli((0.5, 0.25, 0.25)))
+
+
 def test_sampling_determinism():
     m = MeasureSpec.bernoulli_p(0.5)
     a = sample_sequence(m, 200, seed=7)
