@@ -388,6 +388,19 @@ def _running_max_slope(points) -> float:
     return _lsq_slope([r[0] for r in records], [r[1] for r in records])
 
 
+def _gap_norms(gap: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of bbox gaps, as sqrt(sum(gap²)).  A
+    row whose sum of squares overflows (a point about 1e154 or more from
+    the patch) is recomputed by `hypot`, which scales, so it stays finite
+    while every other row keeps its bits; only a norm past the float range
+    is inf."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((gap ** 2).sum(axis=1))
+        big = np.isinf(norms)
+        norms[big] = np.hypot.reduce(gap[big], axis=1)
+    return norms
+
+
 def _patch_point_distance(points, patch, embedding):
     """Distance of each embedded point to the patch (0 when covered), from the
     float images of the exact corners on (1/S')·ℤ^d.
@@ -475,9 +488,8 @@ def _patch_point_distance(points, patch, embedding):
     count = count.ravel()
     near = grid.order[np.repeat(start.ravel() - np.cumsum(count) + count,
                                 count) + np.arange(len(owner))]
-    gap = (np.maximum(lo_arr[near] - pts[owner], 0)
-           + np.maximum(pts[owner] - hi_arr[near], 0))
-    lower = np.sqrt((gap ** 2).sum(axis=1))
+    lower = _gap_norms(np.maximum(lo_arr[near] - pts[owner], 0)
+                       + np.maximum(pts[owner] - hi_arr[near], 0))
     keep = np.flatnonzero(lower <= reach)
     keep = keep[np.lexsort((lower[keep], owner[keep]))]
     ends = np.searchsorted(owner[keep], np.arange(1, len(pts) + 1)).tolist()
@@ -490,8 +502,8 @@ def _patch_point_distance(points, patch, embedding):
         tiles, gaps = near[first:end], lower[first:end]
         best, k = walk(pt, tiles, gaps)
         if best > reach or not order_free(pt, tiles, gaps, k):
-            gaps = (np.maximum(lo_arr - pa, 0) + np.maximum(pa - hi_arr, 0))
-            gaps = np.sqrt((gaps ** 2).sum(axis=1))
+            gaps = _gap_norms(np.maximum(lo_arr - pa, 0)
+                              + np.maximum(pa - hi_arr, 0))
             order = np.argsort(gaps)
             best, _ = walk(pt, order, gaps[order])
         out.append(best)

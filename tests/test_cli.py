@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -249,17 +250,62 @@ def test_box_and_line_schrod_match_golden_digests(tmp_path, cmd):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_cli_import_loads_no_scipy_spatial():
     """Neighbour pairs come from a numpy cell search, so a cold CLI start
     does not import scipy.spatial."""
     code = ("import randtile.cli, sys; "
             "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_main_freezes_the_heap_only_as_the_program(tmp_path, monkeypatch):
+    """`main(argv)` leaves the caller's GC state alone; `main()`, as the
+    program, freezes the import-time heap once, before it parses."""
+    frozen = gc.get_freeze_count()
+    argv = ["dk", "--trials", "1", "--out", str(tmp_path / "argv")]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(sys.argv[1:]))
+    assert main(argv) == 0
+    assert calls == []
+    argv[-1] = str(tmp_path / "program")
+    monkeypatch.setattr(sys, "argv", ["randtile", *argv])
+    assert main() == 0
+    assert calls == [argv]
+    assert ((tmp_path / "program" / "dk.csv").read_bytes()
+            == (tmp_path / "argv" / "dk.csv").read_bytes())
+
+
+@pytest.mark.parametrize("cmd", ["dk", "schrod --t-grid 4"])
+def test_spawned_program_writes_the_in_process_bytes(tmp_path, cmd):
+    """`python -m randtile.cli`, which freezes its heap, writes the bytes of
+    an in-process `main(argv)`, and the digests bench/expected.json pins."""
+    golden = json.loads((Path(__file__).parents[1] / "bench" /
+                         "expected.json").read_text())["cli"]
+    spawn, call = tmp_path / "spawn", tmp_path / "call"
+    subprocess.run([sys.executable, "-m", "randtile.cli", *cmd.split(),
+                    "--out", str(spawn)], env=_src_env(), check=True,
+                   capture_output=True, timeout=300)
+    assert main([*cmd.split(), "--out", str(call)]) == 0
+    names = sorted(p.name for p in spawn.iterdir())
+    assert names == sorted(p.name for p in call.iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    for name in names:
+        data = (spawn / name).read_bytes()
+        assert data == (call / name).read_bytes(), name
+        if name != "manifest.json":
+            assert hashlib.sha256(data).hexdigest() == golden[name], name
 
 
 @pytest.mark.parametrize("spec, named", [
@@ -458,6 +504,27 @@ def test_deviate_observable_file_matches_volume(tmp_path):
     for name in ("deviate.csv", "deviate_summary.json"):
         assert ((tmp_path / "file" / name).read_bytes()
                 == (tmp_path / "volume" / name).read_bytes())
+
+
+@pytest.mark.parametrize("weights, named", [
+    (None, "No such file"),
+    ("1\n1\n1/2\nhalf\n1\n1\n", "Invalid literal for Fraction: 'half'"),
+    ("1\n1\n", "2 weights for the 6 prototiles of half-hex-classical"),
+], ids=["missing", "not-rational", "too-few"])
+def test_deviate_observable_file_errors_exit_2(tmp_path, capsys, weights,
+                                               named):
+    """A weights file that is missing, holds a weight that is not rational
+    or holds a weight count other than the family's prototile count exits
+    2 naming the file and the fault.  Each used to end in a traceback: a
+    FileNotFoundError, a ValueError and an IndexError."""
+    path = tmp_path / "weights.csv"
+    if weights is not None:
+        path.write_text(weights)
+    assert main(["deviate", "--family", "half-hex-classical",
+                 "--observable", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"observable file {path}" in err and named in err
 
 
 def test_deviate_summary_reports_cap(tmp_path):

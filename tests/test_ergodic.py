@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -663,6 +664,23 @@ def test_patch_point_distance_beyond_the_first_radius(hh, monkeypatch):
     assert calls == [len(patch)] * len(far)
     assert got == _shape_point_distance(near + far, patch, hh.embedding)
     assert min(got[-3:]) > 30
+
+
+def test_patch_point_distance_of_far_points_is_finite(hh, odp):
+    """Points whose squared bbox gaps overflow get a finite distance, with
+    no overflow warning, in the near-tile prefilter and in the full walk
+    alike; a point whose distance is past the float range gets inf."""
+    x = SymbolSequence.constant(1, 64)
+    patch = generate_patch(hh, x, Region.unit_square().dilated(8))
+    pts = [(-1e300, -1e300), (1e200, 0.0), (1.7e308, 1.7e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _patch_point_distance(pts, patch, hh.embedding)
+        line = generate_patch(odp, x, Region.box((0,), (1,)).dilated(8))
+        assert _patch_point_distance([(1e200,), (-1e300,)], line,
+                                     None) == [1e200, 1e300]
+    assert got[0] == math.hypot(1e300, 1e300) and got[1] == 1e200
+    assert got[2] == math.inf
 
 
 def test_patch_point_distance_walks_only_near_tiles_on_the_search(
