@@ -224,27 +224,24 @@ def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                    depth: int) -> CotraceEstimate:
     """Level-0 vector a with A_k···A_1·a shadowing V^k; exact for depth 0.
 
-    residuals[k] = |V^(k+1) − A_(k+1)·V^k|.  Exact weights satisfy
-    V^(k+1) = A_(k+1)·V^k exactly from k = f.depth on (`ergodic_vectors`
-    builds those levels so), so their residuals are 0.0 without a matmul."""
+    residuals[k] = |V^(k+1) − A_(k+1)·V^k|: 0.0 without a matmul from
+    k = f.depth on, where `ergodic_vectors` builds V^(k+1) as that product
+    in the weights' own arithmetic; the path levels are multiplied out."""
     if depth < 2:
         raise StructuralError("depth must be >= 2")
     vecs = ergodic_vectors(f, family, x, depth)
-    mats = connectivity_matrices(family, x, depth)
-    exact = f.is_exact()
-    residuals = []
-    for k in range(depth):
-        if exact and k >= f.depth:
-            residuals.append(0.0)
-            continue
-        pred = mats[k].astype(object if exact else float) @ vecs[k].values
-        diff = vecs[k + 1].values - pred
-        residuals.append(math.sqrt(sum(float(c) ** 2 for c in diff)))
+    paths = min(f.depth, depth)
+    dtype = object if f.is_exact() else float
+    residuals = [0.0] * depth
+    for k, a in enumerate(connectivity_matrices(family, x, paths)):
+        diff = vecs[k + 1].values - a.astype(dtype) @ vecs[k].values
+        residuals[k] = math.sqrt(sum(float(abs(c)) ** 2 for c in diff))
     if f.depth == 0:
         return CotraceEstimate(vector=vecs[0].values, residuals=residuals)
     prod = SupertileSystem(family, x).counts(f.depth).astype(float)
-    a, *_ = np.linalg.lstsq(prod, vecs[f.depth].values.astype(float),
-                            rcond=None)
+    top = vecs[f.depth].values      # a complex top level stays complex
+    a, *_ = np.linalg.lstsq(prod, top.astype(float) if dtype is object
+                            else top, rcond=None)
     return CotraceEstimate(vector=a, residuals=residuals)
 
 
@@ -405,21 +402,14 @@ def _patch_point_distance(points, patch, embedding):
     """Distance of each embedded point to the patch (0 when covered), from the
     float images of the exact corners on (1/S')·ℤ^d.
 
-    Each point walks the tiles in ascending bbox gap, the one `argsort`
-    over all tiles setting the order within a tie, until no later tile can
-    be nearer.  Bound first: the tiles are bucketed once by bbox centre into
-    a `CellGrid` of side 2R, R the widest bbox extent, so every tile within
-    R of a point lies in its cell or a neighbouring one, and a point's walk
-    computes and sorts the gaps of those tiles only.  That walk takes the
-    same steps as the walk over all tiles, so gives the same float, unless
-    the distance it finds exceeds R (a farther tile could come first) or a
-    tie at a positive gap among the tiles it visits (and the next) could
-    have been walked in another order to another result.  A tie cannot
-    matter when all of its tiles that end the walk end it at one distance:
-    the first of them sets the result, and the others leave the walk as
-    they found it.  Otherwise that point is walked over every tile, as
-    before.  On the averaging search of half-hex over the unit square (96
-    boundary samples on each of six base patches) no point falls back."""
+    Each point walks the tiles in ascending (bbox gap, tile index), a total
+    order, until no later tile can be nearer.  Bound first: the tiles are
+    bucketed once by bbox centre into a `CellGrid` of side 2R, R the widest
+    bbox extent, so every tile within R of a point lies in its cell or a
+    neighbouring one.  Those tiles, sorted, begin the order over every tile,
+    so walking them alone gives the full walk's float whenever the distance
+    found is at most R; a point whose near walk ends above R (a farther
+    tile could come first) is walked over every tile."""
     if not (len(patch) and len(points)):
         return [math.inf] * len(points)
     shapes = [p.shape for p in patch.family.prototiles]
@@ -437,47 +427,25 @@ def _patch_point_distance(points, patch, embedding):
             faces[idx] = f, [a for a, _, _ in f]
         return faces[idx]
 
-    def step(pt, idx, low):
-        """(distance, final): what visiting tile idx at bbox gap `low` does
-        to a walk.  A box or a tile covering pt ends it; any other tile
-        offers its edge distance."""
-        s = shapes[patch.types[idx]]
-        if isinstance(s, geometry.Box):
-            # a box is its own bbox, so the gap is its exact distance;
-            # every later bbox gap is at least as large
-            return float(low), True
-        f, vs = outline(idx)
-        if (geometry.margin(pt, f) >= 0 if s.convex
-                else geometry.winding_contains(vs, pt)):
-            return 0.0, True
-        return min(geometry.point_segment_distance(pt, a, b)
-                   for a, b in zip(vs, vs[1:] + vs[:1])), False
-
     def walk(pt, tiles, lower):
-        """(distance, tiles visited) over `tiles` in ascending `lower`."""
+        """Distance of pt over `tiles` in ascending `lower`.  A box or a tile
+        covering pt ends the walk; any other tile offers its edge distance."""
         best = math.inf
-        for k, (idx, low) in enumerate(zip(tiles, lower)):
+        for idx, low in zip(tiles, lower):
             if low >= best:
-                return best, k
-            dist, final = step(pt, idx, low)
-            if final:
-                return dist, k + 1
-            best = min(best, dist)
-        return best, len(tiles)
-
-    def order_free(pt, tiles, lower, k):
-        """Whether every order of each tie at a positive gap v among the k
-        visited tiles and the next walks alike.  A tile of the tie ends the
-        walk when its step is final or its edge distance is at most v (every
-        later gap is at least v), and the first such tile sets the distance;
-        the others leave the walk in the same state in any order.  So it is
-        enough that all the tie's tiles that end the walk end it alike."""
-        for v in {b for a, b in zip(lower[:k], lower[1:k + 1]) if a == b > 0}:
-            steps = [step(pt, idx, v) for idx, low in zip(tiles, lower)
-                     if low == v]
-            if len({d for d, final in steps if final or d <= v}) > 1:
-                return False
-        return True
+                break
+            s = shapes[patch.types[idx]]
+            if isinstance(s, geometry.Box):
+                # a box is its own bbox, so the gap is its exact distance;
+                # every later bbox gap is at least as large
+                return float(low)
+            f, vs = outline(idx)
+            if (geometry.margin(pt, f) >= 0 if s.convex
+                    else geometry.winding_contains(vs, pt)):
+                return 0.0
+            best = min(best, min(geometry.point_segment_distance(pt, a, b)
+                                 for a, b in zip(vs, vs[1:] + vs[:1])))
+        return best
 
     # the tiles within `reach` of each point, and their bbox gaps
     pts = np.asarray(points, dtype=float)
@@ -491,7 +459,7 @@ def _patch_point_distance(points, patch, embedding):
     lower = _gap_norms(np.maximum(lo_arr[near] - pts[owner], 0)
                        + np.maximum(pts[owner] - hi_arr[near], 0))
     keep = np.flatnonzero(lower <= reach)
-    keep = keep[np.lexsort((lower[keep], owner[keep]))]
+    keep = keep[np.lexsort((near[keep], lower[keep], owner[keep]))]
     ends = np.searchsorted(owner[keep], np.arange(1, len(pts) + 1)).tolist()
     near, lower = near[keep].tolist(), lower[keep].tolist()
     out = []
@@ -499,13 +467,12 @@ def _patch_point_distance(points, patch, embedding):
     # operations as on numpy scalars, at a fraction of the cost
     for pa, pt, first, end in zip(pts, map(tuple, pts.tolist()),
                                   [0] + ends, ends):
-        tiles, gaps = near[first:end], lower[first:end]
-        best, k = walk(pt, tiles, gaps)
-        if best > reach or not order_free(pt, tiles, gaps, k):
+        best = walk(pt, near[first:end], lower[first:end])
+        if best > reach:
             gaps = _gap_norms(np.maximum(lo_arr - pa, 0)
                               + np.maximum(pa - hi_arr, 0))
-            order = np.argsort(gaps)
-            best, _ = walk(pt, order, gaps[order])
+            order = np.argsort(gaps, kind="stable")
+            best = walk(pt, order, gaps[order])
         out.append(best)
     return out
 
@@ -552,6 +519,8 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     """
     if count < 1:
         raise StructuralError("count must be >= 1")
+    if not 0 < eps < math.inf:
+        raise StructuralError(f"eps {eps!r} is not a positive finite number")
     if system is None:
         system = SupertileSystem(family, x)
     n = family.n_prototiles

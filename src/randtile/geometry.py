@@ -20,10 +20,12 @@ Point = tuple  # tuple of Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and floats to Fraction."""
+    """Coerce ints, strings like '3/4', and finite floats to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise StructuralError(f"{x!r} is not a finite number")
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
 

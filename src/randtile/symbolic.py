@@ -17,6 +17,16 @@ import numpy as np
 from .errors import StructuralError
 
 
+def _distribution(values, what: str) -> tuple:
+    """`values` as floats: each finite and >= 0 (a NaN fails `0 <= x`), and
+    their sum 1 to within 1e-12."""
+    p = tuple(float(x) for x in values)
+    if not all(0 <= x < math.inf for x in p) or abs(sum(p) - 1.0) > 1e-12:
+        raise StructuralError(f"{what} must be finite, >= 0 and sum to 1, "
+                              f"not {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Bernoulli or Markov measure on sequences over {1..N}."""
@@ -30,22 +40,15 @@ class MeasureSpec:
         if self.kind == "bernoulli":
             if self.probs is None:
                 raise StructuralError("bernoulli measure needs probs")
-            p = tuple(float(x) for x in self.probs)
-            if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
-                raise StructuralError("probabilities must be >=0 and sum to 1")
-            object.__setattr__(self, "probs", p)
+            object.__setattr__(self, "probs",
+                               _distribution(self.probs, "probabilities"))
         elif self.kind == "markov":
             if self.transition is None or self.initial is None:
                 raise StructuralError("markov measure needs transition+initial")
-            t = tuple(tuple(float(x) for x in row) for row in self.transition)
-            init = tuple(float(x) for x in self.initial)
-            for row in t:
-                if any(x < 0 for x in row) or abs(sum(row) - 1.0) > 1e-12:
-                    raise StructuralError("transition rows must be stochastic")
-            if any(x < 0 for x in init) or abs(sum(init) - 1.0) > 1e-12:
-                raise StructuralError("initial distribution must be stochastic")
-            object.__setattr__(self, "transition", t)
-            object.__setattr__(self, "initial", init)
+            object.__setattr__(self, "transition", tuple(
+                _distribution(row, "transition rows") for row in self.transition))
+            object.__setattr__(self, "initial", _distribution(
+                self.initial, "initial distribution"))
         else:
             raise StructuralError(f"unknown measure kind {self.kind!r}")
 

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from randtile.bratteli import approximant, spanning_system
-from randtile import cli
+from randtile import cli, ergodic
 from randtile.cocycle import lyapunov_spectrum
 from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
@@ -458,6 +458,30 @@ def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
 def test_bad_list_flag_exits_2(tmp_path, capsys, argv, named):
     """Each used to exit 1 with a ValueError or ZeroDivisionError
     traceback."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--p-grid", "nan", "--steps", "1000"],
+     "probabilities must be finite"),
+    (["deviate", "--p", "nan"], "probabilities must be finite"),
+    (["patch", "--p", "nan"], "probabilities must be finite"),
+    (["deviate", "--eps", "0"], "eps 0.0 is not a positive finite number"),
+    (["deviate", "--eps", "nan"], "eps nan is not a positive finite number"),
+    (["deviate", "--eps", "-0.05"],
+     "eps -0.05 is not a positive finite number"),
+], ids=["spectrum-p-nan", "deviate-p-nan", "patch-p-nan", "eps-0", "eps-nan",
+        "eps-negative"])
+def test_non_finite_measure_or_eps_exits_2(tmp_path, capsys, monkeypatch,
+                                           argv, named):
+    """A NaN --p ended in numpy's 'Probabilities contain NaN' traceback
+    (exit 1).  A bad --eps searched anchors for seconds and exited 3 with
+    'tile budget exhausted'; now no supertile system is ever built."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("an anchor search started")
+    monkeypatch.setattr(ergodic, "SupertileSystem", no_search)
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -290,20 +294,42 @@ def _matmul_residuals(f, family, x, depth):
 
 
 def test_cotrace_residuals_match_object_matmul(hh, hhp):
-    """Exact levels from f.depth on are 0.0 without a matmul; the path
-    levels below f.depth keep their (nonzero) matmul residuals."""
+    """Levels from f.depth on are 0.0 without a matmul, for exact and float
+    weights alike (`ergodic_vectors` builds them by the same matmul); the
+    path levels below f.depth keep their (nonzero) matmul residuals."""
     x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 1000, seed=3001)
-    f = make_zero_trace_observable(hhp, x, 40)
-    assert f.is_exact()
-    want = _matmul_residuals(f, hhp, x, 1000)
-    assert cotrace_shadow(f, hhp, x, 1000).residuals == want == [0.0] * 1000
+    exact = make_zero_trace_observable(hhp, x, 40)
+    assert exact.is_exact()
+    floats = TLCObservable(0, [0.1 * j for j in range(6)])
+    for f, depth in ((exact, 1000), (floats, 150)):
+        want = _matmul_residuals(f, hhp, x, depth)
+        assert cotrace_shadow(f, hhp, x, depth).residuals == want
+        assert want == [0.0] * depth
     x = SymbolSequence.constant(1, 8)
     paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
-    f = TLCObservable(2, tuple((p, Fraction(i % 7 - 3, 5))
+    for w in (Fraction(1, 5), 0.2):
+        f = TLCObservable(2, tuple((p, (i % 7 - 3) * w)
+                                   for i, p in enumerate(paths)))
+        want = _matmul_residuals(f, hh, x, 8)
+        assert all(want[:2]) and want[2:] == [0.0] * 6
+        assert cotrace_shadow(f, hh, x, 8).residuals == want
+
+
+def test_cotrace_complex_depth_one_residual(hh):
+    """A complex difference has its modulus squared; `float(c)` raised a
+    ComplexWarning (an error here) or, unwarned, dropped the imaginary
+    part.  The least-squares vector stays complex."""
+    x = SymbolSequence.constant(1, 8)
+    paths = [p for ps in _paths_to(hh, x, 1).values() for p in ps]
+    f = TLCObservable(1, tuple((p, complex(i % 3, 1 - i % 2))
                                for i, p in enumerate(paths)))
-    want = _matmul_residuals(f, hh, x, 8)
-    assert all(want[:2]) and want[2:] == [0.0] * 6
-    assert cotrace_shadow(f, hh, x, 8).residuals == want
+    est = cotrace_shadow(f, hh, x, 8)
+    vecs = ergodic_vectors(f, hh, x, 2)
+    diff = vecs[1].values - hh.matrix(x[1]).astype(float) @ vecs[0].values
+    assert np.iscomplex(diff).any()
+    want = math.sqrt(sum(abs(c) ** 2 for c in diff))
+    assert est.residuals == [want] + [0.0] * 7
+    assert est.vector.dtype == complex
 
 
 def test_zero_trace_observable_half_hex(hh):
@@ -506,7 +532,8 @@ def test_special_averaging_sequence_disk_dilation(hh):
 
 
 def _shape_point_distance(points, patch, embedding):
-    """Oracle: the distance loop over exact `Fraction` tile shapes."""
+    """Oracle: the distance loop over exact `Fraction` tile shapes, each
+    point walking every tile in ascending (bbox gap, tile index)."""
     shapes = list(patch.shapes())
     bboxes = [s.bbox() for s in shapes]
     lo_arr = np.array([geometry.embed_point(lo, embedding) for lo, _ in bboxes])
@@ -517,7 +544,7 @@ def _shape_point_distance(points, patch, embedding):
         gap = np.maximum(lo_arr - pa, 0) + np.maximum(pa - hi_arr, 0)
         lower = np.sqrt((gap ** 2).sum(axis=1))
         best = math.inf
-        for idx in np.argsort(lower):
+        for idx in np.argsort(lower, kind="stable"):
             if lower[idx] >= best:
                 break
             s = shapes[idx]
@@ -610,45 +637,88 @@ def test_patch_point_distance_non_convex_tile():
 
 def _full_walks(monkeypatch):
     """Count the points `_patch_point_distance` walks over every tile: the
-    full walk is its one `np.argsort` call without a `kind`."""
+    full walk is its one `np.argsort` of float gaps (`CellGrid` sorts its
+    int64 cell keys)."""
     calls, argsort = [], np.argsort
 
     def spy(a, *args, **kwargs):
-        if not args and not kwargs:
+        if np.asarray(a).dtype.kind == "f":
             calls.append(len(a))
         return argsort(a, *args, **kwargs)
     monkeypatch.setattr(np, "argsort", spy)
     return calls
 
 
-def _box_and_triangle_patch():
-    """A unit box and the triangle below its diagonal, both at the origin:
-    two tiles with one bbox, so every point outside it ties at a gap."""
+def _box_and_triangle_patch(types=(0, 1), offsets=((0, 0), (0, 0))):
+    """Unit boxes (type 1) and the triangles below their diagonals (type 0)
+    at integer offsets.  A box and a triangle at one offset share a bbox,
+    so every point outside it ties at a gap; by default, tile 0 is the
+    triangle and tile 1 the box, both at the origin."""
     tri = geometry.Polygon([(0, 0), (1, 0), (0, 1)])
     box = geometry.Box((0, 0), (1, 1))
     fam = SimpleNamespace(name="box-and-triangle", dim=2, n_prototiles=2,
                           prototiles=[SimpleNamespace(shape=tri),
                                       SimpleNamespace(shape=box)])
-    return Patch([0, 1], [[0, 0], [0, 0]], 1, fam)
+    return Patch(types, offsets, 1, fam)
 
 
 @pytest.mark.parametrize("point, walks", [
     ((-0.3, -0.4), 0),      # both tiles end the walk at 0.5
     ((-0.6, 0.5), 0),       # at 0.6; the triangle's edge is that far too
     ((0.9, 1.3), 0),        # the box at 0.3; the triangle, 0.85 away, not
-    ((-0.62, -0.29), 1),    # the box at its gap, the triangle an ulp below
+    ((-0.62, -0.29), 0),    # the box at its gap, the triangle an ulp below
 ])
 def test_patch_point_distance_tie_at_a_positive_gap(monkeypatch, point,
                                                     walks):
-    """Two tiles tie at a positive gap.  The order within the tie is the
-    full `argsort`'s, so the prefilter walks every tile again unless both
-    tiles end the walk at one distance; either way the result equals the
+    """Two tiles tie at a positive gap.  The walk takes them by tile index,
+    the triangle first, so no point is walked over every tile (the last one
+    was, when ties followed the full `argsort`), and the result equals the
     `Fraction`-shape oracle bit for bit."""
     patch = _box_and_triangle_patch()
     calls = _full_walks(monkeypatch)
     got = _patch_point_distance([point], patch, None)
     assert len(calls) == walks
     assert got == _shape_point_distance([point], patch, None)
+
+
+def _tie_heavy_distances():
+    """`float.hex` of the distances of 300 points on a 0.01 grid to each of
+    20 random 200-tile box-and-triangle patches, offsets in [−6, 6)²."""
+    rng = np.random.default_rng(0)
+    grid = np.arange(-8, 8, 0.01)
+    out = []
+    for _ in range(20):
+        patch = _box_and_triangle_patch(rng.integers(0, 2, 200),
+                                        rng.integers(-6, 6, (200, 2)))
+        pts = [tuple(p) for p in rng.choice(grid, (300, 2)).tolist()]
+        out += [d.hex() for d in _patch_point_distance(pts, patch, None)]
+    return out
+
+
+# numpy 2.4's dispatch targets on x86-64; disabled, it runs at its baseline
+_SIMD_TARGETS = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_patch_point_distance_bits_at_the_simd_baseline():
+    """The tie-heavy distances have the same bits with numpy's SIMD
+    dispatch disabled, in a subprocess, as in this one.  An unstable
+    `argsort` orders ties differently under AVX2 or AVX-512 than at the
+    baseline (on an AVX-512 machine, 12 of these 6,000 points moved by an
+    ulp when the walk followed it); the total order does not depend on the
+    sort."""
+    here = Path(__file__).parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _SIMD_TARGETS,
+           "PYTHONPATH": os.pathsep.join([
+               str(here.parent / "src"), str(here),
+               *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    if probe.returncode:
+        pytest.skip(f"numpy refuses the setting: {probe.stderr[-300:]}")
+    code = "import test_ergodic as t; print(*t._tie_heavy_distances())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.split() == _tie_heavy_distances()
 
 
 def test_patch_point_distance_beyond_the_first_radius(hh, monkeypatch):
@@ -687,7 +757,7 @@ def test_patch_point_distance_walks_only_near_tiles_on_the_search(
         hh, monkeypatch):
     """On the averaging search's largest base patch (half-hex, unit square
     dilated by 64, 5,302 tiles) no boundary sample is walked over every
-    tile: its positive ties all end the walk at one distance."""
+    tile: each ends its near walk within the widest bbox extent."""
     win = Region.unit_square().dilated(64)
     patch = generate_patch(hh, SymbolSequence.constant(1, 64), win)
     assert len(patch) == 5302
@@ -703,6 +773,17 @@ def test_special_averaging_rejects_three_dimensional_windows(sol3):
     with pytest.raises(UnsupportedOperationError):
         special_averaging_sequence(sol3, x, Region.box((0, 0, 0), (1, 1, 1)),
                                    eps=0.05, count=5)
+
+
+@pytest.mark.parametrize("eps", [0, -0.05, math.nan, math.inf])
+def test_special_averaging_rejects_bad_eps(hh, eps):
+    """An eps that is not a positive finite number is refused before any
+    anchor is searched (the stub system has no methods); eps 0 or NaN used
+    to search for seconds and end in 'tile budget exhausted'."""
+    x = SymbolSequence.constant(1, 40)
+    with pytest.raises(StructuralError, match="not a positive finite number"):
+        special_averaging_sequence(hh, x, Region.unit_square(), eps=eps,
+                                   count=8, system=SimpleNamespace())
 
 
 def test_special_averaging_insufficient(hh):

@@ -8,7 +8,9 @@ from randtile import geometry
 from randtile.errors import StructuralError
 from randtile.geometry import (Box, Polygon, boundary_distance, embed_point,
                                faces, frac, margin)
+from randtile.solenoid import SolenoidSpec, dk_check, random_observable
 from randtile.substitution import HALF_HEX_EMBEDDING, half_hex_classical
+from randtile.tiling import Region
 
 H = Fraction(1, 2)
 
@@ -18,6 +20,26 @@ def test_frac_coercions():
     assert frac(2) == 2
     assert frac(0.25) == Fraction(1, 4)
     assert isinstance(frac(Fraction(1, 3)), Fraction)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Region.box((_NAN, 0), (1, 1)),
+    lambda: Region.box((0, 0), (_INF, 1)),
+    lambda: Region.disk((_INF, 0), 1),
+    lambda: Region.unit_square().dilated(_NAN),
+    lambda: dk_check(SolenoidSpec.periodic([2], dim=1),
+                     random_observable(SolenoidSpec.periodic([2], dim=1), 1,
+                                       seed=0), (_NAN,), [(0,)], [1]),
+], ids=["box-corner-nan", "box-width-inf", "disk-centre-inf",
+        "dilation-nan", "dk-offset-nan"])
+def test_frac_refuses_non_finite_floats(build):
+    """Each went through `frac` to an untyped ValueError (NaN) or
+    OverflowError (inf) from `Fraction`."""
+    with pytest.raises(StructuralError, match="is not a finite number"):
+        build()
 
 
 def test_box_basics():

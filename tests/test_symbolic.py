@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,23 @@ def test_sequence_indexing():
     with pytest.raises(IndexError):
         x[0]
     assert len(x) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MeasureSpec.bernoulli_p(math.nan),
+    lambda: MeasureSpec.bernoulli((math.inf, 0.5)),
+    lambda: MeasureSpec.markov([[math.nan, math.nan], [0.5, 0.5]],
+                               [0.5, 0.5]),
+    lambda: MeasureSpec.markov([[0.5, 0.5], [0.5, 0.5]], [math.nan, 1.0]),
+    lambda: MeasureSpec.markov([[math.inf, 0.5], [0.5, 0.5]], [0.5, 0.5]),
+], ids=["bernoulli-nan", "bernoulli-inf", "transition-nan", "initial-nan",
+        "transition-inf"])
+def test_measure_refuses_non_finite_entries(build):
+    """`x < 0` and `abs(sum - 1) > 1e-12` are both false for NaN: a NaN
+    Bernoulli measure failed later in numpy's sampler, and a NaN transition
+    row sampled a sequence of 1s with no error."""
+    with pytest.raises(StructuralError, match="must be finite"):
+        build()
 
 
 def test_sequence_alphabet_check():
