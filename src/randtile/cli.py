@@ -116,7 +116,7 @@ def parse_region(text: str) -> Region:
     if kind == "box" and len(nums) == 2:
         return Region.box((nums[0],), (nums[1],))
     if kind == "disk" and len(nums) == 3:
-        return Region.disk((nums[0], nums[1]), float(nums[2]))
+        return Region.disk((nums[0], nums[1]), nums[2])
     raise ConfigError(f"bad region spec {text!r}")
 
 
@@ -378,7 +378,7 @@ def cmd_schrod(args, out: Path):
     patch = generate_patch(family, SymbolSequence.constant(1, args.length), src)
     punctures = PunctureSet.from_patch(patch, window=src)
     energies = np.linspace(args.e_min, args.e_max, args.e_count)
-    ids = ids_estimate(kernel, [punctures] * len(windows), windows, energies)
+    ids = ids_estimate(kernel, punctures, windows, energies)
     trace_rows = [(fmt(t), op.size, fmt(windowed_trace(op, window, mode="raw")))
                   for t, window, op in zip(dilations, windows, ids.operators)]
     tpath = out / "schrod_trace.csv"

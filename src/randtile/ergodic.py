@@ -30,6 +30,8 @@ from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (CellGrid, Region, SupertileSystem, decompose_region,
                      generate_patch, lattice_images)
 
+_BOUNDARY_SAMPLES = 96   # points on the boundary of a 2-D averaging window
+
 
 @dataclass(frozen=True)
 class TLCObservable:
@@ -477,7 +479,7 @@ def _patch_point_distance(points, patch, embedding):
     return out
 
 
-def _boundary_samples(window: Region, embedding, count: int = 96):
+def _boundary_samples(window: Region, embedding):
     """Embedded sample points on the boundary of the dilated window."""
     if window.dim > 2:
         raise UnsupportedOperationError(
@@ -486,14 +488,14 @@ def _boundary_samples(window: Region, embedding, count: int = 96):
         c, r = window.embedded_disk(embedding)
         if window.dim == 1:
             return [(c[0] - r,), (c[0] + r,)]
-        return [(c[0] + r * math.cos(2 * math.pi * i / count),
-                 c[1] + r * math.sin(2 * math.pi * i / count))
-                for i in range(count)]
+        return [(c[0] + r * math.cos(2 * math.pi * i / _BOUNDARY_SAMPLES),
+                 c[1] + r * math.sin(2 * math.pi * i / _BOUNDARY_SAMPLES))
+                for i in range(_BOUNDARY_SAMPLES)]
     shape = window.shape()
     vs = [geometry.embed_point(v, embedding) for v in shape.vertices_list()]
     if shape.dim == 1:
         return [(vs[0][0],), (vs[1][0],)]
-    per_edge = max(2, count // len(vs))
+    per_edge = max(2, _BOUNDARY_SAMPLES // len(vs))
     pts = []
     n = len(vs)
     for i in range(n):

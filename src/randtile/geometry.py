@@ -79,9 +79,6 @@ class Box:
         tau = fpoint(tau)
         return Box(vadd(vscale(theta, self.lo), tau), vadd(vscale(theta, self.hi), tau))
 
-    def translate(self, tau) -> "Box":
-        return self.transform(1, tau)
-
     def bbox(self):
         return self.lo, self.hi
 
@@ -175,9 +172,6 @@ class Polygon:
         # counterclockwise orientation is preserved either way
         vs = [vadd(vscale(theta, v), tau) for v in self.vertices]
         return Polygon._trusted(vs, self._convex)
-
-    def translate(self, tau) -> "Polygon":
-        return self.transform(1, tau)
 
     def bbox(self):
         xs = [v[0] for v in self.vertices]
@@ -435,13 +429,3 @@ def point_segment_distance(p, a, b) -> float:
     t = max(0.0, min(1.0, t))
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
-
-def boundary_distance(shape, p, embedding=None) -> float:
-    """Float distance from a point p (rational coords) inside the shape to
-    its boundary."""
-    pe = embed_point(p, embedding)
-    if isinstance(shape, Box):
-        return margin(pe, faces(shape, embedding))
-    vs = [embed_point(v, embedding) for v in shape.vertices_list()]
-    n = len(vs)
-    return min(point_segment_distance(pe, vs[i], vs[(i + 1) % n]) for i in range(n))

@@ -540,11 +540,12 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     return np.searchsorted(vals, energies, side="right")
 
 
-def ids_estimate(kernel: KernelSpec, punctures_per_window, windows,
+def ids_estimate(kernel: KernelSpec, punctures: PunctureSet, windows,
                  energies) -> IDSReport:
-    """IDS_T(E) = #(eigenvalues <= E) / #points over a sweep of windows."""
+    """IDS_T(E) = #(eigenvalues <= E) / #points over a sweep of windows, each
+    cut from the one puncture set."""
     ops = []
-    for punctures, window in zip(punctures_per_window, windows):
+    for window in windows:
         ops.append(build_operator(kernel, punctures, window))
         if ops[-1].size == 0:
             raise StructuralError(f"window {window} contains no punctures")

@@ -18,6 +18,8 @@ from .errors import StructuralError
 from .geometry import frac
 from .symbolic import rng_stream
 
+_VALUE_DENOMINATOR = 16   # random observable values are a/16, a in [-64, 64]
+
 
 @dataclass(frozen=True)
 class SolenoidSpec:
@@ -113,15 +115,14 @@ def variation(f: CylinderObservable) -> Fraction:
 
 
 def random_observable(spec: SolenoidSpec, depth: int, seed: int,
-                      worker_id: int = 0, denominator: int = 16
-                      ) -> CylinderObservable:
+                      worker_id: int = 0) -> CylinderObservable:
     """Reproducible random rational observable on the depth-m grid."""
     gen = rng_stream(seed, worker_id)
     q = spec.q_prod(depth)
     count = q ** spec.dim
-    vals = tuple(Fraction(int(a), denominator)
-                 for a in gen.integers(-4 * denominator, 4 * denominator + 1,
-                                       size=count))
+    den = _VALUE_DENOMINATOR
+    vals = tuple(Fraction(int(a), den)
+                 for a in gen.integers(-4 * den, 4 * den + 1, size=count))
     return CylinderObservable(depth, vals)
 
 

@@ -61,10 +61,6 @@ class Prototile:
         if not self.shape.contains_point(self.puncture, strict=True):
             raise StructuralError(f"prototile {self.id}: puncture not interior")
 
-    def rho(self, embedding=None) -> float:
-        """Distance from the puncture to the tile boundary (Euclidean)."""
-        return geometry.boundary_distance(self.shape, self.puncture, embedding)
-
     @property
     def volume(self) -> Fraction:
         return self.shape.volume()
@@ -435,6 +431,33 @@ def family_to_json(family: RuleFamily) -> dict:
 
 
 def family_from_json(data: dict) -> RuleFamily:
+    """The family `family_to_json` wrote.  A missing key, a malformed entry
+    or a geometric rule that fails `validate_rule` is a `StructuralError`
+    naming the key or the rule."""
+    if not isinstance(data, dict):
+        raise StructuralError(f"a family is a JSON object, not a "
+                              f"{type(data).__name__}")
+    try:
+        family = _family_from_dict(data)
+    except KeyError as exc:
+        raise StructuralError(f"missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise StructuralError(f"malformed family data: {exc}") from None
+    for rule in family.rules:
+        if rule.is_geometric:
+            rep = validate_rule(rule, family.prototiles)
+            if not rep.passed:
+                faults = rep.notes + [
+                    f"parent {p} is off by volume {r}"
+                    for p, r in rep.residuals.items() if r]
+                if rep.max_overlap:
+                    faults.append(f"images overlap by {rep.max_overlap}")
+                raise StructuralError(f"rule {rule.id} does not tile its "
+                                      f"parents: {'; '.join(faults)}")
+    return family
+
+
+def _family_from_dict(data: dict) -> RuleFamily:
     dim = int(data["dimension"])
     protos = []
     for p in data["prototiles"]:
@@ -459,8 +482,17 @@ def family_from_json(data: dict) -> RuleFamily:
 
 
 def load_family(path) -> RuleFamily:
-    with open(path) as fh:
-        return family_from_json(json.load(fh))
+    """`family_from_json` of a file; any fault is a `StructuralError` naming
+    the file."""
+    try:
+        with open(path) as fh:
+            return family_from_json(json.load(fh))
+    except OSError as exc:
+        raise StructuralError(f"family file {path}: {exc.strerror}") from None
+    except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
+        raise StructuralError(f"family file {path} is not JSON: {exc}") from None
+    except StructuralError as exc:
+        raise StructuralError(f"family file {path}: {exc}") from None
 
 
 def save_family(family: RuleFamily, path):

@@ -35,7 +35,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -187,9 +186,6 @@ class Patch:
         return sum((c * self.family.prototiles[t].volume
                     for t, c in self.multiset().items()), Fraction(0))
 
-    def placed_set(self):
-        return set(self.tiles)
-
 
 class TileView(Sequence):
     """Read-only exact view of a patch's tiles, (type, offset tuple) per tile:
@@ -222,6 +218,19 @@ class TileView(Sequence):
                 and all(a == b for a, b in zip(self, other)))
 
 
+def _float_image(name, x) -> float:
+    """float(x), or a StructuralError naming `name` when the float image of
+    x is not finite: an exact value of 2^1024 or more, an inf or a NaN."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise StructuralError(f"{name} (about 2^{int(abs(x)).bit_length()}) "
+                              "is past the float range") from None
+    if not math.isfinite(f):
+        raise StructuralError(f"{name} {f!r} is not a finite number")
+    return f
+
+
 @dataclass(frozen=True)
 class Region:
     """A good Lipschitz region: disk, box, or convex polygon, with dilation T.
@@ -240,33 +249,43 @@ class Region:
     dilation: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "dilation", frac(self.dilation))
-        if self.dilation <= 0:
-            raise StructuralError(f"dilation {self.dilation} is not positive")
+        t = frac(self.dilation)
+        object.__setattr__(self, "dilation", t)
+        if t <= 0:
+            raise StructuralError(f"dilation {t} is not positive")
+        _float_image("dilation", t)
         if self.kind == "disk":
             if self.center is None or self.radius is None:
                 raise StructuralError("disk region needs center and radius")
-            if not (math.isfinite(self.radius) and self.radius > 0):
-                raise StructuralError(f"disk radius {self.radius!r} is not a "
+            radius = _float_image("disk radius", self.radius)
+            if not radius > 0:
+                raise StructuralError(f"disk radius {radius!r} is not a "
                                       "positive finite number")
+            _float_image("dilated disk radius", float(t) * radius)
+            object.__setattr__(self, "radius", radius)
             object.__setattr__(self, "center", fpoint(self.center))
+            name, points = "disk center", [self.center]
         elif self.kind == "box":
             if self.corner is None or self.widths is None:
                 raise StructuralError("box region needs corner and widths")
             object.__setattr__(self, "corner", fpoint(self.corner))
             object.__setattr__(self, "widths", fpoint(self.widths))
+            name, points = "box corner", [
+                self.corner, geometry.vadd(self.corner, self.widths)]
         elif self.kind == "polygon":
             if self.vertices is None:
                 raise StructuralError("polygon region needs vertices")
             object.__setattr__(self, "vertices",
                                tuple(fpoint(v) for v in self.vertices))
+            name, points = "polygon vertex", self.vertices
         else:
             raise StructuralError(f"unknown region kind {self.kind!r}")
+        for c in itertools.chain.from_iterable(points):
+            _float_image(f"dilated {name} coordinate", t * c)
 
     @staticmethod
     def disk(center, radius, dilation=1) -> "Region":
-        return Region("disk", center=center, radius=float(radius),
-                      dilation=dilation)
+        return Region("disk", center=center, radius=radius, dilation=dilation)
 
     @staticmethod
     def box(corner, widths, dilation=1) -> "Region":
@@ -330,29 +349,6 @@ class Region:
             return geometry.Polygon([geometry.vscale(t, v) for v in self.vertices])
         raise UnsupportedOperationError("disk regions have no exact shape")
 
-    def volume(self, embedding=None) -> float:
-        if self.kind == "disk":
-            r = float(self.dilation) * self.radius
-            return math.pi * r * r
-        vol = float(self.shape().volume())
-        if embedding is not None:
-            for e in embedding:
-                vol *= float(e)
-        return vol
-
-    def boundary_measure(self, embedding=None) -> float:
-        """Euclidean boundary measure of the dilation: the facet measures of
-        a box summed (the endpoint count 2 when d = 1), or a polygon's
-        perimeter, the sum of its face normal lengths."""
-        if self.kind == "disk":
-            return 2 * math.pi * float(self.dilation) * self.radius
-        shape = self.shape()
-        if isinstance(shape, geometry.Box):
-            lo, hi = (geometry.embed_point(c, embedding) for c in shape.bbox())
-            w = [h - l for l, h in zip(lo, hi)]
-            return sum(2.0 * math.prod(w[:i] + w[i + 1:]) for i in range(len(w)))
-        return sum(norm for _, _, norm in geometry.faces(shape, embedding))
-
     # -- containment of tiles -------------------------------------------
 
     def contains_points(self, pts, embedding=None) -> bool:
@@ -412,7 +408,6 @@ class DecompositionReport:
     boundary_skipped: int
     volume_covered: Fraction
     theta_products: list           # θ_(i) for i = 0..top ancestor level
-    fitted_K2: Optional[float]
     anchor_level: int
 
     def total_count(self, level: int) -> int:
@@ -815,21 +810,8 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     counts, boundary = system.cover(window, level, vertex, offset)
     covered = sum((c * system.volume(k, v) for k, row in counts.items()
                    for v, c in enumerate(row) if c), Fraction(0))
-    top = max(counts, default=-1)
-    # fitted K2 for the boundary-count bound: Σ_j κ^(i)_j ≤ K2·|∂(T·B)|·θ_(i)^{d-1}
-    k2 = None
-    if counts:
-        perim = window.boundary_measure(family.embedding)
-        d = family.dim
-        vals = []
-        for i, c in counts.items():
-            if i == top:
-                continue  # bulk level, not a boundary layer
-            theta_i = 1 / system.theta_inv(i)
-            vals.append(sum(c) / (perim * float(theta_i) ** (d - 1)))
-        k2 = max(vals) if vals else 0.0
     return DecompositionReport(
-        n=top, counts=counts, boundary_skipped=boundary,
+        n=max(counts, default=-1), counts=counts, boundary_skipped=boundary,
         volume_covered=covered,
         theta_products=[1 / system.theta_inv(i) for i in range(level + 1)],
-        fitted_K2=k2, anchor_level=level)
+        anchor_level=level)

@@ -296,7 +296,7 @@ def test_criterion_09_schrodinger_traces(fam_classic, capsys):
     lap = build_operator(KernelSpec.laplacian(1.5), punctures, sub)
     row_sums = np.abs(np.asarray(lap.matrix.sum(axis=1))).max()
     ok = ok and row_sums == 0.0
-    ids = ids_estimate(KernelSpec.identity(), [punctures, punctures],
+    ids = ids_estimate(KernelSpec.identity(), punctures,
                        [sub, Region.box((-4, -4), (8, 8))],
                        [0.0, 0.999, 1.0, 2.0])
     for curve in ids.curves:

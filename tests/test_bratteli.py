@@ -79,10 +79,10 @@ def test_approximant_nesting(hh):
     path = spanning_system(hh, x, 4).anchor(4, 0)
     small = approximant(hh, x, path.prefix(3))
     big = approximant(hh, x, path)
-    assert small.placed_set() <= big.placed_set()
+    assert set(small.tiles) <= set(big.tiles)
     # the anchored level-0 tile is shared by every approximant on the path
     base = approximant(hh, x, path.prefix(0))
-    assert base.placed_set() <= small.placed_set()
+    assert set(base.tiles) <= set(small.tiles)
 
 
 def test_approximant_budget_is_partial_cover(hh):

@@ -22,6 +22,8 @@ from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
 from randtile.errors import ConfigError, StructuralError
 from randtile.schrodinger import KernelSpec
+from randtile.substitution import (builtin_family, family_to_json, one_d_pair,
+                                   save_family)
 from randtile.symbolic import SymbolSequence
 from randtile.tiling import Patch, Region, generate_patch
 
@@ -61,11 +63,23 @@ def test_parse_region():
      "dilation -4 is not positive"),
     (["decompose", "--dilation", "0"], "dilation 0 is not positive"),
     (["schrod", "--t-grid", "4,-8"], "dilation -8 is not positive"),
+    (["patch", "--window", "disk:0,0,1e400"], "disk radius (about 2^1329)"),
+    (["patch", "--window", "box:1e400,0,1,1"],
+     "dilated box corner coordinate (about 2^1329)"),
+    (["patch", "--window", "disk:1e400,0,1"],
+     "dilated disk center coordinate (about 2^1329)"),
+    (["patch", "--window", "disk:0,0,1e300", "--dilation", "1e10"],
+     "dilated disk radius inf"),
+    (["patch", "--dilation", "1e400"], "dilation (about 2^1329)"),
+    (["decompose", "--dilation", "1e400"], "dilation (about 2^1329)"),
+    (["schrod", "--t-grid", "1e400"], "dilation (about 2^1329)"),
 ])
 def test_bad_window_exits_2(tmp_path, capsys, argv, named):
-    """A non-positive disk radius or dilation exits 2 naming the value.  A
-    disk with a negative radius used to meet nodes as if it were positive,
-    and each run wrote a header-only CSV with exit 0."""
+    """A non-positive disk radius or dilation, or a window value whose float
+    image is not finite, exits 2 naming the value.  A disk with a negative
+    radius used to meet nodes as if it were positive, and each run wrote a
+    header-only CSV with exit 0; a value past the float range ended in an
+    untyped OverflowError."""
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
 
@@ -662,6 +676,61 @@ def test_config_requires_blocks(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"family": "half-hex-classical"}))
     assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config, named", [
+    ([{"blocks": {"dk": {}}}], "config must be a JSON object"),
+    ({"blocks": {"dk": {}, "tile": {}}}, "unknown subcommand block 'tile'"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def _family_file(tmp_path, case):
+    """A family file that `load_family` refuses, and the words that name
+    its fault."""
+    path = tmp_path / f"{case}.json"
+    if case == "missing":
+        return path, "No such file"
+    if case == "not-json":
+        path.write_text("{not json")
+        return path, "is not JSON"
+    if case == "no-prototiles":
+        data = family_to_json(one_d_pair())
+        del data["prototiles"]
+        path.write_text(json.dumps(data))
+        return path, "missing key 'prototiles'"
+    # rule 1's first branch moved from -1/3 to 1/6: parent 0's images
+    # overlap by 1/6, and their volumes still add up
+    data = family_to_json(one_d_pair())
+    data["rules"][0]["branches"][0]["tau"] = ["1/6"]
+    path.write_text(json.dumps(data))
+    return path, "rule 1 does not tile its parents: images overlap by 1/6"
+
+
+@pytest.mark.parametrize("case", ["missing", "not-json", "no-prototiles",
+                                  "invalid-rule"])
+def test_bad_family_file_exits_2(tmp_path, capsys, case):
+    path, named = _family_file(tmp_path, case)
+    assert main(["patch", "--family", str(path), "--window", "box:0,1",
+                 "--dilation", "9", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"family file {path}" in err and named in err
+    assert not (tmp_path / "out" / "patch.csv").exists()
+
+
+def test_saved_builtin_family_file_writes_the_builtin_patch(tmp_path):
+    path = tmp_path / "family.json"
+    save_family(builtin_family("half-hex-classical"), path)
+    argv = ["patch", "--window", "box:-1,-1,2,2", "--dilation", "8"]
+    for family, out in ((str(path), "file"), ("half-hex-classical", "named")):
+        assert main([*argv, "--family", family,
+                     "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "file" / "patch.csv").read_bytes()
+            == (tmp_path / "named" / "patch.csv").read_bytes())
 
 
 def test_config_round_trip():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from randtile import geometry
 from randtile.errors import StructuralError
-from randtile.geometry import (Box, Polygon, boundary_distance, embed_point,
-                               faces, frac, margin)
+from randtile.geometry import Box, Polygon, embed_point, faces, frac, margin
 from randtile.solenoid import SolenoidSpec, dk_check, random_observable
 from randtile.substitution import HALF_HEX_EMBEDDING, half_hex_classical
 from randtile.tiling import Region
@@ -122,25 +121,6 @@ def test_transform_negative_theta():
     img = tri.transform(Fraction(-1, 2), (1, 1))
     assert img.volume() == tri.volume() / 4
     assert geometry._signed_area2(img.vertices) > 0   # still CCW
-
-
-def test_boundary_distance():
-    b = Box((0, 0), (2, 2))
-    assert boundary_distance(b, (1, 1)) == pytest.approx(1.0)
-    # the embedding stretches the y-axis, moving the nearest wall
-    assert boundary_distance(b, (1, 1), embedding=(1.0, 3.0)) == pytest.approx(1.0)
-    assert boundary_distance(b, (1, Fraction(1, 4)),
-                             embedding=(1.0, 3.0)) == pytest.approx(0.75)
-
-
-def test_boundary_distance_embeds_boxes_of_any_dimension():
-    cube = Box((-1, -1, -1), (1, 1, 1))
-    # the stretched z-axis moves its walls from 1/2 to 2 away from the point
-    assert boundary_distance(cube, (0, 0, H),
-                             embedding=(1.0, 1.0, 4.0)) == pytest.approx(1.0)
-    assert boundary_distance(cube, (0, 0, H)) == pytest.approx(0.5)
-    seg = Box((-1,), (1,))
-    assert boundary_distance(seg, (H,), embedding=(3.0,)) == pytest.approx(1.5)
 
 
 def test_box_contains_box_any_dimension():

@@ -553,8 +553,7 @@ def test_eigenvalue_counts_accept_rounding_asymmetry(monkeypatch,
 def test_ids_identity_step(lattice):
     windows = [_inner_window(Fraction(5, 2)), _inner_window(Fraction(9, 2))]
     energies = [-0.5, 0.5, 0.999, 1.0, 1.5]
-    rep = ids_estimate(KernelSpec.identity(), [lattice, lattice], windows,
-                       energies)
+    rep = ids_estimate(KernelSpec.identity(), lattice, windows, energies)
     for curve in rep.curves:
         assert curve.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
     assert rep.sup_differences == [0.0]

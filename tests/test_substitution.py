@@ -17,7 +17,6 @@ def test_half_hex_prototiles(hh):
     assert hh.n_prototiles == 6
     for p in hh.prototiles:
         assert p.volume == Fraction(3, 4)
-        assert p.rho(hh.embedding) > 0
 
 
 def test_half_hex_rule1_matrix(hh):
@@ -168,6 +167,25 @@ def test_json_is_plain_data(tmp_path, hh):
     assert len(data["prototiles"]) == 6
     assert all("theta" in r for r in data["rules"])
     assert family_from_json(data).n_prototiles == 6
+
+
+def test_family_from_json_names_the_fault(odp):
+    with pytest.raises(StructuralError, match="a JSON object, not a list"):
+        family_from_json([])
+    data = family_to_json(odp)
+    data["rules"][1]["theta"] = "half"
+    with pytest.raises(StructuralError, match="malformed family data"):
+        family_from_json(data)
+    # rule 1's branch from parent 0 to child 1, moved from 1/3 to 2/3 or
+    # dropped: an image that leaks out, or a parent left short by 1/3
+    data = family_to_json(odp)
+    data["rules"][0]["branches"][2]["tau"] = ["2/3"]
+    with pytest.raises(StructuralError, match="rule 1 .*child 1 leaks"):
+        family_from_json(data)
+    del data["rules"][0]["branches"][2]
+    with pytest.raises(StructuralError,
+                       match="rule 1 .*parent 0 is off by volume 1/3"):
+        family_from_json(data)
 
 
 def _recount_edges(rule):
