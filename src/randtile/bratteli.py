@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .errors import MinimalityError, StructuralError
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence
-from .tiling import DEFAULT_TILE_BUDGET, Patch, SupertileSystem
+from .tiling import (DEFAULT_TILE_BUDGET, Patch, SupertileSystem,
+                     supertile_system)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ class PathWord:
 
     def validate(self, family: RuleFamily, x: SymbolSequence):
         for level, parent, child, branch in self.edges:
-            if level > len(x):
-                raise StructuralError("path longer than sequence")
             if (parent, child, branch) not in (
                     e[:3] for e in family.rule(x[level]).edges):
                 raise StructuralError(
@@ -74,16 +73,12 @@ class SpanningSystem:
 
 def connectivity_matrices(family: RuleFamily, x: SymbolSequence, n: int):
     """[A_1..A_n] with A_k = substitution matrix of rule x_k."""
-    if n > len(x):
-        raise StructuralError("n exceeds sequence length")
     return [family.matrix(x[k]) for k in range(1, n + 1)]
 
 
 def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
     """h^n = A_n ... A_1 · 𝟙, exact big integers: the row sums of
     `SupertileSystem.counts(n)`."""
-    if n > len(x):
-        raise StructuralError("n exceeds sequence length")
     return SupertileSystem(family, x).counts(n).sum(axis=1).tolist()
 
 
@@ -96,16 +91,13 @@ def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,
     the counts without placing tiles.
     """
     path.validate(family, x)
-    if system is None:
-        system = SupertileSystem(family, x)
+    system = supertile_system(family, x, system)
     return system.expand(len(path), path.range,
                          system.path_offset(path.edges), budget)
 
 
 def spanning_system(family: RuleFamily, x: SymbolSequence, depth: int) -> SpanningSystem:
     """Lexicographically least anchored path for every vertex up to `depth`."""
-    if depth > len(x):
-        raise StructuralError("depth exceeds sequence length")
     m = family.n_prototiles
     best = {0: {v: () for v in range(m)}}
     for level in range(1, depth + 1):

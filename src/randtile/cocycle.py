@@ -48,9 +48,11 @@ _lapack = None   # (dgeqrf, dorgqr), bound on the first QR
 def _qr(frame):
     """Q and diag R of the QR factorization of a square frame.
 
-    LAPACK is imported on first use, not with the module, so commands that
-    never QR-factor do not load it; the binding is kept, because a `from ...
-    import` per call costs about a fifth of a QR.
+    The LAPACK routines are bound on the first QR and kept, because a
+    `from ... import` per call costs about a fifth of a QR.  The import
+    itself saves nothing yet: `randtile/__init__` imports `schrodinger`,
+    whose `scipy.sparse.linalg` loads `scipy.linalg.lapack`.  The lazy
+    binding stays for when the package stops importing scipy at start-up.
     """
     global _lapack
     if _lapack is None:

@@ -28,7 +28,7 @@ from .geometry import frac
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (CellGrid, Region, SupertileSystem, decompose_region,
-                     generate_patch, lattice_images)
+                     generate_patch, lattice_images, supertile_system)
 
 _BOUNDARY_SAMPLES = 96   # points on the boundary of a 2-D averaging window
 
@@ -147,8 +147,6 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     """
     if depth < 0:
         raise StructuralError(f"depth must be >= 0, not {depth}")
-    if depth > len(x):
-        raise StructuralError("depth exceeds sequence length")
     m = f.depth
     vols = family.volumes()
     n = family.n_prototiles
@@ -346,8 +344,7 @@ def deviation_over_regions(f: TLCObservable, family: RuleFamily,
     """
     if f.depth != 0:
         raise UnsupportedOperationError("region deviations need depth 0")
-    if system is None:
-        system = SupertileSystem(family, x)
+    system = supertile_system(family, x, system)
     t_grid = sorted(frac(t) for t in t_grid)
     reports = [decompose_region(family, x, b_region, t, system=system)
                for t in t_grid]
@@ -453,11 +450,7 @@ def _patch_point_distance(points, patch, embedding):
     pts = np.asarray(points, dtype=float)
     reach = float((hi_arr - lo_arr).max())
     grid = CellGrid((lo_arr + hi_arr) / 2, 2 * reach)
-    start, count = grid.members(grid.key(pts)[:, None] + grid.steps)
-    owner = np.repeat(np.arange(len(pts)), count.sum(axis=1))
-    count = count.ravel()
-    near = grid.order[np.repeat(start.ravel() - np.cumsum(count) + count,
-                                count) + np.arange(len(owner))]
+    owner, near, _ = grid.near(grid.key(pts), grid.steps)
     lower = _gap_norms(np.maximum(lo_arr[near] - pts[owner], 0)
                        + np.maximum(pts[owner] - hi_arr[near], 0))
     keep = np.flatnonzero(lower <= reach)
@@ -523,8 +516,7 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
         raise StructuralError("count must be >= 1")
     if not 0 < eps < math.inf:
         raise StructuralError(f"eps {eps!r} is not a positive finite number")
-    if system is None:
-        system = SupertileSystem(family, x)
+    system = supertile_system(family, x, system)
     n = family.n_prototiles
     # path richness: smallest k* with A_{k*}···A_1 everywhere positive
     k_star = next((k for k in range(1, len(x) + 1)
@@ -582,8 +574,8 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
     for k_i in recs[:count]:
         t_i = system.theta_inv(k_i) * t_star
         tau = (Fraction(0),) * dim
-        if base_anchor is not None and _levels_geometric(
-                family, x, k_i + base_anchor[0]):
+        if (base_anchor is not None and k_i + base_anchor[0] <= len(x)
+                and _levels_geometric(family, x, k_i + base_anchor[0])):
             o_i = system.path_offset(base_anchor[2], shift=k_i)
             tau = geometry.vsub(
                 geometry.vscale(1 / t_i, o_i),
@@ -595,8 +587,6 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
 
 
 def _levels_geometric(family, x, k) -> bool:
-    if k > len(x):
-        return False
     return all(family.rule(x[level]).is_geometric for level in range(1, k + 1))
 
 

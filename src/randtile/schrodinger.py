@@ -50,21 +50,14 @@ def _near_pairs(coords: np.ndarray, cut: float):
     (`tiling.CellGrid`); each point looks up its own cell and the half of its
     neighbours that follow it in lexicographic offset order."""
     n, d = coords.shape
-    coords = coords - coords.min(axis=0)
     grid = CellGrid(coords, cut)
-    key, order = grid.keys, grid.order
-    # the zero offset first, then the lexicographically positive ones; one
-    # ascending run of targets per offset, so each search walks forward
-    steps = grid.steps[3 ** d // 2:]
-    target = (key + steps[:, None]).ravel()
-    lo, counts = grid.members(target)
-    # candidate (a, b): positions in sorted order, b in a's target cell
-    a = np.repeat(np.tile(np.arange(n), len(steps)), counts)
-    b = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(a))
-    dist2 = sum((x[b] - x[a]) ** 2 for x in coords[order].T)
-    own_cell = np.repeat(np.arange(len(target)) < n, counts)
-    keep = (dist2 <= cut * cut) & ~(own_cell & (a >= b))
-    a, b = order[a[keep]], order[b[keep]]
+    # the zero offset first, then the lexicographically positive ones,
+    # queried in sorted key order
+    q, b, step = grid.near(grid.keys, grid.steps[3 ** d // 2:])
+    a = grid.order[q]
+    dist2 = sum((x[b] - x[a]) ** 2 for x in coords.T)
+    keep = (dist2 <= cut * cut) & ((step > 0) | (a < b))
+    a, b = a[keep], b[keep]
     i, j = np.minimum(a, b), np.maximum(a, b)
     lex = np.argsort(i * n + j)
     return i[lex], j[lex]

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import StructuralError
 from .geometry import frac
 from .symbolic import rng_stream
+from .tiling import DEFAULT_TILE_BUDGET
 
 _VALUE_DENOMINATOR = 16   # random observable values are a/16, a in [-64, 64]
 
@@ -116,10 +117,14 @@ def variation(f: CylinderObservable) -> Fraction:
 
 def random_observable(spec: SolenoidSpec, depth: int, seed: int,
                       worker_id: int = 0) -> CylinderObservable:
-    """Reproducible random rational observable on the depth-m grid."""
+    """Reproducible random rational observable on the depth-m grid; more
+    than `DEFAULT_TILE_BUDGET` cells is refused before any is drawn."""
+    count = spec.q_prod(depth) ** spec.dim
+    if count > DEFAULT_TILE_BUDGET:
+        raise StructuralError(
+            f"a depth-{depth} observable has {count} cells, past the budget "
+            f"of {DEFAULT_TILE_BUDGET}")
     gen = rng_stream(seed, worker_id)
-    q = spec.q_prod(depth)
-    count = q ** spec.dim
     den = _VALUE_DENOMINATOR
     vals = tuple(Fraction(int(a), den)
                  for a in gen.integers(-4 * den, 4 * den + 1, size=count))

@@ -431,8 +431,9 @@ def family_to_json(family: RuleFamily) -> dict:
 
 
 def family_from_json(data: dict) -> RuleFamily:
-    """The family `family_to_json` wrote.  A missing key, a malformed entry
-    or a geometric rule that fails `validate_rule` is a `StructuralError`
+    """The family `family_to_json` wrote.  A missing key, a malformed entry,
+    a geometric rule that fails `validate_rule` or a matrix-only rule that
+    breaks the volume identity A·vol = θ^{-d}·vol is a `StructuralError`
     naming the key or the rule."""
     if not isinstance(data, dict):
         raise StructuralError(f"a family is a JSON object, not a "
@@ -454,6 +455,18 @@ def family_from_json(data: dict) -> RuleFamily:
                     faults.append(f"images overlap by {rep.max_overlap}")
                 raise StructuralError(f"rule {rule.id} does not tile its "
                                       f"parents: {'; '.join(faults)}")
+        else:
+            vols = family.volumes()
+            images = [Fraction(0)] * family.n_prototiles
+            for b in rule.branches:
+                images[b.parent] += vols[b.child]
+            faults = [f"parent {p} has A·vol = {got}, not θ^-d·vol = {want}"
+                      for p, (got, want) in enumerate(zip(images, (
+                          v / rule.theta ** family.dim for v in vols)))
+                      if got != want]
+            if faults:
+                raise StructuralError(f"rule {rule.id} breaks the volume "
+                                      f"identity: {'; '.join(faults)}")
     return family
 
 

@@ -97,11 +97,18 @@ class SymbolSequence:
         return len(self.positive)
 
     def __getitem__(self, k: int) -> int:
-        """x_k with the paper's indexing: k >= 1 positive, k <= -1 negative."""
-        if k >= 1:
-            return self.positive[k - 1]
-        if k <= -1:
-            return self.negative[k]
+        """x_k with the paper's indexing: k >= 1 positive, k <= -1 negative.
+        A level past either end is a `StructuralError` naming it."""
+        try:
+            if k >= 1:
+                return self.positive[k - 1]
+            if k <= -1:
+                return self.negative[k]
+        except IndexError:
+            raise StructuralError(
+                f"level {k} is past the sequence ({len(self.positive)} "
+                f"positive and {len(self.negative)} negative symbols)"
+            ) from None
         raise IndexError("index 0 does not exist")
 
     @staticmethod

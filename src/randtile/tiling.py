@@ -113,11 +113,17 @@ class CellGrid:
         cells = np.clip(self._cells(points), 0, self.top)
         return cells.astype(np.int64) @ self.strides
 
-    def members(self, keys: np.ndarray):
-        """(start, count): the run of each key in `keys`, `order[start:
-        start + count]` being the points in that cell."""
-        start = np.searchsorted(self.keys, keys, "left")
-        return start, np.searchsorted(self.keys, keys, "right") - start
+    def near(self, keys: np.ndarray, steps: np.ndarray):
+        """(query, point, step): every grid point in cell keys[query] +
+        steps[step], as index arrays, by step, then query, then key order.
+        Sorted `keys` make each step's searches walk forward."""
+        target = (keys + steps[:, None]).ravel()
+        start = np.searchsorted(self.keys, target, "left")
+        count = np.searchsorted(self.keys, target, "right") - start
+        run = np.repeat(np.arange(len(target)), count)
+        at = np.repeat(start - np.cumsum(count) + count, count)
+        step, query = np.divmod(run, len(keys))
+        return query, self.order[at + np.arange(len(run))], step
 
 
 def _checked(family: RuleFamily, types, offsets, scale):
@@ -763,6 +769,23 @@ class SupertileSystem:
         return found, len(types)
 
 
+def supertile_system(family: RuleFamily, x, system=None) -> SupertileSystem:
+    """`system`, or a new one for (family, x) when it is None.  A system
+    built for another family (compared by identity, as `RuleFamily`
+    equality compares shapes by identity) or another sequence raises
+    StructuralError."""
+    if system is None:
+        return SupertileSystem(family, x)
+    if system.family is not family:
+        raise StructuralError(f"the supertile system was built for another "
+                              f"family ({system.family.name}) than "
+                              f"{family.name}")
+    if system.x != x:
+        raise StructuralError("the supertile system was built for another "
+                              "sequence")
+    return system
+
+
 def _window_extremes(window: Region, embedding):
     """Embedded extreme points (and radius padding) describing the window."""
     if window.kind == "disk":
@@ -776,8 +799,7 @@ def _anchored(family: RuleFamily, x, window: Region, system, anchor):
     if window.dim != family.dim:
         raise StructuralError(
             f"{window.dim}-D window for the {family.dim}-D family {family.name}")
-    if system is None:
-        system = SupertileSystem(family, x)
+    system = supertile_system(family, x, system)
     if anchor is None:
         anchor = system.anchor(window)
     return system, tuple(anchor[:3])

@@ -7,6 +7,7 @@ from randtile.bratteli import (PathWord, approximant, connectivity_matrices,
                                path_counts, spanning_system)
 from randtile.errors import PartialCoverError, StructuralError
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
+from randtile.tiling import SupertileSystem
 
 
 def test_pathword_validation():
@@ -41,7 +42,7 @@ def test_path_counts_half_hex_constant(hh):
     x = SymbolSequence.constant(1, 8)
     for n in range(0, 9):
         assert path_counts(hh, x, n) == [4 ** n] * 6
-    with pytest.raises(StructuralError, match="n exceeds sequence length"):
+    with pytest.raises(StructuralError, match=r"level 9 is past the sequence \(8 positive"):
         path_counts(hh, x, 9)
 
 
@@ -124,3 +125,11 @@ def test_spanning_system_lexicographic(hh):
     paths = _paths_to(hh, x, 3)
     for v in range(6):
         assert span.anchor(3, v).edges == min(paths[v])
+
+
+def test_approximant_refuses_a_system_of_another_family(hh, hhp):
+    x = SymbolSequence.constant(1, 4)
+    path = spanning_system(hh, x, 2).anchor(2, 0)
+    with pytest.raises(StructuralError, match="another family "
+                       r"\(half-hex-pair\) than half-hex-classical"):
+        approximant(hh, x, path, system=SupertileSystem(hhp, x))

@@ -450,10 +450,14 @@ def test_dk_command(tmp_path):
     ("--trials", "0", "--trials 0 is below 1"),
     ("--n-max", "-1", "--n-max -1 is below 0"),
     ("--depth", "-1", "--depth -1 is below 0"),
+    ("--depth", "40", "a depth-40 observable has 1099511627776 cells, past "
+     "the budget of 10000000"),
 ])
 def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
-    """Each used to exit 0: a header-only dk.csv for --trials 0 and
-    --n-max -1, and 180 meaningless rows for --depth -1."""
+    """The first three used to exit 0: a header-only dk.csv for --trials 0
+    and --n-max -1, and 180 meaningless rows for --depth -1.  Depth 40 on
+    q = 2 (2^40 cells) exited 1 failing to allocate 8 TiB; it is refused
+    before any allocation."""
     assert main(["dk", flag, value, "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "dk.csv").exists()
@@ -703,6 +707,13 @@ def _family_file(tmp_path, case):
         del data["prototiles"]
         path.write_text(json.dumps(data))
         return path, "missing key 'prototiles'"
+    if case == "off-volume":
+        # one of parent 0's 16 branches in the matrix-only rule 2 dropped
+        data = family_to_json(builtin_family("half-hex-pair"))
+        del data["rules"][1]["branches"][0]
+        path.write_text(json.dumps(data))
+        return path, ("rule 2 breaks the volume identity: parent 0 has "
+                      "A·vol = 45/4, not θ^-d·vol = 12")
     # rule 1's first branch moved from -1/3 to 1/6: parent 0's images
     # overlap by 1/6, and their volumes still add up
     data = family_to_json(one_d_pair())
@@ -712,7 +723,7 @@ def _family_file(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["missing", "not-json", "no-prototiles",
-                                  "invalid-rule"])
+                                  "invalid-rule", "off-volume"])
 def test_bad_family_file_exits_2(tmp_path, capsys, case):
     path, named = _family_file(tmp_path, case)
     assert main(["patch", "--family", str(path), "--window", "box:0,1",

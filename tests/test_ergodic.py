@@ -848,3 +848,24 @@ def test_deviation_along_sequence_rejects_short_vectors(hh):
     full = ergodic_vectors(f, hh, x, kmax)
     assert (deviation_along_sequence(f, seq, hh, x, vectors=full).entries
             == deviation_along_sequence(f, seq, hh, x).entries)
+
+
+def test_averaging_refuses_a_system_of_another_sequence(hh):
+    """Both used to measure the sequence the system was built for."""
+    x = SymbolSequence.constant(1, 40)
+    other = SupertileSystem(hh, SymbolSequence.constant(1, 41))
+    f = TLCObservable.typewise((1, -1, 0, 0, 0, 0))
+    with pytest.raises(StructuralError, match="another sequence"):
+        special_averaging_sequence(hh, x, Region.unit_square(), eps=0.05,
+                                   count=5, system=other)
+    with pytest.raises(StructuralError, match="another sequence"):
+        deviation_over_regions(f, hh, x, Region.unit_square(), [8, 16],
+                               system=other)
+
+
+def test_ergodic_vectors_past_the_sequence_name_the_level(hh):
+    """A depth-5 observable on 4 symbols: it was an UnsupportedOperationError
+    saying the rules are not geometric."""
+    with pytest.raises(StructuralError, match="level 5 is past the sequence"):
+        ergodic_vectors(TLCObservable(5, ()), hh,
+                        SymbolSequence.constant(1, 4), 2)

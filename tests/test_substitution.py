@@ -188,6 +188,19 @@ def test_family_from_json_names_the_fault(odp):
         family_from_json(data)
 
 
+def test_family_from_json_checks_the_volume_identity(hhp):
+    """A matrix-only rule has no images to validate, so A·vol = θ^-d·vol is
+    checked: half-hex-pair loads, and with one branch of rule 2 dropped it
+    used to load too."""
+    data = family_to_json(hhp)
+    assert family_from_json(data).rules == hhp.rules
+    del data["rules"][1]["branches"][0]
+    with pytest.raises(StructuralError, match="rule 2 breaks the volume "
+                       r"identity: parent 0 has A·vol = 45/4, not θ\^-d·vol "
+                       "= 12$"):
+        family_from_json(data)
+
+
 def _recount_edges(rule):
     """Brute force: each branch's index among the earlier branches with the
     same parent and child."""

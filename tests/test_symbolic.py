@@ -33,6 +33,19 @@ def test_sequence_indexing():
     assert len(x) == 3
 
 
+def test_levels_past_either_end_name_the_level():
+    """Each was a bare IndexError; x[0] still is one."""
+    x = SymbolSequence((1, 2, 1), negative=(2, 1))
+    for k in (4, -3):
+        with pytest.raises(StructuralError, match=f"level {k} is past the "
+                           r"sequence \(3 positive and 2 negative symbols\)"):
+            x[k]
+    with pytest.raises(StructuralError, match="level -1 is past"):
+        SymbolSequence((1, 2))[-1]
+    with pytest.raises(IndexError, match="index 0 does not exist"):
+        x[0]
+
+
 @pytest.mark.parametrize("build", [
     lambda: MeasureSpec.bernoulli_p(math.nan),
     lambda: MeasureSpec.bernoulli((math.inf, 0.5)),

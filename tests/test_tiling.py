@@ -8,6 +8,7 @@ import pytest
 from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
 from randtile.geometry import embed_point
+from randtile.substitution import half_hex_classical
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (_LEAF_CAP, Patch, Region, SupertileSystem,
                              _point_table, decompose_region,
@@ -98,6 +99,40 @@ def test_path_offset_names_a_missing_edge(sol2):
     with pytest.raises(StructuralError, match="no edge 0<-0 with branch "
                        "index 4 at level 2 [(]path level 1 shifted by 1[)]"):
         system.path_offset(edges, shift=1)
+
+
+def test_levels_past_the_sequence_name_the_level(hh):
+    """On a 4-symbol sequence, level 5 is read by counts(9), theta_inv(9),
+    rule_at(5) and a path shifted by 4: each was a bare IndexError."""
+    x = SymbolSequence.constant(1, 4)
+    system = SupertileSystem(hh, x)
+    edges = system.anchor(Region.unit_square())[3]
+    past = r"level 5 is past the sequence \(4 positive and 0 negative"
+    for call in (lambda: system.counts(9), lambda: system.theta_inv(9),
+                 lambda: system.rule_at(5),
+                 lambda: system.path_offset(edges, shift=4)):
+        with pytest.raises(StructuralError, match=past):
+            call()
+    assert system.counts(4)[0].sum() == 4 ** 4
+
+
+def test_a_system_of_another_family_or_sequence_is_refused(hh, sol2):
+    """Each used to run on the system it was given: a solenoid patch for a
+    half-hex request.  Families compare by identity, sequences by value."""
+    x, x2 = SymbolSequence.constant(1, 8), SymbolSequence((1, 2) * 4)
+    window = Region.unit_square(4)
+    with pytest.raises(StructuralError, match="another family "
+                       r"\(solenoid-2x3-2d\) than half-hex-classical"):
+        generate_patch(hh, x, window, system=SupertileSystem(sol2, x2))
+    with pytest.raises(StructuralError, match="another family"):
+        decompose_region(hh, x, window, 1,
+                         system=SupertileSystem(half_hex_classical(), x))
+    with pytest.raises(StructuralError, match="another sequence"):
+        generate_patch(hh, x, window,
+                       system=SupertileSystem(hh, SymbolSequence.constant(1, 9)))
+    same = SupertileSystem(hh, SymbolSequence.constant(1, 8))
+    assert (generate_patch(hh, x, window, system=same).tiles
+            == generate_patch(hh, x, window).tiles)
 
 
 @pytest.mark.parametrize("embedding", [None, (1.0, math.sqrt(3))])
