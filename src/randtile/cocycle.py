@@ -6,9 +6,10 @@ the discrete-QR method (Benettin et al. 1980; Dieci & Van Vleck 1995):
 `lyapunov_spectrum` multiplies the word product of each run of
 `reorth_every` symbols onto an orthonormal frame and QR-factors it with
 LAPACK `dgeqrf`/`dorgqr`, so one product and one QR advance the frame a
-whole reorthonormalisation interval.  `_fold` rolls each batch's |diag R|
-into the column log-norms and dead (kernel) directions.  Standard errors
-come from batch means.
+whole reorthonormalisation interval.  The QR loop only stores each diag R;
+`_fold_chain` then rolls all of them, once per chain, into the column
+log-norms at every batch end, with dead (kernel) directions at -inf.
+Standard errors come from batch means.
 """
 
 from __future__ import annotations
@@ -42,42 +43,17 @@ def _family_matrices(family: RuleFamily, symbols):
             for s in range(1, family.n_rules + 1)]
 
 
-_lapack = None   # (dgeqrf, dorgqr), bound on the first QR
-
-
-def _qr(frame):
-    """Q and diag R of the QR factorization of a square frame.
-
-    The LAPACK routines are bound on the first QR and kept, because a
-    `from ... import` per call costs about a fifth of a QR.  The import
-    itself saves nothing yet: `randtile/__init__` imports `schrodinger`,
-    whose `scipy.sparse.linalg` loads `scipy.linalg.lapack`.  The lazy
-    binding stays for when the package stops importing scipy at start-up.
-    """
-    global _lapack
-    if _lapack is None:
-        from scipy.linalg.lapack import dgeqrf, dorgqr
-        _lapack = dgeqrf, dorgqr
-    dgeqrf, dorgqr = _lapack
-    r, tau, _, _ = dgeqrf(frame)
-    diag = r.diagonal().copy()
-    q, _, _ = dorgqr(r, tau, overwrite_a=1)
-    return q, diag
-
-
-def _fold(lognorms, dead, diags):
-    """Column log-norms and dead columns after adding log|diag R| of each QR
-    in turn, by one running sum; `diags` holds the signed diagonals, one per
-    QR, at least one.  A column is dead once a diagonal entry is 0 or a
-    running sum falls below _UNDERFLOW_LOG; dead columns stay at -inf.
-    """
-    diags = np.abs(np.array(diags))
+def _fold_chain(diags, ends):
+    """Column log-norms after the runs `ends`, from the signed diag R of
+    every QR of a chain in order (`diags`, one row per QR), by one running
+    sum down the chain.  A column is dead, and stays at -inf, from the first
+    QR where its diagonal entry is 0 or its running sum falls below
+    _UNDERFLOW_LOG."""
+    diags = np.abs(diags)
     with np.errstate(divide="ignore"):
-        logs = np.log(diags)
-    sums = np.cumsum(np.vstack((lognorms, logs)), axis=0)[1:]
-    dead = (dead | (diags == 0.0).any(axis=0)
-            | (sums < _UNDERFLOW_LOG).any(axis=0))
-    return np.where(dead, NEG_INF, sums[-1]), dead
+        sums = np.cumsum(np.log(diags), axis=0)
+    dead = np.logical_or.accumulate((diags == 0.0) | (sums < _UNDERFLOW_LOG))
+    return np.where(dead[ends], NEG_INF, sums[ends])
 
 
 @dataclass
@@ -177,25 +153,28 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
 
     n_batches = max(20, min(50, steps // 200))
     edges = np.linspace(0, steps, n_batches + 1).astype(int)
-    frame, lognorms, dead = np.eye(dim), np.zeros(dim), np.zeros(dim, bool)
-    words = {}
-    batch_sums = np.zeros((n_batches, dim))
+    cache, words, ends = {}, [], []
     for b in range(n_batches):
-        diags = []
-        for word in _words(mats, symbols[edges[b]:edges[b + 1]],
-                           reorth_every, words):
-            frame, diag = _qr(word.dot(frame))
-            diags.append(diag)
-        prev = lognorms
-        lognorms, dead = _fold(lognorms, dead, diags)
-        batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms - np.where(
-            np.isinf(prev), 0.0, prev))
+        words += _words(mats, symbols[edges[b]:edges[b + 1]], reorth_every,
+                        cache)
+        ends.append(len(words) - 1)
+    # the one QR loop; bound here so that `cocycle` imports no scipy itself
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+    frame, diags = np.eye(dim), np.empty((len(words), dim))
+    for i, word in enumerate(words):
+        r, tau, _, _ = dgeqrf(word.dot(frame))
+        diags[i] = r.diagonal()
+        frame, _, _ = dorgqr(r, tau, overwrite_a=1)
+    norms = _fold_chain(diags, ends)
+    prev = np.vstack((np.zeros(dim), norms[:-1]))
+    batch_sums = np.where(np.isinf(norms), 0.0, norms - np.where(
+        np.isinf(prev), 0.0, prev))
     err = np.abs(frame.T @ frame - np.eye(dim)).max()
     if err > _ORTHO_TOL:
         raise StructuralError(f"frame lost orthonormality ({err:.2e})")
 
     batch_means = batch_sums / np.diff(edges)[:, None]
-    raw = [float(v) / steps for v in lognorms]     # dead columns: -inf
+    raw = [float(v) / steps for v in norms[-1]]    # dead columns: -inf
     se = np.std(batch_means, axis=0, ddof=1) / math.sqrt(n_batches)
     raw_se = [max(float(s), 20.0 / steps) for s in se]
 

@@ -48,7 +48,7 @@ class TLCObservable:
             object.__setattr__(self, "weights", tuple(self.weights))
         else:
             object.__setattr__(self, "weights", tuple(
-                (tuple(tuple(int(c) for c in e) for e in path), w)
+                (tuple(tuple(map(int, e)) for e in path), w)
                 for path, w in self.weights))
 
     @staticmethod

@@ -9,6 +9,7 @@ rationals, so the Denjoy-Koksma inequality can be checked with no tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,12 +119,17 @@ def variation(f: CylinderObservable) -> Fraction:
 def random_observable(spec: SolenoidSpec, depth: int, seed: int,
                       worker_id: int = 0) -> CylinderObservable:
     """Reproducible random rational observable on the depth-m grid; more
-    than `DEFAULT_TILE_BUDGET` cells is refused before any is drawn."""
-    count = spec.q_prod(depth) ** spec.dim
-    if count > DEFAULT_TILE_BUDGET:
+    than `DEFAULT_TILE_BUDGET` cells, q_(m)^d, is refused before the count
+    or any cell is built, with the count written as that power."""
+    q = spec.q_prod(depth)
+    if spec.dim * math.log2(q) > math.log2(DEFAULT_TILE_BUDGET):
+        base = str(q) if q.bit_length() <= 64 else \
+            f"(about 2^{q.bit_length()})"
+        power = "" if spec.dim == 1 else f"^{spec.dim}"
         raise StructuralError(
-            f"a depth-{depth} observable has {count} cells, past the budget "
-            f"of {DEFAULT_TILE_BUDGET}")
+            f"a depth-{depth} observable has {base}{power} cells, past the "
+            f"budget of {DEFAULT_TILE_BUDGET}")
+    count = q ** spec.dim
     gen = rng_stream(seed, worker_id)
     den = _VALUE_DENOMINATOR
     vals = tuple(Fraction(int(a), den)

@@ -83,13 +83,16 @@ class SymbolSequence:
     measure: Optional[MeasureSpec] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "positive", tuple(map(int, self.positive)))
-        object.__setattr__(self, "negative", tuple(map(int, self.negative)))
-        alpha = self.measure.n_symbols if self.measure is not None else None
-        top = math.inf if alpha is None else alpha
-        for part in (self.positive, self.negative):
-            # min and max decide; the loop only names the first bad symbol
-            if part and not 1 <= min(part) <= max(part) <= top:
+        top = math.inf if self.measure is None else self.measure.n_symbols
+        for name in ("positive", "negative"):
+            part = getattr(self, name)
+            # a tuple of exact ints (what sampling builds) is kept as it is
+            if type(part) is not tuple or set(map(type, part)) - {int}:
+                part = tuple(map(int, part))
+                object.__setattr__(self, name, part)
+            # the distinct symbols decide; the loop only names the first bad
+            distinct = set(part)
+            if distinct and not 1 <= min(distinct) <= max(distinct) <= top:
                 bad = next(s for s in part if not 1 <= s <= top)
                 raise StructuralError(f"symbol {bad} outside alphabet")
 

@@ -538,6 +538,8 @@ class SupertileSystem:
 
     def theta_inv(self, k: int) -> Fraction:
         """θ_(k)^{-1} = θ_1^{-1}···θ_k^{-1}, exact, for any rules (cached)."""
+        if k < 0:
+            raise StructuralError(f"level {k} is negative")
         while len(self._theta_inv) <= k:
             self._theta_inv.append(
                 self._theta_inv[-1] / self.rule_at(len(self._theta_inv)).theta)
@@ -546,6 +548,8 @@ class SupertileSystem:
     def counts(self, k: int) -> np.ndarray:
         """A_k···A_1 in Python ints, for any rules (cached, read-only): row v
         counts the level-0 tiles of each type in a level-k type-v supertile."""
+        if k < 0:
+            raise StructuralError(f"level {k} is negative")
         while len(self._counts) <= k:
             a = self.family.matrix(self.x[len(self._counts)]).astype(object)
             self._counts.append(a @ self._counts[-1])
@@ -624,6 +628,7 @@ class SupertileSystem:
         integer offsets up a level by the rows of `child_delta`, which are in
         the branch order of the rule's edges.
         """
+        _check_dim(window, self.family)
         emb = self.family.embedding
         pts = _window_extremes(window, emb)
         offset0 = (0,) * self.family.dim
@@ -724,6 +729,8 @@ class SupertileSystem:
         any, from the top level down; boundary counts the level-0 nodes the
         window boundary cuts.
         """
+        if window is not None:
+            _check_dim(window, self.family)
         origin = [frac(c) * self.scale for c in offset]
         if any(c.denominator != 1 for c in origin):
             raise StructuralError(f"offset ({', '.join(map(str, offset))}) is "
@@ -794,11 +801,16 @@ def _window_extremes(window: Region, embedding):
             for v in window.shape().vertices_list()]
 
 
-def _anchored(family: RuleFamily, x, window: Region, system, anchor):
-    """The supertile system and the (level, vertex, offset) covering window."""
+def _check_dim(window: Region, family: RuleFamily):
+    """A window of another dimension than the family's is a StructuralError;
+    the anchor search and the descent, which read every window, call it."""
     if window.dim != family.dim:
         raise StructuralError(
             f"{window.dim}-D window for the {family.dim}-D family {family.name}")
+
+
+def _anchored(family: RuleFamily, x, window: Region, system, anchor):
+    """The supertile system and the (level, vertex, offset) covering window."""
     system = supertile_system(family, x, system)
     if anchor is None:
         anchor = system.anchor(window)

@@ -452,15 +452,34 @@ def test_dk_command(tmp_path):
     ("--depth", "-1", "--depth -1 is below 0"),
     ("--depth", "40", "a depth-40 observable has 1099511627776 cells, past "
      "the budget of 10000000"),
+    ("--d", "100000000", "a depth-2 observable has 4^100000000 cells, "
+     "past the budget of 10000000"),
+    ("--d", "2000", "a depth-2 observable has 4^2000 cells"),
+    ("--depth", "20000", "a depth-20000 observable has (about 2^20001) "
+     "cells"),
 ])
 def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     """The first three used to exit 0: a header-only dk.csv for --trials 0
     and --n-max -1, and 180 meaningless rows for --depth -1.  Depth 40 on
     q = 2 (2^40 cells) exited 1 failing to allocate 8 TiB; it is refused
-    before any allocation."""
+    before any allocation.  --d 100000000 exited 1 formatting the count as a
+    decimal past Python's 4,300-digit limit, and --d 2000 printed a count of
+    over 3,000 digits: the count is now written as q_(m)^d.  --depth 20000
+    exited 1 the same way: past 64 bits, q_(m) is written as a power of 2."""
     assert main(["dk", flag, value, "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "dk.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["deviate"],
+                                     ["deviate", "--mode", "regions"],
+                                     ["patch"], ["decompose"], ["schrod"]])
+def test_window_of_another_dimension_exits_2(tmp_path, capsys, command):
+    """`deviate` used to exit 1 with an IndexError in geometry: its
+    averaging search anchored the window past the dimension check."""
+    assert main([*command, "--window", "box:1,1", "--out", str(tmp_path)]) == 2
+    assert ("1-D window for the 2-D family half-hex-pair"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, named", [

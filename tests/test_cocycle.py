@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from randtile import cocycle
 from randtile.cocycle import (_group_exponents, apply_cocycle,
@@ -17,64 +18,80 @@ LOG16 = math.log(16.0)
 LOG52_HALF = 0.5 * math.log(52.0)
 
 
-def _fold(diags, lognorms=None, dead=None):
-    dim = len(diags[0])
-    return cocycle._fold(np.zeros(dim) if lognorms is None else lognorms,
-                         np.zeros(dim, bool) if dead is None else dead, diags)
+def _qr(frame):
+    """Q and diag R of one frame by LAPACK `dgeqrf`/`dorgqr`, one call per
+    factor: the reference for the QRs of `lyapunov_spectrum`'s loop."""
+    r, tau, _, _ = lapack.dgeqrf(frame)
+    diag = r.diagonal().copy()
+    q, _, _ = lapack.dorgqr(r, tau, overwrite_a=1)
+    return q, diag
+
+
+def _batch_fold(lognorms, dead, diags):
+    """The per-batch fold that `cocycle._fold_chain` replaced, kept as its
+    oracle: log-norms and dead columns after adding log|diag R| of the QRs
+    in `diags` to `lognorms`."""
+    diags = np.abs(np.array(diags))
+    with np.errstate(divide="ignore"):
+        logs = np.log(diags)
+    sums = np.cumsum(np.vstack((lognorms, logs)), axis=0)[1:]
+    dead = (dead | (diags == 0.0).any(axis=0)
+            | (sums < cocycle._UNDERFLOW_LOG).any(axis=0))
+    return np.where(dead, -np.inf, sums[-1]), dead
+
+
+def _fold(diags):
+    """`_fold_chain` over a list of diagonals, read after the last."""
+    return cocycle._fold_chain(np.array(diags), [len(diags) - 1])[0]
 
 
 def test_fold_zero_logs():
-    lognorms, dead = _fold([np.ones(4)] * 10)
-    assert lognorms.tolist() == [0.0] * 4
-    assert not dead.any()
+    assert _fold([np.ones(4)] * 10).tolist() == [0.0] * 4
 
 
 def test_fold_scaling():
     """Signs of diag R do not count: 50 QRs of diag(2, -1/2)."""
-    lognorms, dead = _fold([np.array([2.0, -0.5])] * 50)
+    lognorms = _fold([np.array([2.0, -0.5])] * 50)
     assert lognorms[0] == pytest.approx(50 * LOG2)
     assert lognorms[1] == pytest.approx(-50 * LOG2)
-    assert not dead.any()
 
 
 def test_fold_zero_diagonal_is_dead():
-    lognorms, dead = _fold([np.array([1.0, 0.0])])
-    assert dead.tolist() == [False, True]
-    assert lognorms[1] == float("-inf")
-    lognorms, dead = _fold([np.array([2.0, 3.0])], lognorms, dead)
-    assert dead.tolist() == [False, True]       # dead columns stay dead
-    assert lognorms.tolist() == [LOG2, float("-inf")]
+    """A zero diagonal kills its column, which stays at -inf in every later
+    batch end."""
+    diags = np.array([[1.0, 0.0], [2.0, 3.0], [2.0, 3.0]])
+    norms = cocycle._fold_chain(diags, [0, 1, 2])
+    assert norms.tolist() == [[0.0, -math.inf], [LOG2, -math.inf],
+                              [2 * LOG2, -math.inf]]
 
 
 def test_fold_underflow_is_dead():
     """A running sum below -600 kills the column, even when later QRs of
-    the same fold bring the sum back above it."""
+    the chain bring the sum back above it."""
     small, big = math.exp(-400.0), math.exp(500.0)
-    lognorms, dead = _fold([np.array([1.0, small]), np.array([1.0, small]),
-                            np.array([1.0, big])])
-    assert dead.tolist() == [False, True]
-    assert lognorms.tolist() == [0.0, float("-inf")]
-    lognorms, dead = _fold([np.array([1.0, small])])
-    assert not dead.any()
+    assert _fold([np.array([1.0, small]), np.array([1.0, small]),
+                  np.array([1.0, big])]).tolist() == [0.0, -math.inf]
+    assert math.isfinite(_fold([np.array([1.0, small])])[1])
 
 
 def test_fold_in_one_call_matches_one_per_qr(hhp, odp):
-    """One fold over a batch of QR diagonals leaves the same log-norms and
-    dead columns, bit for bit, as one fold per QR."""
+    """One fold over a whole chain of QR diagonals, read after every QR,
+    leaves the same log-norms and dead columns, bit for bit, as the old
+    per-batch fold called once per QR."""
     for fam in (hhp, odp):
         mats = [fam.matrix(s).astype(float) for s in (1, 2)]
         x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 103, seed=2)
         frame, diags = np.eye(fam.n_prototiles), []
         for s in x.positive:
-            frame, diag = cocycle._qr(mats[s - 1].dot(frame))
+            frame, diag = _qr(mats[s - 1].dot(frame))
             diags.append(diag)
-        many = _fold(diags)
-        one = _fold(diags[:1])
-        for diag in diags[1:]:
-            one = _fold([diag], *one)
-        assert np.array_equal(one[0], many[0])
-        assert np.array_equal(one[1], many[1])
-    assert many[1].any()                        # one-d-pair has a kernel
+        chain = cocycle._fold_chain(np.array(diags), list(range(len(diags))))
+        one = np.zeros(fam.n_prototiles), np.zeros(fam.n_prototiles, bool)
+        for diag, norms in zip(diags, chain):
+            one = _batch_fold(*one, [diag])
+            assert norms.tobytes() == one[0].tobytes()
+            assert np.array_equal(np.isinf(norms), one[1])
+    assert one[1].any()                         # one-d-pair has a kernel
 
 
 def _reference_spectrum(family, x, steps, every):
@@ -147,8 +164,32 @@ def _per_factor_spectrum(family, x, steps):
     for b in range(n_batches):
         prev = lognorms
         for s in x.positive[edges[b]:edges[b + 1]]:
-            frame, diag = cocycle._qr(mats[s - 1].dot(frame))
-            lognorms, dead = cocycle._fold(lognorms, dead, [diag])
+            frame, diag = _qr(mats[s - 1].dot(frame))
+            lognorms, dead = _batch_fold(lognorms, dead, [diag])
+        batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms - np.where(
+            np.isinf(prev), 0.0, prev))
+    return _sorted_spectrum(lognorms, dead, batch_sums, edges)
+
+
+def _per_batch_spectrum(family, x, steps, every):
+    """The loop `lyapunov_spectrum` ran before its one whole-chain fold,
+    kept as its oracle: per batch, the words of `cocycle._words`, one `_qr`
+    call per word, and one `_batch_fold` at the batch end."""
+    mats = [family.matrix(s).astype(float)
+            for s in range(1, family.n_rules + 1)]
+    dim = family.n_prototiles
+    n_batches = max(20, min(50, steps // 200))
+    edges = np.linspace(0, steps, n_batches + 1).astype(int)
+    frame, lognorms, dead = np.eye(dim), np.zeros(dim), np.zeros(dim, bool)
+    words, batch_sums = {}, np.zeros((n_batches, dim))
+    for b in range(n_batches):
+        diags = []
+        for word in cocycle._words(mats, x.positive[edges[b]:edges[b + 1]],
+                                   every, words):
+            frame, diag = _qr(word.dot(frame))
+            diags.append(diag)
+        prev = lognorms
+        lognorms, dead = _batch_fold(lognorms, dead, diags)
         batch_sums[b] = np.where(np.isinf(lognorms), 0.0, lognorms - np.where(
             np.isinf(prev), 0.0, prev))
     return _sorted_spectrum(lognorms, dead, batch_sums, edges)
@@ -231,6 +272,38 @@ def test_one_symbol_words_are_the_per_factor_product(case, hhp, sol2, odp):
     assert rep.raw_stderrs == se
 
 
+# [[1, 1], [0, 0]] is idempotent and leaves a zero second row on the
+# frame, so its QRs have an exactly zero diagonal entry; [[2, 1], [1, 1]]
+# has determinant 1 and exponents ±log φ², so the second column's running
+# log-norm falls below -600 after about 620 steps
+_ZERO = matrix_only_family("zero-diagonal", [[[1, 1], [0, 0]],
+                                             [[1, 0], [1, 1]]])
+_UNDERFLOW = matrix_only_family("underflow", [[[2, 1], [1, 1]]])
+
+
+@pytest.mark.parametrize("every", [1, 5, 7, 13])
+@pytest.mark.parametrize("case, p, dead", [
+    ("hhp", 0.5, False), ("odp", 0.0, True), ("odp", 0.5, True),
+    ("sol2", 0.5, False), ("shears", 0.5, True),
+    ("zero-diagonal", 1.0, True), ("zero-diagonal", 0.5, True),
+    ("underflow", 1.0, True)])
+def test_chain_fold_is_the_per_batch_loop_bit_for_bit(case, p, dead, every,
+                                                       hhp, odp, sol2):
+    """The one QR loop and whole-chain fold give the raw exponents and
+    standard errors of the per-batch loop they replaced, bit for bit, -inf
+    included.  5,003 steps leave a short last run at every `every` but 1."""
+    fam = {"hhp": hhp, "odp": odp, "sol2": sol2, "shears": _SHEARS,
+           "zero-diagonal": _ZERO, "underflow": _UNDERFLOW}[case]
+    measure = MeasureSpec.bernoulli_p(p)
+    x = sample_sequence(measure, 5003, seed=4)
+    rep = lyapunov_spectrum(fam, measure, 5003, seed=4, reorth_every=every,
+                            x=x)
+    raw, se = _per_batch_spectrum(fam, x, 5003, every)
+    assert [v.hex() for v in rep.raw_exponents] == [v.hex() for v in raw]
+    assert [v.hex() for v in rep.raw_stderrs] == [v.hex() for v in se]
+    assert (rep.raw_exponents[-1] == -math.inf) == dead
+
+
 @pytest.mark.parametrize("every", [1, 2, 5, 7, 300])
 def test_one_qr_per_word(every, hhp, monkeypatch):
     """One QR per run of `every` symbols, the runs starting again at each
@@ -239,9 +312,9 @@ def test_one_qr_per_word(every, hhp, monkeypatch):
 
     def counting(frame):
         calls.append(1)
-        return qr(frame)
-    qr = cocycle._qr
-    monkeypatch.setattr(cocycle, "_qr", counting)
+        return dgeqrf(frame)
+    dgeqrf = lapack.dgeqrf
+    monkeypatch.setattr(lapack, "dgeqrf", counting)
     measure = MeasureSpec.bernoulli_p(0.5)
     lyapunov_spectrum(hhp, measure, 5003, seed=4, reorth_every=every)
     lens = np.diff(np.linspace(0, 5003, 26).astype(int))   # 25 batches

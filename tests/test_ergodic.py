@@ -45,6 +45,26 @@ def test_observable_constructors():
         f.weight_map()
 
 
+def test_path_observable_edges_are_exact_ints():
+    """Edges given as numpy ints make the observable that Python ints do."""
+    path = ((1, 0, 2, 0), (2, 2, 1, 1))
+    f = TLCObservable(2, ((path, Fraction(1, 3)),))
+    g = TLCObservable(2, ((tuple(np.array(path)), Fraction(1, 3)),))
+    assert g == f
+    assert {type(c) for p, _ in g.weights for e in p for c in e} == {int}
+
+
+def test_averaging_search_refuses_a_window_of_another_dimension(hhp):
+    """The search anchored the window itself, past the dimension check of
+    `generate_patch`, and died with an IndexError in geometry."""
+    x = SymbolSequence.constant(1, 64)     # half-hex levels: geometric
+    named = "1-D window for the 2-D family half-hex-pair"
+    with pytest.raises(StructuralError, match=named):
+        special_averaging_sequence(hhp, x, Region.box((1,), (1,)), 0.05, 4)
+    with pytest.raises(StructuralError, match=named):
+        SupertileSystem(hhp, x).anchor(Region.box((1,), (1,)))
+
+
 def test_volume_observable_vectors(hh):
     """f = 1 integrates each level-k supertile to its volume 4^k * 3/4."""
     x = SymbolSequence.constant(1, 6)

@@ -86,6 +86,21 @@ def test_sequence_alphabet_check_names_the_first_bad_symbol(positive,
                        measure=MeasureSpec.bernoulli((0.5, 0.25, 0.25)))
 
 
+def test_sequence_coerces_symbols_to_int():
+    """numpy ints, 2.0 and True become exact ints; a tuple of exact ints is
+    kept as it is."""
+    x = SymbolSequence(np.array([1, 2, 2]), [2.0, True])
+    assert x.positive == (1, 2, 2) and x.negative == (2, 1)
+    assert {type(s) for s in x.positive + x.negative} == {int}
+    part = (1, 2, 1)
+    assert SymbolSequence(part).positive is part
+    with pytest.raises(StructuralError, match=r"^symbol 3 outside alphabet$"):
+        SymbolSequence(np.array([1, 3, 0, 3]), (np.int64(1),),
+                       measure=MeasureSpec.bernoulli_p(0.5))
+    with pytest.raises(StructuralError, match=r"^symbol 0 outside alphabet$"):
+        SymbolSequence((1, 2), (2.0, False))
+
+
 def test_sampling_determinism():
     m = MeasureSpec.bernoulli_p(0.5)
     a = sample_sequence(m, 200, seed=7)

@@ -116,6 +116,21 @@ def test_levels_past_the_sequence_name_the_level(hh):
     assert system.counts(4)[0].sum() == 4 ** 4
 
 
+@pytest.mark.parametrize("method", ["counts", "theta_inv"])
+def test_negative_levels_are_refused(hh, method):
+    """counts(-1) and theta_inv(-1) used to read the cache from its end: on
+    x = 1^4 after level 3, counts(-1)[0].sum() was 64 and theta_inv(-1)
+    was 8."""
+    system = SupertileSystem(hh, SymbolSequence.constant(1, 4))
+    call = getattr(system, method)
+    with pytest.raises(StructuralError, match="level -1 is negative"):
+        call(-1)                            # nothing cached yet
+    call(3)
+    for k in (-1, -4):
+        with pytest.raises(StructuralError, match=f"level {k} is negative"):
+            call(k)
+
+
 def test_a_system_of_another_family_or_sequence_is_refused(hh, sol2):
     """Each used to run on the system it was given: a solenoid patch for a
     half-hex request.  Families compare by identity, sequences by value."""
