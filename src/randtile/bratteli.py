@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MinimalityError, StructuralError
+from .geometry import ints
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence
 from .tiling import (DEFAULT_TILE_BUDGET, Patch, SupertileSystem,
@@ -24,7 +25,7 @@ class PathWord:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple(tuple(int(c) for c in e) for e in self.edges)
+        edges = tuple(map(ints, self.edges))
         for i, e in enumerate(edges):
             if len(e) != 4:
                 raise StructuralError("edge must be (level, parent, child, branch)")

@@ -24,7 +24,7 @@ from .errors import (ConvergenceError, DegenerateObservableError,
                      InsufficientDataError, StructuralError,
                      UnsupportedOperationError)
 from .cocycle import top_left_direction
-from .geometry import frac
+from .geometry import frac, ints, numerators
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (CellGrid, Region, SupertileSystem, decompose_region,
@@ -44,12 +44,9 @@ class TLCObservable:
     def __post_init__(self):
         if self.depth < 0:
             raise StructuralError("depth must be >= 0")
-        if self.depth == 0:
-            object.__setattr__(self, "weights", tuple(self.weights))
-        else:
-            object.__setattr__(self, "weights", tuple(
-                (tuple(tuple(map(int, e)) for e in path), w)
-                for path, w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            (tuple(map(ints, path)), w) for path, w in self.weights)
+            if self.depth else tuple(self.weights))
 
     @staticmethod
     def typewise(weights) -> "TLCObservable":
@@ -65,8 +62,7 @@ class TLCObservable:
         return dict(self.weights)
 
     def is_exact(self) -> bool:
-        vals = ([w for w in self.weights] if self.depth == 0
-                else [w for _, w in self.weights])
+        vals = self.weights if self.depth == 0 else [w for _, w in self.weights]
         return all(isinstance(w, (int, Fraction)) for w in vals)
 
 
@@ -123,13 +119,6 @@ def _extend_paths(family, x, level, paths):
     return nxt
 
 
-def _numerators(values):
-    """D, the lcm of the denominators of ints and Fractions, and each D·v
-    as an int."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                     depth: int):
     """[V^0 .. V^depth]; exact arithmetic when the weights are rational.
@@ -171,10 +160,10 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
         if exact:
             # (D·w, w is a Fraction) per path and (D'·vol, vol is a Fraction)
             # per type: a sum of w·vol is a Fraction if any term is one
-            wden, wnum = _numerators(list(wmap.values()))
+            wden, wnum = numerators(list(wmap.values()))
             wnum = {p: (num, isinstance(w, Fraction))
                     for (p, w), num in zip(wmap.items(), wnum)}
-            vden, vnum = _numerators(vols)
+            vden, vnum = numerators(vols)
             vnum = [(num, isinstance(v, Fraction))
                     for v, num in zip(vols, vnum)]
         else:   # the raw weights and float(vol), over a denominator of 1
@@ -206,7 +195,7 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
             out.append(ErgodicVector(k, a @ out[-1].values))
         return out[:depth + 1]
 
-    den, num = _numerators(out[-1].values)
+    den, num = numerators(out[-1].values)
     fractional = any(isinstance(v, Fraction) for v in out[-1].values)
     rows = {}
     while len(out) <= depth:

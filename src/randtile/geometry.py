@@ -30,6 +30,29 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def numerators(values):
+    """(D, [D·v]): ints and Fractions as int numerators over their lcm D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def ints(values) -> tuple:
+    """`values` as a tuple of ints (a tuple of ints comes back as it is):
+    2.0, True and numpy ints coerce, any other value is a StructuralError."""
+    if type(values) is tuple and not set(map(type, values)) - {int}:
+        return values
+    return tuple(map(_int, values))
+
+
+def _int(v) -> int:
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StructuralError(f"{v!r} is not an integer")
+
+
 def fpoint(p) -> Point:
     return tuple(frac(c) for c in p)
 

@@ -3,20 +3,21 @@
 A point of the d-dimensional solenoid is (path, offset): the path gives the
 position digit of each level-(k-1) supercube inside its level-k parent, the
 offset the position inside the base unit cube.  All quantities are exact
-rationals, so the Denjoy-Koksma inequality can be checked with no tolerance.
+rationals, so the Denjoy-Koksma inequality can be checked with no tolerance:
+Birkhoff sums contract int value numerators with int residue weights.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import StructuralError
-from .geometry import frac
+from .geometry import frac, ints, numerators
 from .symbolic import rng_stream
 from .tiling import DEFAULT_TILE_BUDGET
 
@@ -32,15 +33,14 @@ class SolenoidSpec:
     tail: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(q) for q in self.prefix))
-        object.__setattr__(self, "tail", tuple(int(q) for q in self.tail))
+        object.__setattr__(self, "prefix", ints(self.prefix))
+        object.__setattr__(self, "tail", ints(self.tail))
         if self.dim < 1:
             raise StructuralError("dimension must be >= 1")
         if not self.prefix and not self.tail:
             raise StructuralError("need at least one subdivision factor")
-        for q in self.prefix + self.tail:
-            if q < 2:
-                raise StructuralError("every q_k must be > 1")
+        if min(self.prefix + self.tail) < 2:
+            raise StructuralError("every q_k must be > 1")
 
     @staticmethod
     def periodic(qs, dim: int = 1) -> "SolenoidSpec":
@@ -58,10 +58,7 @@ class SolenoidSpec:
 
     def q_prod(self, n: int) -> int:
         """q_(n) = q_1 ··· q_n, exact."""
-        out = 1
-        for k in range(1, n + 1):
-            out *= self.q_at(k)
-        return out
+        return math.prod(self.q_at(k) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -82,17 +79,21 @@ class CylinderObservable:
         if arr.shape != (q,) * spec.dim:
             raise StructuralError(
                 f"depth-{depth} observable needs shape {(q,) * spec.dim}")
-        flat = tuple(frac(v) if not isinstance(v, Fraction) else v
-                     for v in arr.reshape(-1))
-        return CylinderObservable(depth, flat)
+        return CylinderObservable(depth, tuple(map(frac, arr.reshape(-1))))
 
     def grid(self, spec: SolenoidSpec) -> np.ndarray:
         q = spec.q_prod(self.depth)
         return np.array(self.values, dtype=object).reshape((q,) * spec.dim)
 
+    @cached_property
+    def scaled(self):   # (D, (D·v, ...)), computed once and shared
+        den, num = numerators(self.values)
+        return den, tuple(num)
+
     def mean(self) -> Fraction:
         """μ(f): cylinder-measure-weighted average (all cells weigh equally)."""
-        return sum(self.values, Fraction(0)) / len(self.values)
+        den, num = self.scaled
+        return Fraction(sum(num), den * len(num))
 
 
 def cylinder_measure(spec: SolenoidSpec, depth: int) -> Fraction:
@@ -105,15 +106,14 @@ def cylinder_measure(spec: SolenoidSpec, depth: int) -> Fraction:
 def variation(f: CylinderObservable) -> Fraction:
     """Var(f): supremum of Σ_parts osc(f) over clopen partitions.
 
-    With values sorted v_1 <= ... <= v_n the supremum pairs extremes:
-    Var = Σ_j (v_{j+1} - v_j) · min(j, n - j).
+    With values sorted v_1 <= ... <= v_n the supremum pairs extremes, each
+    gap v_{j+1} - v_j counted min(j, n - j) times: Var is the top half's sum
+    less the bottom half's, taken on the integer numerators.
     """
-    vals = sorted(f.values)
-    n = len(vals)
-    total = Fraction(0)
-    for j in range(1, n):
-        total += (vals[j] - vals[j - 1]) * min(j, n - j)
-    return total
+    den, num = f.scaled
+    vals = sorted(num)
+    half = len(vals) // 2
+    return Fraction(sum(vals[len(vals) - half:]) - sum(vals[:half]), den)
 
 
 def random_observable(spec: SolenoidSpec, depth: int, seed: int,
@@ -129,12 +129,10 @@ def random_observable(spec: SolenoidSpec, depth: int, seed: int,
         raise StructuralError(
             f"a depth-{depth} observable has {base}{power} cells, past the "
             f"budget of {DEFAULT_TILE_BUDGET}")
-    count = q ** spec.dim
-    gen = rng_stream(seed, worker_id)
     den = _VALUE_DENOMINATOR
-    vals = tuple(Fraction(int(a), den)
-                 for a in gen.integers(-4 * den, 4 * den + 1, size=count))
-    return CylinderObservable(depth, vals)
+    nums = rng_stream(seed, worker_id).integers(-4 * den, 4 * den + 1,
+                                                size=q ** spec.dim)
+    return CylinderObservable(depth, tuple(Fraction(int(a), den) for a in nums))
 
 
 def base_cell(spec: SolenoidSpec, path, depth: int):
@@ -144,18 +142,15 @@ def base_cell(spec: SolenoidSpec, path, depth: int):
     """
     if len(path) < depth:
         raise StructuralError("path shorter than the observable depth")
-    cell = [0] * spec.dim
+    cell, scale = (0,) * spec.dim, 1
     for k in range(1, depth + 1):
-        g = tuple(int(c) for c in path[k - 1])
+        g, qk = ints(path[k - 1]), spec.q_at(k)
         if len(g) != spec.dim:
             raise StructuralError("path digit dimension mismatch")
-        qk = spec.q_at(k)
         if any(c < 0 or c >= qk for c in g):
             raise StructuralError(f"digit {g} out of range at level {k}")
-        scale = spec.q_prod(k - 1)
-        for a in range(spec.dim):
-            cell[a] += g[a] * scale
-    return tuple(cell)
+        cell, scale = tuple(c + s * scale for c, s in zip(cell, g)), scale * qk
+    return cell
 
 
 @dataclass
@@ -184,45 +179,38 @@ def dk_check(spec: SolenoidSpec, f: CylinderObservable, y, path,
              n_values) -> DKReport:
     """Exact Birkhoff integrals over aligned cubes vs the Denjoy-Koksma bound.
 
-    The flow starting at (path, offset y) crosses unit tiles whose depth-m
-    cell advances by one per tile, so the integral is a weighted lattice sum:
-    axis weights (1 - y_a), 1, ..., 1, y_a over q_(n) + 1 consecutive tiles,
-    folded onto cell residues modulo q_(m).
+    Along axis a the flow from (path, offset y) crosses tiles j = 0..q_(n),
+    weighing 1 - y_a, 1, ..., 1, y_a; tile j meets cell (c0_a + j) mod q_(m).
+    Folded onto residues r the weight is #{j ≡ r} - y_a·[r = 0] - (1 - y_a)·
+    [r = q_(n) mod q_(m)], an int times Y, the lcm of y's denominators.  S_n
+    contracts the value numerators (over D), rolled by -c0, with each axis's
+    weights in turn and is divided by D·Y^d once.
     """
     y = tuple(frac(c) for c in y)
     if len(y) != spec.dim or any(c < 0 or c >= 1 for c in y):
         raise StructuralError("offset must lie in [0,1)^d")
-    m = f.depth
-    qm = spec.q_prod(m)
-    grid = f.grid(spec)
-    c0 = base_cell(spec, path, m)
-    mu = f.mean()
+    ylcm, ynum = numerators(y)
+    qm = spec.q_prod(f.depth)
+    c0 = base_cell(spec, path, f.depth)
+    den, num = f.scaled
+    grid = np.roll(np.array(num, dtype=object).reshape((qm,) * spec.dim),
+                   [-c for c in c0], axis=tuple(range(spec.dim)))
+    scale, mu = den * ylcm ** spec.dim, f.mean()
     entries = []
-    for n in sorted(set(int(n) for n in n_values)):
+    for n in sorted(set(ints(n_values))):
         if n < 0:
             raise StructuralError("n must be >= 0")
         qn = spec.q_prod(n)
-        # per-axis weight of each residue class r modulo q_(m)
-        weights = []
-        for a in range(spec.dim):
-            w = [Fraction(0)] * qm
-            full, rem = divmod(qn - 1, qm)
-            for r in range(qm):
-                w[r] += full + (1 if 1 <= r <= rem or (r == 0 and rem == qm)
-                                else 0)
-            # j = 0 contributes 1 - y_a, j = q_(n) contributes y_a
-            w[0] += 1 - y[a]
-            w[qn % qm] += y[a]
-            weights.append(w)
-        total = Fraction(0)
-        for r in itertools.product(range(qm), repeat=spec.dim):
-            wprod = Fraction(1)
-            for a in range(spec.dim):
-                wprod *= weights[a][r[a]]
-            if wprod:
-                cell = tuple((c0[a] + r[a]) % qm for a in range(spec.dim))
-                total += wprod * grid[cell]
+        # q_(n) + 1 tiles: residues 0..rem meet full + 1 of them, the rest full
+        full, rem = divmod(qn, qm)
+        total = grid
+        for yn in ynum:
+            w = [(full + 1) * ylcm] * (rem + 1) + [full * ylcm] * (qm - rem - 1)
+            w[0] -= yn
+            w[rem] -= ylcm - yn
+            total = np.tensordot(np.array(w, dtype=object), total, axes=1)
+        integral = Fraction(total.item(), scale)
         target = mu * qn ** spec.dim
-        entries.append(DKEntry(n=n, integral=total, target=target,
-                               gap=abs(total - target)))
+        entries.append(DKEntry(n=n, integral=integral, target=target,
+                               gap=abs(integral - target)))
     return DKReport(entries=entries, var=variation(f))

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import StructuralError
+from .geometry import ints
 
 
 def _distribution(values, what: str) -> tuple:
@@ -85,11 +86,8 @@ class SymbolSequence:
     def __post_init__(self):
         top = math.inf if self.measure is None else self.measure.n_symbols
         for name in ("positive", "negative"):
-            part = getattr(self, name)
-            # a tuple of exact ints (what sampling builds) is kept as it is
-            if type(part) is not tuple or set(map(type, part)) - {int}:
-                part = tuple(map(int, part))
-                object.__setattr__(self, name, part)
+            part = ints(getattr(self, name))   # sampling builds int tuples
+            object.__setattr__(self, name, part)
             # the distinct symbols decide; the loop only names the first bad
             distinct = set(part)
             if distinct and not 1 <= min(distinct) <= max(distinct) <= top:

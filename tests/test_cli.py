@@ -264,6 +264,21 @@ def test_box_and_line_schrod_match_golden_digests(tmp_path, cmd):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("cmd", [
+    "dk --q 2,3 --d 2 --depth 3 --n-max 6",
+    "dk --q 2 --d 3 --depth 2 --n-max 5",
+])
+def test_multidimensional_dk_matches_golden_digest(tmp_path, cmd):
+    """Denjoy-Koksma sums on a mixed-radix plane (36^2 cells, q_(n) below,
+    equal to and past q_(m)) and in three dimensions (4^3 cells);
+    tests/golden_cli.json pins the CSV bytes."""
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert main([*cmd.split(), "--out", str(tmp_path)]) == 0
+    for name, digest in golden[cmd].items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def _src_env():
     """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).parents[1] / "src")

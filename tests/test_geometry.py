@@ -1,14 +1,20 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randtile import geometry
+from randtile.bratteli import PathWord
+from randtile.ergodic import TLCObservable
 from randtile.errors import StructuralError
 from randtile.geometry import Box, Polygon, embed_point, faces, frac, margin
-from randtile.solenoid import SolenoidSpec, dk_check, random_observable
+from randtile.solenoid import (CylinderObservable, SolenoidSpec, base_cell,
+                               dk_check, random_observable)
 from randtile.substitution import HALF_HEX_EMBEDDING, half_hex_classical
+from randtile.symbolic import SymbolSequence
 from randtile.tiling import Region
 
 H = Fraction(1, 2)
@@ -39,6 +45,34 @@ def test_frac_refuses_non_finite_floats(build):
     OverflowError (inf) from `Fraction`."""
     with pytest.raises(StructuralError, match="is not a finite number"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: SymbolSequence((1, v)).positive[1],
+    lambda v: TLCObservable(1, ((((1, v, 2, 0),), 1),)).weights[0][0][0][1],
+    lambda v: PathWord(((1, v, 1, 0),)).edges[0][1],
+    lambda v: SolenoidSpec(1, (3, v)).prefix[1],
+    lambda v: base_cell(SolenoidSpec.periodic([3]), [(v,)], 1)[0],
+    lambda v: dk_check(SolenoidSpec.periodic([3]), CylinderObservable(0, (1,)),
+                       (0,), [], [v]).entries[0].n,
+], ids=["symbol", "observable-edge", "path-edge", "solenoid-q", "base-digit",
+        "dk-n"])
+def test_integer_fields_refuse_non_integral_values(build):
+    """Each truncated through `int` (2.5 became 2); `geometry.ints` now
+    coerces exact integers only and names any other value."""
+    for good in (2, 2.0, np.int64(2), np.uint8(2), Fraction(4, 2)):
+        got = build(good)
+        assert got == 2 and type(got) is int
+    for bad in (2.5, 0.7, np.float64(1.9), Fraction(3, 2), "2", _NAN, _INF):
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"{bad!r} is not an integer")):
+            build(bad)
+
+
+def test_ints_keeps_int_tuples():
+    part = (1, 2, 3)
+    assert geometry.ints(part) is part
+    assert geometry.ints([True, np.int8(-3), 4.0]) == (1, -3, 4)
 
 
 def test_box_basics():

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,14 +90,33 @@ def test_observable_shape_and_mean():
         random_observable(spec, -1, seed=3)
 
 
+def _mixed_values(rng, count):
+    """12-digit numerators of both signs over mixed denominators."""
+    return [Fraction(int(a), int(b)) for a, b in zip(
+        rng.integers(-10 ** 12, 10 ** 12, size=count),
+        rng.choice([1, 3, 7, 16, 45, 1001], size=count))]
+
+
 def test_variation_matches_brute_force():
     spec = SolenoidSpec.periodic([2], dim=1)
-    import numpy as np
     rng = np.random.default_rng(7)
     for _ in range(20):
         vals = [Fraction(int(a), 4) for a in rng.integers(-8, 9, size=4)]
         f = CylinderObservable.from_array(spec, 2, vals)
         assert variation(f) == _brute_variation(vals)
+
+
+@pytest.mark.parametrize("q, depth", [(2, 3), (3, 1), (5, 1), (7, 1)])
+def test_variation_matches_brute_force_mixed_denominators(q, depth):
+    """Even and odd cell counts (the odd middle value pairs with nothing),
+    negative values over mixed denominators."""
+    spec = SolenoidSpec.periodic([q], dim=1)
+    rng = np.random.default_rng(q)
+    for _ in range(3):
+        vals = _mixed_values(rng, q ** depth)
+        f = CylinderObservable.from_array(spec, depth, vals)
+        assert variation(f) == _brute_variation(vals)
+        assert f.mean() == sum(vals, Fraction(0)) / len(vals)
 
 
 def test_variation_simple_cases():
@@ -140,6 +160,39 @@ def test_dk_integral_matches_brute_force_2d():
     rep = dk_check(spec, f, y, path, range(0, 4))
     for entry in rep.entries:
         assert entry.integral == _brute_integral(spec, f, y, path, entry.n)
+
+
+@pytest.mark.parametrize("qs, dim, depth, n_max", [
+    ([2], 2, 1, 3),          # q_(n) = 1 = q_(m) - 1 meets the last residue
+    ([2, 3], 1, 3, 5),       # q_(m) = 12; q_(n) = 1, 2, 6, 12, 36, 72
+    ([2, 3], 2, 0, 2),       # one cell
+    ([2, 3], 2, 3, 4),
+    ([3, 2, 2], 2, 2, 4),    # q_(m) = 6; q_(n) = 1, 3, 6, 12, 36
+    ([2], 3, 2, 3),
+    ([3, 2, 2], 3, 1, 3),
+])
+def test_dk_integral_matches_brute_force_folds(qs, dim, depth, n_max):
+    """The residue fold against the unfolded lattice sum: q_(n) below, equal
+    to and a multiple of q_(m), offsets 0, with odd denominators and mixed,
+    and values with 12-digit numerators over mixed denominators."""
+    spec = SolenoidSpec.periodic(qs, dim=dim)
+    rng = np.random.default_rng(len(qs) * 10 + dim * 3 + depth)
+    qm = spec.q_prod(depth)
+    f = CylinderObservable.from_array(
+        spec, depth, np.array(_mixed_values(rng, qm ** dim),
+                              dtype=object).reshape((qm,) * dim))
+    path = [tuple(int(rng.integers(0, spec.q_at(k + 1))) for _ in range(dim))
+            for k in range(depth)]
+    for y in ((Fraction(0),) * dim,
+              tuple(Fraction(2 * a + 1, 2 * a + 3) for a in range(dim)),
+              tuple(Fraction(int(rng.integers(0, den)), den)
+                    for den in (64, 9, 10)[:dim])):
+        rep = dk_check(spec, f, y, path, range(n_max + 1))
+        assert [e.n for e in rep.entries] == list(range(n_max + 1))
+        for e in rep.entries:
+            assert e.integral == _brute_integral(spec, f, y, path, e.n)
+            assert e.target == f.mean() * spec.q_prod(e.n) ** dim
+            assert e.gap == abs(e.integral - e.target)
 
 
 def test_dk_gap_zero_beyond_depth():
