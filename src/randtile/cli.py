@@ -39,7 +39,8 @@ from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
 from .solenoid import SolenoidSpec, dk_check, random_observable
 from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from .tiling import Region, decompose_region, generate_patch, lattice_images
+from .tiling import (Region, SupertileSystem, decompose_region, generate_patch,
+                     lattice_images)
 
 _CAP_STEPS = 20000        # least cocycle steps behind `deviate`'s cap
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -247,16 +248,13 @@ def cmd_decompose(args, out: Path):
     family = _resolve_family(args.family)
     x = _sequence(args)
     region = parse_region(args.window)
+    system = SupertileSystem(family, x)
     rep = decompose_region(family, x, region,
-                           _number("--dilation", args.dilation, Fraction))
-    vols = family.volumes()
-    rows = []
-    for level in sorted(rep.counts):
-        theta = rep.theta_products[level]
-        for j, kappa in enumerate(rep.counts[level]):
-            if kappa:
-                vol = vols[j] / theta ** family.dim
-                rows.append((level, j, kappa, fmt(vol)))
+                           _number("--dilation", args.dilation, Fraction),
+                           system=system)
+    rows = [(level, j, kappa, fmt(system.volume(level, j)))
+            for level in sorted(rep.counts)
+            for j, kappa in enumerate(rep.counts[level]) if kappa]
     path = out / "decompose.csv"
     _write_csv(path, ["level", "prototile_type", "count",
                       "supertile_volume_tile_lengths"], rows)

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
+from .geometry import sum_left
 from .substitution import RuleFamily
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
@@ -94,9 +95,9 @@ def _group_exponents(exponents, stderrs):
     out_e, out_m, out_se = [], [], []
     for lams, ses in groups:
         finite = [v for v in lams if math.isfinite(v)]
-        out_e.append(sum(finite) / len(finite) if finite else NEG_INF)
+        out_e.append(sum_left(finite) / len(finite) if finite else NEG_INF)
         out_m.append(len(lams))
-        out_se.append(math.sqrt(sum(s * s for s in ses)) / len(ses))
+        out_se.append(math.sqrt(sum_left(s * s for s in ses)) / len(ses))
     return out_e, out_m, out_se
 
 

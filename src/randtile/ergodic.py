@@ -24,7 +24,7 @@ from .errors import (ConvergenceError, DegenerateObservableError,
                      InsufficientDataError, StructuralError,
                      UnsupportedOperationError)
 from .cocycle import top_left_direction
-from .geometry import frac, ints, numerators
+from .geometry import frac, ints, numerators, sum_left
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (CellGrid, Region, SupertileSystem, decompose_region,
@@ -93,7 +93,6 @@ class SpecialAveragingSequence:
     # patch, over T_*: a sampled one-sided distance, not a full Hausdorff one
     hausdorff: Optional[float]
     window: int                     # recurrence window used
-    dim: int
 
 
 def _upward_continuation(family, x, k, vertex, m):
@@ -224,7 +223,7 @@ def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     residuals = [0.0] * depth
     for k, a in enumerate(connectivity_matrices(family, x, paths)):
         diff = vecs[k + 1].values - a.astype(dtype) @ vecs[k].values
-        residuals[k] = math.sqrt(sum(float(abs(c)) ** 2 for c in diff))
+        residuals[k] = math.sqrt(sum_left(float(abs(c)) ** 2 for c in diff))
     if f.depth == 0:
         return CotraceEstimate(vector=vecs[0].values, residuals=residuals)
     prod = SupertileSystem(family, x).counts(f.depth).astype(float)
@@ -251,12 +250,12 @@ def make_zero_trace_observable(family: RuleFamily, x: SymbolSequence,
         raise DegenerateObservableError("no nonzero zero-trace direction")
     vols = family.volumes()
     w = [y[j] / float(vols[j]) for j in range(n)]
-    norm = math.sqrt(sum(c * c for c in w))
+    norm = math.sqrt(sum_left(c * c for c in w))
     w = [c / norm for c in w]
     # rationalize when exact: check orthogonality of the rounded weights
     cand = [Fraction(c).limit_denominator(10 ** 6) for c in w]
-    resid = abs(sum(float(u[j]) * float(vols[j]) * float(cand[j])
-                    for j in range(n)))
+    resid = abs(sum_left(float(u[j]) * float(vols[j]) * float(cand[j])
+                         for j in range(n)))
     if resid < 1e-10:
         return TLCObservable(0, tuple(cand))
     return TLCObservable(0, tuple(w))
@@ -572,7 +571,7 @@ def special_averaging_sequence(family: RuleFamily, x: SymbolSequence,
         entries.append((k_i, t_i, tau))
     return SpecialAveragingSequence(base_multiset=mult, t_star=t_star,
                                     entries=entries, hausdorff=hausdorff,
-                                    window=window, dim=dim)
+                                    window=window)
 
 
 def _levels_geometric(family, x, k) -> bool:

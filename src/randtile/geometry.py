@@ -36,6 +36,16 @@ def numerators(values):
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def sum_left(values):
+    """Σ values added one at a time from 0, left to right.  The builtin `sum`
+    does this on Python 3.11 but compensates float sums from 3.12 on, which
+    rounds some sums of three or more floats differently."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def ints(values) -> tuple:
     """`values` as a tuple of ints (a tuple of ints comes back as it is):
     2.0, True and numpy ints coerce, any other value is a StructuralError."""
@@ -151,7 +161,7 @@ class Box:
 class Polygon:
     """Simple polygon in 2D with rational vertices, stored counterclockwise."""
 
-    __slots__ = ("vertices", "_convex")
+    __slots__ = ("vertices", "_convex", "_pieces")
 
     def __init__(self, vertices):
         vs = [fpoint(v) for v in vertices]
@@ -168,6 +178,7 @@ class Polygon:
         if not _is_simple(self.vertices):
             raise StructuralError("polygon is self-intersecting")
         self._convex = _is_convex(self.vertices)
+        self._pieces = None
 
     @classmethod
     def _trusted(cls, vertices, convex):
@@ -175,6 +186,7 @@ class Polygon:
         obj = object.__new__(cls)
         obj.vertices = tuple(vertices)
         obj._convex = convex
+        obj._pieces = None
         return obj
 
     @property
@@ -216,38 +228,30 @@ class Polygon:
     def vertices_list(self):
         return list(self.vertices)
 
+    def pieces(self):
+        """Closed convex CCW pieces with disjoint interiors whose union is the
+        polygon: its own vertex tuple when convex, else its ear-clipped
+        triangles.  Found on first use and kept."""
+        if self._pieces is None:
+            self._pieces = ([self.vertices] if self._convex
+                            else _ear_clip(self.vertices))
+        return self._pieces
+
     def contains_point(self, p, strict=False) -> bool:
         p = fpoint(p)
-        if self._convex:
-            vs = self.vertices
-            for i in range(len(vs)):
-                c = cross(vs[i], vs[(i + 1) % len(vs)], p)
-                if c < 0 or (strict and c == 0):
-                    return False
-            return True
-        inside = winding_contains(self.vertices, p)
-        if strict:
-            return inside and not _on_boundary(self.vertices, p)
-        return inside or _on_boundary(self.vertices, p)
-
-    def triangulate(self):
-        """Exact ear-clipping triangulation; returns a list of CCW triangles."""
-        if self._convex:
-            vs = self.vertices
-            return [Polygon([vs[0], vs[i], vs[i + 1]]) for i in range(1, len(vs) - 1)]
-        return [Polygon(t) for t in _ear_clip(list(self.vertices))]
+        return (any(_in_convex(piece, p) for piece in self.pieces())
+                and not (strict and _on_boundary(self.vertices, p)))
 
     def intersection_volume(self, other) -> Fraction:
         if isinstance(other, Box):
             other = other.to_polygon()
-        if self._convex and other._convex:
-            clipped = clip_convex(self.vertices, other.vertices)
-            return _signed_area2(clipped) / 2 if len(clipped) >= 3 else Fraction(0)
-        total = Fraction(0)
-        for t1 in self.triangulate():
-            for t2 in other.triangulate():
-                total += t1.intersection_volume(t2)
-        return total
+        area2 = Fraction(0)
+        for a in self.pieces():
+            for b in other.pieces():
+                clipped = clip_convex(a, b)
+                if len(clipped) >= 3:
+                    area2 += _signed_area2(clipped)
+        return area2 / 2
 
     def contains_shape(self, other) -> bool:
         if self._convex:
@@ -323,36 +327,29 @@ def winding_contains(vs, p) -> bool:
     return count % 2 == 1
 
 
+def _in_convex(vs, p) -> bool:
+    """Is p in the closed convex CCW polygon vs?"""
+    return all(cross(vs[i - 1], vs[i], p) >= 0 for i in range(len(vs)))
+
+
 def _ear_clip(vs):
-    """Ear-clipping triangulation of a simple CCW polygon, exact arithmetic."""
+    """Ear-clipping triangulation of a simple CCW polygon, exact arithmetic:
+    an ear is a strictly convex corner whose closed triangle holds no other
+    vertex (Meisters, "Polygons have ears", 1975)."""
     tris = []
     idx = list(range(len(vs)))
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
-            raise StructuralError("triangulation failed (degenerate polygon?)")
         n = len(idx)
-        clipped = False
         for k in range(n):
             i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            a, b, c = vs[i0], vs[i1], vs[i2]
-            if cross(a, b, c) <= 0:
-                continue  # reflex or collinear
-            ear = Polygon([a, b, c])
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                if ear.contains_point(vs[j], strict=True) or _on_boundary((a, b, c), vs[j]):
-                    ok = False
-                    break
-            if ok:
-                tris.append((a, b, c))
+            ear = vs[i0], vs[i1], vs[i2]
+            if cross(*ear) > 0 and not any(
+                    _in_convex(ear, vs[j]) for j in idx
+                    if j not in (i0, i1, i2)):
+                tris.append(ear)
                 idx.pop(k)
-                clipped = True
                 break
-        if not clipped:
+        else:
             raise StructuralError("no ear found; polygon may be degenerate")
     tris.append(tuple(vs[i] for i in idx))
     return tris
@@ -361,23 +358,20 @@ def _ear_clip(vs):
 def clip_convex(subject: Sequence[Point], clipper: Sequence[Point]):
     """Sutherland-Hodgman clipping of a convex subject by a convex CCW clipper."""
     output = list(subject)
-    n = len(clipper)
-    for i in range(n):
+    for a, b in zip(clipper, [*clipper[1:], clipper[0]]):
         if not output:
             return []
-        a, b = clipper[i], clipper[(i + 1) % n]
-        input_list = output
+        # each point's side of line ab, computed once: it keeps or drops the
+        # point and places the crossing on its edge to the next point
+        sides = [cross(a, b, p) for p in output]
+        points = output
         output = []
-        m = len(input_list)
-        for j in range(m):
-            cur = input_list[j]
-            nxt = input_list[(j + 1) % m]
-            cur_in = cross(a, b, cur) >= 0
-            nxt_in = cross(a, b, nxt) >= 0
-            if cur_in:
-                output.append(cur)
-            if cur_in != nxt_in:
-                output.append(_line_intersect(a, b, cur, nxt))
+        for p, q, dp, dq in zip(points, points[1:] + points[:1],
+                                sides, sides[1:] + sides[:1]):
+            if dp >= 0:
+                output.append(p)
+            if (dp >= 0) != (dq >= 0):
+                output.append(vadd(p, vscale(dp / (dp - dq), vsub(q, p))))
     # drop consecutive duplicates
     dedup = []
     for p in output:
@@ -386,14 +380,6 @@ def clip_convex(subject: Sequence[Point], clipper: Sequence[Point]):
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return dedup
-
-
-def _line_intersect(a, b, p, q) -> Point:
-    """Intersection of line ab with segment pq (assumed non-parallel crossing)."""
-    d1 = cross(a, b, p)
-    d2 = cross(a, b, q)
-    t = d1 / (d1 - d2)
-    return vadd(p, vscale(t, vsub(q, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +421,7 @@ def polygon_faces(vs):
 def margin(p, faces) -> float:
     """Signed distance min ((p - a)·n)/|n| of float point p inside the convex
     shape with these `faces`: positive inside, negative outside."""
-    return min((sum((c - ac) * nc for c, ac, nc in zip(p, a, n)) / norm
+    return min((sum_left((c - ac) * nc for c, ac, nc in zip(p, a, n)) / norm
                 for a, n, norm in faces), default=math.inf)
 
 

@@ -63,7 +63,8 @@ class SolenoidSpec:
 
 @dataclass(frozen=True)
 class CylinderObservable:
-    """Locally constant observable: one value per cell of the depth-m grid."""
+    """Locally constant observable: one value per cell of the depth-m grid,
+    each coerced once with `frac`."""
 
     depth: int
     values: tuple        # flat, C-order over the (q_(m),)^d grid
@@ -71,6 +72,7 @@ class CylinderObservable:
     def __post_init__(self):
         if self.depth < 0:
             raise StructuralError(f"observable depth {self.depth} is negative")
+        object.__setattr__(self, "values", tuple(map(frac, self.values)))
 
     @staticmethod
     def from_array(spec: SolenoidSpec, depth: int, values) -> "CylinderObservable":
@@ -79,7 +81,7 @@ class CylinderObservable:
         if arr.shape != (q,) * spec.dim:
             raise StructuralError(
                 f"depth-{depth} observable needs shape {(q,) * spec.dim}")
-        return CylinderObservable(depth, tuple(map(frac, arr.reshape(-1))))
+        return CylinderObservable(depth, arr.reshape(-1))
 
     def grid(self, spec: SolenoidSpec) -> np.ndarray:
         q = spec.q_prod(self.depth)
@@ -132,7 +134,10 @@ def random_observable(spec: SolenoidSpec, depth: int, seed: int,
     den = _VALUE_DENOMINATOR
     nums = rng_stream(seed, worker_id).integers(-4 * den, 4 * den + 1,
                                                 size=q ** spec.dim)
-    return CylinderObservable(depth, tuple(Fraction(int(a), den) for a in nums))
+    # one shared Fraction per numerator, indexed by numerator + 4·den
+    shared = [Fraction(a, den) for a in range(-4 * den, 4 * den + 1)]
+    return CylinderObservable(depth, map(shared.__getitem__,
+                                         (nums + 4 * den).tolist()))
 
 
 def base_cell(spec: SolenoidSpec, path, depth: int):

@@ -15,14 +15,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import StructuralError
-from .geometry import ints
+from .geometry import ints, sum_left
 
 
 def _distribution(values, what: str) -> tuple:
     """`values` as floats: each finite and >= 0 (a NaN fails `0 <= x`), and
     their sum 1 to within 1e-12."""
     p = tuple(float(x) for x in values)
-    if not all(0 <= x < math.inf for x in p) or abs(sum(p) - 1.0) > 1e-12:
+    if (not all(0 <= x < math.inf for x in p)
+            or abs(sum_left(p) - 1.0) > 1e-12):
         raise StructuralError(f"{what} must be finite, >= 0 and sum to 1, "
                               f"not {p}")
     return p

@@ -409,11 +409,9 @@ def _disk_meets(c, r, lo, hi) -> bool:
 class DecompositionReport:
     """Greedy supertile decomposition of a dilated region."""
 
-    n: int                         # top level with nonzero counts (-1 if empty)
     counts: dict                   # level i -> counts per type, top level first
     boundary_skipped: int
     volume_covered: Fraction
-    theta_products: list           # θ_(i) for i = 0..top ancestor level
     anchor_level: int
 
     def total_count(self, level: int) -> int:
@@ -844,8 +842,5 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     counts, boundary = system.cover(window, level, vertex, offset)
     covered = sum((c * system.volume(k, v) for k, row in counts.items()
                    for v, c in enumerate(row) if c), Fraction(0))
-    return DecompositionReport(
-        n=max(counts, default=-1), counts=counts, boundary_skipped=boundary,
-        volume_covered=covered,
-        theta_products=[1 / system.theta_inv(i) for i in range(level + 1)],
-        anchor_level=level)
+    return DecompositionReport(counts=counts, boundary_skipped=boundary,
+                               volume_covered=covered, anchor_level=level)

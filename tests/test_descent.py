@@ -150,7 +150,6 @@ def test_descent_matches_fraction_reference(name, hh, sol2, sol3, odp):
         assert list(rep.counts) == sorted(counts, reverse=True), kind
         assert rep.boundary_skipped == boundary, kind
         assert rep.volume_covered == covered, kind
-        assert rep.n == max(counts, default=-1)
         if kind == "far-box":           # too far for int64 cross products
             found, _ = system._descend(window, *anchor[:3])
             assert found and all(offs.dtype == object for _, _, offs in found)

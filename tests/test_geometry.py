@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from randtile.solenoid import (CylinderObservable, SolenoidSpec, base_cell,
                                dk_check, random_observable)
 from randtile.substitution import HALF_HEX_EMBEDDING, half_hex_classical
 from randtile.symbolic import SymbolSequence
-from randtile.tiling import Region
+from randtile.tiling import Region, generate_patch
 
 H = Fraction(1, 2)
 
@@ -217,3 +218,207 @@ def test_margin_on_box_faces_is_axis_gap(boxed, xs):
     p = tuple(xs[:box.dim])
     assert margin(p, faces(box, emb)) == min(
         min(c - l, h - c) for c, l, h in zip(p, lo, hi))
+
+
+def test_sum_left_adds_left_to_right():
+    """Python 3.12's builtin `sum` compensates float sums and gives 1.0 here
+    (as `math.fsum` does); adding left to right gives 0.0 on every version."""
+    values = [1e16, 1.0, -1e16]
+    assert geometry.sum_left(values) == (1e16 + 1.0) - 1e16 == 0.0
+    assert math.fsum(values) == 1.0
+    assert geometry.sum_left(iter([1, 2, 3])) == 6
+    assert geometry.sum_left([]) == 0
+
+
+# The parent's non-convex rules, pasted as the oracle for `Polygon.pieces`:
+# containment by crossing number plus an on-boundary test, and overlap areas
+# from a convex fan or an ear clip of both operands.
+
+def _old_on_segment(a, b, p):
+    if geometry.cross(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _old_on_boundary(vs, p):
+    n = len(vs)
+    return any(_old_on_segment(vs[i], vs[(i + 1) % n], p) for i in range(n))
+
+
+def _old_winding_contains(vs, p):
+    n = len(vs)
+    count = 0
+    for i in range(n):
+        (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % n]
+        if (y0 <= p[1]) != (y1 <= p[1]):
+            t = (p[1] - y0) / (y1 - y0)
+            if x0 + t * (x1 - x0) > p[0]:
+                count += 1
+    return count % 2 == 1
+
+
+def _old_contains_point(poly, p, strict=False):
+    vs = poly.vertices
+    if poly.convex:
+        for i in range(len(vs)):
+            c = geometry.cross(vs[i], vs[(i + 1) % len(vs)], p)
+            if c < 0 or (strict and c == 0):
+                return False
+        return True
+    inside = _old_winding_contains(vs, p)
+    if strict:
+        return inside and not _old_on_boundary(vs, p)
+    return inside or _old_on_boundary(vs, p)
+
+
+def _old_ear_clip(vs):
+    tris, idx = [], list(range(len(vs)))
+    while len(idx) > 3:
+        n = len(idx)
+        for k in range(n):
+            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
+            a, b, c = vs[i0], vs[i1], vs[i2]
+            if geometry.cross(a, b, c) <= 0:
+                continue
+            ear = Polygon([a, b, c])
+            if not any(_old_contains_point(ear, vs[j], strict=True)
+                       or _old_on_boundary((a, b, c), vs[j])
+                       for j in idx if j not in (i0, i1, i2)):
+                tris.append((a, b, c))
+                idx.pop(k)
+                break
+        else:
+            raise StructuralError("no ear found")
+    tris.append(tuple(vs[i] for i in idx))
+    return tris
+
+
+def _old_triangulate(poly):
+    vs = poly.vertices
+    if poly.convex:
+        return [Polygon([vs[0], vs[i], vs[i + 1]])
+                for i in range(1, len(vs) - 1)]
+    return [Polygon(t) for t in _old_ear_clip(list(vs))]
+
+
+def _old_clip_convex(subject, clipper):
+    output, n = list(subject), len(clipper)
+    for i in range(n):
+        if not output:
+            return []
+        a, b = clipper[i], clipper[(i + 1) % n]
+        input_list, output = output, []
+        m = len(input_list)
+        for j in range(m):
+            cur, nxt = input_list[j], input_list[(j + 1) % m]
+            cur_in = geometry.cross(a, b, cur) >= 0
+            nxt_in = geometry.cross(a, b, nxt) >= 0
+            if cur_in:
+                output.append(cur)
+            if cur_in != nxt_in:
+                d1, d2 = geometry.cross(a, b, cur), geometry.cross(a, b, nxt)
+                output.append(geometry.vadd(cur, geometry.vscale(
+                    d1 / (d1 - d2), geometry.vsub(nxt, cur))))
+    dedup = []
+    for p in output:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def _old_intersection_volume(a, b):
+    if a.convex and b.convex:
+        clipped = _old_clip_convex(a.vertices, b.vertices)
+        return (geometry._signed_area2(clipped) / 2 if len(clipped) >= 3
+                else Fraction(0))
+    return sum((_old_intersection_volume(t1, t2) for t1 in _old_triangulate(a)
+                for t2 in _old_triangulate(b)), Fraction(0))
+
+
+# eight spikes, each outer vertex followed by a reflex inner one
+_STAR = [v for pair in zip(
+    [(4, 0), (4, 4), (0, 4), (-4, 4), (-4, 0), (-4, -4), (0, -4), (4, -4)],
+    [(1, H), (H, 1), (-H, 1), (-1, H), (-1, -H), (-H, -1), (H, -1), (1, -H)])
+    for v in pair]
+_PIECE_CASES = {
+    "triangle": [(0, 0), (3, 0), (1, 2)],
+    "hexagon": [(1, 0), (3, 0), (4, 2), (3, 4), (1, 4), (0, 2)],
+    "square-midpoint": [(0, 0), (2, 0), (2, 2), (1, 2), (0, 2)],
+    "L": [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+    "U": [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)],
+    "comb": [(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (3, 1), (3, 3), (2, 3),
+             (2, 1), (1, 1), (1, 3), (0, 3)],
+    # the first corner, (0, 0) (1, 0) (2, 0), is collinear: no ear
+    "L-collinear": [(1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1),
+                    (0, 0)],
+    "star": _STAR,
+}
+
+
+def _probe_points(poly):
+    """Vertices; points on every edge, on every segment between two vertices
+    (internal diagonals among them) and on the lines through them past
+    either end; rational points off all of these."""
+    vs = poly.vertices
+    pts = set(vs)
+    for a in vs:
+        for b in vs:
+            for t in (Fraction(1, 3), H, Fraction(3, 2)):
+                pts.add(tuple(c + t * (d - c) for c, d in zip(a, b)))
+    (x0, y0), (x1, y1) = poly.bbox()
+    pts.update((x0 - 1 + Fraction(i, 2) + Fraction(1, 7),
+                y0 - 1 + Fraction(j, 2) + Fraction(1, 11))
+               for i in range(2 * int(x1 - x0) + 4)
+               for j in range(2 * int(y1 - y0) + 4))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("name", sorted(_PIECE_CASES))
+def test_pieces_keep_the_old_containment(name):
+    poly = Polygon(_PIECE_CASES[name])
+    assert poly.convex == (name in ("triangle", "hexagon", "square-midpoint"))
+    pieces = poly.pieces()
+    assert pieces is poly.pieces()
+    assert pieces == ([poly.vertices] if poly.convex else
+                      geometry._ear_clip(poly.vertices))
+    assert all(geometry._is_convex(p) and geometry._signed_area2(p) > 0
+               for p in pieces)
+    assert sum(geometry._signed_area2(p) for p in pieces) / 2 == poly.volume()
+    for p in _probe_points(poly):
+        for strict in (False, True):
+            assert poly.contains_point(p, strict) == _old_contains_point(
+                poly, p, strict), (p, strict)
+
+
+@pytest.mark.parametrize("name", sorted(_PIECE_CASES))
+def test_pieces_keep_the_old_intersection_volume(name):
+    poly = Polygon(_PIECE_CASES[name])
+    assert poly.intersection_volume(poly) == poly.volume()
+    for other in _PIECE_CASES.values():
+        other = Polygon(other)
+        for shift in ((0, 0), (H, Fraction(1, 3))):
+            moved = other.transform(1, shift)
+            want = _old_intersection_volume(poly, moved)
+            assert poly.intersection_volume(moved) == want, (other, shift)
+            assert moved.intersection_volume(poly) == want
+
+
+def test_l_window_is_ear_clipped_once(hh, monkeypatch):
+    """Ear-clipping once per polygon: the window's pieces are kept, where
+    each tile test used to clip the window again (158 clips here)."""
+    calls = []
+    clip = geometry._ear_clip
+
+    def counted(vs):
+        calls.append(vs)
+        return clip(vs)
+
+    monkeypatch.setattr(geometry, "_ear_clip", counted)
+    window = Region.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+                            dilation=4)
+    patch = generate_patch(hh, SymbolSequence.constant(1, 64), window)
+    assert len(patch) > 0
+    assert calls == [window.shape().vertices]

@@ -10,6 +10,7 @@ from randtile.errors import StructuralError
 from randtile.solenoid import (CylinderObservable, SolenoidSpec, base_cell,
                                cylinder_measure, dk_check, random_observable,
                                variation)
+from randtile.symbolic import rng_stream
 
 
 def _partitions(items):
@@ -223,6 +224,24 @@ def test_random_observable_reproducible():
     c = random_observable(spec, 2, seed=3, worker_id=2)
     assert a.values == b.values
     assert a.values != c.values
+
+
+def test_random_observable_values_are_per_cell_fractions():
+    """The shared Fraction per numerator gives each cell's a/16."""
+    spec = SolenoidSpec.periodic([2, 3], dim=2)
+    f = random_observable(spec, 2, seed=5, worker_id=1)
+    nums = rng_stream(5, 1).integers(-64, 65, size=36)
+    assert f.values == tuple(Fraction(int(a), 16) for a in nums)
+
+
+def test_cylinder_observable_coerces_values_once():
+    f = CylinderObservable(1, (0.5, 1.5))
+    assert f.mean() == 1 and type(f.mean()) is Fraction
+    assert f.values == (Fraction(1, 2), Fraction(3, 2))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(StructuralError,
+                           match=f"{bad!r} is not a finite number"):
+            CylinderObservable(1, (bad, 1.5))
 
 
 def test_dk_offset_validation():
