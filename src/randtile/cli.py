@@ -36,13 +36,18 @@ from .ergodic import (TLCObservable, deviation_along_sequence, deviation_cap,
                       special_averaging_sequence)
 from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
                           windowed_trace)
-from .solenoid import SolenoidSpec, dk_check, random_observable
+from .solenoid import (SolenoidSpec, dk_check, grid_cells,
+                       random_observable)
 from .substitution import builtin_family, load_family
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from .tiling import (Region, SupertileSystem, decompose_region, generate_patch,
                      lattice_images)
 
 _CAP_STEPS = 20000        # least cocycle steps behind `deviate`'s cap
+# the most symbols one sequence flag may ask for (--length, spectrum --steps)
+_SYMBOL_BUDGET = 10 ** 6
+# the most work one `dk` run may ask for: trials × (n_max + 1) × d × cells
+_DK_BUDGET = 2 ** 24
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
             "#937860", "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd")
 
@@ -136,8 +141,16 @@ def _numbers(flag: str, text: str, kind) -> list:
     return [_number(flag, item, kind) for item in text.split(",")]
 
 
+def _check_symbols(flag: str, count: int):
+    """A `ConfigError` naming `flag` when its `count` symbols are past the
+    symbol budget; called before anything is sampled."""
+    if count > _SYMBOL_BUDGET:
+        raise ConfigError(f"{flag} {count} is past the budget of 10^6 symbols")
+
+
 def _sequence(args) -> SymbolSequence:
     """Bernoulli(--p) sample of --length symbols, or all 1s without --p."""
+    _check_symbols("--length", args.length)
     if args.p is None:
         return SymbolSequence.constant(1, args.length)
     return sample_sequence(MeasureSpec.bernoulli_p(args.p), args.length,
@@ -192,6 +205,7 @@ def render_svg(patch) -> str:
 
 
 def cmd_spectrum(args, out: Path):
+    _check_symbols("--steps", args.steps)
     family = _resolve_family(args.family)
     grid = _numbers("--p-grid", args.p_grid, float)
     rows = []
@@ -328,6 +342,14 @@ def cmd_dk(args, out: Path):
             raise ConfigError(f"{flag} {value} is below {least}")
     qs = _numbers("--q", args.q, int)
     spec = SolenoidSpec.periodic(qs, dim=args.d)
+    # trials × (n_max + 1) × d × q_(depth)^d axis-cell sums, refused before
+    # any draw; `grid_cells` refuses a grid past the tile budget first
+    cells, power = grid_cells(spec, args.depth)
+    if args.trials * (args.n_max + 1) * args.d * cells > _DK_BUDGET:
+        raise ConfigError(
+            f"{args.trials} trials × {args.n_max + 1} sums × d = {args.d} × "
+            f"{power} cells is past the budget of 2^24; lower --trials, "
+            f"--n-max, --depth or --d")
     gen_rows = []
     rng = np.random.Generator(np.random.Philox(key=(args.seed, 99)))
     violations = 0
@@ -359,6 +381,7 @@ def cmd_schrod(args, out: Path):
     for flag, value in (("--e-min", args.e_min), ("--e-max", args.e_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} {value!r} is not a finite number")
+    _check_symbols("--length", args.length)
     family = _resolve_family(args.family)
     try:   # a kernel file holds exactly the KernelSpec fields
         kernel = (KernelSpec(**json.loads(Path(args.kernel).read_text()))

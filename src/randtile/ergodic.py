@@ -14,6 +14,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (ConvergenceError, DegenerateObservableError,
                      InsufficientDataError, StructuralError,
                      UnsupportedOperationError)
 from .cocycle import top_left_direction
-from .geometry import frac, ints, numerators, sum_left
+from .geometry import frac, int_rows, numerators, sum_left
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence, recurrence_times, rng_stream
 from .tiling import (CellGrid, Region, SupertileSystem, decompose_region,
@@ -44,9 +46,14 @@ class TLCObservable:
     def __post_init__(self):
         if self.depth < 0:
             raise StructuralError("depth must be >= 0")
-        object.__setattr__(self, "weights", tuple(
-            (tuple(map(ints, path)), w) for path, w in self.weights)
-            if self.depth else tuple(self.weights))
+        weights = tuple(self.weights)
+        if self.depth:   # one pass: tuples of tuples of ints are kept as given
+            paths = [p for p, _ in weights]
+            edges = tuple(chain.from_iterable(paths))
+            if (set(map(type, chain(weights, paths))) != {tuple}
+                    or int_rows(edges) is not edges):
+                weights = tuple((int_rows(path), w) for path, w in weights)
+        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def typewise(weights) -> "TLCObservable":
@@ -66,12 +73,21 @@ class TLCObservable:
         return all(isinstance(w, (int, Fraction)) for w in vals)
 
 
-@dataclass
 class ErgodicVector:
-    """V^k: integral of the observable over each level-k supertile type."""
+    """V^k: integral of the observable over each level-k supertile type, or
+    an exact level's numerators N^k over one denominator D (None: ints), whose
+    entries `values` builds on first read, then keeps, dropping the N^k."""
 
-    level: int
-    values: np.ndarray
+    def __init__(self, level: int, values=None, num=None, den=None):
+        self.level, self._num, self._den = level, num, den
+        if values is not None:
+            self.values = values
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        num, self._num = self._num, None
+        return np.array(num if self._den is None else
+                        [Fraction(v, self._den) for v in num], dtype=object)
 
 
 @dataclass
@@ -125,10 +141,10 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     Exact weights carry integer numerators over one common denominator.  The
     last explicit vector (V^0, or V^m for a depth-m observable) is written as
     N/D with D the lcm of its denominators; A_k is an integer matrix, so
-    V^k = A_k···A_1·V^0 is N^k/D with N^k = A_k·N^(k−1) in Python ints.  An
-    entry is built once per level: Fraction(N^k_j, D) when the last explicit
-    vector holds a Fraction, else the int N^k_j, the types an object matmul
-    would give.  A path level k <= m sums the numerators of w·vol[src] over
+    V^k = A_k···A_1·V^0 is N^k/D with N^k = A_k·N^(k−1) in Python ints, read
+    as Fraction(N^k_j, D) when the last explicit vector holds a Fraction,
+    else as the int N^k_j (the types an object matmul would give), and built
+    on first read.  A path level k <= m sums the numerators of w·vol[src] over
     the length-k paths ending at each vertex (int 0 where there are none).
     Float and complex weights sum the raw w·float(vol) over the same paths
     and use float matmuls above them.
@@ -142,14 +158,9 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     dtype = object if exact else complex if any(
         isinstance(w, complex) for w in (dict(f.weights).values()
                                          if m else f.weights)) else float
-
-    def vec(vals):
-        return np.array(vals, dtype=dtype)
-
     if m == 0:
-        base = vec([f.weights[j] * (vols[j] if exact else float(vols[j]))
-                    for j in range(n)])
-        out = [ErgodicVector(0, base)]
+        out = [ErgodicVector(0, np.array([f.weights[j] * (
+            vols[j] if exact else float(vols[j])) for j in range(n)], dtype))]
     else:
         if not _levels_geometric(family, x, m):
             raise UnsupportedOperationError(
@@ -185,26 +196,24 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                     fractional = fractional or wfrac or vfrac
                 vals.append(Fraction(total, wden * vden) if fractional
                             else total // (wden * vden) if exact else total)
-            out.append(ErgodicVector(k, vec(vals)))
+            out.append(ErgodicVector(k, np.array(vals, dtype)))
 
     if not exact:
         while len(out) <= depth:
-            k = len(out)
-            a = family.matrix(x[k]).astype(float)
-            out.append(ErgodicVector(k, a @ out[-1].values))
+            a = family.matrix(x[len(out)]).astype(float)
+            out.append(ErgodicVector(len(out), a @ out[-1].values))
         return out[:depth + 1]
 
     den, num = numerators(out[-1].values)
-    fractional = any(isinstance(v, Fraction) for v in out[-1].values)
+    if not any(isinstance(v, Fraction) for v in out[-1].values):
+        den = None
     rows = {}
     while len(out) <= depth:
-        k = len(out)
-        s = x[k]
+        s = x[len(out)]
         if s not in rows:
             rows[s] = family.matrix(s).tolist()
         num = [sum(map(operator.mul, row, num)) for row in rows[s]]
-        out.append(ErgodicVector(k, vec(
-            [Fraction(v, den) for v in num] if fractional else num)))
+        out.append(ErgodicVector(len(out), num=num, den=den))
     return out[:depth + 1]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import StructuralError
@@ -52,6 +53,15 @@ def ints(values) -> tuple:
     if type(values) is tuple and not set(map(type, values)) - {int}:
         return values
     return tuple(map(_int, values))
+
+
+def int_rows(rows) -> tuple:
+    """`rows` as a tuple of `ints` tuples; a tuple of tuples of ints comes
+    back as it is, checked in one pass over every entry."""
+    if (type(rows) is tuple and set(map(type, rows)) <= {tuple}
+            and not set(map(type, chain.from_iterable(rows))) - {int}):
+        return rows
+    return tuple(map(ints, rows))
 
 
 def _int(v) -> int:

@@ -10,6 +10,7 @@ Birkhoff sums contract int value numerators with int residue weights.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,11 +119,10 @@ def variation(f: CylinderObservable) -> Fraction:
     return Fraction(sum(vals[len(vals) - half:]) - sum(vals[:half]), den)
 
 
-def random_observable(spec: SolenoidSpec, depth: int, seed: int,
-                      worker_id: int = 0) -> CylinderObservable:
-    """Reproducible random rational observable on the depth-m grid; more
-    than `DEFAULT_TILE_BUDGET` cells, q_(m)^d, is refused before the count
-    or any cell is built, with the count written as that power."""
+def grid_cells(spec: SolenoidSpec, depth: int) -> tuple:
+    """(q_(m)^d, that count written as a power of the q_k, as "2^6·3^4") of
+    the depth-m grid; more than `DEFAULT_TILE_BUDGET` cells is refused
+    before the count is built, with the count written as q_(m)^d."""
     q = spec.q_prod(depth)
     if spec.dim * math.log2(q) > math.log2(DEFAULT_TILE_BUDGET):
         base = str(q) if q.bit_length() <= 64 else \
@@ -131,9 +131,19 @@ def random_observable(spec: SolenoidSpec, depth: int, seed: int,
         raise StructuralError(
             f"a depth-{depth} observable has {base}{power} cells, past the "
             f"budget of {DEFAULT_TILE_BUDGET}")
+    powers = Counter(spec.q_at(k) for k in range(1, depth + 1))
+    return q ** spec.dim, "·".join(
+        f"{b}^{e * spec.dim}" for b, e in sorted(powers.items())) or "1"
+
+
+def random_observable(spec: SolenoidSpec, depth: int, seed: int,
+                      worker_id: int = 0) -> CylinderObservable:
+    """Reproducible random rational observable on the depth-m grid of
+    `grid_cells`, which refuses an oversize grid before any cell is built."""
+    cells, _ = grid_cells(spec, depth)
     den = _VALUE_DENOMINATOR
     nums = rng_stream(seed, worker_id).integers(-4 * den, 4 * den + 1,
-                                                size=q ** spec.dim)
+                                                size=cells)
     # one shared Fraction per numerator, indexed by numerator + 4·den
     shared = [Fraction(a, den) for a in range(-4 * den, 4 * den + 1)]
     return CylinderObservable(depth, map(shared.__getitem__,

@@ -159,13 +159,20 @@ def sample_sequence(measure: MeasureSpec, length: int, seed: int,
 
 
 def recurrence_times(x: SymbolSequence, window: int):
-    """All k >= 1 with x_{k+j} = x_j for j = 1..window."""
+    """All k >= 1 with x_{k+j} = x_j for j = 1..window, k + window <= len(x).
+
+    Every shift k is compared at once, one head symbol x_j at a time, so the
+    work is window numpy comparisons over the sequence and the memory one
+    flag per shift."""
     if window > len(x):
         raise StructuralError("window longer than sequence")
-    pos = x.positive
-    head = pos[:window]
-    out = []
-    for k in range(1, len(pos) - window + 1):
-        if pos[k:k + window] == head:
-            out.append(k)
-    return out
+    if window < 0:
+        raise StructuralError(f"window {window} is negative")
+    try:
+        pos = np.array(x.positive, dtype=np.int64)
+    except OverflowError:   # a symbol past int64: compare the exact ints
+        pos = np.array(x.positive, dtype=object)
+    hits = np.ones(len(pos) - window, dtype=bool)
+    for j in range(window):
+        hits &= pos[1 + j:len(pos) - window + 1 + j] == pos[j]
+    return (np.flatnonzero(hits) + 1).tolist()

@@ -20,10 +20,10 @@ the scale; its exact views (`tiles`, a read-only sequence, and `shapes`)
 are made from them on each access and store nothing.
 `lattice_test` is the one window membership test, for the descent and for
 operators and traces on punctures: exact on the integers for boxes and
-convex polygons, the Region predicates node by node for disks and
-non-convex polygons.  `lattice_images` is the one float image of lattice
-points; `Fraction` offsets appear only in `anchor`, `path_offset` and the
-exact views.
+convex polygons, the float Region predicates node by node for disks and
+the exact `contains_shape` node by node for non-convex polygons.
+`lattice_images` is the one float image of lattice points; `Fraction`
+offsets appear only in `anchor`, `path_offset` and the exact views.
 """
 
 from __future__ import annotations
@@ -447,13 +447,14 @@ def _int_dtype(bound: int):
 
 
 def lattice_test(window: Region, scale: int, corners, embedding):
-    """(meets, inside) of the convex nodes with integer corners (n, c, d) on
-    (1/scale)·ℤ^d; a point is a node with one corner.  `meets`: the node's
-    bounding box meets the window's (a disk's: the disk); `inside`: the node
-    lies in the dilated window.  Exact on the integers for boxes and convex
-    polygons; disks test the float images of the corners with the float
-    predicates of `Region`, and non-convex polygons go through the exact
-    `Region.contains_points` node by node."""
+    """(meets, inside) of the nodes with integer corners (n, c, d) on
+    (1/scale)·ℤ^d, each counterclockwise; a point is a node with one corner.
+    `meets`: the node's bounding box meets the window's (a disk's: the
+    disk); `inside`: the node lies in the dilated window.  Exact on the
+    integers for boxes and convex polygons; disks test the float images of
+    the corners with the float predicates of `Region`, and non-convex
+    polygons decide each node that meets them exactly, by `contains_shape`
+    (corner by corner below three corners)."""
     shape = None if window.kind == "disk" else window.shape()
     verts = shape.vertices_list() if shape is not None else []
     full = math.lcm(scale, *(c.denominator for p in verts for c in p))
@@ -483,11 +484,19 @@ def lattice_test(window: Region, scale: int, corners, embedding):
         inside = [m and all(math.dist(p, c) <= r for p in node)
                   for m, node in zip(meets, pts)]
         return np.array(meets, dtype=bool), np.array(inside, dtype=bool)
+    # a node of three corners or more is a counterclockwise image of a
+    # validated prototile: trusted, its convexity found on the int corners
     _, c, d = pts.shape
+    rows = pts.tolist()
     exact = lattice_points(pts.reshape(-1, d), full)
-    inside = np.array([bool(m) and window.contains_points(
-        list(dict.fromkeys(exact[i * c:(i + 1) * c])), embedding)
-        for i, m in enumerate(meets)], dtype=bool)
+    inside = np.zeros(len(meets), dtype=bool)
+    for i in np.flatnonzero(meets).tolist():
+        distinct = dict(zip(map(tuple, rows[i]), exact[i * c:(i + 1) * c]))
+        node = list(distinct.values())
+        inside[i] = (shape.contains_shape(geometry.Polygon._trusted(
+                        node, geometry._is_convex(list(distinct))))
+                     if len(node) >= 3 else
+                     all(shape.contains_point(p) for p in node))
     return meets, inside
 
 

@@ -486,6 +486,80 @@ def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     assert not (tmp_path / "dk.csv").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--d", "1", "--depth", "23"],
+     "20 trials × 9 sums × d = 1 × 2^23 cells is past the budget of 2^24"),
+    (["--n-max", "100000000"], "20 trials × 100000001 sums × d = 1 × 2^2"),
+    (["--trials", "100000000", "--depth", "0"],
+     "100000000 trials × 9 sums × d = 1 × 1 cells"),
+    (["--d", "100000000", "--depth", "0"], "× d = 100000000 × 1 cells"),
+    (["--q", "2,3", "--d", "2", "--depth", "5", "--n-max", "1000"],
+     "20 trials × 1001 sums × d = 2 × 2^6·3^4 cells"),
+    (["--depth", "16", "--n-max", "15", "--trials", "17"],
+     "17 trials × 16 sums × d = 1 × 2^16 cells"),
+], ids=["depth-23", "n-max", "trials", "d", "mixed-q", "edge-plus-one"])
+def test_dk_refuses_work_past_its_budget(tmp_path, capsys, monkeypatch,
+                                         argv, named):
+    """trials × (n_max + 1) × d × q_(depth)^d past 2^24 is refused before
+    any observable is drawn; `--d 1 --depth 23` ran for minutes before."""
+    monkeypatch.setattr(cli, "random_observable", None)
+    assert main(["dk", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "--trials, --n-max, --depth or --d" in err
+    assert not (tmp_path / "dk.csv").exists()
+
+
+def test_dk_budget_admits_its_edge(tmp_path, monkeypatch):
+    """16 trials × 16 sums × 2^16 cells is 2^24 exactly, so it runs (the
+    draws are stubbed: the budget check alone is under test)."""
+    drawn = []
+    monkeypatch.setattr(cli, "random_observable",
+                        lambda *a, **kw: drawn.append(a) or 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["dk", "--depth", "16", "--n-max", "15", "--trials", "16",
+              "--out", str(tmp_path)])
+    assert len(drawn) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--steps", "100000000"], "--steps 100000000"),
+    (["patch", "--length", "100000000"], "--length 100000000"),
+    (["render", "--length", "1000001"], "--length 1000001"),
+    (["decompose", "--length", "100000000"], "--length 100000000"),
+    (["deviate", "--length", "100000000"], "--length 100000000"),
+    (["deviate", "--mode", "regions", "--length", "100000000"],
+     "--length 100000000"),
+    (["schrod", "--length", "100000000"], "--length 100000000"),
+], ids=["spectrum", "patch", "render", "decompose", "deviate",
+        "deviate-regions", "schrod"])
+def test_sequence_lengths_past_the_budget_exit_2(tmp_path, capsys,
+                                                 monkeypatch, argv, named):
+    """Every sequence flag is checked against 10^6 symbols before anything
+    is sampled; --length 100000000 ran past 4 s on every subcommand."""
+    for name in ("sample_sequence", "lyapunov_spectrum", "SymbolSequence"):
+        monkeypatch.setattr(cli, name, None)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"{named} is past the budget of 10^6 symbols" in \
+        capsys.readouterr().err
+
+
+def test_symbol_budget_sits_above_every_default_and_golden():
+    """The defaults, the goldens, deviate's cap steps and the benchmark's
+    20,000-step chains all ask for fewer symbols than the budget."""
+    parser = _build_parser()
+    asked = [cli._CAP_STEPS, 20_000]
+    for name in ("spectrum", "patch", "render", "decompose", "deviate",
+                 "schrod"):
+        args = parser.parse_args([name])
+        asked.append(args.steps if name == "spectrum" else args.length)
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    for cmd in golden:
+        args = parser.parse_args(shlex.split(cmd))
+        asked += [getattr(args, flag) for flag in ("steps", "length")
+                  if hasattr(args, flag)]
+    assert max(asked) <= cli._SYMBOL_BUDGET
+
+
 @pytest.mark.parametrize("command", [["deviate"],
                                      ["deviate", "--mode", "regions"],
                                      ["patch"], ["decompose"], ["schrod"]])

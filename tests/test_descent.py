@@ -10,6 +10,7 @@ the package ran before the search moved to the integer level tables.
 """
 
 import heapq
+import json
 import math
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from randtile.geometry import Box, embed_point, vadd, vscale, vsub
 from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   windowed_trace)
 from randtile.substitution import (Branch, Prototile, RuleFamily,
-                                   SubstitutionRule, half_hex_classical)
+                                   SubstitutionRule, half_hex_classical,
+                                   load_family)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (ANCHOR_MAX_EXPANSIONS, ANCHOR_MAX_LEVEL, Patch,
                              Region, SupertileSystem, decompose_region,
@@ -160,6 +162,68 @@ def test_descent_matches_fraction_reference(name, hh, sol2, sol3, odp):
                                system=system, anchor=anchor)
             assert err.value.partial.tiles == want[:budget], kind
 
+
+
+def _l_tromino(path):
+    """A family of non-convex prototiles, read from JSON: the four quarter
+    turns of an L tromino (a 2×2 box less its notch cell), each tiled at
+    θ = 1/2 by the L of its own turn at the box centre and one L at each of
+    the three other corners.  A type's origin is the centre of the cell
+    opposite its notch."""
+    notches = [(1, 1), (0, 1), (0, 0), (1, 0)]
+    half = Fraction(1, 2)
+    origin = [(Fraction(3, 2) - nx, Fraction(3, 2) - ny) for nx, ny in notches]
+    box = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    protos, branches = [], []
+    for t, (nx, ny) in enumerate(notches):
+        i = box.index((2 * nx, 2 * ny))
+        (px, py), (qx, qy) = box[i - 1], box[(i + 1) % 4]
+        ell = box[:i] + [((px + 2 * nx) // 2, (py + 2 * ny) // 2), (1, 1),
+                         ((qx + 2 * nx) // 2, (qy + 2 * ny) // 2)] + box[i + 1:]
+        protos.append({"id": t, "vertices": [
+            [str(a - origin[t][0]), str(b - origin[t][1])] for a, b in ell]})
+        children = [(t, (half, half))] + [
+            (notches.index((1 - cx, 1 - cy)), (cx, cy))
+            for cx in (0, 1) for cy in (0, 1) if (cx, cy) != (nx, ny)]
+        branches += [{"parent": t, "child": c, "tau": [
+            str(corner[j] + half * origin[c][j] - origin[t][j]) for j in (0, 1)]}
+            for c, corner in children]
+    path.write_text(json.dumps({
+        "name": "l-tromino", "dimension": 2, "prototiles": protos,
+        "rules": [{"id": 1, "theta": "1/2", "branches": branches}]}))
+    return load_family(path)
+
+
+def test_non_convex_tiles_match_fraction_reference(tmp_path):
+    """Non-convex prototiles under every window kind, the L window among
+    them: patches and decompositions keep what `Region.contains_points`
+    keeps, and `lattice_test` decides each tile as it does."""
+    family = _l_tromino(tmp_path / "l-tromino.json")
+    assert not any(p.shape.convex for p in family.prototiles)
+    x = SymbolSequence.constant(1, 64)
+    system = SupertileSystem(family, x)
+    ell = Region.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    for kind, base, t in _windows(2) + [("L", ell, 8)]:
+        window = base.dilated(t)
+        anchor = system.anchor(window)
+        want = _ref_patch(system, window, anchor)
+        assert generate_patch(family, x, window, system=system,
+                              anchor=anchor).tiles == want, kind
+        counts, boundary, covered = _ref_decomposition(system, window, anchor)
+        rep = decompose_region(family, x, base, t, system=system, anchor=anchor)
+        assert (rep.counts, rep.boundary_skipped, rep.volume_covered) == (
+            counts, boundary, covered), kind
+    window = ell.dilated(8)
+    patch = generate_patch(family, x, Region.box((-12, -12), (30, 30)),
+                           system=system)
+    scale, corners = patch.placed([p.shape.vertices_list()
+                                   for p in family.prototiles])
+    meets, inside = lattice_test(window, scale, corners, None)
+    exact = [[vadd(v, off) for v in family.prototiles[t].shape.vertices_list()]
+             for t, off in patch.tiles]
+    assert inside.tolist() == [m and window.contains_points(tile)
+                               for m, tile in zip(meets.tolist(), exact)]
+    assert 0 < inside.sum() < meets.sum() < len(exact)
 
 def test_approximant_matches_fraction_reference(hh, sol2):
     for family, x, depth in ((hh, SymbolSequence.constant(1, 8), 5),

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randtile import geometry
+from randtile import ergodic, geometry
 from randtile.bratteli import connectivity_matrices, spanning_system
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
                              UnsupportedOperationError)
-from randtile.ergodic import (TLCObservable, _boundary_samples, _log_abs,
+from randtile.ergodic import (ErgodicVector, TLCObservable, _boundary_samples,
+                              _log_abs,
                               _patch_point_distance, _upward_continuation,
                               cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
@@ -889,3 +890,127 @@ def test_ergodic_vectors_past_the_sequence_name_the_level(hh):
     with pytest.raises(StructuralError, match="level 5 is past the sequence"):
         ergodic_vectors(TLCObservable(5, ()), hh,
                         SymbolSequence.constant(1, 4), 2)
+
+
+def _eager_vectors(f, family, x, depth):
+    """The object-matmul chain as `ErgodicVector`s built in full at once."""
+    return [ErgodicVector(k, v) for k, v in
+            enumerate(_object_matmul_vectors(f, family, x, depth))]
+
+
+def _lazy_case(hh, hhp, case):
+    """(observable, family, sequence, depth) of each kind of weights."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.4), 80, seed=29)
+    if case == "fraction":
+        f = TLCObservable(0, (1, Fraction(-2, 3), 0, Fraction(5, 7), -3,
+                              Fraction(1, 2)))
+        return f, hhp, x, 80
+    if case == "int":
+        f = TLCObservable(0, (1, -1, 2, 0, 3, -5))
+        return f, _int_volume_family(hhp), x, 80
+    if case in ("float", "complex"):
+        f = TLCObservable(0, (0.5, -1.25, 3.0, 0.0, 2.5, -0.75) if case ==
+                          "float" else (0.5 + 1j, -1.25, 3.0 - 2j, 0, 2.5j, 1))
+        return f, hhp, x, 80
+    x = SymbolSequence.constant(1, 12)
+    paths = [p for ps in _paths_to(hh, x, 3).values() for p in ps]
+    rng = np.random.default_rng(29)
+    return TLCObservable(3, tuple(
+        (p, Fraction(int(a), int(b)) if b > 1 else int(a))
+        for p, a, b in zip(paths, rng.integers(-9, 10, len(paths)),
+                           rng.integers(1, 5, len(paths))))), hh, x, 12
+
+
+@pytest.mark.parametrize("case", ["fraction", "int", "path", "float",
+                                  "complex"])
+def test_lazy_levels_match_an_eager_build(hh, hhp, case):
+    """Every level, read in a random order and then again, equals the eager
+    object-matmul chain value by value and type by type (`Fraction` or
+    `int`); a second read returns the array the first one built."""
+    f, fam, x, depth = _lazy_case(hh, hhp, case)
+    vecs = ergodic_vectors(f, fam, x, depth)
+    order = np.random.default_rng(7).permutation(depth + 1).tolist()
+    first = {k: vecs[k].values for k in order}
+    assert all(vecs[k].values is first[k] for k in reversed(order))
+    _assert_same_vectors(vecs, _object_matmul_vectors(f, fam, x, depth))
+
+
+def test_exact_levels_are_built_on_first_read(hh, hhp):
+    """Above the last explicit level, an exact level holds its numerators
+    until `values` is read; float levels and path levels are built at once.
+    `ErgodicVector(level, values)` keeps the array it is given."""
+    for case, explicit in (("fraction", 1), ("path", 4), ("float", 81)):
+        f, fam, x, depth = _lazy_case(hh, hhp, case)
+        vecs = ergodic_vectors(f, fam, x, depth)
+        built = [k for k, v in enumerate(vecs) if "values" in vars(v)]
+        assert built == list(range(explicit)), case
+        vecs[-1].values
+        if explicit < len(vecs) - 1:
+            built = [k for k, v in enumerate(vecs) if "values" in vars(v)]
+            assert built == list(range(explicit)) + [depth]
+            assert vecs[-1]._num is None
+    values = np.array([Fraction(1, 3), 2], dtype=object)
+    v = ErgodicVector(3, values)
+    assert v.level == 3 and v.values is values
+
+
+def test_cotrace_and_regions_match_an_eager_build(hh, hhp, monkeypatch):
+    """`cotrace_shadow` and `deviation_over_regions` give what they gave on
+    vectors built in full at once, for exact and float weights."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 200, seed=29)
+    xh = SymbolSequence.constant(1, 40)
+    grid = [4, 8, 16, 32, 64]
+    cases = [(make_zero_trace_observable(hhp, x, 40), hhp, x, 200),
+             (TLCObservable(0, [0.1 * j - 0.2 for j in range(6)]), hhp, x,
+              100),
+             _lazy_case(hh, hhp, "path")]
+    region_fs = [TLCObservable.typewise((Fraction(1, 3), -1, 0, 2, 0, 1)),
+                 TLCObservable.typewise((0.1, -0.7, 0.3, 1.1, -0.2, 0.45))]
+
+    def run():
+        shadows = [cotrace_shadow(*case) for case in cases]
+        fits = [deviation_over_regions(f, hh, xh, Region.unit_square(), grid)
+                for f in region_fs]
+        return ([(est.vector.tolist(), est.residuals) for est in shadows],
+                [(fit.entries, fit.slope, fit.running_max_slope)
+                 for fit in fits])
+
+    lazy = run()
+    monkeypatch.setattr(ergodic, "ergodic_vectors", _eager_vectors)
+    eager = run()
+    assert lazy == eager
+    for (got, _), (want, _) in zip(lazy[0], eager[0]):
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_canonical_paths_are_kept_as_given(hh):
+    """Tuples of tuples of ints are the observable's own: the weights tuple
+    and every path tuple are the caller's objects."""
+    x = SymbolSequence.constant(1, 5)
+    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    weights = tuple((p, Fraction(i, 7)) for i, p in enumerate(paths))
+    f = TLCObservable(2, weights)
+    assert f.weights is weights
+    assert all(got is want for (got, _), want in zip(f.weights, paths))
+
+
+@pytest.mark.parametrize("edge", [
+    (np.int64(1), 0, 2, 0), (2.0, 0, 2, 0), (1, True, 2, 0), [1, 0, 2, 0],
+])
+def test_path_edges_coerce_through_ints(edge):
+    """numpy ints, 2.0 and True coerce (a list edge or path becomes a tuple),
+    as they did edge by edge through `geometry.ints`."""
+    rest = ((2, 2, 1, 1),)
+    f = TLCObservable(2, [[[edge, *rest], Fraction(1, 3)]])
+    want = tuple(int(c) for c in edge)
+    assert f.weights == (((want, *rest), Fraction(1, 3)),)
+    assert {type(c) for p, _ in f.weights for e in p for c in e} == {int}
+    assert {type(e) for p, _ in f.weights for e in p} == {tuple}
+
+
+@pytest.mark.parametrize("edge, named", [
+    ((2.5, 0, 2, 0), "2.5"), ((1, 0, "2", 0), "'2'"), ((1, 0, None, 0), "None"),
+])
+def test_path_edges_refuse_non_integers(edge, named):
+    with pytest.raises(StructuralError, match=f"{named} is not an integer"):
+        TLCObservable(2, (((edge, (2, 2, 1, 1)), Fraction(1, 3)),))

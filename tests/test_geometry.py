@@ -76,6 +76,15 @@ def test_ints_keeps_int_tuples():
     assert geometry.ints([True, np.int8(-3), 4.0]) == (1, -3, 4)
 
 
+def test_int_rows_keeps_tuples_of_int_tuples():
+    rows = ((1, 2), (3, 4, 5), ())
+    assert geometry.int_rows(rows) is rows
+    assert geometry.int_rows([(1, 2), [np.int64(3), 4.0]]) == ((1, 2), (3, 4))
+    assert geometry.int_rows(((1, True),)) == ((1, 1),)
+    with pytest.raises(StructuralError, match="2.5 is not an integer"):
+        geometry.int_rows(((1, 2), (2.5,)))
+
+
 def test_box_basics():
     b = Box((-H, -H), (H, H))
     assert b.volume() == 1

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from randtile.errors import StructuralError
 from randtile.solenoid import (CylinderObservable, SolenoidSpec, base_cell,
-                               cylinder_measure, dk_check, random_observable,
-                               variation)
+                               cylinder_measure, dk_check, grid_cells,
+                               random_observable, variation)
 from randtile.symbolic import rng_stream
 
 
@@ -225,6 +225,25 @@ def test_random_observable_reproducible():
     assert a.values == b.values
     assert a.values != c.values
 
+
+
+def test_grid_cells_counts_and_writes_the_grid():
+    """q_(m)^d and that count as powers of the q_k, the one sizing of a
+    depth-m grid that `random_observable` and `dk` share; past the tile
+    budget it is refused, the count written as q_(m)^d."""
+    spec = SolenoidSpec.periodic([2, 3], dim=2)
+    assert grid_cells(spec, 5) == (72 ** 2, "2^6·3^4")
+    assert grid_cells(spec, 0) == (1, "1")
+    assert grid_cells(SolenoidSpec(1, (4,), (2,)), 3) == (16, "2^2·4^1")
+    assert len(random_observable(spec, 2, seed=1).values) == grid_cells(
+        spec, 2)[0]
+    with pytest.raises(StructuralError, match=r"depth-10 observable has "
+                       r"7776\^2 cells"):
+        grid_cells(spec, 10)
+    assert grid_cells(SolenoidSpec.periodic([2]), 23) == (2 ** 23, "2^23")
+    with pytest.raises(StructuralError, match="has 16777216 cells, past the "
+                       "budget of 10000000"):
+        grid_cells(SolenoidSpec.periodic([2]), 24)
 
 def test_random_observable_values_are_per_cell_fractions():
     """The shared Fraction per numerator gives each cell's a/16."""

@@ -143,6 +143,40 @@ def test_recurrence_times_pattern():
         recurrence_times(x, 11)
 
 
+def _loop_recurrence_times(x, window):
+    """The previous rule, one tuple slice per shift, as the oracle."""
+    pos = x.positive
+    head = pos[:window]
+    out = []
+    for k in range(1, len(pos) - window + 1):
+        if pos[k:k + window] == head:
+            out.append(k)
+    return out
+
+
+@pytest.mark.parametrize("measure", [
+    MeasureSpec.bernoulli_p(0.5), MeasureSpec.bernoulli((0.7, 0.2, 0.1)),
+    MeasureSpec.markov([[0.9, 0.1], [0.3, 0.7]], [0.5, 0.5]),
+])
+def test_recurrence_times_match_the_slice_loop(measure):
+    """Every window from 0 (every shift recurs) to len(x) (none does)."""
+    for seed, length in ((0, 1), (1, 2), (2, 57), (3, 120)):
+        x = sample_sequence(measure, length, seed)
+        for window in range(len(x) + 1):
+            assert (recurrence_times(x, window)
+                    == _loop_recurrence_times(x, window)), (seed, window)
+    for big in (2 ** 64 - 1, 2 ** 70):   # big and big - 1: one float
+        huge = SymbolSequence((1, big, 1, big - 1, 1, big, 1, big))
+        for window in range(len(huge) + 1):
+            assert (recurrence_times(huge, window)
+                    == _loop_recurrence_times(huge, window))
+    empty = SymbolSequence(())
+    assert recurrence_times(empty, 0) == _loop_recurrence_times(empty, 0) == []
+    assert recurrence_times(x, 0) == list(range(1, len(x) + 1))
+    with pytest.raises(StructuralError, match="negative"):
+        recurrence_times(x, -1)
+
+
 def test_rng_stream_splitting():
     a = rng_stream(1, 0).integers(0, 1000, size=8)
     b = rng_stream(1, 0).integers(0, 1000, size=8)

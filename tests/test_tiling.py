@@ -7,6 +7,7 @@ import pytest
 
 from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
+from randtile import geometry
 from randtile.geometry import embed_point
 from randtile.substitution import half_hex_classical
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
@@ -250,6 +251,29 @@ def test_nonconvex_window_on_box_tiles(sol2):
     want = [(t, off) for t, off in tiles if shape.contains_shape(
         sol2.prototiles[t].shape.transform(1, off))]
     patch = generate_patch(sol2, x, window, system=system)
+    assert want and sorted(patch.tiles) == sorted(want)
+
+
+def test_nonconvex_window_validates_no_node(hh, monkeypatch):
+    """Past the window's own validation, no `Polygon` is validated: each
+    node meeting an L window is trusted as the prototile image it is, where
+    the descent once built a validated polygon per node.  The tiles are
+    those exact polygon containment keeps."""
+    x = SymbolSequence.constant(1, 64)
+    window = Region.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+                            dilation=4)
+    shape = window.shape()
+    made = []
+    init = geometry.Polygon.__init__
+    monkeypatch.setattr(geometry.Polygon, "__init__",
+                        lambda self, vs: made.append(vs) or init(self, vs))
+    patch = generate_patch(hh, x, window)
+    assert made == []
+    system = SupertileSystem(hh, x)
+    level, vertex, offset, _ = system.anchor(window)
+    tiles = system.expand(level, vertex, offset, budget=10 ** 6).tiles
+    want = [(t, off) for t, off in tiles if shape.contains_shape(
+        hh.prototiles[t].shape.transform(1, off))]
     assert want and sorted(patch.tiles) == sorted(want)
 
 
