@@ -9,6 +9,7 @@ and lexicographic anchors well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import MinimalityError, StructuralError
 from .geometry import ints
@@ -16,6 +17,26 @@ from .substitution import RuleFamily
 from .symbolic import SymbolSequence
 from .tiling import (DEFAULT_TILE_BUDGET, Patch, SupertileSystem,
                      supertile_system)
+
+
+def path_fault(paths, length: int):
+    """The first rule of a path of `length` edges (level, parent, child,
+    branch) that one of `paths` breaks, or None; checked on columns, edge j
+    of every path in one tuple, so many paths cost one pass."""
+    if set(map(len, paths)) - {length}:
+        return f"not of length {length}"
+    level_of, parent_of, child_of = map(itemgetter, range(3))
+    below = None
+    for level, column in enumerate(zip(*paths), 1):
+        if set(map(len, column)) != {4}:
+            return "edge must be (level, parent, child, branch)"
+        if set(map(level_of, column)) != {level}:
+            return "edge levels must be consecutive from 1"
+        if below is not None and (list(map(child_of, column))
+                                  != list(map(parent_of, below))):
+            return "path edges do not chain: r(e_i) != s(e_{i+1})"
+        below = column
+    return None
 
 
 @dataclass(frozen=True)
@@ -26,14 +47,8 @@ class PathWord:
 
     def __post_init__(self):
         edges = tuple(map(ints, self.edges))
-        for i, e in enumerate(edges):
-            if len(e) != 4:
-                raise StructuralError("edge must be (level, parent, child, branch)")
-            if e[0] != i + 1:
-                raise StructuralError("edge levels must be consecutive from 1")
-        for a, b in zip(edges, edges[1:]):
-            if a[1] != b[2]:
-                raise StructuralError("path edges do not chain: r(e_i) != s(e_{i+1})")
+        if fault := path_fault((edges,), len(edges)):
+            raise StructuralError(fault)
         object.__setattr__(self, "edges", edges)
 
     def __len__(self):

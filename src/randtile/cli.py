@@ -48,6 +48,7 @@ _CAP_STEPS = 20000        # least cocycle steps behind `deviate`'s cap
 _SYMBOL_BUDGET = 10 ** 6
 # the most work one `dk` run may ask for: trials × (n_max + 1) × d × cells
 _DK_BUDGET = 2 ** 24
+_ENERGY_BUDGET = 10 ** 4   # the most energies of one `schrod` (--e-count)
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
             "#937860", "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd")
 
@@ -304,12 +305,11 @@ def cmd_deviate(args, out: Path):
         1.0 if args.p is None else args.p), max(_CAP_STEPS, args.length),
         args.seed)
     if args.mode == "regions":
-        fit = deviation_over_regions(f, family, x, region, grid,
-                                     lyapunov=rep)
+        fit = deviation_over_regions(f, family, x, region, grid)
     else:
         seq = special_averaging_sequence(family, x, region, args.eps,
                                          args.entries, seed=args.seed)
-        fit = deviation_along_sequence(f, seq, family, x, lyapunov=rep)
+        fit = deviation_along_sequence(f, seq, family, x)
     rows = []
     run_best = -math.inf
     for t, li in fit.entries:
@@ -322,13 +322,13 @@ def cmd_deviate(args, out: Path):
     path = out / "deviate.csv"
     _write_csv(path, ["T_tile_lengths", "log_abs_integral_nats",
                       "running_slope"], rows)
-    cap_se = deviation_cap(rep, family.dim)[1]
+    cap, cap_se = deviation_cap(rep, family.dim)
     summary = out / "deviate_summary.json"
     summary.write_text(json.dumps(
         {"slope": fmt(fit.slope), "running_max_slope":
-         fmt(fit.running_max_slope), "cap": fmt(fit.cap),
+         fmt(fit.running_max_slope), "cap": fmt(cap),
          "cap_stderr": None if cap_se is None else fmt(cap_se),
-         "slope_minus_cap": fmt(fit.slope - fit.cap),
+         "slope_minus_cap": fmt(fit.slope - cap),
          "lambda": [fmt(v) for v in rep.raw_exponents]},
         indent=2, sort_keys=True))
     return [path, summary]
@@ -378,6 +378,9 @@ def cmd_schrod(args, out: Path):
     if args.e_count < 1:
         raise ConfigError(f"--e-count {args.e_count} is not a positive count "
                           "of energies")
+    if args.e_count > _ENERGY_BUDGET:
+        raise ConfigError(f"--e-count {args.e_count} is past the budget of "
+                          "10^4 energies")
     for flag, value in (("--e-min", args.e_min), ("--e-max", args.e_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} {value!r} is not a finite number")

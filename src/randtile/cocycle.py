@@ -64,11 +64,8 @@ class LyapunovReport:
     exponents: list                 # one entry per distinct exponent
     multiplicities: list
     stderrs: list                   # combined standard error per group
-    steps: int
-    seed: int
-    measure: MeasureSpec
-    raw_exponents: list = None      # all dim exponents before grouping
-    raw_stderrs: list = None
+    raw_exponents: list             # all dim exponents before grouping
+    raw_stderrs: list
 
     @property
     def top(self) -> float:
@@ -184,9 +181,7 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
     raw_sorted = [raw[i] for i in order]
     se_sorted = [raw_se[i] for i in order]
     exps, mults, gses = _group_exponents(raw_sorted, se_sorted)
-    return LyapunovReport(exponents=exps, multiplicities=mults, stderrs=gses,
-                          steps=steps, seed=seed, measure=measure,
-                          raw_exponents=raw_sorted, raw_stderrs=se_sorted)
+    return LyapunovReport(exps, mults, gses, raw_sorted, se_sorted)
 
 
 def apply_cocycle(matrices, v):

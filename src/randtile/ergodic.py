@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .bratteli import connectivity_matrices
+from .bratteli import connectivity_matrices, path_fault
 from .errors import (ConvergenceError, DegenerateObservableError,
                      InsufficientDataError, StructuralError,
                      UnsupportedOperationError)
@@ -53,6 +53,12 @@ class TLCObservable:
             if (set(map(type, chain(weights, paths))) != {tuple}
                     or int_rows(edges) is not edges):
                 weights = tuple((int_rows(path), w) for path, w in weights)
+                paths = [p for p, _ in weights]
+            if path_fault(paths, self.depth):   # name the first bad path
+                path, fault = next((p, f) for p in paths
+                                   if (f := path_fault((p,), self.depth)))
+                raise StructuralError(f"path {path!r} of a depth-{self.depth} "
+                                      f"observable: {fault}")
         object.__setattr__(self, "weights", weights)
 
     @staticmethod
@@ -303,7 +309,6 @@ class DeviationFit:
     entries: list                   # (T float, log|I| or None)
     slope: float                    # least-squares over the top half of scales
     running_max_slope: float
-    cap: Optional[float]            # max(d·lambda_2/lambda_1, d-1), if known
 
 
 def deviation_cap(lyapunov, d: int):
@@ -330,8 +335,8 @@ def deviation_cap(lyapunov, d: int):
 
 def deviation_over_regions(f: TLCObservable, family: RuleFamily,
                            x: SymbolSequence, b_region: Region, t_grid,
-                           system: Optional[SupertileSystem] = None,
-                           lyapunov=None) -> DeviationFit:
+                           system: Optional[SupertileSystem] = None
+                           ) -> DeviationFit:
     """Fitted slope of log|∫_{T·B} f| against log T over a grid of dilations.
 
     The integral over the patch covering T·B is computed exactly from the
@@ -361,10 +366,7 @@ def deviation_over_regions(f: TLCObservable, family: RuleFamily,
             f"only {len(usable)} nonzero integrals; need >= 4")
     top = usable[len(usable) // 2:]
     slope = _lsq_slope([u[0] for u in top], [u[1] for u in top])
-    run = _running_max_slope(usable)
-    cap = None if lyapunov is None else deviation_cap(lyapunov, family.dim)[0]
-    return DeviationFit(entries=entries, slope=slope, running_max_slope=run,
-                        cap=cap)
+    return DeviationFit(entries, slope, _running_max_slope(usable))
 
 
 def _running_max_slope(points) -> float:
@@ -602,7 +604,7 @@ def _shape_diameter(shape, embedding) -> float:
 
 def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
                              family: RuleFamily, x: SymbolSequence,
-                             vectors=None, lyapunov=None) -> DeviationFit:
+                             vectors=None) -> DeviationFit:
     """limsup-style slope of log|∫ over the averaging sets| vs log T_i.
 
     The integral over the i-th set is Σ_type multiplicity · V^{k_i}_type,
@@ -638,6 +640,4 @@ def deviation_along_sequence(f: TLCObservable, seq: SpecialAveragingSequence,
     # limsup estimate: least squares through the record points (new maxima of
     # log|I|), which rides the peaks of any oscillating subdominant component
     run = _running_max_slope(usable)
-    cap = None if lyapunov is None else deviation_cap(lyapunov, family.dim)[0]
-    return DeviationFit(entries=entries, slope=run, running_max_slope=run,
-                        cap=cap)
+    return DeviationFit(entries, run, run)

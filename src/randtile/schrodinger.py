@@ -78,8 +78,8 @@ def _row_classes(rows: np.ndarray):
 
 class PunctureSet:
     """One marked point per tile of a patch, with its tile type: point i is
-    grid[i] / scale, on the lattice of `Patch` (same arrays and checks).
-    `points` is its exact view, made on first use; do not mutate it."""
+    grid[i] / scale, on the lattice of `Patch` (same arrays and checks);
+    `lattice_points(grid, scale)` gives the exact points."""
 
     def __init__(self, types, grid, scale: int, family: RuleFamily,
                  patch: Optional[Patch] = None,
@@ -91,10 +91,6 @@ class PunctureSet:
 
     def __len__(self):
         return len(self.types)
-
-    @cached_property
-    def points(self) -> list:
-        return lattice_points(self.grid, self.scale)
 
     @cached_property
     def _offset_images(self) -> np.ndarray:
@@ -338,7 +334,6 @@ class TraceDeviationReport:
     target: Optional[float]         # d·lambda_r/lambda_1
     ratio: Optional[float]          # lambda_r/lambda_1
     trace_flag: Optional[bool]      # ratio > (d-1)/d
-    fit: object
 
 
 def trace_deviation(kernel: KernelSpec, family: RuleFamily, x, seq,
@@ -368,8 +363,7 @@ def trace_deviation(kernel: KernelSpec, family: RuleFamily, x, seq,
         target = d * ratio
         flag = ratio > (d - 1) / d
     fit = deviation_along_sequence(TLCObservable(0, w), seq, family, x)
-    return TraceDeviationReport(slope=fit.slope, target=target, ratio=ratio,
-                                trace_flag=flag, fit=fit)
+    return TraceDeviationReport(fit.slope, target, ratio, flag)
 
 
 @dataclass

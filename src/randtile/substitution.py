@@ -173,7 +173,6 @@ class RuleFamily:
 
 @dataclass
 class ValidationReport:
-    rule_id: int
     residuals: dict          # parent id -> parent volume - Σ image volumes
     max_overlap: Fraction
     passed: bool
@@ -212,13 +211,11 @@ def validate_rule(rule: SubstitutionRule,
             (img.volume() for img in images), Fraction(0))
     passed = (not notes and max_overlap == 0
               and all(r == 0 for r in residuals.values()))
-    return ValidationReport(rule.id, residuals, max_overlap, passed, notes)
+    return ValidationReport(residuals, max_overlap, passed, notes)
 
 
-def substitution_matrix(rule: SubstitutionRule, n_prototiles: int = None) -> np.ndarray:
+def substitution_matrix(rule: SubstitutionRule, n_prototiles: int) -> np.ndarray:
     """A(i, j) = number of branches with parent i and child j."""
-    if n_prototiles is None:
-        n_prototiles = 1 + max(max(b.parent, b.child) for b in rule.branches)
     a = np.zeros((n_prototiles, n_prototiles), dtype=np.int64)
     for b in rule.branches:
         a[b.parent, b.child] += 1

@@ -20,7 +20,7 @@ the scale; its exact views (`tiles`, a read-only sequence, and `shapes`)
 are made from them on each access and store nothing.
 `lattice_test` is the one window membership test, for the descent and for
 operators and traces on punctures: exact on the integers for boxes and
-convex polygons, the float Region predicates node by node for disks and
+convex polygons, float distances to the centre node by node for disks and
 the exact `contains_shape` node by node for non-convex polygons.
 `lattice_images` is the one float image of lattice points; `Fraction`
 offsets appear only in `anchor`, `path_offset` and the exact views.
@@ -355,36 +355,6 @@ class Region:
             return geometry.Polygon([geometry.vscale(t, v) for v in self.vertices])
         raise UnsupportedOperationError("disk regions have no exact shape")
 
-    # -- containment of tiles -------------------------------------------
-
-    def contains_points(self, pts, embedding=None) -> bool:
-        """Are all points inside the dilated region?  Exact for box/polygon.
-
-        For a convex region this decides containment of the convex hull of
-        `pts`, hence of any tile with those vertices; a non-convex region
-        decides fewer than three points one by one.
-        """
-        if self.kind == "disk":
-            c, r = self.embedded_disk(embedding)
-            return all(math.dist(geometry.embed_point(p, embedding), c) <= r
-                       for p in pts)
-        shape = self.shape()
-        if isinstance(shape, geometry.Box) or shape.convex or len(pts) < 3:
-            return all(shape.contains_point(p) for p in pts)
-        # non-convex region: exact volume-based containment
-        poly = geometry.Polygon(pts)
-        return shape.contains_shape(poly)
-
-    def intersects_bbox(self, lo, hi, embedding=None) -> bool:
-        """Cheap reject: does the dilated region possibly meet bbox [lo,hi]?"""
-        if self.kind == "disk":
-            return _disk_meets(*self.embedded_disk(embedding),
-                               geometry.embed_point(lo, embedding),
-                               geometry.embed_point(hi, embedding))
-        rlo, rhi = self.shape().bbox()
-        return all(l <= rh and rl <= h
-                   for l, h, rl, rh in zip(lo, hi, rlo, rhi))
-
     def contains_window(self, footprint, embedding=None) -> bool:
         """Is the dilated region contained in the convex footprint shape?"""
         if self.kind == "disk":
@@ -452,7 +422,7 @@ def lattice_test(window: Region, scale: int, corners, embedding):
     `meets`: the node's bounding box meets the window's (a disk's: the
     disk); `inside`: the node lies in the dilated window.  Exact on the
     integers for boxes and convex polygons; disks test the float images of
-    the corners with the float predicates of `Region`, and non-convex
+    the corners, each within the radius of the centre, and non-convex
     polygons decide each node that meets them exactly, by `contains_shape`
     (corner by corner below three corners)."""
     shape = None if window.kind == "disk" else window.shape()

@@ -364,15 +364,43 @@ def test_kernel_file_rejects_unknown_keys_and_values(tmp_path, capsys, spec,
     (["--e-count", "0"], "--e-count 0 is not a positive count"),
     (["--e-min", "nan"], "--e-min nan is not a finite number"),
     (["--e-max", "inf"], "--e-max inf is not a finite number"),
+    (["--e-count", "10001"], "--e-count 10001 is past the budget of 10^4 "
+     "energies"),
+    (["--e-count", "100000000"], "--e-count 100000000 is past the budget"),
 ])
-def test_schrod_rejects_a_bad_energy_grid(tmp_path, capsys, flags, named):
-    """A bad energy grid exits 2 naming the flag and writes nothing.  It
-    used to end in an untyped ValueError (a negative count), an empty
-    schrod_ids.csv (0 energies) or rows with a NaN energy."""
+def test_schrod_rejects_a_bad_energy_grid(tmp_path, capsys, monkeypatch,
+                                          flags, named):
+    """A bad energy grid exits 2 naming the flag and writes nothing, before
+    any patch or energy grid is built.  It used to end in an untyped
+    ValueError (a negative count), an empty schrod_ids.csv (0 energies),
+    rows with a NaN energy, or, for --e-count 100000000, a 0.8 GB energy
+    grid and hours of counting."""
+    for name in ("generate_patch", "ids_estimate"):
+        monkeypatch.setattr(cli, name, None)
+    monkeypatch.setattr(cli.np, "linspace", None)
     out = tmp_path / "out"
     assert main(["schrod", *flags, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not (out / "schrod_ids.csv").exists()
+
+
+def test_energy_budget_admits_its_edge(tmp_path, monkeypatch):
+    """10^4 energies, the budget exactly, reach the counting (stubbed here:
+    the budget check alone is under test), and every golden and the
+    default ask for fewer."""
+    counted = []
+    monkeypatch.setattr(cli, "ids_estimate",
+                        lambda k, p, w, energies: counted.append(
+                            len(energies)) or 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["schrod", "--e-count", "10000", "--t-grid", "4",
+              "--out", str(tmp_path)])
+    assert counted == [cli._ENERGY_BUDGET]
+    parser = _build_parser()
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    asked = [parser.parse_args(shlex.split(cmd)).e_count
+             for cmd in [*golden, "schrod"] if cmd.startswith("schrod")]
+    assert asked and max(asked) < cli._ENERGY_BUDGET
 
 
 def test_kernel_file_offdiagonal_per_displacement(tmp_path, monkeypatch):

@@ -30,7 +30,9 @@ from randtile.substitution import (Branch, Prototile, RuleFamily,
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (ANCHOR_MAX_EXPANSIONS, ANCHOR_MAX_LEVEL, Patch,
                              Region, SupertileSystem, decompose_region,
-                             generate_patch, lattice_test)
+                             generate_patch, lattice_points, lattice_test)
+
+import oracles
 
 
 def _ref_footprint(system, k, v, offset):
@@ -52,9 +54,9 @@ def _ref_cover(system, window, k, v, offset):
     while stack:
         k, v, off = stack.pop()
         placed = _ref_footprint(system, k, v, off)
-        if not window.intersects_bbox(*placed.bbox(), emb):
+        if not oracles.meets_bbox(window, *placed.bbox(), emb):
             continue
-        inside = window.contains_points(placed.vertices_list(), emb)
+        inside = oracles.inside(window, placed.vertices_list(), emb)
         if inside or k == 0:
             yield k, v, off, inside
         else:
@@ -196,8 +198,8 @@ def _l_tromino(path):
 
 def test_non_convex_tiles_match_fraction_reference(tmp_path):
     """Non-convex prototiles under every window kind, the L window among
-    them: patches and decompositions keep what `Region.contains_points`
-    keeps, and `lattice_test` decides each tile as it does."""
+    them: patches and decompositions keep what `oracles.inside` keeps,
+    and `lattice_test` decides each tile as it does."""
     family = _l_tromino(tmp_path / "l-tromino.json")
     assert not any(p.shape.convex for p in family.prototiles)
     x = SymbolSequence.constant(1, 64)
@@ -221,7 +223,7 @@ def test_non_convex_tiles_match_fraction_reference(tmp_path):
     meets, inside = lattice_test(window, scale, corners, None)
     exact = [[vadd(v, off) for v in family.prototiles[t].shape.vertices_list()]
              for t, off in patch.tiles]
-    assert inside.tolist() == [m and window.contains_points(tile)
+    assert inside.tolist() == [m and oracles.inside(window, tile)
                                for m, tile in zip(meets.tolist(), exact)]
     assert 0 < inside.sum() < meets.sum() < len(exact)
 
@@ -320,7 +322,7 @@ def test_off_lattice_anchor_offset_is_refused(hh):
 
 def _ref_inside(window, point_sets, embedding):
     """Per point set, whether all its exact points lie in the window."""
-    return [window.contains_points(pts, embedding) for pts in point_sets]
+    return [oracles.inside(window, pts, embedding) for pts in point_sets]
 
 
 _HH = half_hex_classical()
@@ -348,7 +350,7 @@ def test_operator_membership_matches_fraction_reference(source, window):
     if window.kind == "box" and window.corner[0] > 2 ** 59:
         assert patch.offsets.dtype == punctures.grid.dtype == object
     points = [vadd(_HH.prototiles[t].puncture, off) for t, off in patch.tiles]
-    assert punctures.points == points
+    assert lattice_points(punctures.grid, punctures.scale) == points
     corners = [[vadd(v, off) for v in _HH.prototiles[t].shape.vertices_list()]
                for t, off in patch.tiles]
     raw = _ref_inside(window, [[p] for p in points], emb)
@@ -374,8 +376,8 @@ def test_operator_membership_matches_fraction_reference(source, window):
 @pytest.mark.parametrize("name", ["half-hex-classical", "solenoid-2x3-2d"])
 def test_disk_lattice_test_matches_fraction_reference(name, hh, sol2):
     """The disk branch of `lattice_test` tests float images of the integer
-    corners; it decides every tile as `Region.intersects_bbox` and
-    `Region.contains_points` do on the exact corners: disks centred on a tile
+    corners; it decides every tile as `oracles.meets_bbox` and
+    `oracles.inside` do on the exact corners: disks centred on a tile
     corner, through a tile corner, dilated, and shifted past 2^40."""
     family, x = {"half-hex-classical": (hh, SymbolSequence.constant(1, 32)),
                  "solenoid-2x3-2d": (sol2, sample_sequence(
@@ -401,9 +403,10 @@ def test_disk_lattice_test_matches_fraction_reference(name, hh, sol2):
         meets, inside = lattice_test(window, scale, pts, emb)
         boxes = [(tuple(map(min, zip(*tile))), tuple(map(max, zip(*tile))))
                  for tile in ref]
-        want_meets = [window.intersects_bbox(lo, hi, emb) for lo, hi in boxes]
+        want_meets = [oracles.meets_bbox(window, lo, hi, emb)
+                      for lo, hi in boxes]
         assert meets.tolist() == want_meets
-        assert inside.tolist() == [m and window.contains_points(tile, emb)
+        assert inside.tolist() == [m and oracles.inside(window, tile, emb)
                                    for m, tile in zip(want_meets, ref)]
         assert 0 < inside.sum() < meets.sum() < len(ref)
         c, r = window.embedded_disk(emb)

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randtile import ergodic, geometry
-from randtile.bratteli import connectivity_matrices, spanning_system
+from randtile import cli, ergodic, geometry
+from randtile.bratteli import PathWord, connectivity_matrices, spanning_system
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
@@ -48,7 +50,7 @@ def test_observable_constructors():
 
 def test_path_observable_edges_are_exact_ints():
     """Edges given as numpy ints make the observable that Python ints do."""
-    path = ((1, 0, 2, 0), (2, 2, 1, 1))
+    path = ((1, 1, 2, 0), (2, 2, 1, 1))
     f = TLCObservable(2, ((path, Fraction(1, 3)),))
     g = TLCObservable(2, ((tuple(np.array(path)), Fraction(1, 3)),))
     assert g == f
@@ -428,25 +430,16 @@ def test_deviations_sum_float_observables_in_documented_order(hh):
 
 
 def test_deviation_cap_from_lyapunov(hh, hhp):
-    x = SymbolSequence.constant(1, 40)
     lyap = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(1.0), 2000, seed=0)
-    fit = deviation_over_regions(TLCObservable.constant(1, 6), hh, x,
-                                 Region.unit_square(), [4, 8, 16, 32, 64],
-                                 lyapunov=lyap)
     # cap = max(d*lambda2/lambda1, d-1) = 2*log2/log4 = 1 for half-hex p=1
-    assert fit.cap == pytest.approx(1.0, abs=0.05)
+    assert deviation_cap(lyap, hh.dim)[0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_deviation_cap_single_prototile(sol2):
     """One exponent only: the cap is d - 1 (was an IndexError)."""
-    x = SymbolSequence.constant(1, 40)
     lyap = lyapunov_spectrum(sol2, MeasureSpec.bernoulli_p(0.5), 1000, seed=0)
     assert len(lyap.raw_exponents) == 1
-    fit = deviation_over_regions(TLCObservable.constant(1, 1), sol2, x,
-                                 Region.unit_square(), [2, 4, 8, 16, 32],
-                                 lyapunov=lyap)
-    assert fit.cap == 1
-    assert deviation_cap(lyap, 2) == (1, None)
+    assert deviation_cap(lyap, sol2.dim) == (1, None)
 
 
 def test_deviation_cap_formula(hhp, odp):
@@ -470,15 +463,27 @@ def test_deviation_cap_formula(hhp, odp):
                                       raw_stderrs=[0.1, 0.1]), 2)
 
 
-def test_deviation_along_sequence_reports_cap(hh, hhp):
-    x = SymbolSequence.constant(1, 40)
-    seq = special_averaging_sequence(hh, x, Region.unit_square(), eps=0.05,
-                                     count=10)
-    f = TLCObservable.constant(1, 6)
-    assert deviation_along_sequence(f, seq, hh, x).cap is None
-    lyap = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(1.0), 2000, seed=0)
-    fit = deviation_along_sequence(f, seq, hh, x, lyapunov=lyap)
-    assert fit.cap == deviation_cap(lyap, 2)[0]
+def test_deviation_along_sequence_reports_cap(tmp_path, monkeypatch):
+    """`deviate` reports the cap and its standard error from one
+    `deviation_cap` call on its spectrum; the fits carry no cap."""
+    calls = []
+
+    def cap(lyapunov, d):
+        calls.append(deviation_cap(lyapunov, d))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "deviation_cap", cap)
+    assert cli.main(["deviate", "--family", "half-hex-pair", "--p", "0",
+                     "--length", "200", "--entries", "10",
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "deviate_summary.json").read_text())
+    [(value, stderr)] = calls
+    assert value > 1 and stderr is not None
+    assert (summary["cap"], summary["cap_stderr"]) == (cli.fmt(value),
+                                                       cli.fmt(stderr))
+    assert summary["slope_minus_cap"] == cli.fmt(
+        float(summary["slope"]) - value)
+    assert not hasattr(ergodic.DeviationFit, "cap")
 
 
 def test_special_averaging_sequence_geometric(hh):
@@ -995,7 +1000,7 @@ def test_canonical_paths_are_kept_as_given(hh):
 
 
 @pytest.mark.parametrize("edge", [
-    (np.int64(1), 0, 2, 0), (2.0, 0, 2, 0), (1, True, 2, 0), [1, 0, 2, 0],
+    (np.int64(1), 1, 2, 0), (1, 1, 2.0, 0), (1, True, 2, 0), [1, 1, 2, 0],
 ])
 def test_path_edges_coerce_through_ints(edge):
     """numpy ints, 2.0 and True coerce (a list edge or path becomes a tuple),
@@ -1006,6 +1011,55 @@ def test_path_edges_coerce_through_ints(edge):
     assert f.weights == (((want, *rest), Fraction(1, 3)),)
     assert {type(c) for p, _ in f.weights for e in p for c in e} == {int}
     assert {type(e) for p, _ in f.weights for e in p} == {tuple}
+
+
+@pytest.mark.parametrize("depth, path, named", [
+    (1, ((2, 0, 0, 0),), "path ((2, 0, 0, 0),) of a depth-1 observable: "
+     "edge levels must be consecutive from 1"),
+    (2, ((1, 0, 0, 0),), "path ((1, 0, 0, 0),) of a depth-2 observable: "
+     "not of length 2"),
+    (2, ((1, 0, 2, 0), (2, 2, 1, 1)), "path ((1, 0, 2, 0), (2, 2, 1, 1)) of "
+     "a depth-2 observable: path edges do not chain"),
+    (2, ((1, 1, 2, 0), (1, 2, 1, 1)), "edge levels must be consecutive"),
+    (2, ((1, 1, 2, 0), (2, 2, 1)), "edge must be (level, parent, child, "
+     "branch)"),
+    (1, ((1, 1, 2, 0, 5),), "edge must be (level, parent, child, branch)"),
+    (3, ((1, 1, 2, 0), (2, 2, 1, 1), (3, 0, 1, 0)), "do not chain"),
+])
+def test_path_observable_refuses_malformed_paths(depth, path, named):
+    """A path of the wrong length, with an edge off its level or with edges
+    that do not chain is refused, canonical or not, after good paths too;
+    `ergodic_vectors` used to weigh it as an absent class, summing to 0."""
+    good = ((1, 1, 2, 0), (2, 2, 1, 1), (3, 1, 2, 0))[:depth]
+    for weights in ([(path, 7)], ((good, 1), (path, 7)),
+                    [[list(map(list, path)), Fraction(7)]]):
+        with pytest.raises(StructuralError) as info:
+            TLCObservable(depth, weights)
+        assert named in str(info.value)
+
+
+def test_path_word_and_observable_share_the_path_rules():
+    """`PathWord` refuses the same paths with its own messages."""
+    for path, named in [(((2, 0, 0, 0),), "edge levels must be consecutive"),
+                        (((1, 0, 2, 0), (2, 2, 1, 1)), "do not chain"),
+                        (((1, 0, 0),), "edge must be (level, parent")]:
+        with pytest.raises(StructuralError, match=re.escape(named)):
+            PathWord(path)
+        with pytest.raises(StructuralError, match=re.escape(named)):
+            TLCObservable(len(path), ((path, 1),))
+    assert PathWord(((1, 1, 2, 0), (2, 2, 1, 1))).range == 2
+
+
+def test_absent_well_formed_path_weighs_nothing(hh):
+    """A well-formed path that is not in the diagram along x is an absent
+    pattern class: it adds 0 to every level."""
+    x = SymbolSequence.constant(1, 5)
+    real = _paths_to(hh, x, 2)[0][0]
+    absent = ((1, 5, 5, 99), (2, 5, 5, 99))
+    f = TLCObservable(2, ((real, Fraction(1, 3)),))
+    g = TLCObservable(2, ((real, Fraction(1, 3)), (absent, Fraction(5))))
+    assert [list(v.values) for v in ergodic_vectors(g, hh, x, 4)] == \
+        [list(v.values) for v in ergodic_vectors(f, hh, x, 4)]
 
 
 @pytest.mark.parametrize("edge, named", [

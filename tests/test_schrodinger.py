@@ -19,7 +19,9 @@ from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   trace_deviation, windowed_trace)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
-                             generate_patch)
+                             generate_patch, lattice_points)
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +44,15 @@ def _inner_window(half):
     return Region.box((-half, -half), (2 * half, 2 * half))
 
 
+def _points(punctures):
+    """The exact points of a puncture set."""
+    return lattice_points(punctures.grid, punctures.scale)
+
+
 def test_lattice_punctures(lattice):
     assert lattice.min_gap() == pytest.approx(1.0)
     # punctures sit on the integer lattice
-    for p in lattice.points[:20]:
+    for p in _points(lattice)[:20]:
         assert all(c.denominator == 1 for c in p)
 
 
@@ -117,7 +124,7 @@ def test_disk_source_window_guard(sol2_module, lattice):
     fits = _inner_window(3)                   # 3√2 + 1.1 < 6
 
     def by_point(op):
-        pts = [op.punctures.points[i] for i in op.indices]
+        pts = [_points(op.punctures)[i] for i in op.indices]
         order = sorted(range(op.size), key=pts.__getitem__)
         return op.matrix.toarray()[np.ix_(order, order)]
 
@@ -627,7 +634,7 @@ def _norm(disp, embedding):
 def _exact_pairs(punctures, radius):
     """{(i, j): exact displacement} of every pair i < j within `radius`, by
     exact differences of all pairs of points."""
-    pts, emb = punctures.points, punctures.family.embedding
+    pts, emb = _points(punctures), punctures.family.embedding
     want = {}
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -736,7 +743,7 @@ def test_min_gap_matches_exact_distances(lattice, half_hex_punctures,
                                          box_and_line_punctures):
     for punctures in (lattice, half_hex_punctures,
                       *box_and_line_punctures.values()):
-        pts, emb = punctures.points, punctures.family.embedding
+        pts, emb = _points(punctures), punctures.family.embedding
         want = min(_norm(vsub(pts[j], pts[i]), emb)
                    for i in range(len(pts)) for j in range(i + 1, len(pts)))
         assert punctures.min_gap() == want
@@ -745,9 +752,9 @@ def test_min_gap_matches_exact_distances(lattice, half_hex_punctures,
 def _ref_operator(kernel, punctures, window):
     """The per-pair assembly with exact Fraction displacements."""
     emb = punctures.family.embedding
-    pts = punctures.points
+    pts = _points(punctures)
     sel = [i for i in range(len(punctures))
-           if window.contains_points([pts[i]], emb)]
+           if oracles.inside(window, [pts[i]], emb)]
     pos = {i: k for k, i in enumerate(sel)}
     rows, cols, vals = [], [], []
     degrees = {i: 0 for i in sel}
@@ -804,7 +811,7 @@ def test_nonconvex_window_selects_contained_punctures(lattice):
     window = Region.polygon([(-2, -2), (2, -2), (2, 0), (0, 0), (0, 2),
                              (-2, 2)])
     op = build_operator(KernelSpec.identity(), lattice, window)
-    want = [i for i, p in enumerate(lattice.points)
+    want = [i for i, p in enumerate(_points(lattice))
             if window.shape().contains_point(p)]
     assert op.indices == want
     assert windowed_trace(op, window, mode="raw") == len(want) == 21
