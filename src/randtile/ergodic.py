@@ -117,29 +117,6 @@ class SpecialAveragingSequence:
     window: int                     # recurrence window used
 
 
-def _upward_continuation(family, x, k, vertex, m):
-    """Lexicographically least edge continuation from level k to level m."""
-    edges = []
-    v = vertex
-    for level in range(k + 1, m + 1):
-        edge = next((e for e in family.rule(x[level]).edges if e[1] == v), None)
-        if edge is None:
-            raise StructuralError(f"vertex {v} has no outgoing edge at {level}")
-        edges.append((level, *edge[:3]))
-        v = edge[0]
-    return tuple(edges)
-
-
-def _extend_paths(family, x, level, paths):
-    """Length-`level` paths by terminal vertex, {vertex: [edge tuple]}, from
-    the length-(level − 1) ones."""
-    nxt = {v: [] for v in range(family.n_prototiles)}
-    for parent, child, idx, _ in family.rule(x[level]).edges:
-        for p in paths[child]:
-            nxt[parent].append(p + ((level, parent, child, idx),))
-    return nxt
-
-
 def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                     depth: int):
     """[V^0 .. V^depth]; exact arithmetic when the weights are rational.
@@ -150,10 +127,13 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
     V^k = A_k···A_1·V^0 is N^k/D with N^k = A_k·N^(k−1) in Python ints, read
     as Fraction(N^k_j, D) when the last explicit vector holds a Fraction,
     else as the int N^k_j (the types an object matmul would give), and built
-    on first read.  A path level k <= m sums the numerators of w·vol[src] over
-    the length-k paths ending at each vertex (int 0 where there are none).
-    Float and complex weights sum the raw w·float(vol) over the same paths
-    and use float matmuls above them.
+    on first read.  A weighted path adds w·vol[src] (its numerator) at its
+    level-k vertex, k <= m, exactly when each of its edges above level k is
+    the first, in branch order, into its child: O(m) per weighted path, and
+    nothing for a path off the diagram along x (int 0 where nothing adds).
+    An entry is a Fraction when such a weight is one or a length-k path into
+    it starts at a Fraction volume.  Float and complex weights add in the
+    order of the reversed paths, the diagram's, then use float matmuls.
     """
     if depth < 0:
         raise StructuralError(f"depth must be >= 0, not {depth}")
@@ -173,36 +153,45 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
                 "depth > 0 observables need geometric rules "
                 "(pattern classes are positions of tiles)")
         wmap = f.weight_map()
-        if exact:
-            # (D·w, w is a Fraction) per path and (D'·vol, vol is a Fraction)
-            # per type: a sum of w·vol is a Fraction if any term is one
+        if exact:   # D·w per path and D'·vol per type, as ints
             wden, wnum = numerators(list(wmap.values()))
-            wnum = {p: (num, isinstance(w, Fraction))
-                    for (p, w), num in zip(wmap.items(), wnum)}
             vden, vnum = numerators(vols)
-            vnum = [(num, isinstance(v, Fraction))
-                    for v, num in zip(vols, vnum)]
-        else:   # the raw weights and float(vol), over a denominator of 1
-            wden, wnum = 1, {p: (w, False) for p, w in wmap.items()}
-            vden, vnum = 1, [(float(v), False) for v in vols]
-        out = []
-        paths = {v: [()] for v in range(n)}
-        # at level k <= m a pattern class is a level-k path continued to level m
-        for k in range(0, min(m, depth) + 1):
-            if k:
-                paths = _extend_paths(family, x, k, paths)
-            vals = []
-            for j in range(n):
-                cont = _upward_continuation(family, x, k, j, m)
-                total, fractional = 0, False
-                for p in paths[j]:
-                    w, wfrac = wnum.get(p + cont, (0, False))
-                    v, vfrac = vnum[p[0][2] if p else j]
-                    total += w * v
-                    fractional = fractional or wfrac or vfrac
-                vals.append(Fraction(total, wden * vden) if fractional
-                            else total // (wden * vden) if exact else total)
-            out.append(ErgodicVector(k, np.array(vals, dtype)))
+        else:       # float sums add the raw w·float(vol) in diagram order
+            wden, wnum, vden, vnum = 1, wmap.values(), 1, [*map(float, vols)]
+        # diagram edges, least edge into each vertex, Fraction-reached vertices
+        diagram, least = set(), set()
+        fractional = [{j for j, v in enumerate(vols)
+                       if exact and isinstance(v, Fraction)}]
+        for level in range(1, m + 1):
+            edges = [(level, *e[:3]) for e in family.rule(x[level]).edges]
+            into = {e[2]: e for e in reversed(edges)}
+            if missing := set(range(n)) - into.keys():
+                raise StructuralError(f"vertex {min(missing)} has no outgoing "
+                                      f"edge at {level}")
+            diagram.update(edges)
+            least.update(into.values())
+            fractional.append({e[1] for e in edges if e[2] in fractional[-1]})
+        items = zip(wmap, wmap.values(), wnum)
+        totals = [[0] * n for _ in range(m + 1)]
+        for p, w, num in items if exact else sorted(
+                items, key=lambda item: item[0][::-1]):
+            if not diagram.issuperset(p):
+                continue     # an absent pattern class weighs nothing
+            # p feeds level k when its edges above level k are all least
+            k = m
+            while k and p[k - 1] in least:
+                k -= 1
+            term = num * vnum[p[0][2]]
+            for level in range(k, m + 1):
+                j = p[level - 1][1] if level else p[0][2]
+                totals[level][j] += term
+                if exact and isinstance(w, Fraction):
+                    fractional[level].add(j)
+        den = wden * vden
+        out = [ErgodicVector(k, np.array(
+            [Fraction(t, den) if j in fractional[k] else t // den if exact
+             else t for j, t in enumerate(row)], dtype))
+            for k, row in enumerate(totals)]
 
     if not exact:
         while len(out) <= depth:

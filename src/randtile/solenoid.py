@@ -61,6 +61,15 @@ class SolenoidSpec:
         """q_(n) = q_1 ··· q_n, exact."""
         return math.prod(self.q_at(k) for k in range(1, n + 1))
 
+    def log2_q_prod(self, n: int) -> float:
+        """log2 q_(n) in closed form over the prefix and the tail's periods."""
+        if n > 0:
+            self.q_at(n)     # past a finite prefix: refused as `q_at` does
+        n, logs = max(n, 0), [math.log2(q) for q in self.tail]
+        periods, rest = divmod(max(n - len(self.prefix), 0), len(logs) or 1)
+        return periods * sum(logs) + sum(
+            map(math.log2, self.prefix[:n] + self.tail[:rest]))
+
 
 @dataclass(frozen=True)
 class CylinderObservable:
@@ -121,12 +130,14 @@ def variation(f: CylinderObservable) -> Fraction:
 
 def grid_cells(spec: SolenoidSpec, depth: int) -> tuple:
     """(q_(m)^d, that count written as a power of the q_k, as "2^6·3^4") of
-    the depth-m grid; more than `DEFAULT_TILE_BUDGET` cells is refused
-    before the count is built, with the count written as q_(m)^d."""
-    q = spec.q_prod(depth)
-    if spec.dim * math.log2(q) > math.log2(DEFAULT_TILE_BUDGET):
-        base = str(q) if q.bit_length() <= 64 else \
-            f"(about 2^{q.bit_length()})"
+    the depth-m grid; more than `DEFAULT_TILE_BUDGET` cells is refused on
+    log2 q_(m), exact near the edge, with the count written as q_(m)^d."""
+    bits = spec.log2_q_prod(depth)    # q_(m) is built within 64 bits only
+    q = spec.q_prod(depth) if bits < 65 else None
+    if spec.dim * bits > math.log2(DEFAULT_TILE_BUDGET) + 1 or \
+            q ** spec.dim > DEFAULT_TILE_BUDGET:
+        base = str(q) if q and q.bit_length() <= 64 else \
+            f"(about 2^{math.floor(bits) + 1})"
         power = "" if spec.dim == 1 else f"^{spec.dim}"
         raise StructuralError(
             f"a depth-{depth} observable has {base}{power} cells, past the "

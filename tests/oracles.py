@@ -1,14 +1,18 @@
-"""Reference window membership, the tests' check on `tiling.lattice_test`.
+"""Reference checks that share no code with what they check.
 
-The exact `geometry` predicates decide boxes and polygons on `Fraction`
-points, and disks use the float rule: the embedded images of the points
-within the radius of the embedded centre.  Nothing here shares code with
-the integer test it checks.
+Window membership, the check on `tiling.lattice_test`: the exact
+`geometry` predicates decide boxes and polygons on `Fraction` points, and
+disks use the float rule: the embedded images of the points within the
+radius of the embedded centre.
+
+Diagram paths, the check on `ergodic.ergodic_vectors`: every length-k path
+listed level by level, and the least upward continuation of a vertex.
 """
 
 import math
 
 from randtile import geometry
+from randtile.errors import StructuralError
 
 
 def inside(window, points, embedding=None) -> bool:
@@ -45,3 +49,30 @@ def meets_bbox(window, lo, hi, embedding=None) -> bool:
         elif ci > h:
             d2 += (ci - h) ** 2
     return d2 <= r * r
+
+
+def paths_to(family, x, k) -> dict:
+    """Every length-k diagram path along x by terminal vertex, {vertex:
+    [edge tuple]}, each list in the order of its reversed edge tuples."""
+    paths = {v: [()] for v in range(family.n_prototiles)}
+    for level in range(1, k + 1):
+        nxt = {v: [] for v in range(family.n_prototiles)}
+        for parent, child, idx, _ in family.rule(x[level]).edges:
+            for p in paths[child]:
+                nxt[parent].append(p + ((level, parent, child, idx),))
+        paths = nxt
+    return paths
+
+
+def upward_continuation(family, x, k, vertex, m) -> tuple:
+    """The least edges from `vertex` at level k up to level m: at each level
+    the first edge, in branch order, into the vertex below."""
+    edges = []
+    v = vertex
+    for level in range(k + 1, m + 1):
+        edge = next((e for e in family.rule(x[level]).edges if e[1] == v), None)
+        if edge is None:
+            raise StructuralError(f"vertex {v} has no outgoing edge at {level}")
+        edges.append((level, *edge[:3]))
+        v = edge[0]
+    return tuple(edges)

@@ -9,6 +9,8 @@ from randtile.errors import PartialCoverError, StructuralError
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import SupertileSystem
 
+import oracles
+
 
 def test_pathword_validation():
     PathWord(((1, 2, 0, 0), (2, 4, 2, 1)))
@@ -106,23 +108,11 @@ def test_spanning_system_structure(hhp):
             p.validate(hhp, x)
 
 
-def _paths_to(family, x, k):
-    """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
-    paths = {v: [()] for v in range(family.n_prototiles)}
-    for level in range(1, k + 1):
-        nxt = {v: [] for v in range(family.n_prototiles)}
-        for parent, child, idx, _ in family.rule(x[level]).edges:
-            for p in paths[child]:
-                nxt[parent].append(p + ((level, parent, child, idx),))
-        paths = nxt
-    return paths
-
-
 def test_spanning_system_lexicographic(hh):
     x = SymbolSequence.constant(1, 3)
     span = spanning_system(hh, x, 3)
     # anchors are minimal in edge-tuple order among all paths to the vertex
-    paths = _paths_to(hh, x, 3)
+    paths = oracles.paths_to(hh, x, 3)
     for v in range(6):
         assert span.anchor(3, v).edges == min(paths[v])
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -500,6 +501,10 @@ def test_dk_command(tmp_path):
     ("--d", "2000", "a depth-2 observable has 4^2000 cells"),
     ("--depth", "20000", "a depth-20000 observable has (about 2^20001) "
      "cells"),
+    ("--depth", "10000000", "a depth-10000000 observable has (about "
+     "2^10000001) cells"),
+    ("--q 2,3 --depth", "100000000", "a depth-100000000 observable has "
+     "(about 2^129248126) cells"),
 ])
 def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     """The first three used to exit 0: a header-only dk.csv for --trials 0
@@ -508,8 +513,13 @@ def test_dk_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     before any allocation.  --d 100000000 exited 1 formatting the count as a
     decimal past Python's 4,300-digit limit, and --d 2000 printed a count of
     over 3,000 digits: the count is now written as q_(m)^d.  --depth 20000
-    exited 1 the same way: past 64 bits, q_(m) is written as a power of 2."""
-    assert main(["dk", flag, value, "--out", str(tmp_path)]) == 2
+    exited 1 the same way: past 64 bits, q_(m) is written as a power of 2.
+    --depth 10000000 ran for over 90 s building q_(m) before comparing
+    it: the budget is now decided on log2 q_(m), so both deep cases are
+    refused at once."""
+    start = time.perf_counter()
+    assert main(["dk", *flag.split(), value, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "dk.csv").exists()
 

@@ -9,7 +9,8 @@ from randtile import cocycle
 from randtile.cocycle import (_group_exponents, apply_cocycle,
                               lyapunov_spectrum, top_left_direction)
 from randtile.errors import ConvergenceError, StructuralError
-from randtile.substitution import (matrix_only_family, substitution_matrix)
+from randtile.substitution import (builtin_families, matrix_only_family,
+                                   substitution_matrix)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
 LOG2 = math.log(2.0)
@@ -346,6 +347,22 @@ def test_lyapunov_determinant_identity(hhp):
     for p, det in ((1.0, 8.0), (0.0, 6656.0)):
         rep = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(p), 20000, seed=1)
         assert sum(rep.raw_exponents) == pytest.approx(math.log(det), abs=1e-6)
+
+
+@pytest.mark.parametrize("family", builtin_families(), ids=lambda f: f.name)
+def test_lyapunov_top_exponent_is_the_mean_log_expansion(family):
+    """vol is a common eigenvector, A_s·vol = θ_s^(−d)·vol, so along x the
+    top exponent is (1/N)·Σ log θ_(x_k)^(−d).  The QR λ₁ starts from e_1,
+    not vol, and is off by about log(√n)/N (0.90/N on half-hex, 0.35/N on
+    one-d-pair, 0 on the one-type solenoids): within 1/N."""
+    n_steps = 20000
+    for p in ((0.0, 0.3, 0.5, 0.8, 1.0) if family.n_rules == 2 else (1.0,)):
+        measure = MeasureSpec.bernoulli((p, 1 - p)[:family.n_rules])
+        x = sample_sequence(measure, n_steps, seed=17)
+        rep = lyapunov_spectrum(family, measure, n_steps, seed=17, x=x)
+        exact = sum(math.log(family.rule(s).theta ** -family.dim)
+                    for s in x.positive[:n_steps]) / n_steps
+        assert abs(rep.raw_exponents[0] - exact) <= 1 / n_steps, p
 
 
 def test_lyapunov_seed_reproducibility(hhp):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -22,17 +23,22 @@ from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              UnsupportedOperationError)
 from randtile.ergodic import (ErgodicVector, TLCObservable, _boundary_samples,
                               _log_abs,
-                              _patch_point_distance, _upward_continuation,
+                              _patch_point_distance,
                               cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
                               special_averaging_sequence)
-from randtile.substitution import matrix_only_family, substitution_matrix
+from randtile.geometry import Box
+from randtile.substitution import (Branch, Prototile, RuleFamily,
+                                   SubstitutionRule, matrix_only_family,
+                                   substitution_matrix)
 from randtile.symbolic import (MeasureSpec, SymbolSequence, rng_stream,
                                sample_sequence)
 from randtile.tiling import (Patch, Region, SupertileSystem, decompose_region,
                              generate_patch)
+
+import oracles
 
 
 def test_observable_constructors():
@@ -123,18 +129,6 @@ def test_depth_requires_geometry(hhp):
         ergodic_vectors(f, hhp, x, 6)
 
 
-def _paths_to(family, x, k):
-    """All length-k paths, grouped by terminal vertex: {vertex: [edge tuple]}."""
-    paths = {v: [()] for v in range(family.n_prototiles)}
-    for level in range(1, k + 1):
-        nxt = {v: [] for v in range(family.n_prototiles)}
-        for parent, child, idx, _ in family.rule(x[level]).edges:
-            for p in paths[child]:
-                nxt[parent].append(p + ((level, parent, child, idx),))
-        paths = nxt
-    return paths
-
-
 def _object_matmul_vectors(f, family, x, depth):
     """Reference chain: per-path sums of w·vol, then V^k = A_k·V^(k−1) as
     object (or float) matmuls, one `Fraction` operation at a time."""
@@ -152,10 +146,10 @@ def _object_matmul_vectors(f, family, x, depth):
         wmap = f.weight_map()
         out = []
         for k in range(0, min(m, depth) + 1):
-            paths = _paths_to(family, x, k)
+            paths = oracles.paths_to(family, x, k)
             vals = []
             for j in range(n):
-                cont = _upward_continuation(family, x, k, j, m)
+                cont = oracles.upward_continuation(family, x, k, j, m)
                 total = 0
                 for p in paths[j]:
                     src = p[0][2] if p else j
@@ -173,8 +167,8 @@ def _assert_same_vectors(got, want):
     assert [v.level for v in got] == list(range(len(want)))
     for v, w in zip(got, want):
         assert v.values.dtype == w.dtype
-        if w.dtype != object:
-            assert np.array_equal(v.values, w), v.level
+        if w.dtype != object:     # floats and complexes bit for bit
+            assert v.values.tobytes() == w.tobytes(), v.level
             continue
         for a, b in zip(v.values, w):
             assert a == b and type(a) is type(b), (v.level, a, b)
@@ -229,7 +223,7 @@ def test_path_observable_matches_object_matmul(hh):
     weights (and a few int ones); no path through vertex 0 at level 5 is
     weighted, so V^5_0 is a `Fraction` zero."""
     x = SymbolSequence.constant(1, 9)
-    paths = [p for ps in _paths_to(hh, x, 5).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 5).values() for p in ps]
     assert len(paths) == 6144
     rng = np.random.default_rng(5)
     weights = []
@@ -257,7 +251,7 @@ def test_path_observable_pruned_matches_object_matmul(hh, volumes):
     fam = SimpleNamespace(n_prototiles=6, volumes=lambda: volumes,
                           matrix=hh.matrix, rule=rule)
     x = SymbolSequence.constant(1, 6)
-    paths = [p for ps in _paths_to(fam, x, 3).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(fam, x, 3).values() for p in ps]
     rng = np.random.default_rng(8)
     for weights in ([int(a) for a in rng.integers(-9, 10, len(paths))],
                     [Fraction(int(a), 3) if a % 2 else int(a)
@@ -282,10 +276,96 @@ def test_float_chain_matches_float_matmul(hhp, weights):
 
 def test_float_path_observable_matches_float_sums(hh):
     x = SymbolSequence.constant(1, 5)
-    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 2).values() for p in ps]
     f = TLCObservable(2, tuple((p, 0.1 * i - 3) for i, p in enumerate(paths)))
     _assert_same_vectors(ergodic_vectors(f, hh, x, 5),
                          _object_matmul_vectors(f, hh, x, 5))
+
+
+def _weighted_paths(family, x, m, kind, share, seed):
+    """A random share of the length-m diagram paths along x with `kind`
+    weights, in a random order, plus absent copies of a few (one branch
+    index set to 9)."""
+    paths = [p for ps in oracles.paths_to(family, x, m).values() for p in ps]
+    rng = np.random.default_rng(seed)
+    chosen = [paths[i] for i in rng.permutation(len(paths))
+              if rng.random() < share]
+    absent = [p[:-1] + (p[-1][:3] + (9,),) for p in chosen[:3]]
+    a, b = rng.integers(-9, 10, (2, len(chosen) + len(absent))).tolist()
+    make = {"fraction": lambda a, b: Fraction(a, b % 7 + 1) if b % 3 else a,
+            "int": lambda a, b: a,
+            "float": lambda a, b: 0.1 * a + b / 3,
+            "complex": lambda a, b: complex(0.1 * a, b / 7)}[kind]
+    return TLCObservable(m, tuple(
+        (p, make(*ab)) for p, ab in zip(chosen + absent, zip(a, b))))
+
+
+def _path_case(hh, odp, name):
+    """(family, sequence) for half-hex-classical, its rules over volumes not
+    all equal (one a `Fraction`), and one-d-pair under both its rules."""
+    if name == "one-d-pair":
+        return odp, sample_sequence(MeasureSpec.bernoulli_p(0.5), 10, seed=5)
+    x = SymbolSequence.constant(1, 10)
+    if name == "half-hex-classical":
+        return hh, x
+    return SimpleNamespace(n_prototiles=6, matrix=hh.matrix, rule=hh.rule,
+                           volumes=lambda: [1, 2, 3, 4, 5, Fraction(1, 2)]), x
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "float", "complex"])
+@pytest.mark.parametrize("name", ["half-hex-classical", "unequal-volumes",
+                                  "one-d-pair"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_path_levels_match_the_enumeration(hh, odp, m, name, kind):
+    """Each level of a random path observable equals the enumeration of
+    every diagram path, value and type, floats bit for bit, at depths 0,
+    m − 1, m and m + 3; shares of 1%, 10% and 100% of the paths."""
+    family, x = _path_case(hh, odp, name)
+    share = (0.01, 0.1, 1.0)[m % 3]
+    f = _weighted_paths(family, x, m, kind, share, seed=m)
+    want = _object_matmul_vectors(f, family, x, m + 3)
+    for depth in (0, m - 1, m, m + 3):
+        _assert_same_vectors(ergodic_vectors(f, family, x, depth),
+                             want[:depth + 1])
+
+
+def test_deep_path_weighs_where_its_suffix_is_least(hh):
+    """One weight on a depth-12 path of half-hex-classical, where listing
+    the diagram would take 6·4^12 paths: the least path from vertex 2 feeds
+    w·vol at every level; a path whose edge at level 7 is not least feeds
+    levels 7..12 only.  Each in well under 1 s."""
+    x = SymbolSequence.constant(1, 13)
+    least = oracles.upward_continuation(hh, x, 0, 2, 12)
+    edge = next((7, *e[:3]) for e in hh.rule(1).edges
+                if e[1] == least[6][2] and (7, *e[:3]) != least[6])
+    other = least[:6] + (edge,) + oracles.upward_continuation(
+        hh, x, 7, edge[1], 12)
+    w, vol = Fraction(2, 7), Fraction(3, 4)
+    for path, fed in ((least, range(13)), (other, range(7, 13))):
+        start = time.perf_counter()
+        vecs = ergodic_vectors(TLCObservable(12, ((path, w),)), hh, x, 12)
+        assert time.perf_counter() - start < 1
+        for k, v in enumerate(vecs):
+            at = path[k - 1][1] if k else path[0][2]
+            want = [w * vol if k in fed and j == at else 0 for j in range(6)]
+            assert v.values.tolist() == want, k
+            assert {type(c) for c in v.values} == {Fraction}
+
+
+def test_a_vertex_without_a_parent_is_refused():
+    """A family in which prototile 1 is never a child: its depth-1 path
+    observable has no least continuation from vertex 1."""
+    seg = Box([-Fraction(1, 2)], [Fraction(1, 2)])
+    quarter = Fraction(1, 4)
+    rule = SubstitutionRule(1, Fraction(1, 2), [
+        Branch(parent, 0, (tau,)) for parent in (0, 1)
+        for tau in (-quarter, quarter)])
+    family = RuleFamily("no-parent", (Prototile(0, seg), Prototile(1, seg)),
+                        (rule,), dim=1)
+    f = TLCObservable(1, ((((1, 0, 0, 0),), 1),))
+    with pytest.raises(StructuralError,
+                       match="vertex 1 has no outgoing edge at 1"):
+        ergodic_vectors(f, family, SymbolSequence.constant(1, 3), 1)
 
 
 def test_ergodic_vectors_rejects_negative_depth(hh):
@@ -329,7 +409,7 @@ def test_cotrace_residuals_match_object_matmul(hh, hhp):
         assert cotrace_shadow(f, hhp, x, depth).residuals == want
         assert want == [0.0] * depth
     x = SymbolSequence.constant(1, 8)
-    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 2).values() for p in ps]
     for w in (Fraction(1, 5), 0.2):
         f = TLCObservable(2, tuple((p, (i % 7 - 3) * w)
                                    for i, p in enumerate(paths)))
@@ -343,7 +423,7 @@ def test_cotrace_complex_depth_one_residual(hh):
     ComplexWarning (an error here) or, unwarned, dropped the imaginary
     part.  The least-squares vector stays complex."""
     x = SymbolSequence.constant(1, 8)
-    paths = [p for ps in _paths_to(hh, x, 1).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 1).values() for p in ps]
     f = TLCObservable(1, tuple((p, complex(i % 3, 1 - i % 2))
                                for i, p in enumerate(paths)))
     est = cotrace_shadow(f, hh, x, 8)
@@ -918,7 +998,7 @@ def _lazy_case(hh, hhp, case):
                           "float" else (0.5 + 1j, -1.25, 3.0 - 2j, 0, 2.5j, 1))
         return f, hhp, x, 80
     x = SymbolSequence.constant(1, 12)
-    paths = [p for ps in _paths_to(hh, x, 3).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 3).values() for p in ps]
     rng = np.random.default_rng(29)
     return TLCObservable(3, tuple(
         (p, Fraction(int(a), int(b)) if b > 1 else int(a))
@@ -992,7 +1072,7 @@ def test_canonical_paths_are_kept_as_given(hh):
     """Tuples of tuples of ints are the observable's own: the weights tuple
     and every path tuple are the caller's objects."""
     x = SymbolSequence.constant(1, 5)
-    paths = [p for ps in _paths_to(hh, x, 2).values() for p in ps]
+    paths = [p for ps in oracles.paths_to(hh, x, 2).values() for p in ps]
     weights = tuple((p, Fraction(i, 7)) for i, p in enumerate(paths))
     f = TLCObservable(2, weights)
     assert f.weights is weights
@@ -1054,7 +1134,7 @@ def test_absent_well_formed_path_weighs_nothing(hh):
     """A well-formed path that is not in the diagram along x is an absent
     pattern class: it adds 0 to every level."""
     x = SymbolSequence.constant(1, 5)
-    real = _paths_to(hh, x, 2)[0][0]
+    real = oracles.paths_to(hh, x, 2)[0][0]
     absent = ((1, 5, 5, 99), (2, 5, 5, 99))
     f = TLCObservable(2, ((real, Fraction(1, 3)),))
     g = TLCObservable(2, ((real, Fraction(1, 3)), (absent, Fraction(5))))

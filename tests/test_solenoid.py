@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,23 @@ def test_grid_cells_counts_and_writes_the_grid():
     with pytest.raises(StructuralError, match="has 16777216 cells, past the "
                        "budget of 10000000"):
         grid_cells(SolenoidSpec.periodic([2]), 24)
+    # exactly the budget is admitted, decided on the ints at the edge
+    assert grid_cells(SolenoidSpec(1, (10,) * 7), 7) == (10 ** 7, "10^7")
+    assert grid_cells(SolenoidSpec(7, (10,)), 1) == (10 ** 7, "10^7")
+
+
+def test_log2_q_prod_is_closed_form():
+    """log2 q_(n) over the prefix and whole periods of the tail, without
+    the product; past a finite prefix it is refused as `q_at` refuses."""
+    spec = SolenoidSpec(2, (4, 5), (2, 3, 7))
+    for n in range(12):
+        assert spec.log2_q_prod(n) == pytest.approx(
+            math.log2(spec.q_prod(n)), rel=1e-12, abs=0)
+    assert SolenoidSpec.periodic([2, 3]).log2_q_prod(10 ** 8) == \
+        pytest.approx(5 * 10 ** 7 * math.log2(6), rel=1e-12)
+    with pytest.raises(StructuralError, match="beyond the finite prefix"):
+        SolenoidSpec(1, (2, 3)).log2_q_prod(3)
+
 
 def test_random_observable_values_are_per_cell_fractions():
     """The shared Fraction per numerator gives each cell's a/16."""
