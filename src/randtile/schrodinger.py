@@ -259,43 +259,44 @@ def build_operator(kernel: KernelSpec, punctures: PunctureSet,
                 f"window {window} plus kernel range {rng} exceeds the source "
                 f"window {src}; patterns at the rim would be incomplete")
     sel = np.flatnonzero(lattice_test(   # a point is a tile with one corner
-        window, punctures.scale, punctures.grid[:, None], emb)[1]).tolist()
+        window, punctures.scale, punctures.grid[:, None], emb)[1])
     n = len(sel)
     pos = np.full(len(punctures), -1)
     pos[sel] = np.arange(n)
-    rows, cols, vals = [], [], []
-    degrees = [0] * len(punctures)
+    rows, cols, cls, values = [], [], [], []
+    degrees = np.zeros(len(punctures), dtype=np.intp)
     if kernel.range > 0 and n:
         pairs = punctures.pairs(kernel.range)
         both = (pos[pairs.i] >= 0) & (pos[pairs.j] >= 0)
         i, j, cls = pairs.i[both], pairs.j[both], pairs.cls[both]
-        degrees = np.bincount(np.concatenate([i, j]),
-                              minlength=len(punctures)).tolist()
-        values = [kernel.offdiagonal_value(d) for d in pairs.disps]
-        keep = np.array([bool(v) for v in values], dtype=bool)[cls]
+        degrees = np.bincount(np.concatenate([i, j]), minlength=len(punctures))
+        values = [v if isinstance(v, complex) else float(v)
+                  for v in map(kernel.offdiagonal_value, pairs.disps)]
+        keep = np.array(values, dtype=bool)[cls]
         i, j, cls = pos[i[keep]], pos[j[keep]], cls[keep]
         # pair (i, j) enters as the entries (i, j, v) and (j, i, conj v)
-        entries = np.array([[v, np.conj(v)] if isinstance(v, complex)
-                            else [float(v)] * 2 for v in values], dtype=object)
-        rows = np.stack([i, j], axis=1).ravel().tolist()
-        cols = np.stack([j, i], axis=1).ravel().tolist()
-        vals = entries.reshape(-1, 2)[cls].ravel().tolist()
+        rows, cols, cls = [i, j], [j, i], [cls, cls + len(values)]
+        values += [v.conjugate() for v in values]
     if kernel.diagonal == "degree":
-        diag = [degrees[i] for i in sel]
+        key, table = degrees[sel], range(int(degrees.max(initial=0)) + 1)
     elif kernel.diagonal is None:   # identity kernel
-        diag = [1] * n
+        key, table = np.zeros(n, dtype=np.intp), (1,)
     elif len(kernel.diagonal) != punctures.family.n_prototiles:
         raise StructuralError(f"kernel diagonal {kernel.diagonal!r} needs "
                               f"{punctures.family.n_prototiles} values, one per tile type")
     else:
-        diag = [kernel.diagonal[t] for t in punctures.types[sel].tolist()]
-    nonzero = [k for k, v in enumerate(diag) if v]
-    rows, cols = rows + nonzero, cols + nonzero
-    vals = vals + [float(diag[k]) if isinstance(diag[k], Fraction)
-                   else diag[k] for k in nonzero]
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return WindowedOperator(matrix=mat, indices=sel, punctures=punctures,
-                            diagonal=diag)
+        key, table = punctures.types[sel], kernel.diagonal
+    diag = np.array(table, dtype=object)[key].tolist()
+    k = np.flatnonzero(np.array(table, dtype=bool)[key])
+    cls = np.concatenate(cls + [key[k] + len(values)])
+    values += [float(v) if isinstance(v, Fraction) else v for v in table]
+    # entry e is values[cls[e]]; those in use, one array, set the dtype
+    used = np.bincount(cls, minlength=len(values)) > 0
+    data = np.array([v for v, u in zip(values, used.tolist()) if u])
+    mat = sp.csr_matrix((data[(np.cumsum(used) - 1)[cls]], (
+        np.concatenate(rows + [k]), np.concatenate(cols + [k]))), shape=(n, n))
+    return WindowedOperator(matrix=mat, indices=sel.tolist(),
+                            punctures=punctures, diagonal=diag)
 
 
 def windowed_trace(op: WindowedOperator, subregion: Region,
@@ -322,10 +323,15 @@ def windowed_trace(op: WindowedOperator, subregion: Region,
                               patch.family.embedding)[1]
     else:
         raise StructuralError(f"unknown trace mode {mode!r}")
-    total = 0
-    for k in np.flatnonzero(inside).tolist():  # in order; .sum() rounds otherwise
-        total += op.diagonal[k]
-    return total
+    picked = np.flatnonzero(inside)
+    # Σ count·value over the distinct value objects of an exact diagonal (ints
+    # and Fractions) is its index-order sum, in value and type (0 when empty)
+    ids = np.fromiter(map(id, op.diagonal), np.intp, len(op.diagonal))[picked]
+    _, first, count = np.unique(ids, return_index=True, return_counts=True)
+    values = [op.diagonal[k] for k in picked[first].tolist()]
+    if all(type(v) in (int, Fraction) for v in values):
+        return sum(c * v for c, v in zip(count.tolist(), values))
+    return geometry.sum_left(op.diagonal[k] for k in picked.tolist())
 
 
 @dataclass
@@ -470,7 +476,8 @@ def eigenvalue_counts(matrix: sp.spmatrix, energies) -> np.ndarray:
     number of eigenvalues below E.  The order only cuts fill: on a
     4,144-point half-hex Laplacian L+U holds 140,248 entries against
     COLAMD's 247,824, the same as a minimum-degree order computed afresh for
-    every energy.
+    every energy.  SuperLU's `U` getter, the only read of the pivots, builds
+    and caches both CSC factors: about 25 ms of its 37 energies' 220–260 ms.
 
     An energy is refused when the factorization cannot be trusted: SuperLU
     finds A - E·I exactly singular, a zero diagonal made it pivot off the

@@ -492,8 +492,8 @@ class _Level:
 class SupertileSystem:
     """Cached supertile data for (family, x): θ products and the integer
     `_Level` tables that the anchor search, `path_offset` and the descent
-    share.  Offsets are integers on (1/scale)·ℤ^d inside; `Fraction` offsets
-    appear only where `anchor` and `path_offset` return them."""
+    share, and the anchors found per window.  Offsets are integers on
+    (1/scale)·ℤ^d inside; only `anchor` and `path_offset` return Fractions."""
 
     def __init__(self, family: RuleFamily, x):
         self.family = family
@@ -501,6 +501,7 @@ class SupertileSystem:
         self._theta_inv = [Fraction(1)]  # θ_(k)^{-1}
         self._counts = [np.eye(family.n_prototiles, dtype=object)]
         self._levels = []              # level -> _Level
+        self._anchors = {}             # window -> (k, v, offset, edges)
         self._volumes = family.volumes()
         # every footprint corner and child delta lies on (1/scale)·ℤ^d,
         # because each θ_(k)^{-1} is an integer
@@ -603,9 +604,13 @@ class SupertileSystem:
         non-decreasing up any path; best-first search on the margin therefore
         finds a covering placement whenever one exists.  The search moves
         integer offsets up a level by the rows of `child_delta`, which are in
-        the branch order of the rule's edges.
+        the branch order of the rule's edges.  The search depends on the
+        system and the window alone: a found anchor is kept per window (a
+        failed search is not), and each call returns a fresh edge list.
         """
         _check_dim(window, self.family)
+        if kept := self._anchors.get(window):
+            return (*kept[:3], list(kept[3]))
         emb = self.family.embedding
         pts = _window_extremes(window, emb)
         offset0 = (0,) * self.family.dim
@@ -617,7 +622,8 @@ class SupertileSystem:
             neg_m, _, k, v, offset, edges = heapq.heappop(heap)
             if -neg_m >= 0 and window.contains_window(
                     self._shape(k, v, offset), emb):
-                return k, v, self._exact(offset), list(edges)
+                kept = self._anchors[window] = k, v, self._exact(offset), edges
+                return (*kept[:3], list(edges))
             lvl = k + 1
             deepest = max(deepest, k)
             if lvl > min(len(self.x), ANCHOR_MAX_LEVEL):
@@ -696,10 +702,12 @@ class SupertileSystem:
         depth-first (lexicographic path) order, which the stable expansion
         into children keeps.  `lattice_test` drops nodes missing the window
         and marks those inside it (window None contains everything).  Without
-        a budget the descent stops at inside supertiles; with one it expands
-        them to level 0, cutting each frontier after the first prefix whose
-        known tiles exceed the budget.  Offsets use int64 when every
-        coordinate and cross product fits, Python ints otherwise.
+        a budget the descent stops at inside supertiles and refuses a child
+        frontier past DEFAULT_TILE_BUDGET nodes (PartialCoverError); with one
+        it expands them to level 0, cutting each frontier after the first
+        prefix whose known tiles exceed it.  Offsets use int64 when every
+        coordinate and cross product fits, Python ints otherwise; a node of
+        Python ints takes about 6 times the memory and counts 8 times.
 
         Returns (found, boundary): found lists (level, types, offsets) of the
         inside nodes where the descent stopped, one entry per level that has
@@ -724,6 +732,11 @@ class SupertileSystem:
             if level < k:
                 up = levels[level + 1]
                 count = up.count[types]
+                if budget is None and count.sum() * (
+                        1 if dtype is np.int64 else 8) > DEFAULT_TILE_BUDGET:
+                    raise PartialCoverError(f"window {window} needs more than "
+                                            f"10^{math.log10(DEFAULT_TILE_BUDGET):g} "
+                                            f"nodes at level {level}")
                 parent = np.repeat(np.arange(len(types)), count)
                 pos = np.arange(len(parent)) + np.repeat(
                     up.start[types] - (np.cumsum(count) - count), count)

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from randtile.bratteli import approximant, spanning_system
-from randtile import cli, ergodic
+from randtile import cli, ergodic, tiling
 from randtile.cocycle import lyapunov_spectrum
 from randtile.cli import (ExperimentConfig, _build_parser, _resolve_family,
                           fmt, main, parse_region, render_svg)
@@ -143,6 +143,18 @@ def test_bad_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"familly": "x"}))
     assert main(["--config", str(cfg)]) == 2
+
+
+def test_decompose_past_the_node_budget_exits_3(tmp_path, capsys,
+                                                monkeypatch):
+    """The decomposition descent refuses a frontier past the tile budget
+    (here 10^3 nodes) with exit 3, before it is built."""
+    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", 10 ** 3)
+    assert main(["decompose", "--window", "square", "--dilation", "256",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "box:0,0,1,1 dilated by 256 needs more than 10^3 nodes" in err
+    assert not (tmp_path / "decompose.csv").exists()
 
 
 def test_decompose_command(tmp_path):

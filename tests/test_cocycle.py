@@ -365,6 +365,35 @@ def test_lyapunov_top_exponent_is_the_mean_log_expansion(family):
         assert abs(rep.raw_exponents[0] - exact) <= 1 / n_steps, p
 
 
+def _fekete_ceiling(family, p, n=14):
+    """(1/n)·E log ‖B_w‖₂ over all 2^n words w, each weighted by its
+    Bernoulli(p) probability: B_w is A_w on ℝᵏ/⟨vol⟩ (k tile types), taken
+    as Q⊥ᵀ·A_w·Q⊥ on vol^⊥ (Q⊥ an orthonormal basis).  vol is an eigenvector of every
+    A_s, so B_(uv) = B_u·B_v, and by subadditivity (Fekete) the quotient's
+    top exponent, λ₂ of the cocycle, is at most this mean."""
+    vol = np.array([float(v) for v in family.volumes()])
+    q = np.linalg.qr(vol[:, None], mode="complete")[0][:, 1:]
+    b = [q.T @ family.matrix(s) @ q for s in (1, 2)]
+    words, logp = np.eye(len(vol) - 1)[None], np.zeros(1)
+    for _ in range(n):
+        words = np.concatenate([b[0] @ words, b[1] @ words])
+        logp = np.concatenate([logp + math.log(p), logp + math.log(1 - p)])
+    return float(np.exp(logp) @ np.log(np.linalg.norm(words, 2, axis=(1, 2)))) / n
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_lyapunov_second_exponent_below_the_fekete_ceiling(hhp, p):
+    """The QR λ₂ on half-hex-pair lies below Fekete's ceiling at n = 14
+    plus 5 standard errors.  The ceiling is 1.3832, 1.0045 and 0.7483 at
+    p = 0.3, 0.5 and 0.7 (the QR gives 1.386, 0.982 and 0.693 at seed 0);
+    at p = 1 and p = 0 it is log 2 and 1.9756, the exact λ₂, because the
+    two circulant matrices commute and Q⊥ keeps them normal."""
+    ceiling = _fekete_ceiling(hhp, p)
+    rep = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(p), 20000, seed=0)
+    assert rep.raw_exponents[1] <= ceiling + 5 * rep.raw_stderrs[1]
+    assert ceiling < rep.raw_exponents[0]
+
+
 def test_lyapunov_seed_reproducibility(hhp):
     m = MeasureSpec.bernoulli_p(0.5)
     a = lyapunov_spectrum(hhp, m, 2000, seed=5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -780,7 +781,7 @@ def _ref_operator(kernel, punctures, window):
             rows.append(k)
             cols.append(k)
             vals.append(float(v) if isinstance(v, Fraction) else v)
-    return sel, sp.csr_matrix((vals, (rows, cols)), shape=(len(sel),) * 2)
+    return sel, sp.csr_matrix((vals, (rows, cols)), shape=(len(sel),) * 2), diag
 
 
 def test_build_operator_matches_per_pair_assembly(half_hex_punctures):
@@ -800,11 +801,103 @@ def test_build_operator_matches_per_pair_assembly(half_hex_punctures):
     window = Region.box((-4, -4), (8, 8))
     for kernel in kernels:
         op = build_operator(kernel, punctures, window)
-        sel, want = _ref_operator(kernel, punctures, window)
+        sel, want, _ = _ref_operator(kernel, punctures, window)
         assert op.indices == sel
         assert op.matrix.dtype == want.dtype
         assert (op.matrix.toarray() == want.toarray()).all()
         assert (op.matrix.toarray() == op.matrix.toarray().conj().T).all()
+
+
+def _assembly_kernel(name, punctures):
+    disps = sorted(set(punctures.pairs(1.8).disps))
+    return {
+        "identity": KernelSpec.identity(),
+        "fractions": KernelSpec.typewise([Fraction(t - 2, 3) for t in range(6)]),
+        "fractions-1.8": KernelSpec.typewise([Fraction(t + 1, 3)
+                                              for t in range(6)], 1.8),
+        "floats": KernelSpec.typewise([0.5 * t - 1 for t in range(6)], 1.8),
+        "ints": KernelSpec.typewise([t - 2 for t in range(6)]),
+        "laplacian": KernelSpec.laplacian(1.8),
+        "complex": KernelSpec(range=1.8, diagonal=(0, 1, 2.5, 0, 1, 2),
+                              offdiagonal=((disps[0], 1 + 2j),
+                                           (disps[1], -0.5), (disps[2], 3))),
+    }[name]
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("identity", np.int64), ("fractions", np.float64),
+    ("fractions-1.8", np.float64), ("floats", np.float64),
+    ("ints", np.int64), ("laplacian", np.float64),
+    ("complex", np.complex128)])
+def test_array_assembly_matches_the_per_entry_lists(half_hex_punctures,
+                                                    name, dtype):
+    """`build_operator` keeps its entries as arrays and converts each
+    distinct value once; the CSR matrix equals the one built from per-entry
+    lists in dtype, index arrays and data, and `.indices` and `.diagonal`
+    are lists of the same values and types.  An empty window is float64."""
+    punctures = half_hex_punctures
+    kernel = _assembly_kernel(name, punctures)
+    tiny = (Fraction(1, 1000),) * 2
+    for window, want_dtype in ((Region.box((-4, -4), (8, 8)), dtype),
+                               (Region.box(tiny, tiny), np.float64)):
+        op = build_operator(kernel, punctures, window)
+        sel, want, diag = _ref_operator(kernel, punctures, window)
+        got = op.matrix
+        assert type(op.indices) is list and op.indices == sel
+        assert got.dtype == want.dtype == want_dtype
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), attr
+        assert type(op.diagonal) is list
+        assert [(type(v), v) for v in op.diagonal] == [(type(v), v)
+                                                       for v in diag]
+    assert op.size == 0
+
+
+def _index_order_trace(op, subregion, mode):
+    """The trace as one `+=` per point in index order, the points chosen by
+    the exact oracle: punctures (raw) or whole tiles (interior-supertile)."""
+    punctures, emb = op.punctures, op.punctures.family.embedding
+    if mode == "raw":
+        shapes = [[p] for p in _points(punctures)]
+    else:
+        scale, corners = punctures.patch.placed(
+            [p.shape.vertices_list() for p in punctures.family.prototiles])
+        shapes = [lattice_points(c, scale) for c in corners]
+    total = 0
+    for k, i in enumerate(op.indices):
+        if oracles.inside(subregion, shapes[i], emb):
+            total += op.diagonal[k]
+    return total
+
+
+@pytest.mark.parametrize("values", [
+    [t - 2 for t in range(6)],                          # ints
+    [Fraction(2 * t - 5, 7) for t in range(6)],         # Fractions
+    [0.1, 0.2, 0.3, 1e16, -1e16, 0.7],                  # order-sensitive floats
+    [3, Fraction(1, 3), 0, Fraction(-5, 2), 7, 1],      # ints and Fractions
+    [0.1, Fraction(1, 3), 2, 1e16, Fraction(-1, 7), -1e16],   # all three
+    "complex"])
+def test_exact_traces_sum_per_value_and_floats_in_order(half_hex_punctures,
+                                                        values):
+    """`windowed_trace` equals the index-order loop in value and type() for
+    every kind of diagonal, in both modes and on an empty subregion."""
+    punctures = half_hex_punctures
+    window = Region.box((-4, -4), (8, 8))
+    if values == "complex":
+        op = build_operator(KernelSpec.typewise(range(6)), punctures, window)
+        op = dataclasses.replace(op, diagonal=[complex(v, 0.1 * v) + 0.1
+                                               for v in op.diagonal])
+    else:
+        op = build_operator(KernelSpec.typewise(values), punctures, window)
+    tiny = (Fraction(1, 1000),) * 2
+    for sub in (window, Region.box((-3, -2), (5, 4)), Region.disk((0, 0), 2.5),
+                Region.box(tiny, tiny)):
+        for mode in ("raw", "interior-supertile"):
+            got = windowed_trace(op, sub, mode=mode)
+            want = _index_order_trace(op, sub, mode)
+            assert type(got) is type(want) and got == want, (sub, mode)
+    assert windowed_trace(op, Region.box(tiny, tiny)) == 0
 
 
 def test_nonconvex_window_selects_contained_punctures(lattice):

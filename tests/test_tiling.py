@@ -7,7 +7,7 @@ import pytest
 
 from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
-from randtile import geometry
+from randtile import geometry, tiling
 from randtile.geometry import embed_point
 from randtile.substitution import half_hex_classical
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
@@ -81,6 +81,85 @@ def test_anchor_deterministic(hh):
     assert window.contains_window(hh.prototiles[vertex].shape.transform(
         system.theta_inv(level), offset), hh.embedding)
     assert len(edges) == level
+
+
+def _anchor_windows():
+    """Boxes at several sizes and offsets, a disk, a triangle and a box far
+    out (the anchor level grows with the offset)."""
+    boxes = [Region.box((c, c), (w, w), dilation=t)
+             for c in (-1, 0, Fraction(1, 3)) for w in (1, 2)
+             for t in (1, 4, 16)]
+    return boxes + [Region.disk((0, 0), 5.0),
+                    Region.polygon([(0, 0), (2, 1), (1, 3)], dilation=3),
+                    Region.box((2 ** 20, -2 ** 20), (1, 1))]
+
+
+def test_kept_anchors_match_a_fresh_search(hh):
+    """Each window is searched once per system: the second call gives what
+    a fresh system's search gives, with its own edge list."""
+    x = SymbolSequence.constant(1, 64)
+    system = SupertileSystem(hh, x)
+    windows = _anchor_windows()
+    assert len(set(windows)) == len(windows) >= 20
+    for window in windows:
+        first = system.anchor(window)
+        first[3].append("mutated")
+        first[3].clear()
+        again = system.anchor(window)
+        assert again == SupertileSystem(hh, x).anchor(window)
+        assert again[3] and again[3] is not system.anchor(window)[3]
+        assert len(again[3]) == again[0]
+    assert len(system._anchors) == len(windows)
+
+
+def test_failed_anchor_search_is_not_kept(hh, monkeypatch):
+    """A search refused for its expansion budget is tried afresh once the
+    budget allows it."""
+    x = SymbolSequence.constant(1, 64)
+    system = SupertileSystem(hh, x)
+    window = Region.box((-3, -3), (6, 6), dilation=8)
+    monkeypatch.setattr(tiling, "ANCHOR_MAX_EXPANSIONS", 1)
+    with pytest.raises(InsufficientDataError, match="expansion budget"):
+        system.anchor(window)
+    monkeypatch.undo()
+    assert system.anchor(window) == SupertileSystem(hh, x).anchor(window)
+
+
+def _frontiers(monkeypatch):
+    """The node counts that `lattice_test` sees in `_descend`, each a child
+    frontier of the unbudgeted descent below its top level."""
+    sizes, test = [], tiling.lattice_test
+
+    def recording(window, scale, corners, embedding):
+        sizes.append(len(corners))
+        return test(window, scale, corners, embedding)
+    monkeypatch.setattr(tiling, "lattice_test", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("corner, weight", [(-8, 1), (2 ** 40, 8)])
+def test_decomposition_descent_refuses_a_frontier_past_the_budget(
+        hh, monkeypatch, corner, weight):
+    """A child frontier of more than DEFAULT_TILE_BUDGET nodes (8 each when
+    the offsets are Python ints) is a PartialCoverError naming the window,
+    the level and the budget as a power; the largest frontier passes at a
+    budget of exactly its weighted size and is refused one below it."""
+    x = SymbolSequence.constant(1, 64)
+    base = Region.box((corner, corner), (16, 16))
+    anchor = SupertileSystem(hh, x).anchor(base)
+    sizes = _frontiers(monkeypatch)
+    want = decompose_region(hh, x, base, 1, anchor=anchor)
+    largest = max(sizes[1:])
+    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", weight * largest)
+    assert decompose_region(hh, x, base, 1, anchor=anchor) == want
+    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", weight * largest - 1)
+    with pytest.raises(PartialCoverError):
+        decompose_region(hh, x, base, 1, anchor=anchor)
+    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", 10 ** 2)
+    assert weight * largest > 10 ** 2
+    with pytest.raises(PartialCoverError,
+                       match=r"box:.* needs more than 10\^2 nodes at level \d+"):
+        decompose_region(hh, x, base, 1, anchor=anchor)
 
 
 def test_path_offset_matches_anchor(hh, sol2):
