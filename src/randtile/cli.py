@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateObservableError,
                      IncompletePatternError, InsufficientDataError,
                      MinimalityError, PartialCoverError, StructuralError,
                      UnsupportedOperationError)
-from .cocycle import lyapunov_spectrum
+from .cocycle import MIN_STEPS, lyapunov_spectrum
 from .ergodic import (TLCObservable, deviation_along_sequence, deviation_cap,
                       deviation_over_regions, make_zero_trace_observable,
                       special_averaging_sequence)
@@ -49,6 +49,7 @@ _SYMBOL_BUDGET = 10 ** 6
 # the most work one `dk` run may ask for: trials × (n_max + 1) × d × cells
 _DK_BUDGET = 2 ** 24
 _ENERGY_BUDGET = 10 ** 4   # the most energies of one `schrod` (--e-count)
+_GRID_BUDGET = 10 ** 3     # the most items of --p-grid and --t-grid
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
             "#937860", "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd")
 
@@ -58,16 +59,11 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _write_manifest(out: Path, written, **fields) -> dict:
     """Write manifest.json: code version, `fields`, and a sha256 per output."""
-    manifest = {"code_version": __version__, **fields,
-                "outputs": {p.name: _sha256(p) for p in sorted(set(written))}}
+    manifest = {"code_version": __version__, **fields, "outputs": {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(set(written))}}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
@@ -90,23 +86,17 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"family", "seed", "out_dir", "blocks"}
-        extra = set(data) - known
+        extra = set(data) - {"family", "seed", "out_dir", "blocks"}
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
         return ExperimentConfig(**data)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "seed": self.seed, "out_dir": self.out_dir,
-             "blocks": self.blocks},
-            indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _resolve_family(ref: str):
-    if ref.endswith(".json"):
-        return load_family(ref)
-    return builtin_family(ref)
+    return load_family(ref) if ref.endswith(".json") else builtin_family(ref)
 
 
 def parse_region(text: str) -> Region:
@@ -127,31 +117,59 @@ def parse_region(text: str) -> Region:
     raise ConfigError(f"bad region spec {text!r}")
 
 
-def _number(flag: str, item: str, kind):
-    """`kind(item)` (int, float or Fraction) for a flag's value; an item
-    that does not parse is a `ConfigError` naming the flag and the item."""
-    try:
-        return kind(item)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{flag}: cannot read {item!r} as "
-                          f"{kind.__name__}") from None
+def _number(flag: str, kind):
+    """The argparse `type=` reading a flag's value, or an item of it, as
+    `kind` (int, float, Fraction or `parse_region`).  Readers bound every
+    flag while argv is parsed, before any command runs; argparse passes a
+    refusal's `ConfigError`, naming the flag, through to `main` (exit 2)."""
+    def read(item: str):
+        try:
+            return kind(item)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{flag}: cannot read {item!r} as "
+                              f"{kind.__name__}") from None
+        except (ConfigError, StructuralError) as exc:   # a region's
+            raise ConfigError(f"{flag}: {exc}") from None
+    return read
 
 
-def _numbers(flag: str, text: str, kind) -> list:
-    """The comma-separated items of a flag's value, each by `_number`."""
-    return [_number(flag, item, kind) for item in text.split(",")]
+def _count(flag: str, least: int, budget=None, unit=""):
+    """Reader of an int flag: below `least`, or past `budget` (a power of
+    ten) `unit`, is refused."""
+    def read(text: str) -> int:
+        value = _number(flag, int)(text)
+        if value < least:
+            raise ConfigError(f"{flag} {value} is below {least}")
+        if budget is not None and value > budget:
+            raise ConfigError(f"{flag} {value} is past the budget of "
+                              f"10^{len(str(budget)) - 1} {unit}")
+        return value
+    return read
 
 
-def _check_symbols(flag: str, count: int):
-    """A `ConfigError` naming `flag` when its `count` symbols are past the
-    symbol budget; called before anything is sampled."""
-    if count > _SYMBOL_BUDGET:
-        raise ConfigError(f"{flag} {count} is past the budget of 10^6 symbols")
+def _items(flag: str, kind, budget=None, unit=""):
+    """Reader of a comma-separated list flag; past `budget` items, refused."""
+    def read(text: str) -> list:
+        items = text.split(",")
+        if budget is not None and len(items) > budget:
+            raise ConfigError(f"{flag} has {len(items)} {unit}, past the "
+                              f"budget of {budget}")
+        return list(map(_number(flag, kind), items))
+    return read
+
+
+def _finite(flag: str):
+    """Reader of a float flag that must be a finite number."""
+    def read(text: str) -> float:
+        value = _number(flag, float)(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} {value!r} is not a finite number")
+        return value
+    return read
 
 
 def _sequence(args) -> SymbolSequence:
     """Bernoulli(--p) sample of --length symbols, or all 1s without --p."""
-    _check_symbols("--length", args.length)
     if args.p is None:
         return SymbolSequence.constant(1, args.length)
     return sample_sequence(MeasureSpec.bernoulli_p(args.p), args.length,
@@ -206,14 +224,11 @@ def render_svg(patch) -> str:
 
 
 def cmd_spectrum(args, out: Path):
-    _check_symbols("--steps", args.steps)
     family = _resolve_family(args.family)
-    grid = _numbers("--p-grid", args.p_grid, float)
     rows = []
-    for p in grid:
-        measure = MeasureSpec.bernoulli_p(p)
-        rep = lyapunov_spectrum(family, measure, args.steps, args.seed,
-                                reorth_every=args.reorth_every)
+    for p in args.p_grid:
+        rep = lyapunov_spectrum(family, MeasureSpec.bernoulli_p(p), args.steps,
+                                args.seed, reorth_every=args.reorth_every)
         idx = 0
         for lam, mult, se in zip(rep.exponents, rep.multiplicities,
                                  rep.stderrs):
@@ -228,9 +243,8 @@ def cmd_spectrum(args, out: Path):
 
 
 def _deterministic_patch(args, family):
-    window = parse_region(args.window).dilated(
-        _number("--dilation", args.dilation, Fraction))
-    return generate_patch(family, _sequence(args), window)
+    return generate_patch(family, _sequence(args),
+                          args.window.dilated(args.dilation))
 
 
 def cmd_patch(args, out: Path):
@@ -262,10 +276,8 @@ def cmd_render(args, out: Path):
 def cmd_decompose(args, out: Path):
     family = _resolve_family(args.family)
     x = _sequence(args)
-    region = parse_region(args.window)
     system = SupertileSystem(family, x)
-    rep = decompose_region(family, x, region,
-                           _number("--dilation", args.dilation, Fraction),
+    rep = decompose_region(family, x, args.window, args.dilation,
                            system=system)
     rows = [(level, j, kappa, fmt(system.volume(level, j)))
             for level in sorted(rep.counts)
@@ -296,18 +308,15 @@ def cmd_deviate(args, out: Path):
                 f"observable file {args.observable}: {len(weights)} weights "
                 f"for the {family.n_prototiles} prototiles of {family.name}")
         f = TLCObservable(0, tuple(weights))
-    region = parse_region(args.window)
-    grid = (_numbers("--t-grid", args.t_grid, Fraction)
-            if args.mode == "regions" else None)
     # the paper's cap from the spectrum along x: the Bernoulli draw is
     # prefix-stable, so x is the first --length symbols of this sequence
     rep = lyapunov_spectrum(family, MeasureSpec.bernoulli_p(
         1.0 if args.p is None else args.p), max(_CAP_STEPS, args.length),
         args.seed)
     if args.mode == "regions":
-        fit = deviation_over_regions(f, family, x, region, grid)
+        fit = deviation_over_regions(f, family, x, args.window, args.t_grid)
     else:
-        seq = special_averaging_sequence(family, x, region, args.eps,
+        seq = special_averaging_sequence(family, x, args.window, args.eps,
                                          args.entries, seed=args.seed)
         fit = deviation_along_sequence(f, seq, family, x)
     rows = []
@@ -335,13 +344,7 @@ def cmd_deviate(args, out: Path):
 
 
 def cmd_dk(args, out: Path):
-    for flag, value, least in (("--trials", args.trials, 1),
-                               ("--n-max", args.n_max, 0),
-                               ("--depth", args.depth, 0)):
-        if value < least:
-            raise ConfigError(f"{flag} {value} is below {least}")
-    qs = _numbers("--q", args.q, int)
-    spec = SolenoidSpec.periodic(qs, dim=args.d)
+    spec = SolenoidSpec.periodic(args.q, dim=args.d)
     # trials × (n_max + 1) × d × q_(depth)^d axis-cell sums, refused before
     # any draw; `grid_cells` refuses a grid past the tile budget first
     cells, power = grid_cells(spec, args.depth)
@@ -375,24 +378,14 @@ def cmd_dk(args, out: Path):
 
 
 def cmd_schrod(args, out: Path):
-    if args.e_count < 1:
-        raise ConfigError(f"--e-count {args.e_count} is not a positive count "
-                          "of energies")
-    if args.e_count > _ENERGY_BUDGET:
-        raise ConfigError(f"--e-count {args.e_count} is past the budget of "
-                          "10^4 energies")
-    for flag, value in (("--e-min", args.e_min), ("--e-max", args.e_max)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} {value!r} is not a finite number")
-    _check_symbols("--length", args.length)
     family = _resolve_family(args.family)
     try:   # a kernel file holds exactly the KernelSpec fields
         kernel = (KernelSpec(**json.loads(Path(args.kernel).read_text()))
                   if args.kernel else KernelSpec.laplacian(1.8))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel file {args.kernel}: {exc}") from None
-    dilations = _numbers("--t-grid", args.t_grid, Fraction)
-    windows = [parse_region(args.window).dilated(t) for t in dilations]
+    dilations = args.t_grid
+    windows = [args.window.dilated(t) for t in dilations]
     # the source box: the windows' bounding box, max(2, 4·range) wider per side
     margin = 2 * Fraction(max(1.0, 2 * kernel.range)).limit_denominator(16)
     lows, highs = zip(*(w.bbox(family.embedding) for w in windows))
@@ -427,62 +420,69 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=".")
     sub = ap.add_subparsers(dest="command")
+    t_grid = _items("--t-grid", Fraction, _GRID_BUDGET, "dilations")
 
-    def add(name, helptext):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--family", default="half-hex-pair")
+    def add(name, helptext, window=None, dilation=None, bernoulli=False):
+        """A subcommand with --family, --seed, --out and, given defaults,
+        --window and --length, --dilation, and --p if `bernoulli`."""
+        cmd = sub.add_parser(name, help=helptext)
+        cmd.add_argument("--family", default="half-hex-pair")
         # duplicated global flags: SUPPRESS keeps the pre-command value
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--out", default=argparse.SUPPRESS)
-        return p
+        cmd.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        cmd.add_argument("--out", default=argparse.SUPPRESS)
+        if window:
+            cmd.add_argument("--window", default=window,
+                             type=_number("--window", parse_region))
+            cmd.add_argument("--length", default=64, type=_count(
+                "--length", 1, _SYMBOL_BUDGET, "symbols"))
+        if dilation:
+            cmd.add_argument("--dilation", default=dilation,
+                             type=_number("--dilation", Fraction))
+        if bernoulli:
+            cmd.add_argument("--p", type=float, default=None)
+        return cmd
 
-    p = add("spectrum", "Lyapunov spectrum sweep over Bernoulli p")
-    p.add_argument("--p-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
-    p.add_argument("--steps", type=int, default=20000)
-    p.add_argument("--reorth-every", type=int, default=5)
+    cmd = add("spectrum", "Lyapunov spectrum sweep over Bernoulli p")
+    cmd.add_argument("--p-grid", type=_items("--p-grid", float, _GRID_BUDGET,
+                                             "points"),
+                     default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
+    cmd.add_argument("--steps", default=20000, type=_count(
+        "--steps", MIN_STEPS, _SYMBOL_BUDGET, "symbols"))
+    cmd.add_argument("--reorth-every", type=_count("--reorth-every", 1),
+                     default=5)
 
-    for name in ("patch", "render"):
-        p = add(name, "generate a patch covering a window")
-        p.add_argument("--window", default="box:-1,-1,2,2")
-        p.add_argument("--dilation", default="4")
-        p.add_argument("--length", type=int, default=64)
-        p.add_argument("--p", type=float, default=None)
-        if name == "patch":
-            p.add_argument("--svg", action="store_true")
+    add("patch", "generate a patch covering a window", "box:-1,-1,2,2", "4",
+        bernoulli=True).add_argument("--svg", action="store_true")
+    add("render", "generate a patch covering a window", "box:-1,-1,2,2", "4",
+        bernoulli=True)
+    add("decompose", "supertile decomposition of a dilated region", "square",
+        "16", bernoulli=True)
 
-    p = add("decompose", "supertile decomposition of a dilated region")
-    p.add_argument("--window", default="square")
-    p.add_argument("--dilation", default="16")
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--p", type=float, default=None)
+    cmd = add("deviate", "deviation slopes of ergodic integrals", "square",
+              bernoulli=True)
+    cmd.add_argument("--observable", default="zero-trace")
+    cmd.add_argument("--mode", choices=("regions", "sequence"),
+                     default="sequence")
+    cmd.add_argument("--t-grid", type=t_grid, default="4,8,16,32,64,128")
+    cmd.add_argument("--entries", type=_count("--entries", 1), default=12)
+    cmd.add_argument("--eps", type=float, default=0.05)
+    cmd.add_argument("--direction-depth", type=_count("--direction-depth", 1),
+                     default=40)
 
-    p = add("deviate", "deviation slopes of ergodic integrals")
-    p.add_argument("--window", default="square")
-    p.add_argument("--observable", default="zero-trace")
-    p.add_argument("--mode", choices=("regions", "sequence"),
-                   default="sequence")
-    p.add_argument("--t-grid", default="4,8,16,32,64,128")
-    p.add_argument("--entries", type=int, default=12)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--direction-depth", type=int, default=40)
+    cmd = add("dk", "Denjoy-Koksma checks on solenoids")
+    cmd.add_argument("--q", type=_items("--q", int), default="2")
+    cmd.add_argument("--d", type=_count("--d", 1), default=1)
+    cmd.add_argument("--depth", type=_count("--depth", 0), default=2)
+    cmd.add_argument("--trials", type=_count("--trials", 1), default=20)
+    cmd.add_argument("--n-max", type=_count("--n-max", 0), default=8)
 
-    p = add("dk", "Denjoy-Koksma checks on solenoids")
-    p.add_argument("--q", default="2")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--n-max", type=int, default=8)
-
-    p = add("schrod", "windowed operators: traces and IDS")
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--window", default="box:-1,-1,2,2")
-    p.add_argument("--t-grid", default="4,8")
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--e-min", type=float, default=-1.0)
-    p.add_argument("--e-max", type=float, default=9.0)
-    p.add_argument("--e-count", type=int, default=41)
+    cmd = add("schrod", "windowed operators: traces and IDS", "box:-1,-1,2,2")
+    cmd.add_argument("--kernel", default=None)
+    cmd.add_argument("--t-grid", type=t_grid, default="4,8")
+    cmd.add_argument("--e-min", type=_finite("--e-min"), default=-1.0)
+    cmd.add_argument("--e-max", type=_finite("--e-max"), default=9.0)
+    cmd.add_argument("--e-count", default=41, type=_count(
+        "--e-count", 1, _ENERGY_BUDGET, "energies"))
     return ap
 
 
@@ -498,13 +498,12 @@ _COMMANDS = {
 
 
 def run(config: ExperimentConfig):
-    """Execute every block in the config; returns the manifest dict."""
+    """Execute every block in the config; returns the manifest dict.  Every
+    block is parsed before any runs, so a bad block writes nothing."""
     if not config.blocks:
         raise ConfigError("config has no subcommand blocks")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     parser = _build_parser()
-    written = []
+    blocks = []
     for name in sorted(config.blocks):
         if name not in _COMMANDS:
             raise ConfigError(f"unknown subcommand block {name!r}")
@@ -514,12 +513,14 @@ def run(config: ExperimentConfig):
         params.setdefault("seed", config.seed)
         for key, value in sorted(params.items()):
             flag = f"--{key.replace('_', '-')}"
-            if isinstance(value, bool):
-                if value:
-                    argv.append(flag)
-            else:
-                argv += [flag, str(value)]
-        written += _COMMANDS[name](parser.parse_args(argv), out)
+            if value is not False:   # true passes the bare flag
+                argv += [flag] if value is True else [flag, str(value)]
+        blocks.append(parser.parse_args(argv))
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for args in blocks:
+        written += _COMMANDS[args.command](args, out)
     return _write_manifest(out, written, seed=config.seed,
                            family=config.family)
 
@@ -527,17 +528,15 @@ def run(config: ExperimentConfig):
 def main(argv=None) -> int:
     if argv is None:
         # Run as the program, whatever is imported by now (about 43,000
-        # GC-tracked objects from numpy, scipy and randtile) lives until
-        # exit.  Frozen, it is skipped by every full collection of the run
-        # and by the interpreter's collections at shutdown.  From the end
-        # of `main` to the exit of the process, a `randtile dk` spawn took
-        # 68 ms and `schrod --t-grid 4` 78 ms unfrozen, 12 and 14 ms frozen
-        # (medians of 7 spawns each).  Callers that pass argv keep their
-        # GC state.
+        # GC-tracked objects of numpy, scipy and randtile) lives until exit:
+        # frozen, no full collection of the run or at shutdown walks it.
+        # From the end of `main` to exit, a `dk` spawn took 68 → 12 ms and
+        # `schrod --t-grid 4` 78 → 14 ms (medians of 7).  Callers with argv
+        # keep their GC state.
         gc.freeze()
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             config = ExperimentConfig.from_file(args.config)
             if args.out != ".":

@@ -26,6 +26,7 @@ from .substitution import RuleFamily
 from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
 NEG_INF = float("-inf")
+MIN_STEPS = 1000         # the fewest steps of one spectrum estimate
 _ORTHO_TOL = 1e-10
 _UNDERFLOW_LOG = -600.0  # running column norm below e^-600 => kernel direction
 _MERGE_FACTOR = 5.0      # exponents closer than this many stderrs are merged
@@ -137,8 +138,8 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
     truncation error scale.  A symbol with no rule in the family, or a
     sequence shorter than `steps`, is a `StructuralError`.
     """
-    if steps < 1000:
-        raise StructuralError("steps must be >= 1000")
+    if steps < MIN_STEPS:
+        raise StructuralError(f"steps must be >= {MIN_STEPS}")
     if reorth_every < 1:
         raise StructuralError("reorth_every must be >= 1")
     if x is None:

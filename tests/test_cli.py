@@ -373,8 +373,8 @@ def test_kernel_file_rejects_unknown_keys_and_values(tmp_path, capsys, spec,
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--e-count", "-1"], "--e-count -1 is not a positive count"),
-    (["--e-count", "0"], "--e-count 0 is not a positive count"),
+    (["--e-count", "-1"], "--e-count -1 is below 1"),
+    (["--e-count", "0"], "--e-count 0 is below 1"),
     (["--e-min", "nan"], "--e-min nan is not a finite number"),
     (["--e-max", "inf"], "--e-max inf is not a finite number"),
     (["--e-count", "10001"], "--e-count 10001 is past the budget of 10^4 "
@@ -608,6 +608,99 @@ def test_symbol_budget_sits_above_every_default_and_golden():
         asked += [getattr(args, flag) for flag in ("steps", "length")
                   if hasattr(args, flag)]
     assert max(asked) <= cli._SYMBOL_BUDGET
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--steps", "10"], "--steps 10 is below 1000"),
+    (["spectrum", "--reorth-every", "0"], "--reorth-every 0 is below 1"),
+    (["deviate", "--entries", "0"], "--entries 0 is below 1"),
+    (["deviate", "--direction-depth", "0"], "--direction-depth 0 is below 1"),
+    (["dk", "--d", "0"], "--d 0 is below 1"),
+    (["patch", "--length", "0"], "--length 0 is below 1"),
+], ids=["steps", "reorth-every", "entries", "direction-depth", "d", "length"])
+def test_a_count_below_its_least_names_the_flag(tmp_path, capsys, argv,
+                                                named):
+    """Each is refused as argv is parsed, naming the flag.  The first five
+    exited 2 naming the library's parameter ("steps must be >= 1000",
+    "reorth_every", "count", "depth", "dimension"); `patch --length 0`
+    exited 3, the sequence too short to cover the window."""
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_least_steps_is_the_cocycle_floor():
+    """The reader's least --steps is the library's own floor."""
+    from randtile import cocycle
+    with pytest.raises(ConfigError, match="--steps 999 is below 1000"):
+        _build_parser().parse_args(["spectrum", "--steps", "999"])
+    with pytest.raises(StructuralError, match="steps must be >= 1000"):
+        lyapunov_spectrum(one_d_pair(), None, cocycle.MIN_STEPS - 1, 0)
+    assert _build_parser().parse_args(
+        ["spectrum", "--steps", str(cocycle.MIN_STEPS)]).steps == 1000
+
+
+def _grid(count, item="4"):
+    return ",".join([item] * count)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--p-grid", _grid(2001, "0.5")],
+     "--p-grid has 2001 points, past the budget of 1000"),
+    (["spectrum", "--p-grid", _grid(1001, "0.5")],
+     "--p-grid has 1001 points, past the budget of 1000"),
+    (["deviate", "--mode", "regions", "--t-grid", _grid(1001)],
+     "--t-grid has 1001 dilations, past the budget of 1000"),
+    (["deviate", "--t-grid", _grid(1001)],
+     "--t-grid has 1001 dilations, past the budget of 1000"),
+    (["deviate", "--t-grid", "4,x"], "--t-grid: cannot read 'x' as Fraction"),
+    (["schrod", "--t-grid", _grid(1001)],
+     "--t-grid has 1001 dilations, past the budget of 1000"),
+], ids=["p-grid-2001", "p-grid", "deviate-regions", "deviate-sequence",
+        "deviate-sequence-malformed", "schrod"])
+def test_list_flags_past_their_budget_exit_2(tmp_path, capsys, monkeypatch,
+                                             argv, named):
+    """A list flag past 10^3 items is refused before anything is sampled
+    (the samplers are stubbed out, so reaching one would fail).  `deviate
+    --mode sequence` reads its --t-grid too, though it does not use it."""
+    for name in ("sample_sequence", "lyapunov_spectrum", "SymbolSequence",
+                 "generate_patch"):
+        monkeypatch.setattr(cli, name, None)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--p-grid", _grid(1000, "0.5")], "p_grid"),
+    (["deviate", "--mode", "regions", "--t-grid", _grid(1000)], "t_grid"),
+    (["schrod", "--t-grid", _grid(1000)], "t_grid"),
+])
+def test_grid_budget_admits_its_edge(tmp_path, monkeypatch, argv, flag):
+    """10^3 items, the budget exactly, reach the command (stubbed here)."""
+    reached = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        lambda args, out: reached.append(args) or [])
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(getattr(reached[0], flag)) == cli._GRID_BUDGET
+
+
+def test_grid_budget_sits_above_every_default_golden_and_documented_run():
+    """--p-grid and --t-grid at their defaults, in the goldens and in the
+    README and PAPER.md command blocks all hold fewer items than 10^3."""
+    root = Path(__file__).resolve().parents[1]
+    cmds = list(json.loads((root / "tests" / "golden_cli.json").read_text()))
+    cmds += ["spectrum", "deviate", "schrod", "schrod --t-grid 4"]
+    for doc in ("README.md", "PAPER.md"):
+        block = (root / doc).read_text().split("## Command line", 1)[1]
+        cmds += [line.split("#", 1)[0][len("randtile "):]
+                 for line in block.split("```sh", 1)[1].split("```", 1)[0]
+                 .splitlines() if line.startswith("randtile ")]
+    parser = _build_parser()
+    sizes = [len(getattr(args, flag)) for args in
+             (parser.parse_args(shlex.split(cmd)) for cmd in cmds)
+             for flag in ("p_grid", "t_grid") if hasattr(args, flag)]
+    assert len(sizes) > 10 and max(sizes) < cli._GRID_BUDGET
 
 
 @pytest.mark.parametrize("command", [["deviate"],
@@ -849,6 +942,19 @@ def test_bad_config_exits_2(tmp_path, capsys, config, named):
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_config_refuses_a_bad_block_before_writing(tmp_path, capsys):
+    """Every block is parsed before any runs: a bad `schrod` block used to
+    exit 2 only after dk.csv and decompose.csv were written, with no
+    manifest."""
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({"out_dir": str(out), "blocks": {
+        "dk": {}, "decompose": {}, "schrod": {"e_count": 0}}}))
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: --e-count 0 is below 1\n"
+    assert not out.exists()
 
 
 def _family_file(tmp_path, case):
