@@ -15,8 +15,7 @@ from .errors import MinimalityError, StructuralError
 from .geometry import ints
 from .substitution import RuleFamily
 from .symbolic import SymbolSequence
-from .tiling import (DEFAULT_TILE_BUDGET, Patch, SupertileSystem,
-                     supertile_system)
+from .tiling import Patch, SupertileSystem, supertile_system
 
 
 def path_fault(paths, length: int):
@@ -99,17 +98,16 @@ def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
 
 
 def approximant(family: RuleFamily, x: SymbolSequence, path: PathWord,
-                budget: int = DEFAULT_TILE_BUDGET,
                 system: SupertileSystem = None) -> Patch:
     """The level-k approximant patch along `path`, tiles at unit scale.
 
-    More than `budget` tiles raises PartialCoverError; `path_counts` gives
-    the counts without placing tiles.
+    A descent frontier past the tile budget raises PartialCoverError naming
+    the supertile; `path_counts` gives the counts without placing tiles.
     """
     path.validate(family, x)
     system = supertile_system(family, x, system)
     return system.expand(len(path), path.range,
-                         system.path_offset(path.edges), budget)
+                         system.path_offset(path.edges))
 
 
 def spanning_system(family: RuleFamily, x: SymbolSequence, depth: int) -> SpanningSystem:

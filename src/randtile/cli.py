@@ -39,7 +39,7 @@ from .schrodinger import (KernelSpec, PunctureSet, ids_estimate,
 from .solenoid import (SolenoidSpec, dk_check, grid_cells,
                        random_observable)
 from .substitution import builtin_family, load_family
-from .symbolic import MeasureSpec, SymbolSequence, sample_sequence
+from .symbolic import MeasureSpec, SymbolSequence, rng_stream, sample_sequence
 from .tiling import (Region, SupertileSystem, decompose_region, generate_patch,
                      lattice_images)
 
@@ -142,7 +142,7 @@ def _count(flag: str, least: int, budget=None, unit=""):
             raise ConfigError(f"{flag} {value} is below {least}")
         if budget is not None and value > budget:
             raise ConfigError(f"{flag} {value} is past the budget of "
-                              f"10^{len(str(budget)) - 1} {unit}")
+                              f"10^{len(str(budget)) - 1} {unit}".rstrip())
         return value
     return read
 
@@ -354,7 +354,7 @@ def cmd_dk(args, out: Path):
             f"{power} cells is past the budget of 2^24; lower --trials, "
             f"--n-max, --depth or --d")
     gen_rows = []
-    rng = np.random.Generator(np.random.Philox(key=(args.seed, 99)))
+    rng = rng_stream(args.seed, 99)
     violations = 0
     for trial in range(args.trials):
         f = random_observable(spec, args.depth, args.seed, worker_id=trial)
@@ -417,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Random substitution tilings: spectra, patches, "
                     "deviations, Denjoy-Koksma, windowed operators.")
     ap.add_argument("--config", help="JSON experiment config")
-    ap.add_argument("--seed", type=int, default=0)
+    seed = _count("--seed", 0, 10 ** 18)   # a Philox key word is 64 bits
+    ap.add_argument("--seed", type=seed, default=0)
     ap.add_argument("--out", default=".")
     sub = ap.add_subparsers(dest="command")
     t_grid = _items("--t-grid", Fraction, _GRID_BUDGET, "dilations")
@@ -428,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--family", default="half-hex-pair")
         # duplicated global flags: SUPPRESS keeps the pre-command value
-        cmd.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        cmd.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
         cmd.add_argument("--out", default=argparse.SUPPRESS)
         if window:
             cmd.add_argument("--window", default=window,

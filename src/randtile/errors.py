@@ -26,14 +26,8 @@ class DegenerateObservableError(RandtileError):
 
 
 class PartialCoverError(RandtileError):
-    """Tile budget exhausted before the patch or approximant was complete.
-
-    Carries the partial patch in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A supertile descent (patch, decomposition or approximant) refused a
+    frontier past the tile budget, before building it."""
 
 
 class IncompletePatternError(RandtileError):

@@ -47,9 +47,6 @@ from .substitution import RuleFamily
 DEFAULT_TILE_BUDGET = 10_000_000
 ANCHOR_MAX_LEVEL = 64            # anchor search: highest supertile level
 ANCHOR_MAX_EXPANSIONS = 200_000  # anchor search: placements expanded
-# Tile counts per supertile are capped here: a capped count is still a lower
-# bound for the budget cut, and a frontier's int64 running sum cannot wrap.
-_LEAF_CAP = 2 ** 31
 
 
 def lattice_points(grid, scale: int) -> list:
@@ -474,17 +471,15 @@ def lattice_test(window: Region, scale: int, corners, embedding):
 class _Level:
     """Integer tables of one level on (1/scale)·ℤ^d: the footprint `corners`
     of every type (`_point_table`); the children of every parent type in
-    branch order, `start`/`count` locating each parent's run; `leaves`, the
-    row sums of `SupertileSystem.counts`, capped; `step` bounds |child delta|;
-    `faces`, by type, the embedded faces of the exact footprint at the origin
-    (filled by `SupertileSystem.margin`)."""
+    branch order, `start`/`count` locating each parent's run; `step` bounds
+    |child delta|; `faces`, by type, the embedded faces of the exact
+    footprint at the origin (filled by `SupertileSystem.margin`)."""
 
     corners: np.ndarray
     child_type: np.ndarray
     child_delta: np.ndarray
     start: np.ndarray
     count: np.ndarray
-    leaves: np.ndarray
     step: int
     faces: dict = field(default_factory=dict)
 
@@ -579,8 +574,6 @@ class SupertileSystem:
                 child_delta=np.array(delta, dtype=object).reshape(
                     len(branches), self.family.dim),
                 start=np.cumsum(count) - count, count=count,
-                leaves=np.minimum(self.counts(lvl).sum(axis=1),
-                                  _LEAF_CAP).astype(np.int64),
                 step=max((abs(c) for p in delta for c in p), default=0)))
         return self._levels[k]
 
@@ -670,44 +663,29 @@ class SupertileSystem:
             offset = tuple(a - b for a, b in zip(offset, deltas[row]))
         return self._exact(offset)
 
-    def cover(self, window: Region, k: int, v: int, offset):
-        """Maximal supertiles inside the window, below the level-k type-v
-        supertile at `offset`: (counts, boundary), where counts maps a level
-        to the number of inside supertiles per type (levels from the top
-        down) and boundary counts the level-0 tiles cut by the window
-        boundary."""
-        found, boundary = self._descend(window, k, v, offset)
-        n = self.family.n_prototiles
-        return ({level: np.bincount(types, minlength=n).tolist()
-                 for level, types, _ in found}, boundary)
-
-    def expand(self, k: int, v: int, offset, budget: int,
-               window: Region = None) -> Patch:
+    def expand(self, k: int, v: int, offset, window: Region = None) -> Patch:
         """The level-0 tiles, depth first, of the level-k type-v supertile at
-        `offset` (those inside `window`, if given).  More than `budget` tiles
-        raise PartialCoverError, carrying the first `budget` of them."""
-        found, _ = self._descend(window, k, v, offset, budget)
+        `offset` (those inside `window`, if given).  A frontier past the
+        tile budget raises PartialCoverError, as every descent does."""
+        found, _ = self._descend(window, k, v, offset, whole=True)
         _, types, offs = found[0] if found else (  # one level: level 0
             0, [], np.zeros((0, self.family.dim), dtype=np.int64))
-        patch = Patch(types[:budget], offs[:budget], self.scale, self.family)
-        if len(types) > budget:
-            raise PartialCoverError("tile budget exhausted", partial=patch)
-        return patch
+        return Patch(types, offs, self.scale, self.family)
 
-    def _descend(self, window, k: int, v: int, offset, budget=None):
+    def _descend(self, window, k: int, v: int, offset, whole=False):
         """The one supertile descent: level by level from the level-k type-v
         supertile at `offset`, a point of (1/scale)·ℤ^d, down to level 0.
 
         A frontier holds node types and integer offsets on (1/scale)·ℤ^d in
         depth-first (lexicographic path) order, which the stable expansion
         into children keeps.  `lattice_test` drops nodes missing the window
-        and marks those inside it (window None contains everything).  Without
-        a budget the descent stops at inside supertiles and refuses a child
-        frontier past DEFAULT_TILE_BUDGET nodes (PartialCoverError); with one
-        it expands them to level 0, cutting each frontier after the first
-        prefix whose known tiles exceed it.  Offsets use int64 when every
-        coordinate and cross product fits, Python ints otherwise; a node of
-        Python ints takes about 6 times the memory and counts 8 times.
+        and marks those inside it (window None contains everything).  The
+        descent stops at inside supertiles, or, if `whole`, expands them
+        down to level 0.  Its one budget: a child frontier past
+        DEFAULT_TILE_BUDGET nodes is refused (PartialCoverError) before it
+        is built.  Offsets use int64 when every coordinate and cross product
+        fits, Python ints otherwise; a node of Python ints takes about 6
+        times the memory and counts 8 times.
 
         Returns (found, boundary): found lists (level, types, offsets) of the
         inside nodes where the descent stopped, one entry per level that has
@@ -732,11 +710,14 @@ class SupertileSystem:
             if level < k:
                 up = levels[level + 1]
                 count = up.count[types]
-                if budget is None and count.sum() * (
-                        1 if dtype is np.int64 else 8) > DEFAULT_TILE_BUDGET:
-                    raise PartialCoverError(f"window {window} needs more than "
-                                            f"10^{math.log10(DEFAULT_TILE_BUDGET):g} "
-                                            f"nodes at level {level}")
+                if count.sum() * (1 if dtype is np.int64 else 8
+                                  ) > DEFAULT_TILE_BUDGET:
+                    name = (f"window {window}" if window is not None else
+                            f"the level-{k} type-{v} supertile")
+                    raise PartialCoverError(
+                        f"{name} needs more than 10^"
+                        f"{math.log10(DEFAULT_TILE_BUDGET):g} nodes at level "
+                        f"{level}")
                 parent = np.repeat(np.arange(len(types)), count)
                 pos = np.arange(len(parent)) + np.repeat(
                     up.start[types] - (np.cumsum(count) - count), count)
@@ -752,17 +733,10 @@ class SupertileSystem:
                 keep = np.ones(len(types), dtype=bool)
                 keep[todo] = meets
                 types, offs, inside = (a[keep] for a in (types, offs, inside))
-            if (budget is None or level == 0) and inside.any():
+            if (not whole or level == 0) and inside.any():
                 found.append((level, types[inside], offs[inside]))
                 types, offs, inside = (a[~inside] for a in
                                        (types, offs, inside))
-            elif budget is not None:
-                known = np.where(inside, levels[level].leaves[types], 0)
-                over = np.cumsum(known) > budget
-                if over.any():
-                    cut = int(np.argmax(over)) + 1
-                    types, offs, inside = (a[:cut] for a in
-                                           (types, offs, inside))
         return found, len(types)
 
 
@@ -808,15 +782,15 @@ def _anchored(family: RuleFamily, x, window: Region, system, anchor):
 
 
 def generate_patch(family: RuleFamily, x, window: Region,
-                   budget: int = DEFAULT_TILE_BUDGET,
                    system: SupertileSystem = None, anchor=None) -> Patch:
     """All tiles of the anchored tiling hierarchy lying entirely inside window.
 
     `anchor` fixes the covering supertile as (level, vertex, offset), so
-    several windows can be cut from one coherent hierarchy.
+    several windows can be cut from one coherent hierarchy.  A descent
+    frontier past `DEFAULT_TILE_BUDGET` nodes raises PartialCoverError.
     """
     system, top = _anchored(family, x, window, system, anchor)
-    return system.expand(*top, budget, window)
+    return system.expand(*top, window)
 
 
 def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
@@ -831,7 +805,10 @@ def decompose_region(family: RuleFamily, x, b_region: Region, t_dilation,
     window = b_region.dilated(t_dilation)
     system, (level, vertex, offset) = _anchored(family, x, window, system,
                                                 anchor)
-    counts, boundary = system.cover(window, level, vertex, offset)
+    found, boundary = system._descend(window, level, vertex, offset)
+    n = family.n_prototiles
+    counts = {k: np.bincount(types, minlength=n).tolist()
+              for k, types, _ in found}
     covered = sum((c * system.volume(k, v) for k, row in counts.items()
                    for v, c in enumerate(row) if c), Fraction(0))
     return DecompositionReport(counts=counts, boundary_skipped=boundary,

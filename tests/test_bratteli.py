@@ -5,7 +5,7 @@ import pytest
 
 from randtile.bratteli import (PathWord, approximant, connectivity_matrices,
                                path_counts, spanning_system)
-from randtile.errors import PartialCoverError, StructuralError
+from randtile.errors import StructuralError
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 from randtile.tiling import SupertileSystem
 
@@ -86,14 +86,6 @@ def test_approximant_nesting(hh):
     # the anchored level-0 tile is shared by every approximant on the path
     base = approximant(hh, x, path.prefix(0))
     assert set(base.tiles) <= set(small.tiles)
-
-
-def test_approximant_budget_is_partial_cover(hh):
-    x = SymbolSequence.constant(1, 2)
-    path = spanning_system(hh, x, 2).anchor(2, 0)
-    with pytest.raises(PartialCoverError) as err:
-        approximant(hh, x, path, budget=5)
-    assert err.value.partial.tiles == approximant(hh, x, path).tiles[:5]
 
 
 def test_spanning_system_structure(hhp):

@@ -685,6 +685,26 @@ def test_grid_budget_admits_its_edge(tmp_path, monkeypatch, argv, flag):
     assert len(getattr(reached[0], flag)) == cli._GRID_BUDGET
 
 
+@pytest.mark.parametrize("seed, named", [
+    (2 ** 64, "--seed 18446744073709551616 is past the budget of 10^18"),
+    (-1, "--seed -1 is below 0"),
+])
+def test_a_seed_out_of_range_exits_2(tmp_path, capsys, seed, named):
+    """A seed past 10^18 is refused as argv is parsed, before or after any
+    subcommand and in a config, where 2^64 ended in numpy's untyped
+    OverflowError from the Philox key (exit 1); a negative seed ran."""
+    out = tmp_path / "out"
+    for command in cli._COMMANDS:
+        for argv in ([f"--seed={seed}", command], [command, f"--seed={seed}"]):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {named}\n"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": seed, "blocks": {"dk": {}}}))
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not out.exists()
+
+
 def test_grid_budget_sits_above_every_default_golden_and_documented_run():
     """--p-grid and --t-grid at their defaults, in the goldens and in the
     README and PAPER.md command blocks all hold fewer items than 10^3."""

@@ -48,13 +48,13 @@ _KINDS = {"--p-grid": float, "--t-grid": Fraction, "--q": int,
           "--eps": float, "--e-min": float, "--e-max": float}
 _LISTS = {"--p-grid", "--t-grid", "--q"}
 # parsed flags with no bound of the CLI's own, per subcommand
-_UNBOUNDED = {"spectrum": ["--seed"],
-              "patch": ["--seed", "--window", "--dilation", "--p"],
-              "render": ["--seed", "--window", "--dilation", "--p"],
-              "decompose": ["--seed", "--window", "--dilation", "--p"],
-              "deviate": ["--seed", "--window", "--p", "--eps"],
-              "dk": ["--seed", "--q"],
-              "schrod": ["--seed", "--window"]}
+_UNBOUNDED = {"spectrum": [],
+              "patch": ["--window", "--dilation", "--p"],
+              "render": ["--window", "--dilation", "--p"],
+              "decompose": ["--window", "--dilation", "--p"],
+              "deviate": ["--window", "--p", "--eps"],
+              "dk": ["--q"],
+              "schrod": ["--window"]}
 _COMMON = ["0", "-1", "100000000", "nan", "inf", "-inf", "1e400", "", "x"]
 _WINDOWS = ["square", "box:-1,-1,2,2", "box:1,1", "disk:0,0,-1",
             "disk:0,0,1e400", "box:nan,0,1,1", "disk:0,0", "wedge:1"]

@@ -19,8 +19,7 @@ import pytest
 
 from randtile.bratteli import approximant, spanning_system
 from randtile import geometry
-from randtile.errors import (PartialCoverError, StructuralError,
-                             UnsupportedOperationError)
+from randtile.errors import StructuralError, UnsupportedOperationError
 from randtile.geometry import Box, embed_point, vadd, vscale, vsub
 from randtile.schrodinger import (KernelSpec, PunctureSet, build_operator,
                                   windowed_trace)
@@ -28,9 +27,9 @@ from randtile.substitution import (Branch, Prototile, RuleFamily,
                                    SubstitutionRule, half_hex_classical,
                                    load_family)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import (ANCHOR_MAX_EXPANSIONS, ANCHOR_MAX_LEVEL, Patch,
-                             Region, SupertileSystem, decompose_region,
-                             generate_patch, lattice_points, lattice_test)
+from randtile.tiling import (ANCHOR_MAX_EXPANSIONS, ANCHOR_MAX_LEVEL, Region,
+                             SupertileSystem, decompose_region, generate_patch,
+                             lattice_points, lattice_test)
 
 import oracles
 
@@ -64,31 +63,19 @@ def _ref_cover(system, window, k, v, offset):
                          for child, delta in reversed(_ref_children(system, k, v)))
 
 
-def _as_patch(tiles, family):
-    """The Patch of a list of (type, Fraction offset) tiles."""
-    scale = math.lcm(*(c.denominator for _, off in tiles for c in off))
-    offsets = [[int(c * scale) for c in off] for _, off in tiles]
-    return Patch([t for t, _ in tiles],
-                 np.array(offsets, dtype=object).reshape(-1, family.dim),
-                 scale, family)
-
-
-def _ref_expand(system, k, v, offset, tiles, budget):
+def _ref_expand(system, k, v, offset, tiles):
     if k == 0:
-        if len(tiles) >= budget:
-            raise PartialCoverError("tile budget exhausted",
-                                    partial=_as_patch(tiles, system.family))
         tiles.append((v, offset))
         return
     for child, delta in _ref_children(system, k, v):
-        _ref_expand(system, k - 1, child, vadd(offset, delta), tiles, budget)
+        _ref_expand(system, k - 1, child, vadd(offset, delta), tiles)
 
 
-def _ref_patch(system, window, anchor, budget=10 ** 7):
+def _ref_patch(system, window, anchor):
     tiles = []
     for k, v, off, inside in _ref_cover(system, window, *anchor[:3]):
         if inside:
-            _ref_expand(system, k, v, off, tiles, budget)
+            _ref_expand(system, k, v, off, tiles)
     return tiles
 
 
@@ -157,12 +144,6 @@ def test_descent_matches_fraction_reference(name, hh, sol2, sol3, odp):
         if kind == "far-box":           # too far for int64 cross products
             found, _ = system._descend(window, *anchor[:3])
             assert found and all(offs.dtype == object for _, _, offs in found)
-        if len(want) > 3:
-            budget = len(want) // 2
-            with pytest.raises(PartialCoverError) as err:
-                generate_patch(family, x, window, budget=budget,
-                               system=system, anchor=anchor)
-            assert err.value.partial.tiles == want[:budget], kind
 
 
 
@@ -235,11 +216,8 @@ def test_approximant_matches_fraction_reference(hh, sol2):
             path = spanning_system(family, x, depth).anchor(depth, v)
             want = []
             _ref_expand(system, depth, v, system.path_offset(path.edges),
-                        want, 10 ** 7)
+                        want)
             assert approximant(family, x, path, system=system).tiles == want
-            with pytest.raises(PartialCoverError) as err:
-                approximant(family, x, path, budget=7, system=system)
-            assert err.value.partial.tiles == want[:7]
 
 
 def _ref_anchor(system, window):

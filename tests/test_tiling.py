@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from randtile.bratteli import approximant, spanning_system
 from randtile.errors import (InsufficientDataError, PartialCoverError,
                              StructuralError, UnsupportedOperationError)
 from randtile import geometry, tiling
 from randtile.geometry import embed_point
 from randtile.substitution import half_hex_classical
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
-from randtile.tiling import (_LEAF_CAP, Patch, Region, SupertileSystem,
+from randtile.tiling import (Patch, Region, SupertileSystem,
                              _point_table, decompose_region,
                              decomposition_tile_multiset, generate_patch,
                              lattice_images, lattice_points)
@@ -126,8 +127,8 @@ def test_failed_anchor_search_is_not_kept(hh, monkeypatch):
 
 
 def _frontiers(monkeypatch):
-    """The node counts that `lattice_test` sees in `_descend`, each a child
-    frontier of the unbudgeted descent below its top level."""
+    """The node counts that `lattice_test` sees in `_descend`; in a
+    decomposition, the frontier of each level from the top down."""
     sizes, test = [], tiling.lattice_test
 
     def recording(window, scale, corners, embedding):
@@ -140,26 +141,52 @@ def _frontiers(monkeypatch):
 @pytest.mark.parametrize("corner, weight", [(-8, 1), (2 ** 40, 8)])
 def test_decomposition_descent_refuses_a_frontier_past_the_budget(
         hh, monkeypatch, corner, weight):
-    """A child frontier of more than DEFAULT_TILE_BUDGET nodes (8 each when
-    the offsets are Python ints) is a PartialCoverError naming the window,
-    the level and the budget as a power; the largest frontier passes at a
-    budget of exactly its weighted size and is refused one below it."""
+    """Every descent (decomposition, patch and approximant) refuses a child
+    frontier of more than DEFAULT_TILE_BUDGET nodes (8 each when the
+    offsets are Python ints) with a PartialCoverError naming the window or
+    the supertile, the level and the budget as a power; each passes at a
+    budget of exactly its weighted largest frontier and is refused one
+    below it.  A patch's level-j frontier is the decomposition's plus the
+    level-j nodes of every inside supertile above level j; an approximant's
+    is every level-j node of its supertile, largest at level 0."""
     x = SymbolSequence.constant(1, 64)
+    system = SupertileSystem(hh, x)
     base = Region.box((corner, corner), (16, 16))
-    anchor = SupertileSystem(hh, x).anchor(base)
+    anchor = system.anchor(base)
+    top = anchor[0]
     sizes = _frontiers(monkeypatch)
-    want = decompose_region(hh, x, base, 1, anchor=anchor)
-    largest = max(sizes[1:])
-    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", weight * largest)
-    assert decompose_region(hh, x, base, 1, anchor=anchor) == want
-    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", weight * largest - 1)
-    with pytest.raises(PartialCoverError):
-        decompose_region(hh, x, base, 1, anchor=anchor)
-    monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", 10 ** 2)
-    assert weight * largest > 10 ** 2
-    with pytest.raises(PartialCoverError,
-                       match=r"box:.* needs more than 10\^2 nodes at level \d+"):
-        decompose_region(hh, x, base, 1, anchor=anchor)
+    rep = decompose_region(hh, x, base, 1, system=system, anchor=anchor)
+    assert len(sizes) == top + 1
+
+    def nodes(i, j, v):   # level-j nodes of a level-i type-v supertile
+        return int(system.counts(i - j)[v].sum())   # x is constant
+    patch_nodes = max(sizes[top - j] + sum(c * nodes(i, j, v) for i, row in
+                                           rep.counts.items() if i > j
+                                           for v, c in enumerate(row))
+                      for j in range(top))
+    path = spanning_system(hh, x, 6).anchor(6, 0)
+    runs = [(lambda: decompose_region(hh, x, base, 1, system=system,
+                                      anchor=anchor),
+             weight * max(sizes[1:]), r"window box:"),
+            (lambda: generate_patch(hh, x, base, system=system,
+                                    anchor=anchor),
+             weight * patch_nodes, r"window box:"),
+            (lambda: approximant(hh, x, path, system=system),
+             nodes(6, 0, 0), r"the level-6 type-0 supertile")]
+    wants = [run() for run, _, _ in runs]
+    for (run, largest, name), want in zip(runs, wants):
+        monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", largest)
+        got = run()
+        assert (got.tiles == want.tiles if isinstance(want, Patch)
+                else got == want)
+        monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", largest - 1)
+        with pytest.raises(PartialCoverError):
+            run()
+        monkeypatch.setattr(tiling, "DEFAULT_TILE_BUDGET", 10 ** 2)
+        assert largest > 10 ** 2
+        with pytest.raises(PartialCoverError, match=name + r".* needs more "
+                           r"than 10\^2 nodes at level \d+"):
+            run()
 
 
 def test_path_offset_matches_anchor(hh, sol2):
@@ -277,13 +304,6 @@ def test_patch_coherence_under_shared_anchor(hh):
     assert set(small_patch.tiles) <= set(big_patch.tiles)
 
 
-def test_budget_exhaustion(hh):
-    x = SymbolSequence.constant(1, 40)
-    with pytest.raises(PartialCoverError) as err:
-        generate_patch(hh, x, Region.box((-6, -6), (12, 12)), budget=10)
-    assert len(err.value.partial) == 10
-
-
 def _decompose_cases(hh, sol3):
     """(family, sequence, base window) for a 2-D and a 3-D box window."""
     return ((hh, SymbolSequence.constant(1, 40), Region.unit_square()),
@@ -327,7 +347,7 @@ def test_nonconvex_window_on_box_tiles(sol2):
                             dilation=2)
     system = SupertileSystem(sol2, x)
     level, vertex, offset, _ = system.anchor(window)
-    tiles = system.expand(level, vertex, offset, budget=10 ** 6).tiles
+    tiles = system.expand(level, vertex, offset).tiles
     shape = window.shape()
     want = [(t, off) for t, off in tiles if shape.contains_shape(
         sol2.prototiles[t].shape.transform(1, off))]
@@ -352,7 +372,7 @@ def test_nonconvex_window_validates_no_node(hh, monkeypatch):
     assert made == []
     system = SupertileSystem(hh, x)
     level, vertex, offset, _ = system.anchor(window)
-    tiles = system.expand(level, vertex, offset, budget=10 ** 6).tiles
+    tiles = system.expand(level, vertex, offset).tiles
     want = [(t, off) for t, off in tiles if shape.contains_shape(
         hh.prototiles[t].shape.transform(1, off))]
     assert want and sorted(patch.tiles) == sorted(want)
@@ -473,26 +493,6 @@ def test_level_counts_are_the_matrix_products(hhp):
         with pytest.raises(ValueError):
             got[0, 0] = 0
     assert max(map(max, want)) > 2 ** 64
-
-
-def test_level_leaves_match_capped_recursion(hh, sol2):
-    """`_Level.leaves` (row sums of `counts`, capped) equals the recursion
-    capped at every level, also at and past the level where 2^31 is crossed."""
-    for family, x in ((hh, SymbolSequence.constant(1, 20)),
-                      (sol2, sample_sequence(MeasureSpec.bernoulli_p(0.5),
-                                             20, seed=2))):
-        system = SupertileSystem(family, x)
-        leaves = np.ones(family.n_prototiles, dtype=np.int64)
-        for k in range(21):
-            if k:
-                leaves = np.minimum(family.matrix(x[k]) @ leaves, _LEAF_CAP)
-            assert system._level(k).leaves.tolist() == leaves.tolist()
-        assert system._level(20).leaves.tolist() == [_LEAF_CAP] * len(leaves)
-        assert (system.counts(20).sum(axis=1) > _LEAF_CAP).all()
-    # 4^15 < 2^31 = _LEAF_CAP < 4^16 half-hex tiles per supertile
-    system = SupertileSystem(hh, SymbolSequence.constant(1, 20))
-    assert system._level(15).leaves.tolist() == [4 ** 15] * 6
-    assert system._level(16).leaves.tolist() == [_LEAF_CAP] * 6
 
 
 def test_multiset_keys_types_in_ascending_order(hh, sol2, odp):
