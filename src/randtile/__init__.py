@@ -23,17 +23,15 @@ from .symbolic import (MeasureSpec, SymbolSequence, recurrence_times,
 from .tiling import (DecompositionReport, Patch, Region, SupertileSystem,
                      decompose_region, decomposition_tile_multiset,
                      generate_patch)
-from .bratteli import (PathWord, SpanningSystem, approximant,
-                       connectivity_matrices, path_counts, spanning_system)
-from .cocycle import (LyapunovReport, apply_cocycle, lyapunov_spectrum,
-                      top_left_direction)
-from .ergodic import (CotraceEstimate, DeviationFit, ErgodicVector,
-                      SpecialAveragingSequence, TLCObservable, cotrace_shadow,
-                      deviation_along_sequence, deviation_cap,
+from .bratteli import (PathWord, SpanningSystem, approximant, path_counts,
+                       spanning_system)
+from .cocycle import LyapunovReport, lyapunov_spectrum, top_left_direction
+from .ergodic import (DeviationFit, ErgodicVector, SpecialAveragingSequence,
+                      TLCObservable, deviation_along_sequence, deviation_cap,
                       deviation_over_regions, ergodic_vectors,
                       make_zero_trace_observable, special_averaging_sequence)
-from .solenoid import (CylinderObservable, SolenoidSpec, cylinder_measure,
-                       dk_check, random_observable, variation)
+from .solenoid import (CylinderObservable, SolenoidSpec, dk_check,
+                       random_observable, variation)
 from .schrodinger import (KernelSpec, PunctureSet, WindowedOperator,
                           build_operator, eigenvalue_counts, ids_estimate,
                           trace_deviation, windowed_trace)

@@ -86,11 +86,6 @@ class SpanningSystem:
         return self.anchors[level][vertex]
 
 
-def connectivity_matrices(family: RuleFamily, x: SymbolSequence, n: int):
-    """[A_1..A_n] with A_k = substitution matrix of rule x_k."""
-    return [family.matrix(x[k]) for k in range(1, n + 1)]
-
-
 def path_counts(family: RuleFamily, x: SymbolSequence, n: int):
     """h^n = A_n ... A_1 · 𝟙, exact big integers: the row sums of
     `SupertileSystem.counts(n)`."""

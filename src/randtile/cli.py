@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,9 +90,6 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
         return ExperimentConfig(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _resolve_family(ref: str):
@@ -392,7 +389,14 @@ def cmd_schrod(args, out: Path):
     lo = [min(c) - margin for c in zip(*lows)]
     hi = [max(c) + margin for c in zip(*highs)]
     src = Region.box(lo, geometry.vsub(hi, lo))
-    patch = generate_patch(family, SymbolSequence.constant(1, args.length), src)
+    try:
+        patch = generate_patch(family, SymbolSequence.constant(1, args.length),
+                               src)
+    except PartialCoverError as exc:   # name the flags, not the source box
+        need = str(exc).partition(" needs ")[2]
+        raise PartialCoverError(
+            f"--window {args.window.dilated(max(dilations))}, the largest "
+            f"--t-grid dilation, needs {need}") from None
     punctures = PunctureSet.from_patch(patch, window=src)
     energies = np.linspace(args.e_min, args.e_max, args.e_count)
     ids = ids_estimate(kernel, punctures, windows, energies)

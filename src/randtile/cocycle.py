@@ -72,10 +72,6 @@ class LyapunovReport:
     def top(self) -> float:
         return self.exponents[0]
 
-    def normalized(self) -> list:
-        """lambda_i / lambda_1 over the raw (ungrouped) spectrum."""
-        return [e / self.top for e in self.raw_exponents]
-
 
 def _group_exponents(exponents, stderrs):
     """Merge exponents whose gap is within _MERGE_FACTOR * combined stderr."""
@@ -183,18 +179,6 @@ def lyapunov_spectrum(family: RuleFamily, measure: MeasureSpec, steps: int,
     se_sorted = [raw_se[i] for i in order]
     exps, mults, gses = _group_exponents(raw_sorted, se_sorted)
     return LyapunovReport(exps, mults, gses, raw_sorted, se_sorted)
-
-
-def apply_cocycle(matrices, v):
-    """A_k···A_1·v for an explicit ordered factor list; exact for integral v."""
-    vec = list(v)
-    exact = all(isinstance(c, int) or (hasattr(c, "denominator"))
-                for c in vec)
-    out = np.array(vec, dtype=object if exact else float)
-    for a in matrices:
-        m = np.asarray(a)
-        out = (m.astype(object) if exact else m.astype(float)) @ out
-    return out
 
 
 def top_left_direction(family: RuleFamily, x: SymbolSequence,

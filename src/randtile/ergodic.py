@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .bratteli import connectivity_matrices, path_fault
+from .bratteli import path_fault
 from .errors import (ConvergenceError, DegenerateObservableError,
                      InsufficientDataError, StructuralError,
                      UnsupportedOperationError)
@@ -94,14 +94,6 @@ class ErgodicVector:
         num, self._num = self._num, None
         return np.array(num if self._den is None else
                         [Fraction(v, self._den) for v in num], dtype=object)
-
-
-@dataclass
-class CotraceEstimate:
-    """Level-0 cotrace vector whose cocycle orbit shadows the V^k."""
-
-    vector: np.ndarray
-    residuals: list                 # r_k = ||V^{k+1} - A_{k+1} V^k||
 
 
 @dataclass
@@ -210,31 +202,6 @@ def ergodic_vectors(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
         num = [sum(map(operator.mul, row, num)) for row in rows[s]]
         out.append(ErgodicVector(len(out), num=num, den=den))
     return out[:depth + 1]
-
-
-def cotrace_shadow(f: TLCObservable, family: RuleFamily, x: SymbolSequence,
-                   depth: int) -> CotraceEstimate:
-    """Level-0 vector a with A_k···A_1·a shadowing V^k; exact for depth 0.
-
-    residuals[k] = |V^(k+1) − A_(k+1)·V^k|: 0.0 without a matmul from
-    k = f.depth on, where `ergodic_vectors` builds V^(k+1) as that product
-    in the weights' own arithmetic; the path levels are multiplied out."""
-    if depth < 2:
-        raise StructuralError("depth must be >= 2")
-    vecs = ergodic_vectors(f, family, x, depth)
-    paths = min(f.depth, depth)
-    dtype = object if f.is_exact() else float
-    residuals = [0.0] * depth
-    for k, a in enumerate(connectivity_matrices(family, x, paths)):
-        diff = vecs[k + 1].values - a.astype(dtype) @ vecs[k].values
-        residuals[k] = math.sqrt(sum_left(float(abs(c)) ** 2 for c in diff))
-    if f.depth == 0:
-        return CotraceEstimate(vector=vecs[0].values, residuals=residuals)
-    prod = SupertileSystem(family, x).counts(f.depth).astype(float)
-    top = vecs[f.depth].values      # a complex top level stays complex
-    a, *_ = np.linalg.lstsq(prod, top.astype(float) if dtype is object
-                            else top, rcond=None)
-    return CotraceEstimate(vector=a, residuals=residuals)
 
 
 def make_zero_trace_observable(family: RuleFamily, x: SymbolSequence,

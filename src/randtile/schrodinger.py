@@ -107,17 +107,6 @@ class PunctureSet:
         return PunctureSet(patch.types, grid[:, 0], scale, patch.family,
                            patch=patch, source_window=window)
 
-    def min_gap(self) -> float:
-        """Smallest puncture separation (uniform discreteness witness): the
-        shortest exact class of `pairs(r)`, with r doubling from the span
-        over the point count until a pair exists."""
-        if len(self) < 2:
-            return math.inf
-        r = float(np.ptp(self._offset_images, axis=0).max()) / len(self)
-        while not len((pairs := self.pairs(r)).i):
-            r *= 2
-        return min(_norm(d, self.family.embedding) for d in pairs.disps)
-
     def pairs(self, radius: float) -> PuncturePairs:
         """Index pairs i < j within embedded distance `radius`, in
         lexicographic (i, j) order (cached per radius).
@@ -146,19 +135,6 @@ class PunctureSet:
             i[keep], j[keep], (np.cumsum(near) - 1)[cls[keep]],
             [d for d, ok in zip(disps, near) if ok])
         return self._pairs[radius]
-
-    def pattern_labels(self, radius: float):
-        """Hashable local-pattern key per point: the exact constellation of
-        (displacement, type) within the radius, plus the point's own type."""
-        pairs = self.pairs(radius)
-        flipped = [geometry.vscale(-1, d) for d in pairs.disps]
-        types = self.types.tolist()
-        nbrs = [[] for _ in types]
-        for i, j, c in zip(pairs.i.tolist(), pairs.j.tolist(),
-                           pairs.cls.tolist()):
-            nbrs[i].append((pairs.disps[c], types[j]))
-            nbrs[j].append((flipped[c], types[i]))
-        return [(t, tuple(sorted(nb))) for t, nb in zip(types, nbrs)]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Solenoids in the digit model: cylinder measures, variation, Denjoy-Koksma.
+"""Solenoids in the digit model: observables, variation, Denjoy-Koksma.
 
 A point of the d-dimensional solenoid is (path, offset): the path gives the
 position digit of each level-(k-1) supercube inside its level-k parent, the
@@ -108,13 +108,6 @@ class CylinderObservable:
         return Fraction(sum(num), den * len(num))
 
 
-def cylinder_measure(spec: SolenoidSpec, depth: int) -> Fraction:
-    """Measure of every depth-k cylinder: q_(k)^{-d}."""
-    if depth < 0:
-        raise StructuralError("depth must be >= 0")
-    return Fraction(1, spec.q_prod(depth) ** spec.dim)
-
-
 def variation(f: CylinderObservable) -> Fraction:
     """Var(f): supremum of Σ_parts osc(f) over clopen partitions.
 
@@ -191,10 +184,6 @@ class DKEntry:
 class DKReport:
     entries: list
     var: Fraction
-
-    @property
-    def max_gap(self) -> Fraction:
-        return max((e.gap for e in self.entries), default=Fraction(0))
 
     @property
     def holds(self) -> bool:

@@ -381,9 +381,6 @@ class DecompositionReport:
     volume_covered: Fraction
     anchor_level: int
 
-    def total_count(self, level: int) -> int:
-        return sum(self.counts.get(level, []))
-
 
 def decomposition_tile_multiset(report: DecompositionReport,
                                 family: RuleFamily, x) -> Counter:

@@ -189,7 +189,8 @@ def test_criterion_05_denjoy_koksma(capsys):
                 checked += len(rep.entries)
                 violations += sum(e.gap > rep.var for e in rep.entries)
                 if rep.var:
-                    worst = max(worst, rep.max_gap / rep.var)
+                    worst = max(worst, max(e.gap for e in rep.entries)
+                                / rep.var)
     ok = violations == 0 and checked == 4 * 25 * 20 * 11
     _announce(capsys, 5, ok,
               f"{checked} exact checks, {violations} violations, "
@@ -216,7 +217,7 @@ def test_criterion_06_decomposition_exactness(fam_classic, capsys):
         # the boundary layer: supertiles below the top level, plus the rim
         # tiles the best-first cover had to skip at the window edge
         top = max(rep.counts)
-        boundary.append(sum(rep.total_count(i) for i in rep.counts
+        boundary.append(sum(sum(rep.counts[i]) for i in rep.counts
                             if i != top) + rep.boundary_skipped)
     slope = _lsq_slope([math.log(t) for t in sizes],
                        [math.log(b) for b in boundary])

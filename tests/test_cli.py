@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -155,6 +156,17 @@ def test_decompose_past_the_node_budget_exits_3(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "box:0,0,1,1 dilated by 256 needs more than 10^3 nodes" in err
     assert not (tmp_path / "decompose.csv").exists()
+
+
+def test_schrod_past_the_node_budget_names_its_flags(tmp_path, capsys):
+    """A refused source patch is named by --window and the largest --t-grid
+    dilation, not by the source box `cmd_schrod` builds around them."""
+    assert main(["schrod", "--t-grid", "4,100000000",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert ("--window box:-1,-1,2,2 dilated by 100000000, the largest "
+            "--t-grid dilation, needs more than 10^7 nodes at level") in err
+    assert not (tmp_path / "schrod_ids.csv").exists()
 
 
 def test_decompose_command(tmp_path):
@@ -1028,9 +1040,12 @@ def test_saved_builtin_family_file_writes_the_builtin_patch(tmp_path):
             == (tmp_path / "named" / "patch.csv").read_bytes())
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(family="one-d-pair", seed=9, out_dir="x",
                            blocks={"dk": {"q": "2"}})
-    back = json.loads(cfg.to_json())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    back = json.loads(path.read_text())
     assert back["family"] == "one-d-pair"
     assert back["seed"] == 9
+    assert ExperimentConfig.from_file(path) == cfg

@@ -1,16 +1,15 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from randtile import cocycle
-from randtile.cocycle import (_group_exponents, apply_cocycle,
-                              lyapunov_spectrum, top_left_direction)
+from randtile.cocycle import (NEG_INF, _group_exponents, lyapunov_spectrum,
+                              top_left_direction)
 from randtile.errors import ConvergenceError, StructuralError
-from randtile.substitution import (builtin_families, matrix_only_family,
-                                   substitution_matrix)
+from randtile.substitution import (builtin_families, builtin_family,
+                                   matrix_only_family, substitution_matrix)
 from randtile.symbolic import MeasureSpec, SymbolSequence, sample_sequence
 
 LOG2 = math.log(2.0)
@@ -365,6 +364,52 @@ def test_lyapunov_top_exponent_is_the_mean_log_expansion(family):
         assert abs(rep.raw_exponents[0] - exact) <= 1 / n_steps, p
 
 
+def _circulant_mode_log_moduli(matrix):
+    """log|μ_j| for the Fourier modes j of a circulant integer matrix on
+    ℤ/n, n | 6, with −inf for a zero eigenvalue.  |μ_j|² = Σ_d r_d·cos(2πjd/n)
+    with r the integer autocorrelation of the first row, and 2cos(2πjd/n)
+    is an integer when n | 6, so |μ_j|² is exact."""
+    n = len(matrix)
+    row = [int(c) for c in matrix[0]]
+    assert matrix.tolist() == [row[-i:] + row[:-i] for i in range(n)]
+    r = [sum(row[m] * row[(m + d) % n] for m in range(n)) for d in range(n)]
+    out = []
+    for j in range(n):
+        twice_cos = [2 * math.cos(2 * math.pi * j * d / n) for d in range(n)]
+        assert all(abs(c - round(c)) < 1e-12 for c in twice_cos)
+        twice_mod2 = sum(rd * round(c) for rd, c in zip(r, twice_cos))
+        out.append(0.5 * math.log(twice_mod2 / 2) if twice_mod2 else NEG_INF)
+    return out
+
+
+@pytest.mark.parametrize("name", ["half-hex-pair", "one-d-pair",
+                                  "solenoid-2x3-2d"])
+def test_lyapunov_spectrum_is_exact_along_x_for_commuting_rules(name):
+    """Circulant rules share the Fourier basis and are normal, so along x
+    the spectrum is the sorted per-mode means (1/N)·Σ_k log|μ_(x_k),j|.  The
+    QR starts from e_1…e_n, whose overlap with each mode is 1/√n: every
+    raw exponent lies within log(√n)/N of the exact one, 0.90/N on
+    half-hex-pair, 0.35/N on one-d-pair and 0 on the 1×1 solenoid."""
+    family = builtin_family(name)
+    n, n_steps = family.n_prototiles, 20000
+    logs = [_circulant_mode_log_moduli(family.matrix(s)) for s in (1, 2)]
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        measure = MeasureSpec.bernoulli((p, 1 - p))
+        for seed in (0, 7):
+            x = sample_sequence(measure, n_steps, seed=seed)
+            rep = lyapunov_spectrum(family, measure, n_steps, seed=seed, x=x)
+            counts = [x.positive[:n_steps].count(s) for s in (1, 2)]
+            exact = sorted((sum(c * lg[j] for c, lg in zip(counts, logs)
+                                if c) / n_steps for j in range(n)),
+                           reverse=True)
+            for got, want in zip(rep.raw_exponents, exact):
+                if want == NEG_INF:
+                    assert got == NEG_INF, (p, seed)
+                else:
+                    assert abs(got - want) <= (math.log(math.sqrt(n)) / n_steps
+                                               + 1e-12), (p, seed)
+
+
 def _fekete_ceiling(family, p, n=14):
     """(1/n)·E log ‖B_w‖₂ over all 2^n words w, each weighted by its
     Bernoulli(p) probability: B_w is A_w on ℝᵏ/⟨vol⟩ (k tile types), taken
@@ -447,21 +492,6 @@ def test_top_left_direction_checks_sequence(hh, hhp):
     with pytest.raises(StructuralError, match="symbol 2 .*half-hex-classical"):
         top_left_direction(hh, x, 3)
     assert top_left_direction(hh, x, 2).shape == (6,)
-
-
-def test_normalized_spectrum(hhp):
-    rep = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.0), 20000, seed=0)
-    norm = rep.normalized()
-    assert norm[0] == 1.0
-    assert norm[1] == pytest.approx(LOG52_HALF / LOG16, abs=0.02)
-
-
-def test_apply_cocycle_exact(hhp):
-    a1 = substitution_matrix(hhp.rules[0], 6)
-    out = apply_cocycle([a1] * 5, [1] * 6)
-    assert out.tolist() == [4 ** 5] * 6
-    frac_out = apply_cocycle([a1], [Fraction(1, 3)] * 6)
-    assert frac_out.tolist() == [Fraction(4, 3)] * 6
 
 
 def test_top_left_direction_half_hex(hhp):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randtile import cli, ergodic, geometry
-from randtile.bratteli import PathWord, connectivity_matrices, spanning_system
+from randtile.bratteli import PathWord, spanning_system
 from randtile.cocycle import lyapunov_spectrum
 from randtile.errors import (ConvergenceError, DegenerateObservableError,
                              InsufficientDataError, StructuralError,
@@ -24,7 +24,6 @@ from randtile.errors import (ConvergenceError, DegenerateObservableError,
 from randtile.ergodic import (ErgodicVector, TLCObservable, _boundary_samples,
                               _log_abs,
                               _patch_point_distance,
-                              cotrace_shadow,
                               deviation_along_sequence, deviation_cap,
                               deviation_over_regions, ergodic_vectors,
                               make_zero_trace_observable,
@@ -375,20 +374,11 @@ def test_ergodic_vectors_rejects_negative_depth(hh):
         ergodic_vectors(TLCObservable.constant(1, 6), hh, x, -1)
 
 
-def test_cotrace_shadow_depth0_exact(hhp):
-    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 10, seed=4)
-    f = TLCObservable(0, tuple(Fraction(k + 1, 3) for k in range(6)))
-    est = cotrace_shadow(f, hhp, x, 10)
-    assert all(r == 0 for r in est.residuals)
-    vols = hhp.volumes()
-    assert est.vector.tolist() == [f.weights[j] * vols[j] for j in range(6)]
-
-
 def _matmul_residuals(f, family, x, depth):
     """|V^(k+1) − A_(k+1)·V^k| per level by one object (or float) matmul
-    each, the chain `cotrace_shadow` ran on every level."""
+    each."""
     vecs = ergodic_vectors(f, family, x, depth)
-    mats = connectivity_matrices(family, x, depth)
+    mats = [family.matrix(x[k]) for k in range(1, depth + 1)]
     out = []
     for k in range(depth):
         pred = mats[k].astype(object if f.is_exact() else float) @ vecs[k].values
@@ -396,18 +386,16 @@ def _matmul_residuals(f, family, x, depth):
     return out
 
 
-def test_cotrace_residuals_match_object_matmul(hh, hhp):
-    """Levels from f.depth on are 0.0 without a matmul, for exact and float
-    weights alike (`ergodic_vectors` builds them by the same matmul); the
-    path levels below f.depth keep their (nonzero) matmul residuals."""
+def test_vectors_follow_the_matmul_from_the_observable_depth_on(hh, hhp):
+    """Levels from f.depth on leave a 0.0 matmul residual, for exact and
+    float weights alike (`ergodic_vectors` builds them by the same matmul);
+    the path levels below f.depth keep their (nonzero) matmul residuals."""
     x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 1000, seed=3001)
     exact = make_zero_trace_observable(hhp, x, 40)
     assert exact.is_exact()
     floats = TLCObservable(0, [0.1 * j for j in range(6)])
     for f, depth in ((exact, 1000), (floats, 150)):
-        want = _matmul_residuals(f, hhp, x, depth)
-        assert cotrace_shadow(f, hhp, x, depth).residuals == want
-        assert want == [0.0] * depth
+        assert _matmul_residuals(f, hhp, x, depth) == [0.0] * depth
     x = SymbolSequence.constant(1, 8)
     paths = [p for ps in oracles.paths_to(hh, x, 2).values() for p in ps]
     for w in (Fraction(1, 5), 0.2):
@@ -415,24 +403,6 @@ def test_cotrace_residuals_match_object_matmul(hh, hhp):
                                    for i, p in enumerate(paths)))
         want = _matmul_residuals(f, hh, x, 8)
         assert all(want[:2]) and want[2:] == [0.0] * 6
-        assert cotrace_shadow(f, hh, x, 8).residuals == want
-
-
-def test_cotrace_complex_depth_one_residual(hh):
-    """A complex difference has its modulus squared; `float(c)` raised a
-    ComplexWarning (an error here) or, unwarned, dropped the imaginary
-    part.  The least-squares vector stays complex."""
-    x = SymbolSequence.constant(1, 8)
-    paths = [p for ps in oracles.paths_to(hh, x, 1).values() for p in ps]
-    f = TLCObservable(1, tuple((p, complex(i % 3, 1 - i % 2))
-                               for i, p in enumerate(paths)))
-    est = cotrace_shadow(f, hh, x, 8)
-    vecs = ergodic_vectors(f, hh, x, 2)
-    diff = vecs[1].values - hh.matrix(x[1]).astype(float) @ vecs[0].values
-    assert np.iscomplex(diff).any()
-    want = math.sqrt(sum(abs(c) ** 2 for c in diff))
-    assert est.residuals == [want] + [0.0] * 7
-    assert est.vector.dtype == complex
 
 
 def test_zero_trace_observable_half_hex(hh):
@@ -1040,7 +1010,7 @@ def test_exact_levels_are_built_on_first_read(hh, hhp):
 
 
 def test_cotrace_and_regions_match_an_eager_build(hh, hhp, monkeypatch):
-    """`cotrace_shadow` and `deviation_over_regions` give what they gave on
+    """`ergodic_vectors` and `deviation_over_regions` give what they gave on
     vectors built in full at once, for exact and float weights."""
     x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 200, seed=29)
     xh = SymbolSequence.constant(1, 40)
@@ -1053,10 +1023,10 @@ def test_cotrace_and_regions_match_an_eager_build(hh, hhp, monkeypatch):
                  TLCObservable.typewise((0.1, -0.7, 0.3, 1.1, -0.2, 0.45))]
 
     def run():
-        shadows = [cotrace_shadow(*case) for case in cases]
+        vectors = [ergodic.ergodic_vectors(*case) for case in cases]
         fits = [deviation_over_regions(f, hh, xh, Region.unit_square(), grid)
                 for f in region_fs]
-        return ([(est.vector.tolist(), est.residuals) for est in shadows],
+        return ([[v.values.tolist() for v in vecs] for vecs in vectors],
                 [(fit.entries, fit.slope, fit.running_max_slope)
                  for fit in fits])
 
@@ -1064,8 +1034,9 @@ def test_cotrace_and_regions_match_an_eager_build(hh, hhp, monkeypatch):
     monkeypatch.setattr(ergodic, "ergodic_vectors", _eager_vectors)
     eager = run()
     assert lazy == eager
-    for (got, _), (want, _) in zip(lazy[0], eager[0]):
-        assert [type(c) for c in got] == [type(c) for c in want]
+    for got, want in zip(lazy[0], eager[0]):
+        assert ([[type(c) for c in v] for v in got]
+                == [[type(c) for c in v] for v in want])
 
 
 def test_canonical_paths_are_kept_as_given(hh):

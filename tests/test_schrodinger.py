@@ -51,7 +51,6 @@ def _points(punctures):
 
 
 def test_lattice_punctures(lattice):
-    assert lattice.min_gap() == pytest.approx(1.0)
     # punctures sit on the integer lattice
     for p in _points(lattice)[:20]:
         assert all(c.denominator == 1 for c in p)
@@ -85,16 +84,6 @@ def test_laplacian_spectrum_oracle(lattice):
     axis = [2 - 2 * math.cos(math.pi * j / n) for j in range(n)]
     expect = np.sort([a + b for a in axis for b in axis])
     assert np.abs(got - expect).max() < 1e-12
-
-
-def test_pattern_labels(lattice):
-    labels = lattice.pattern_labels(1.1)
-    from collections import Counter
-    counts = Counter(labels)
-    # one dominant interior pattern (4 neighbors) plus rim patterns
-    top, freq = counts.most_common(1)[0]
-    assert len(top[1]) == 4
-    assert freq == (13 - 2) ** 2
 
 
 def test_incomplete_pattern_guard(lattice):
@@ -712,10 +701,9 @@ def test_pairs_on_a_far_shifted_grid(half_hex_punctures):
         assert got.i.tolist() == want.i.tolist()
         assert got.j.tolist() == want.j.tolist()
         assert got.cls.tolist() == want.cls.tolist() and got.disps == want.disps
-    assert far.min_gap() == base.min_gap()
 
 
-def test_pairs_and_min_gap_of_small_sets(sol2):
+def test_pairs_of_small_sets(sol2):
     empty = PunctureSet(np.zeros(0, dtype=int), np.zeros((0, 2), dtype=int),
                         1, sol2)
     one = PunctureSet([0], [[5, -3]], 1, sol2)
@@ -723,14 +711,12 @@ def test_pairs_and_min_gap_of_small_sets(sol2):
         pairs = punctures.pairs(1.5)
         assert len(pairs.i) == len(pairs.j) == len(pairs.cls) == 0
         assert pairs.disps == []
-        assert punctures.min_gap() == math.inf
     # far apart next to a tiny radius: the cells widen to keep their keys
     spread = PunctureSet([0, 0, 0], [[0, 0], [3, 4], [10 ** 9, 0]], 2, sol2)
     assert len(spread.pairs(1e-300).i) == 0
     pairs = spread.pairs(2.5)
     assert pairs.i.tolist() == [0] and pairs.j.tolist() == [1]
     assert pairs.disps == [(Fraction(3, 2), Fraction(2))]
-    assert spread.min_gap() == 2.5
 
 
 @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf,
@@ -738,16 +724,6 @@ def test_pairs_and_min_gap_of_small_sets(sol2):
 def test_pairs_reject_negative_and_non_finite_radii(half_hex_punctures, radius):
     with pytest.raises(StructuralError, match=f"pair radius {radius!r}"):
         half_hex_punctures.pairs(radius)
-
-
-def test_min_gap_matches_exact_distances(lattice, half_hex_punctures,
-                                         box_and_line_punctures):
-    for punctures in (lattice, half_hex_punctures,
-                      *box_and_line_punctures.values()):
-        pts, emb = _points(punctures), punctures.family.embedding
-        want = min(_norm(vsub(pts[j], pts[i]), emb)
-                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
-        assert punctures.min_gap() == want
 
 
 def _ref_operator(kernel, punctures, window):

@@ -336,7 +336,7 @@ def test_decompose_volume_accounting(hh, sol3):
         assert rep.volume_covered + rep.boundary_skipped * tile_vol >= win_vol
         top = max(rep.counts, default=-1)
         assert top >= 1
-        assert rep.total_count(top) >= 1
+        assert sum(rep.counts[top]) >= 1
 
 
 def test_nonconvex_window_on_box_tiles(sol2):
