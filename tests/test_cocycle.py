@@ -494,6 +494,14 @@ def test_top_left_direction_checks_sequence(hh, hhp):
     assert top_left_direction(hh, x, 2).shape == (6,)
 
 
+def test_normalized_spectrum(hhp):
+    """λ_i/λ_1 over the raw spectrum: 1 at the top, log√52/log16 next."""
+    rep = lyapunov_spectrum(hhp, MeasureSpec.bernoulli_p(0.0), 20000, seed=0)
+    norm = [e / rep.top for e in rep.raw_exponents]
+    assert norm[0] == 1.0
+    assert norm[1] == pytest.approx(LOG52_HALF / LOG16, abs=0.02)
+
+
 def test_top_left_direction_half_hex(hhp):
     x = SymbolSequence.constant(1, 40)
     u = top_left_direction(hhp, x, 40)

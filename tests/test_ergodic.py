@@ -382,11 +382,23 @@ def _matmul_residuals(f, family, x, depth):
     out = []
     for k in range(depth):
         pred = mats[k].astype(object if f.is_exact() else float) @ vecs[k].values
-        out.append(math.sqrt(sum(float(c) ** 2 for c in vecs[k + 1].values - pred)))
+        out.append(math.sqrt(sum(float(abs(c)) ** 2
+                                 for c in vecs[k + 1].values - pred)))
     return out
 
 
-def test_vectors_follow_the_matmul_from_the_observable_depth_on(hh, hhp):
+def test_cotrace_shadow_depth0_exact(hhp):
+    """A depth-0 observable's level-0 vector is w_j·vol_j exactly, and each
+    level above is the exact matmul image of the one below."""
+    x = sample_sequence(MeasureSpec.bernoulli_p(0.5), 10, seed=4)
+    f = TLCObservable(0, tuple(Fraction(k + 1, 3) for k in range(6)))
+    assert all(r == 0 for r in _matmul_residuals(f, hhp, x, 10))
+    vols = hhp.volumes()
+    assert ergodic_vectors(f, hhp, x, 0)[0].values.tolist() == [
+        f.weights[j] * vols[j] for j in range(6)]
+
+
+def test_cotrace_residuals_match_object_matmul(hh, hhp):
     """Levels from f.depth on leave a 0.0 matmul residual, for exact and
     float weights alike (`ergodic_vectors` builds them by the same matmul);
     the path levels below f.depth keep their (nonzero) matmul residuals."""
@@ -403,6 +415,22 @@ def test_vectors_follow_the_matmul_from_the_observable_depth_on(hh, hhp):
                                    for i, p in enumerate(paths)))
         want = _matmul_residuals(f, hh, x, 8)
         assert all(want[:2]) and want[2:] == [0.0] * 6
+
+
+def test_cotrace_complex_depth_one_residual(hh):
+    """A complex difference has its modulus squared; `float(c)` raised a
+    ComplexWarning (an error here) or, unwarned, dropped the imaginary
+    part.  The vectors stay complex."""
+    x = SymbolSequence.constant(1, 8)
+    paths = [p for ps in oracles.paths_to(hh, x, 1).values() for p in ps]
+    f = TLCObservable(1, tuple((p, complex(i % 3, 1 - i % 2))
+                               for i, p in enumerate(paths)))
+    vecs = ergodic_vectors(f, hh, x, 8)
+    diff = vecs[1].values - hh.matrix(x[1]).astype(float) @ vecs[0].values
+    assert np.iscomplex(diff).any()
+    want = math.sqrt(sum(abs(c) ** 2 for c in diff))
+    assert _matmul_residuals(f, hh, x, 8) == [want] + [0.0] * 7
+    assert all(v.values.dtype == complex for v in vecs)
 
 
 def test_zero_trace_observable_half_hex(hh):

@@ -703,7 +703,7 @@ def test_pairs_on_a_far_shifted_grid(half_hex_punctures):
         assert got.cls.tolist() == want.cls.tolist() and got.disps == want.disps
 
 
-def test_pairs_of_small_sets(sol2):
+def test_pairs_and_min_gap_of_small_sets(sol2):
     empty = PunctureSet(np.zeros(0, dtype=int), np.zeros((0, 2), dtype=int),
                         1, sol2)
     one = PunctureSet([0], [[5, -3]], 1, sol2)
@@ -717,6 +717,7 @@ def test_pairs_of_small_sets(sol2):
     pairs = spread.pairs(2.5)
     assert pairs.i.tolist() == [0] and pairs.j.tolist() == [1]
     assert pairs.disps == [(Fraction(3, 2), Fraction(2))]
+    assert _norm(pairs.disps[0], sol2.embedding) == 2.5
 
 
 @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf,
@@ -724,6 +725,20 @@ def test_pairs_of_small_sets(sol2):
 def test_pairs_reject_negative_and_non_finite_radii(half_hex_punctures, radius):
     with pytest.raises(StructuralError, match=f"pair radius {radius!r}"):
         half_hex_punctures.pairs(radius)
+
+
+def test_min_gap_matches_exact_distances(lattice, half_hex_punctures,
+                                         box_and_line_punctures):
+    """At the exact least separation, `pairs` holds a pair and its shortest
+    class is that separation."""
+    for punctures in (lattice, half_hex_punctures,
+                      *box_and_line_punctures.values()):
+        pts, emb = _points(punctures), punctures.family.embedding
+        want = min(_norm(vsub(pts[j], pts[i]), emb)
+                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        pairs = punctures.pairs(want)
+        assert len(pairs.i)
+        assert min(_norm(d, emb) for d in pairs.disps) == want
 
 
 def _ref_operator(kernel, punctures, window):

@@ -73,6 +73,18 @@ def test_spec_validation():
         SolenoidSpec(1, (2,)).q_at(2)
 
 
+def test_cylinder_measure():
+    """Every depth-k cylinder weighs q_(k)^{-d}: the mean of its indicator."""
+    spec = SolenoidSpec.periodic([2, 3], dim=2)
+    for depth, want in ((0, 1), (1, Fraction(1, 4)), (2, Fraction(1, 36))):
+        q = spec.q_prod(depth)
+        for cell in ((0, 0), (q - 1, q // 2)):
+            grid = np.zeros((q, q), dtype=int)
+            grid[cell] = 1
+            f = CylinderObservable.from_array(spec, depth, grid)
+            assert f.mean() == want
+
+
 def test_observable_shape_and_mean():
     spec = SolenoidSpec.periodic([2], dim=1)
     f = CylinderObservable.from_array(spec, 2, [1, 2, 3, 4])
